@@ -15,7 +15,7 @@ from .errors import (
     ShapeMismatch,
     ZeroCode,
 )
-from .gf import FieldContext, FieldElement, field_ops, gf_new
+from .gf import FieldContext, FieldElement, gf_new
 from .matspace import (
     MatrixFq,
     column_space,
@@ -29,7 +29,6 @@ from .subspaces import (
     SubspaceLattice,
     enumerate_subspaces,
     lattice,
-    lattice_ops,
     orthogonal_complement,
 )
 from .qseries import (
@@ -66,6 +65,7 @@ from .qpolymatroid import (
     verify_axioms,
 )
 from .identities import (
+    CodeAnalysis,
     IdentityReport,
     check_all,
     dual_polymatroid_check,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -19,6 +18,7 @@ from .delsarte import (
     random_code,
     rank_distribution,
     rank_weight_enumerator,
+    resolve_budget,
     restrict,
 )
 from .errors import QrankError
@@ -27,11 +27,6 @@ from .identities import IDENTITY_RUNNERS
 from .qpolymatroid import from_code, rank_generating_function
 from .qseries import galois_number, gaussian_binomial
 from .subspaces import Subspace, enumerate_subspaces
-
-
-def _env_int(name: str, default: int) -> int:
-    val = os.environ.get(name)
-    return int(val) if val else default
 
 
 def _load_code(path: str) -> RankMetricCode:
@@ -61,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="codeword enumeration cap (default QRANK_BUDGET or 2^24)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for identity checks (default QRANK_THREADS or 1)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,8 +109,7 @@ def _field_from_args(args) -> FieldContext:
 
 
 def _run(args) -> int:
-    budget = args.budget if args.budget is not None else _env_int("QRANK_BUDGET", 2**24)
-    threads = args.threads if args.threads is not None else _env_int("QRANK_THREADS", 1)
+    budget = resolve_budget(args.budget)
     if budget < 1:
         raise QrankError("budget must be >= 1")
 
@@ -168,7 +156,7 @@ def _run(args) -> int:
 
     if args.command == "check":
         C = _load_code(args.code)
-        reports = IDENTITY_RUNNERS[args.identity](C, budget, threads)
+        reports = IDENTITY_RUNNERS[args.identity](C, budget)
         if args.format == "json":
             sys.stdout.write(json.dumps([r.as_dict() for r in reports]) + "\n")
         else:

@@ -204,6 +204,10 @@ class RankDistribution:
     def __getitem__(self, i):
         return self.counts[i]
 
+    def enumerator(self) -> HomogeneousPoly:
+        """W^R(x, y) = sum_i A_i x^{n-i} y^i, homogeneous of degree n."""
+        return HomogeneousPoly(len(self.counts) - 1, self.counts)
+
 
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistribution:
     """Exact counts A_i = #{M in C : rank(M) = i}, i = 0..n."""
@@ -215,8 +219,7 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistr
 
 def rank_weight_enumerator(C: RankMetricCode, budget: int | None = None) -> HomogeneousPoly:
     """W_C^R(x, y) = sum_i A_i x^{n-i} y^i, homogeneous of degree n."""
-    dist = rank_distribution(C, budget)
-    return HomogeneousPoly(C.n, tuple(dist))
+    return rank_distribution(C, budget).enumerator()
 
 
 def ambient_counts(C: RankMetricCode, R: Subspace, budget: int | None = None):

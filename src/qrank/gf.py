@@ -198,8 +198,7 @@ class FieldContext:
     def pow(self, a: int, k: int) -> int:
         if k < 0:
             return self.pow(self.inv(a), -k)
-        result, base = 1 if self.e == 1 else 1, a
-        result = 1
+        result, base = 1, a
         while k:
             if k & 1:
                 result = self.mul(result, base)
@@ -301,17 +300,3 @@ class FieldElement:
     def __repr__(self):
         return f"FieldElement({self.value} in F_{self.field.q})"
 
-
-def field_ops(a: FieldElement, b, op: str) -> FieldElement:
-    """Dispatch helper: op in {add, sub, mul, inv, pow}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    if op == "pow":
-        return a ** int(b)
-    raise ValueError(f"unknown op {op!r}")

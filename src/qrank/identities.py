@@ -9,19 +9,14 @@ polynomial whose z-exponents are multiples of m.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .delsarte import (
-    RankMetricCode,
-    dual_code,
-    rank_distribution,
-    rank_weight_enumerator,
-)
+from .delsarte import RankMetricCode, dual_code, rank_distribution
 from .errors import NonIntegralResult
 from .qpolymatroid import (
-    from_code,
+    from_restriction_dims,
     rank_generating_function,
     restriction_dims,
     verify_axioms,
@@ -65,6 +60,60 @@ class IdentityReport:
         return line
 
 
+class CodeAnalysis:
+    """Every per-code table the identity checks read, each computed at most
+    once, on first use.
+
+    The restriction tables of C and C^perp come from one lattice sweep
+    each; P_C, P_C^* and P_{C^perp} are derived from them.  The
+    brute-force rank distributions enumerate codewords and never read a
+    restriction table, so each identity keeps two independent sides.
+    """
+
+    def __init__(self, C: RankMetricCode, budget: int | None = None):
+        self.code = C
+        self.budget = budget
+
+    @cached_property
+    def dual(self) -> RankMetricCode:
+        return dual_code(self.code)
+
+    @cached_property
+    def restriction_table(self):
+        """dim C(S) for every lattice subspace S."""
+        return restriction_dims(self.code)
+
+    @cached_property
+    def dual_restriction_table(self):
+        """dim C^perp(S) for every lattice subspace S."""
+        return restriction_dims(self.dual)
+
+    @cached_property
+    def polymatroid(self):
+        """P_C."""
+        return from_restriction_dims(self.code, self.restriction_table)
+
+    @cached_property
+    def dual_polymatroid(self):
+        """P_C^*, the dual of P_C."""
+        return self.polymatroid.dual()
+
+    @cached_property
+    def polymatroid_of_dual(self):
+        """P_{C^perp}, from its own restriction sweep."""
+        return from_restriction_dims(self.dual, self.dual_restriction_table)
+
+    @cached_property
+    def distribution(self):
+        """Rank distribution of C by brute-force enumeration."""
+        return rank_distribution(self.code, self.budget)
+
+    @cached_property
+    def dual_distribution(self):
+        """Rank distribution of C^perp by brute-force enumeration."""
+        return rank_distribution(self.dual, self.budget)
+
+
 def _code_params(C: RankMetricCode) -> dict:
     return {"q": C.field.q, "n": C.n, "m": C.m, "k": C.k}
 
@@ -79,11 +128,11 @@ def _poly_report(name, C, lhs: HomogeneousPoly, rhs: HomogeneousPoly, witness=No
     return IdentityReport(name, _code_params(C), str(lhs), str(rhs), passed, witness)
 
 
-def greene_rhs(C: RankMetricCode) -> HomogeneousPoly:
+def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
     """Assemble y^{n - dim C / m} R_{P_C}(q y^{1/m}, y^{-1/m}, x, y) as a
     degree-n homogeneous polynomial in (x, y), via y = z^m."""
-    P = from_code(C)
-    R = rank_generating_function(P)
+    C = a.code
+    R = rank_generating_function(a.polymatroid)
     q, m, n, k = C.field.q, C.m, C.n, C.k
     shift = m * n - k
     coeffs = [0] * (n + 1)
@@ -100,44 +149,44 @@ def greene_rhs(C: RankMetricCode) -> HomogeneousPoly:
     return HomogeneousPoly(n, coeffs)
 
 
-def greene_check(C: RankMetricCode, budget=None) -> IdentityReport:
+def greene_check(a: CodeAnalysis) -> IdentityReport:
     """Greene-type identity: brute-force enumerator vs the R_P route."""
-    lhs = rank_weight_enumerator(C, budget)
+    C = a.code
+    lhs = a.distribution.enumerator()
     try:
-        rhs = greene_rhs(C)
+        rhs = greene_rhs(a)
     except NonIntegralResult as exc:
         return IdentityReport("greene", _code_params(C), str(lhs), "-", False, str(exc))
     return _poly_report("greene", C, lhs, rhs)
 
 
-def rgf_duality_check(C: RankMetricCode) -> IdentityReport:
+def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
     """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly."""
-    P = from_code(C)
-    lhs = rank_generating_function(P.dual())
-    rhs = rank_generating_function(P, hatted=True).swap_x1_x2()
+    lhs = rank_generating_function(a.dual_polymatroid)
+    rhs = rank_generating_function(a.polymatroid, hatted=True).swap_x1_x2()
     witness = None
     if lhs != rhs:
         diff = lhs - rhs
         exps, c = diff.sorted_terms()[0]
         witness = f"exponents {exps}: coefficient differs by {c}"
     return IdentityReport(
-        "rgf-duality", _code_params(C), str(lhs), str(rhs), lhs == rhs, witness
+        "rgf-duality", _code_params(a.code), str(lhs), str(rhs), lhs == rhs, witness
     )
 
 
-def dual_polymatroid_check(C: RankMetricCode) -> IdentityReport:
+def dual_polymatroid_check(a: CodeAnalysis) -> IdentityReport:
     """P_C^* = P_{C^perp}: rank tables compared pointwise."""
-    lhs = from_code(C).dual()
-    rhs = from_code(dual_code(C))
+    lhs = a.dual_polymatroid
+    rhs = a.polymatroid_of_dual
     witness = None
     if lhs.ranks != rhs.ranks:
-        for S, a, b in zip(lhs.lattice.subspaces, lhs.ranks, rhs.ranks):
-            if a != b:
-                witness = f'subspace "{S.canonical_key()}": {a} vs {b}'
+        for S, x, y in zip(lhs.lattice.subspaces, lhs.ranks, rhs.ranks):
+            if x != y:
+                witness = f'subspace "{S.canonical_key()}": {x} vs {y}'
                 break
     return IdentityReport(
         "dual-polymatroid",
-        _code_params(C),
+        _code_params(a.code),
         "; ".join(lhs.rank_table_lines()),
         "; ".join(rhs.rank_table_lines()),
         lhs.ranks == rhs.ranks,
@@ -145,11 +194,11 @@ def dual_polymatroid_check(C: RankMetricCode) -> IdentityReport:
     )
 
 
-def exact_sequence_check(C: RankMetricCode) -> IdentityReport:
+def exact_sequence_check(a: CodeAnalysis) -> IdentityReport:
     """dim C^perp(R) + dim C = m dim R + dim C(R^perp) for every R."""
+    C = a.code
     lat = lattice(C.n, C.field)
-    dims_c = restriction_dims(C)
-    dims_d = restriction_dims(dual_code(C))
+    dims_c, dims_d = a.restriction_table, a.dual_restriction_table
     m, k = C.m, C.k
     witness = None
     for i, S in enumerate(lat.subspaces):
@@ -169,12 +218,13 @@ def exact_sequence_check(C: RankMetricCode) -> IdentityReport:
     )
 
 
-def ambient_count_table(C: RankMetricCode):
+def ambient_count_table(a: CodeAnalysis):
     """(A, B) per lattice subspace: B = q^{dim C(S)} by linear solves,
     A recovered from B by Moebius inversion on the lattice."""
+    C = a.code
     lat = lattice(C.n, C.field)
     q = C.field.q
-    B = [q**d for d in restriction_dims(C)]
+    B = [q**d for d in a.restriction_table]
     below = lat.below
     A = []
     for i in range(len(lat)):
@@ -185,12 +235,13 @@ def ambient_count_table(C: RankMetricCode):
     return A, B
 
 
-def macwilliams_dual_enumerator(C: RankMetricCode) -> HomogeneousPoly:
+def macwilliams_dual_enumerator(a: CodeAnalysis) -> HomogeneousPoly:
     """W_{C^perp}^R by the closed-form coefficient kernel, without any
     enumeration of the dual code."""
+    C = a.code
     lat = lattice(C.n, C.field)
     q, m, n = C.field.q, C.m, C.n
-    A, _ = ambient_count_table(C)
+    A, _ = ambient_count_table(a)
     W = [Fraction(0)] * (n + 1)
     for i in range(len(lat)):
         if A[i] == 0:
@@ -207,14 +258,14 @@ def macwilliams_dual_enumerator(C: RankMetricCode) -> HomogeneousPoly:
     return HomogeneousPoly(n, [w / size for w in W]).integral()
 
 
-def macwilliams_transform(C: RankMetricCode, budget=None) -> HomogeneousPoly:
+def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:
     """(1/|C|) sum_i A_i (x-y)^{[i]} * (x+(q^m-1)y)^{[n-i]} via the
     q-product engine with its m-shift."""
+    C = a.code
     q, m, n = C.field.q, C.m, C.n
-    dist = rank_distribution(C, budget)
     coeffs = [Fraction(0)] * (n + 1)
     xmy, xq = x_minus_y(), x_plus_qm_minus_1_y(q)
-    for i, Ai in enumerate(dist):
+    for i, Ai in enumerate(a.distribution):
         if Ai == 0:
             continue
         piece = q_product(q_power(xmy, i, q), q_power(xq, n - i, q), q).at(m)
@@ -224,11 +275,12 @@ def macwilliams_transform(C: RankMetricCode, budget=None) -> HomogeneousPoly:
     return HomogeneousPoly(n, [c / size for c in coeffs]).integral()
 
 
-def macwilliams_checks(C: RankMetricCode, budget=None):
+def macwilliams_checks(a: CodeAnalysis):
     """Both MacWilliams routes against brute-force dual enumeration."""
-    brute = rank_weight_enumerator(dual_code(C), budget)
-    formula = macwilliams_dual_enumerator(C)
-    transform = macwilliams_transform(C, budget)
+    C = a.code
+    brute = a.dual_distribution.enumerator()
+    formula = macwilliams_dual_enumerator(a)
+    transform = macwilliams_transform(a)
     return [
         _poly_report("macwilliams-formula", C, brute, formula),
         _poly_report("macwilliams-transform", C, brute, transform),
@@ -247,40 +299,29 @@ def _axiom_report(name, C, P) -> IdentityReport:
     )
 
 
-def check_all(C: RankMetricCode, budget=None, threads: int = 1):
-    """Every identity for one code; deterministic report order."""
-    tasks = [
-        lambda: greene_check(C, budget),
-        lambda: rgf_duality_check(C),
-        lambda: dual_polymatroid_check(C),
-        lambda: exact_sequence_check(C),
-        lambda: macwilliams_checks(C, budget),
-        lambda: _axiom_report("axioms-primal", C, from_code(C)),
-        lambda: _axiom_report("axioms-dual", C, from_code(C).dual()),
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [f.result() for f in [pool.submit(t) for t in tasks]]
-    else:
-        results = [t() for t in tasks]
-    reports = []
-    for r in results:
-        if isinstance(r, list):
-            reports.extend(r)
-        else:
-            reports.append(r)
-    return reports
+# report groups in check_all's order; each reads one shared analysis
+_CHECKS = {
+    "greene": lambda a: [greene_check(a)],
+    "rgf-duality": lambda a: [rgf_duality_check(a)],
+    "dual-polymatroid": lambda a: [dual_polymatroid_check(a)],
+    "exact-sequence": lambda a: [exact_sequence_check(a)],
+    "macwilliams": lambda a: macwilliams_checks(a),
+    "axioms": lambda a: [
+        _axiom_report("axioms-primal", a.code, a.polymatroid),
+        _axiom_report("axioms-dual", a.code, a.dual_polymatroid),
+    ],
+}
+
+
+def check_all(C: RankMetricCode, budget=None):
+    """Every identity for one code, from one analysis; deterministic
+    report order."""
+    a = CodeAnalysis(C, budget)
+    return [report for run in _CHECKS.values() for report in run(a)]
 
 
 IDENTITY_RUNNERS = {
-    "greene": lambda C, budget, threads: [greene_check(C, budget)],
-    "rgf-duality": lambda C, budget, threads: [rgf_duality_check(C)],
-    "dual-polymatroid": lambda C, budget, threads: [dual_polymatroid_check(C)],
-    "exact-sequence": lambda C, budget, threads: [exact_sequence_check(C)],
-    "macwilliams": lambda C, budget, threads: macwilliams_checks(C, budget),
-    "axioms": lambda C, budget, threads: [
-        _axiom_report("axioms-primal", C, from_code(C)),
-        _axiom_report("axioms-dual", C, from_code(C).dual()),
-    ],
-    "all": lambda C, budget, threads: check_all(C, budget, threads),
+    name: lambda C, budget, run=run: run(CodeAnalysis(C, budget))
+    for name, run in _CHECKS.items()
 }
+IDENTITY_RUNNERS["all"] = lambda C, budget: check_all(C, budget)

@@ -69,21 +69,22 @@ class QPolymatroid:
         return f"QPolymatroid(n={self.n}, q={self.field.q}, r={self.r})"
 
 
-def from_code(C: RankMetricCode) -> QPolymatroid:
-    """P_C with rho(J) = dim C - dim C(J^perp); r = m."""
-    lat = lattice(C.n, C.field)
-    k = C.k
-    ranks = []
-    for i, S in enumerate(lat.subspaces):
-        perp = lat.subspaces[lat.perp[i]]
-        ranks.append(k - restrict(C, perp).k)
-    return QPolymatroid(lat, C.m, ranks)
-
-
 def restriction_dims(C: RankMetricCode):
     """dim C(S) for every lattice subspace S, aligned with lattice order."""
     lat = lattice(C.n, C.field)
     return [restrict(C, S).k for S in lat.subspaces]
+
+
+def from_restriction_dims(C: RankMetricCode, dims) -> QPolymatroid:
+    """P_C from the restriction table of C: rho(J) = dim C - dim C(J^perp);
+    r = m."""
+    lat = lattice(C.n, C.field)
+    return QPolymatroid(lat, C.m, [C.k - dims[p] for p in lat.perp])
+
+
+def from_code(C: RankMetricCode) -> QPolymatroid:
+    """P_C, from one restriction sweep of C over the lattice."""
+    return from_restriction_dims(C, restriction_dims(C))
 
 
 @dataclass

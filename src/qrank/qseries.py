@@ -84,9 +84,6 @@ class HomogeneousPoly:
     def integral(self) -> "HomogeneousPoly":
         return HomogeneousPoly(self.degree, tuple(_as_int(c) for c in self.coeffs))
 
-    def scale(self, c) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.degree, tuple(c * a for a in self.coeffs))
-
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("degrees differ")
@@ -146,9 +143,6 @@ class HomogeneousMPoly:
                 raise ValueError("oracle returned wrong coefficient count")
             self._memo[m] = coeffs
         return self._memo[m]
-
-    def poly_at(self, m: int) -> HomogeneousPoly:
-        return HomogeneousPoly(self.degree, self.at(m))
 
 
 def x_poly() -> HomogeneousMPoly:

@@ -110,17 +110,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, n={self.n}, q={self.field.q}, [{self.canonical_key()}])"
 
 
-def lattice_ops(A: Subspace, B: Subspace, op: str):
-    """Dispatch helper: op in {sum, intersect, contains}."""
-    if op == "sum":
-        return A.sum(B)
-    if op == "intersect":
-        return A.intersect(B)
-    if op == "contains":
-        return A.contains(B)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def orthogonal_complement(A: Subspace) -> Subspace:
     return A.perp()
 
@@ -162,7 +151,8 @@ class SubspaceLattice:
     """The full lattice of subspaces of F_q^n with precomputed structure.
 
     Intended for the small ambient dimensions the identity checks sweep
-    over; meet/join index tables are built lazily on first use.
+    over; the join, meet and containment index tables are built together,
+    lazily, on first use of any of them.
     """
 
     def __init__(self, n: int, field: FieldContext):
@@ -184,41 +174,37 @@ class SubspaceLattice:
     def index_of(self, S: Subspace) -> int:
         return self.index[S.basis]
 
+    def _build_tables(self):
+        # only join needs linear algebra; meet and containment follow from
+        # join and perp: A ^ B = (A^perp + B^perp)^perp, B <= A iff A + B = A
+        size = len(self.subspaces)
+        subs, index, perp = self.subspaces, self.index, self.perp
+        join = [[0] * size for _ in range(size)]
+        for i, A in enumerate(subs):
+            for j in range(i, size):
+                join[i][j] = join[j][i] = index[A.sum(subs[j]).basis]
+        meet = [[perp[join[perp[i]][perp[j]]] for j in range(size)] for i in range(size)]
+        below = [tuple(j for j in range(size) if join[i][j] == i) for i in range(size)]
+        self._join, self._meet, self._below = join, meet, below
+
     @property
     def below(self):
         """below[i] = tuple of indices j with S_j a subspace of S_i."""
         if self._below is None:
-            self._below = [
-                tuple(j for j, T in enumerate(self.subspaces) if S.contains(T))
-                for S in self.subspaces
-            ]
+            self._build_tables()
         return self._below
-
-    def _build_meet_join(self):
-        n = len(self.subspaces)
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        for i, A in enumerate(self.subspaces):
-            for j in range(i, n):
-                B = self.subspaces[j]
-                s = self.index[A.sum(B).basis]
-                m = self.index[A.intersect(B).basis]
-                join[i][j] = join[j][i] = s
-                meet[i][j] = meet[j][i] = m
-        self._join, self._meet = join, meet
 
     @property
     def join(self):
         if self._join is None:
-            self._build_meet_join()
+            self._build_tables()
         return self._join
 
     @property
     def meet(self):
         if self._meet is None:
-            self._build_meet_join()
+            self._build_tables()
         return self._meet
-
 
 _LATTICE_CACHE: dict = {}
 

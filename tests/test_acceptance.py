@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qrank import (
+    CodeAnalysis,
     check_all,
     code_from_generators,
     dual_code,
@@ -50,7 +51,7 @@ def test_criterion_1_greene_exhaustive(capsys, corpora):
         (C, rep)
         for corpus in corpora
         for C in corpus
-        for rep in [greene_check(C)]
+        for rep in [greene_check(CodeAnalysis(C))]
         if not rep.passed
     ]
     elapsed = time.monotonic() - start
@@ -69,7 +70,8 @@ def test_criterion_2_macwilliams_three_way(capsys, corpora, random_corpus):
     for corpus in corpora + [random_corpus]:
         for C in corpus:
             brute = rank_weight_enumerator(dual_code(C))
-            if macwilliams_dual_enumerator(C) != brute or macwilliams_transform(C) != brute:
+            a = CodeAnalysis(C)
+            if macwilliams_dual_enumerator(a) != brute or macwilliams_transform(a) != brute:
                 bad += 1
     _report(
         capsys,
@@ -91,7 +93,7 @@ def test_criterion_3_polymatroid_axioms_and_duality(capsys, corpora, random_corp
                 ok = False
             if Pd.ranks != from_code(dual_code(C)).ranks:
                 ok = False
-            if not rgf_duality_check(C).passed:
+            if not rgf_duality_check(CodeAnalysis(C)).passed:
                 ok = False
     _report(
         capsys,
@@ -211,9 +213,7 @@ def test_criterion_6_pinned_values(capsys, full_2x2_f2):
 
 def test_criterion_7_performance(capsys, corpus_3x2_f2):
     start = time.monotonic()
-    ok = all(
-        all(r.passed for r in check_all(C, threads=4)) for C in corpus_3x2_f2
-    )
+    ok = all(all(r.passed for r in check_all(C)) for C in corpus_3x2_f2)
     elapsed = time.monotonic() - start
     start2 = time.monotonic()
     count = sum(1 for _ in enumerate_subspaces(6, gf_new(2)))

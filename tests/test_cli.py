@@ -126,6 +126,6 @@ def test_failed_check_exit_1(tmp_path, monkeypatch, capsys):
     from qrank.identities import IDENTITY_RUNNERS, IdentityReport
 
     failing = IdentityReport("synthetic", {}, "a", "b", False, "forced")
-    monkeypatch.setitem(IDENTITY_RUNNERS, "greene", lambda C, budget, threads: [failing])
+    monkeypatch.setitem(IDENTITY_RUNNERS, "greene", lambda C, budget: [failing])
     assert main(["check", "greene", str(path)]) == 1
     assert "[FAIL]" in capsys.readouterr().out

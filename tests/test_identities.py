@@ -1,7 +1,11 @@
 import pytest
 
+import qrank.delsarte
+import qrank.qpolymatroid
 from qrank import (
+    CodeAnalysis,
     MatrixFq,
+    all_codes,
     check_all,
     code_from_generators,
     dual_code,
@@ -16,6 +20,7 @@ from qrank import (
     rank_weight_enumerator,
     rgf_duality_check,
 )
+from qrank.errors import BudgetExceeded
 from qrank.identities import _poly_report, greene_rhs, macwilliams_checks
 from qrank.qseries import MultiPoly, g_poly, gaussian_binomial
 
@@ -26,27 +31,27 @@ F3 = gf_new(3)
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 2)])
 def test_greene_zero_code(n, m):
     C = code_from_generators([], field=F2, n=n, m=m)
-    rep = greene_check(C)
+    rep = greene_check(CodeAnalysis(C))
     assert rep.passed
     assert rep.lhs == f"x^{n}" if n > 1 else rep.lhs == "x"
 
 
 def test_greene_full_code(full_2x2_f2):
-    rep = greene_check(full_2x2_f2)
+    rep = greene_check(CodeAnalysis(full_2x2_f2))
     assert rep.passed
     assert rep.lhs == "x^2 + 9*x*y + 6*y^2"
     # hand-expanded RHS: 16y^2 + 12y(x-y) + (x-y)(x-2y)
-    assert str(greene_rhs(full_2x2_f2)) == "x^2 + 9*x*y + 6*y^2"
+    assert str(greene_rhs(CodeAnalysis(full_2x2_f2))) == "x^2 + 9*x*y + 6*y^2"
 
 
 def test_greene_sample_3x2(corpus_3x2_f2):
     for C in corpus_3x2_f2[::97]:
-        assert greene_check(C).passed
+        assert greene_check(CodeAnalysis(C)).passed
 
 
 def test_rgf_duality_zero_code():
     C = code_from_generators([], field=F2, n=2, m=2)
-    rep = rgf_duality_check(C)
+    rep = rgf_duality_check(CodeAnalysis(C))
     assert rep.passed
     # both sides sum_d [n d]_q X1^{m(n-d)} g^d (rho* is free)
     expected = MultiPoly()
@@ -58,7 +63,7 @@ def test_rgf_duality_zero_code():
 
 
 def test_rgf_duality_full_code(full_2x2_f2):
-    rep = rgf_duality_check(full_2x2_f2)
+    rep = rgf_duality_check(CodeAnalysis(full_2x2_f2))
     assert rep.passed
     # both sides 1 + 3 X2^2 (X3-X4) + X2^4 (X3-X4)(X3-2X4)
     expected = MultiPoly(
@@ -75,40 +80,40 @@ def test_rgf_duality_full_code(full_2x2_f2):
 
 
 def test_dual_polymatroid_examples(zero_2x2_f2, e11_2x2_f2):
-    rep = dual_polymatroid_check(zero_2x2_f2)
+    rep = dual_polymatroid_check(CodeAnalysis(zero_2x2_f2))
     assert rep.passed
     P = from_code(zero_2x2_f2).dual()
     assert P.ranks == tuple(2 * d for d in P.lattice.dims)  # dual of zero is free
-    assert dual_polymatroid_check(e11_2x2_f2).passed
+    assert dual_polymatroid_check(CodeAnalysis(e11_2x2_f2)).passed
 
 
 def test_dual_polymatroid_exhaustive_f3(corpus_2x2_f3):
     for C in corpus_2x2_f3:
-        assert dual_polymatroid_check(C).passed
+        assert dual_polymatroid_check(CodeAnalysis(C)).passed
 
 
 def test_macwilliams_dual_enumerator_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
-    assert str(macwilliams_dual_enumerator(zero_2x2_f2)) == "x^2 + 9*x*y + 6*y^2"
-    assert str(macwilliams_dual_enumerator(full_2x2_f2)) == "x^2"
+    assert str(macwilliams_dual_enumerator(CodeAnalysis(zero_2x2_f2))) == "x^2 + 9*x*y + 6*y^2"
+    assert str(macwilliams_dual_enumerator(CodeAnalysis(full_2x2_f2))) == "x^2"
     brute = rank_weight_enumerator(dual_code(e11_2x2_f2))
-    assert macwilliams_dual_enumerator(e11_2x2_f2) == brute
+    assert macwilliams_dual_enumerator(CodeAnalysis(e11_2x2_f2)) == brute
 
 
 def test_macwilliams_transform_examples(zero_2x2_f2, full_2x2_f2):
-    assert str(macwilliams_transform(zero_2x2_f2)) == "x^2 + 9*x*y + 6*y^2"
-    assert str(macwilliams_transform(full_2x2_f2)) == "x^2"
+    assert str(macwilliams_transform(CodeAnalysis(zero_2x2_f2))) == "x^2 + 9*x*y + 6*y^2"
+    assert str(macwilliams_transform(CodeAnalysis(full_2x2_f2))) == "x^2"
 
 
 def test_macwilliams_three_way_sample(corpus_2x2_f3):
     for C in corpus_2x2_f3[::11]:
         brute = rank_weight_enumerator(dual_code(C))
-        assert macwilliams_dual_enumerator(C) == brute
-        assert macwilliams_transform(C) == brute
+        assert macwilliams_dual_enumerator(CodeAnalysis(C)) == brute
+        assert macwilliams_transform(CodeAnalysis(C)) == brute
 
 
 def test_exact_sequence_check(full_2x2_f2, e11_2x2_f2):
-    assert exact_sequence_check(full_2x2_f2).passed
-    assert exact_sequence_check(e11_2x2_f2).passed
+    assert exact_sequence_check(CodeAnalysis(full_2x2_f2)).passed
+    assert exact_sequence_check(CodeAnalysis(e11_2x2_f2)).passed
 
 
 def test_check_all_zero_code(zero_2x2_f2):
@@ -128,10 +133,34 @@ def test_check_all_zero_code(zero_2x2_f2):
     ]
 
 
-def test_check_all_threaded_deterministic(e11_2x2_f2):
-    seq = [(r.name, r.passed, r.lhs, r.rhs) for r in check_all(e11_2x2_f2)]
-    par = [(r.name, r.passed, r.lhs, r.rhs) for r in check_all(e11_2x2_f2, threads=4)]
-    assert seq == par
+def test_check_all_sweeps_and_enumerates_each_code_once(monkeypatch):
+    C = list(all_codes(3, 2, F2))[1234]
+    restrict_calls, enumerated = [], []
+    restrict = qrank.delsarte.restrict
+    enumerate_entries = qrank.delsarte.enumerate_codeword_entries
+
+    def counting_restrict(code, J):
+        restrict_calls.append(code)
+        return restrict(code, J)
+
+    def counting_enumerate(code, budget=None):
+        enumerated.append(code)
+        return enumerate_entries(code, budget)
+
+    # qpolymatroid binds restrict at import, so both bindings are patched
+    monkeypatch.setattr(qrank.delsarte, "restrict", counting_restrict)
+    monkeypatch.setattr(qrank.qpolymatroid, "restrict", counting_restrict)
+    monkeypatch.setattr(qrank.delsarte, "enumerate_codeword_entries", counting_enumerate)
+    with pytest.raises(BudgetExceeded):
+        check_all(C, budget=C.size() - 1)
+    assert restrict_calls == []  # refused at the Greene step, before any sweep
+    enumerated.clear()
+    assert all(r.passed for r in check_all(C))
+    D = dual_code(C)
+    # one restriction sweep of the 16-subspace lattice for C, one for C^perp
+    assert len(restrict_calls) == 2 * 16
+    assert restrict_calls.count(C) == restrict_calls.count(D) == 16
+    assert enumerated == [C, D]
 
 
 def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):

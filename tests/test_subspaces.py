@@ -6,7 +6,7 @@ from qrank import (
     galois_number,
     gaussian_binomial,
     gf_new,
-    lattice_ops,
+    lattice,
     orthogonal_complement,
 )
 from qrank.errors import AmbientMismatch, LengthMismatch
@@ -29,15 +29,15 @@ def test_span_length_mismatch():
 def test_lattice_op_examples():
     X = Subspace.span([(1, 0)], 2, F2)
     zero = Subspace.zero(2, F2)
-    assert lattice_ops(X, zero, "sum") == X
+    assert X.sum(zero) == X
     e1 = Subspace.span([(1, 0)], 2, F2)
     e2 = Subspace.span([(0, 1)], 2, F2)
-    assert lattice_ops(e1, e2, "intersect") == zero
+    assert e1.intersect(e2) == zero
     diag = Subspace.span([(1, 1)], 2, F2)
     assert e1.sum(diag) == Subspace.full(2, F2)
     assert e1.intersect(diag) == zero
-    assert lattice_ops(e1, zero, "contains") is True
-    assert lattice_ops(zero, e1, "contains") is False
+    assert e1.contains(zero) is True
+    assert zero.contains(e1) is False
 
 
 def test_ambient_mismatch():
@@ -96,6 +96,17 @@ def test_modular_law_and_duality_exhaustive(field, n):
             assert i.perp() == A.perp().sum(B.perp())
             if B.contains(A):
                 assert A.perp().contains(B.perp())
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 3)])
+def test_lattice_tables_match_subspace_operations(p, e, n):
+    lat = lattice(n, gf_new(p, e))
+    subs, join, meet, below = lat.subspaces, lat.join, lat.meet, lat.below
+    for i, A in enumerate(subs):
+        assert below[i] == tuple(j for j, B in enumerate(subs) if A.contains(B))
+        for j, B in enumerate(subs):
+            assert subs[join[i][j]] == A.sum(B)
+            assert subs[meet[i][j]] == A.intersect(B)
 
 
 def test_canonical_key_roundtrip():
