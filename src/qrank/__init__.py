@@ -7,6 +7,7 @@ from .errors import (
     BudgetExceeded,
     DivisionByZero,
     LengthMismatch,
+    MalformedCode,
     NegativeExponent,
     NonIntegralResult,
     NonPrimeCharacteristic,

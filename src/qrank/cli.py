@@ -17,7 +17,6 @@ from .delsarte import (
     dual_code,
     random_code,
     rank_distribution,
-    rank_weight_enumerator,
     resolve_budget,
     restrict,
 )
@@ -116,7 +115,7 @@ def _run(args) -> int:
     if args.command == "wd":
         C = _load_code(args.code)
         dist = rank_distribution(C, budget)
-        enum = rank_weight_enumerator(C, budget)
+        enum = dist.enumerator()
         obj = {"rank_distribution": list(dist), "enumerator": str(enum)}
         if args.format == "json":
             _emit(json.dumps(obj) + "\n", args.output)

@@ -1,9 +1,12 @@
 """Delsarte rank-metric codes: F_q-linear subspaces of Mat(n x m, F_q).
 
 Codes are canonicalized at construction (RREF of the vectorized basis),
-so equality tests and serialized files are stable.  Counting operations
-enumerate codewords under a configurable budget; the restriction C(J)
-is computed by a linear solve, never by enumeration.
+so equality tests and serialized files are stable.  A code is a subspace
+of the vectorized space F_q^{nm}, so restriction is subspace algebra:
+C(J) = C cap Mat(J), and the lattice sweep takes dim C(J) by Grassmann's
+formula (see `qpolymatroid.restriction_dims`).  Counting operations
+enumerate codewords under a configurable budget; restriction never
+enumerates.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, BudgetExceeded, ShapeMismatch, ZeroCode
+from .errors import AmbientMismatch, BudgetExceeded, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext
-from .matspace import MatrixFq, kernel_basis, rref_rows
+from .matspace import MatrixFq, rref_rows
 from .qseries import HomogeneousPoly
 from .subspaces import Subspace
 
@@ -72,14 +75,37 @@ class RankMetricCode:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "RankMetricCode":
+    def from_json(cls, obj) -> "RankMetricCode":
+        """The canonical code of a JSON document; MalformedCode if the
+        document is not a code."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("field"), dict):
+            raise MalformedCode("a code is a JSON object with a \"field\" object")
         field = FieldContext.from_json(obj["field"])
-        n, m = int(obj["n"]), int(obj["m"])
-        mats = [MatrixFq.from_rows(field, rows) for rows in obj.get("generators", [])]
-        for M in mats:
-            if (M.rows, M.cols) != (n, m):
-                raise ShapeMismatch("generator shape does not match code shape")
+        n, m = obj.get("n"), obj.get("m")
+        if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
+            raise MalformedCode(f"n and m must be integers >= 1, got n={n!r}, m={m!r}")
+        gens = obj.get("generators", [])
+        if not isinstance(gens, list) or not all(_is_matrix(g, n, m, field.q) for g in gens):
+            raise MalformedCode(
+                f"generators must be a list of {n}x{m} matrices with integer entries in [0, {field.q})"
+            )
+        mats = [MatrixFq.from_rows(field, rows) for rows in gens]
         return code_from_generators(mats, field=field, n=n, m=m)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_matrix(rows, n: int, m: int, q: int) -> bool:
+    return (
+        isinstance(rows, list)
+        and len(rows) == n
+        and all(
+            isinstance(row, list) and len(row) == m and all(_is_int(v) and 0 <= v < q for v in row)
+            for row in rows
+        )
+    )
 
 
 def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
@@ -119,48 +145,37 @@ def enumerate_codewords(C: RankMetricCode, budget: int | None = None):
         yield MatrixFq(C.field, C.n, C.m, entries)
 
 
+def mat_basis(J: Subspace, m: int):
+    """RREF basis of Mat(J) = {M : col(M) subseteq J} in F_q^{nm}: each basis
+    row of J placed in each of the m columns, ordered by (row, column)."""
+    n = J.n
+    return [
+        tuple(v[i] if j == c else 0 for i in range(n) for j in range(m))
+        for v in J.basis
+        for c in range(m)
+    ]
+
+
+def _code_of(S: Subspace, n: int, m: int) -> RankMetricCode:
+    # a subspace of F_q^{nm} is canonical already: its RREF rows are the basis
+    return RankMetricCode(S.field, n, m, (MatrixFq(S.field, n, m, v) for v in S.basis))
+
+
+def _subspace_of(C: RankMetricCode) -> Subspace:
+    return Subspace(C.field, C.n * C.m, C.vectorized_basis())
+
+
 def restrict(C: RankMetricCode, J: Subspace) -> RankMetricCode:
-    """C(J) = {M in C : col(M) subseteq J}, by a linear solve on the basis."""
+    """C(J) = {M in C : col(M) subseteq J} = C cap Mat(J) in F_q^{nm}."""
     if J.n != C.n or J.field != C.field:
         raise AmbientMismatch("subspace ambient space does not match code rows")
-    field = C.field
-    if J.dim == C.n or C.k == 0:
-        return C
-    perp = J.perp().basis
-    # constraint rows over the k combination coefficients: for each
-    # J^perp basis vector h and each column j, sum_a t_a (h . col_j(B_a)) = 0
-    rows = []
-    cols_per_basis = [[B.col(j) for j in range(C.m)] for B in C.basis]
-    for h in perp:
-        for j in range(C.m):
-            row = []
-            for a in range(C.k):
-                col = cols_per_basis[a][j]
-                acc = 0
-                for hv, cv in zip(h, col):
-                    if hv and cv:
-                        acc = field.add(acc, field.mul(hv, cv))
-                row.append(acc)
-            rows.append(tuple(row))
-    sol = kernel_basis(rows, C.k, field)
-    mats = []
-    for t in sol:
-        entries = [0] * (C.n * C.m)
-        for a, ta in enumerate(t):
-            if ta:
-                Ba = C.basis[a].entries
-                entries = [field.add(x, field.mul(ta, y)) for x, y in zip(entries, Ba)]
-        mats.append(MatrixFq(field, C.n, C.m, entries))
-    return code_from_generators(mats, field=field, n=C.n, m=C.m)
+    mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
+    return _code_of(_subspace_of(C).intersect(mat_J), C.n, C.m)
 
 
 def dual_code(C: RankMetricCode) -> RankMetricCode:
-    """Trace-product dual: kernel of the vectorized basis constraints."""
-    field = C.field
-    nm = C.n * C.m
-    sol = kernel_basis([M.entries for M in C.basis], nm, field)
-    mats = [MatrixFq(field, C.n, C.m, v) for v in sol]
-    return RankMetricCode(field, C.n, C.m, tuple(mats))
+    """Trace-product dual: the orthogonal complement of C in F_q^{nm}."""
+    return _code_of(_subspace_of(C).perp(), C.n, C.m)
 
 
 def _rank_of_entries(entries, n, m, field) -> int:
@@ -242,13 +257,7 @@ def min_rank_distance(C: RankMetricCode, budget: int | None = None):
     bound check k <= max(n,m) * (min(n,m) - d + 1)."""
     if C.k == 0:
         raise ZeroCode("minimum distance undefined for the zero code")
-    d = None
-    for entries in enumerate_codeword_entries(C, budget):
-        if all(v == 0 for v in entries):
-            continue
-        r = _rank_of_entries(entries, C.n, C.m, C.field)
-        if d is None or r < d:
-            d = r
+    d = next(i for i, a in enumerate(rank_distribution(C, budget)) if i and a)
     singleton_ok = C.k <= max(C.n, C.m) * (min(C.n, C.m) - d + 1)
     return d, singleton_ok
 
@@ -259,8 +268,7 @@ def all_codes(n: int, m: int, field: FieldContext):
     from .subspaces import enumerate_subspaces
 
     for S in enumerate_subspaces(n * m, field):
-        basis = tuple(MatrixFq(field, n, m, v) for v in S.basis)
-        yield RankMetricCode(field, n, m, basis)
+        yield _code_of(S, n, m)
 
 
 def random_code(n: int, m: int, field: FieldContext, dim: int, rng: random.Random) -> RankMetricCode:

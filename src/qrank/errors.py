@@ -29,6 +29,10 @@ class AmbientMismatch(QrankError):
     pass
 
 
+class MalformedCode(QrankError):
+    pass
+
+
 class BudgetExceeded(QrankError):
     pass
 

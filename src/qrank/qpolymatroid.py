@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .delsarte import RankMetricCode, restrict
+from .delsarte import RankMetricCode, mat_basis
 from .gf import FieldContext
+from .matspace import rref_rows
 from .qseries import MultiPoly, g_poly
 from .subspaces import SubspaceLattice, lattice
 
@@ -70,9 +71,13 @@ class QPolymatroid:
 
 
 def restriction_dims(C: RankMetricCode):
-    """dim C(S) for every lattice subspace S, aligned with lattice order."""
-    lat = lattice(C.n, C.field)
-    return [restrict(C, S).k for S in lat.subspaces]
+    """dim C(S) for every lattice subspace S, aligned with lattice order, by
+    Grassmann's formula: dim C(S) = k + m dim S - dim(C + Mat(S))."""
+    basis, nm = list(C.vectorized_basis()), C.n * C.m
+    return [
+        C.k + C.m * S.dim - len(rref_rows(basis + mat_basis(S, C.m), nm, C.field)[0])
+        for S in lattice(C.n, C.field).subspaces
+    ]
 
 
 def from_restriction_dims(C: RankMetricCode, dims) -> QPolymatroid:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qrank.delsarte
 from qrank.cli import main
 
 
@@ -35,6 +36,22 @@ def test_wd_json(full_2x2_file, capsys):
     assert main(["wd", full_2x2_file, "--format", "json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"rank_distribution": [1, 9, 6], "enumerator": "x^2 + 9*x*y + 6*y^2"}
+
+
+def test_wd_enumerates_once(full_2x2_file, monkeypatch, capsys):
+    enumerated = []
+    enumerate_entries = qrank.delsarte.enumerate_codeword_entries
+
+    def counting_enumerate(code, budget=None):
+        enumerated.append(code)
+        return enumerate_entries(code, budget)
+
+    monkeypatch.setattr(qrank.delsarte, "enumerate_codeword_entries", counting_enumerate)
+    assert main(["wd", full_2x2_file]) == 0
+    assert len(enumerated) == 1
+    assert capsys.readouterr().out == (
+        "rank distribution: [1, 9, 6]\nenumerator: x^2 + 9*x*y + 6*y^2\n"
+    )
 
 
 def test_check_all_zero_code(zero_2x2_file, capsys):
@@ -113,6 +130,29 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     bad2.write_text(json.dumps({"field": {"q": 2}, "n": 2}))
     assert main(["wd", str(bad2)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+MALFORMED_CODES = {
+    "negative-n": {"field": {"q": 2}, "n": -1, "m": 2, "generators": []},
+    "zero-shape": {"field": {"q": 2}, "n": 0, "m": 0, "generators": []},
+    "top-level-array": [1, 2],
+    "string-entry": {"field": {"q": 2}, "n": 1, "m": 2, "generators": [[["a", 0]]]},
+    "float-entry": {"field": {"q": 2}, "n": 1, "m": 2, "generators": [[[1.5, 0]]]},
+    "entry-out-of-range": {"field": {"q": 3}, "n": 1, "m": 2, "generators": [[[3, 0]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "all"], ["wd"], ["polymatroid"]], ids=["check-all", "wd", "polymatroid"]
+)
+@pytest.mark.parametrize("name", sorted(MALFORMED_CODES))
+def test_malformed_code_exit_2(name, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_CODES[name]))
+    assert main(command + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qrank: error: ") and err.strip() != "qrank: error:"
+    assert "Traceback" not in err
 
 
 def test_failed_check_exit_1(tmp_path, monkeypatch, capsys):

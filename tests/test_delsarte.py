@@ -21,9 +21,11 @@ from qrank import (
     rank_distribution,
     rank_weight_enumerator,
     restrict,
+    trace_product,
 )
 from qrank.delsarte import enumerate_codeword_entries
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
+from qrank.qpolymatroid import restriction_dims
 from qrank.subspaces import enumerate_subspaces
 
 from oracles import oracle_rank_distribution
@@ -72,19 +74,44 @@ def test_restrict_examples(full_2x2_f2):
     assert restrict(C, J).k == 2
 
 
+# (n, m, field): n < m and n > m, prime and extension fields
+SHAPES = [
+    (3, 2, F2),
+    (2, 3, gf_new(5)),
+    (3, 2, gf_new(5)),
+    (2, 2, gf_new(7)),
+    (2, 3, gf_new(2, 3)),
+    (2, 2, gf_new(3, 2)),
+    (3, 2, gf_new(2, 2)),
+    (2, 4, F3),
+]
+
+
+def _random_codes(n, m, field, count, rng):
+    # dimensions with at most 1000 codewords, so brute force stays cheap
+    top = max(k for k in range(n * m + 1) if field.q**k <= 1000)
+    return [random_code(n, m, field, rng.randrange(top + 1), rng) for _ in range(count)]
+
+
 def test_restrict_matches_enumeration():
-    # dual route: brute-force filter of codewords by column membership
+    # independent route: brute-force filter of codewords by column membership
     rng = random.Random(7)
-    for _ in range(20):
-        C = random_code(3, 2, F2, rng.randrange(7), rng)
-        for J in enumerate_subspaces(3, F2):
-            CJ = restrict(C, J)
-            brute = [
-                w
-                for w in enumerate_codewords(C)
-                if all(J._member(w.col(j)) for j in range(C.m))
-            ]
-            assert 2**CJ.k == len(brute)
+    for n, m, field in SHAPES:
+        subspaces = list(enumerate_subspaces(n, field))
+        for C in _random_codes(n, m, field, 20 if field.q == 2 else 3, rng):
+            words = list(enumerate_codewords(C))
+            for J, dim in zip(subspaces, restriction_dims(C)):
+                brute = sum(all(J._member(w.col(j)) for j in range(m)) for w in words)
+                assert field.q**dim == field.q ** restrict(C, J).k == brute, (C, J)
+
+
+def test_dual_code_is_trace_orthogonal():
+    rng = random.Random(8)
+    for n, m, field in SHAPES:
+        for C in _random_codes(n, m, field, 3, rng):
+            D = dual_code(C)
+            assert C.k + D.k == n * m
+            assert all(trace_product(M, N) == 0 for M in C.basis for N in D.basis), C
 
 
 def test_dual_code_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):

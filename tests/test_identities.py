@@ -1,7 +1,7 @@
 import pytest
 
 import qrank.delsarte
-import qrank.qpolymatroid
+import qrank.identities
 from qrank import (
     CodeAnalysis,
     MatrixFq,
@@ -135,31 +135,28 @@ def test_check_all_zero_code(zero_2x2_f2):
 
 def test_check_all_sweeps_and_enumerates_each_code_once(monkeypatch):
     C = list(all_codes(3, 2, F2))[1234]
-    restrict_calls, enumerated = [], []
-    restrict = qrank.delsarte.restrict
+    swept, enumerated = [], []
+    restriction_dims = qrank.identities.restriction_dims
     enumerate_entries = qrank.delsarte.enumerate_codeword_entries
 
-    def counting_restrict(code, J):
-        restrict_calls.append(code)
-        return restrict(code, J)
+    def counting_restriction_dims(code):
+        swept.append(code)
+        return restriction_dims(code)
 
     def counting_enumerate(code, budget=None):
         enumerated.append(code)
         return enumerate_entries(code, budget)
 
-    # qpolymatroid binds restrict at import, so both bindings are patched
-    monkeypatch.setattr(qrank.delsarte, "restrict", counting_restrict)
-    monkeypatch.setattr(qrank.qpolymatroid, "restrict", counting_restrict)
+    monkeypatch.setattr(qrank.identities, "restriction_dims", counting_restriction_dims)
     monkeypatch.setattr(qrank.delsarte, "enumerate_codeword_entries", counting_enumerate)
     with pytest.raises(BudgetExceeded):
         check_all(C, budget=C.size() - 1)
-    assert restrict_calls == []  # refused at the Greene step, before any sweep
+    assert swept == []  # refused at the Greene step, before any sweep
     enumerated.clear()
     assert all(r.passed for r in check_all(C))
     D = dual_code(C)
-    # one restriction sweep of the 16-subspace lattice for C, one for C^perp
-    assert len(restrict_calls) == 2 * 16
-    assert restrict_calls.count(C) == restrict_calls.count(D) == 16
+    # one restriction sweep of the lattice for C, one for C^perp
+    assert swept == [C, D]
     assert enumerated == [C, D]
 
 
