@@ -6,6 +6,7 @@ from .errors import (
     AmbientMismatch,
     BudgetExceeded,
     DivisionByZero,
+    InvalidValue,
     LengthMismatch,
     MalformedCode,
     NegativeExponent,
@@ -16,7 +17,7 @@ from .errors import (
     ShapeMismatch,
     ZeroCode,
 )
-from .gf import FieldContext, FieldElement, gf_new
+from .gf import FieldContext, gf_new
 from .matspace import (
     MatrixFq,
     column_space,

@@ -13,11 +13,11 @@ import random
 import sys
 
 from .delsarte import (
+    DEFAULT_BUDGET,
     RankMetricCode,
     dual_code,
     random_code,
     rank_distribution,
-    resolve_budget,
     restrict,
 )
 from .errors import QrankError
@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="codeword enumeration cap (default QRANK_BUDGET or 2^24)",
+        default=DEFAULT_BUDGET,
+        help="codeword enumeration cap (default 2^24)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -108,7 +108,7 @@ def _field_from_args(args) -> FieldContext:
 
 
 def _run(args) -> int:
-    budget = resolve_budget(args.budget)
+    budget = args.budget
     if budget < 1:
         raise QrankError("budget must be >= 1")
 
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (QrankError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QrankError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"qrank: error: {exc}", file=sys.stderr)
         return 2
 

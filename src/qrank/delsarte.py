@@ -1,22 +1,23 @@
 """Delsarte rank-metric codes: F_q-linear subspaces of Mat(n x m, F_q).
 
-Codes are canonicalized at construction (RREF of the vectorized basis),
-so equality tests and serialized files are stable.  A code is a subspace
-of the vectorized space F_q^{nm}, so restriction is subspace algebra:
-C(J) = C cap Mat(J), and the lattice sweep takes dim C(J) by Grassmann's
-formula (see `qpolymatroid.restriction_dims`).  Counting operations
-enumerate codewords under a configurable budget; restriction never
-enumerates.
+A code is stored as its subspace of the vectorized space F_q^{nm}
+(`C.space`, row-major entries); `C.basis` is the matrix view of its RREF
+rows.  The subspace is canonical, so equality tests and serialized files
+are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J), and
+the lattice sweep takes dim C(J) by Grassmann's formula (see
+`qpolymatroid.restriction_dims`); the trace-product dual is the
+orthogonal complement of C in F_q^{nm}.  Counting operations enumerate
+codewords under a budget (`DEFAULT_BUDGET` unless given); restriction
+never enumerates.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 
-from .errors import AmbientMismatch, BudgetExceeded, MalformedCode, ShapeMismatch, ZeroCode
-from .gf import FieldContext
+from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
+from .gf import FieldContext, _is_int
 from .matspace import MatrixFq, rref_rows
 from .qseries import HomogeneousPoly
 from .subspaces import Subspace
@@ -24,44 +25,29 @@ from .subspaces import Subspace
 DEFAULT_BUDGET = 2**24
 
 
-def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("QRANK_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
-
-
+@dataclass(frozen=True)
 class RankMetricCode:
-    """Canonical rank-metric code, stored as an RREF basis of matrices."""
+    """Canonical rank-metric code: its subspace of F_q^{nm}."""
 
-    __slots__ = ("field", "n", "m", "basis")
+    space: Subspace
+    n: int
+    m: int
 
-    def __init__(self, field: FieldContext, n: int, m: int, basis):
-        self.field = field
-        self.n = n
-        self.m = m
-        self.basis = tuple(basis)  # trusted: canonical, linearly independent
+    @property
+    def field(self) -> FieldContext:
+        return self.space.field
 
     @property
     def k(self) -> int:
-        return len(self.basis)
+        return self.space.dim
+
+    @property
+    def basis(self):
+        """The RREF basis as n x m matrices."""
+        return tuple(MatrixFq(self.field, self.n, self.m, v) for v in self.space.basis)
 
     def size(self) -> int:
         return self.field.q**self.k
-
-    def vectorized_basis(self):
-        return tuple(M.entries for M in self.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RankMetricCode)
-            and self.field == other.field
-            and (self.n, self.m) == (other.n, other.m)
-            and self.vectorized_basis() == other.vectorized_basis()
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.n, self.m, self.vectorized_basis()))
 
     def __repr__(self):
         return f"RankMetricCode(n={self.n}, m={self.m}, q={self.field.q}, k={self.k})"
@@ -78,9 +64,9 @@ class RankMetricCode:
     def from_json(cls, obj) -> "RankMetricCode":
         """The canonical code of a JSON document; MalformedCode if the
         document is not a code."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("field"), dict):
+        if not isinstance(obj, dict):
             raise MalformedCode("a code is a JSON object with a \"field\" object")
-        field = FieldContext.from_json(obj["field"])
+        field = FieldContext.from_json(obj.get("field"))
         n, m = obj.get("n"), obj.get("m")
         if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
             raise MalformedCode(f"n and m must be integers >= 1, got n={n!r}, m={m!r}")
@@ -89,12 +75,7 @@ class RankMetricCode:
             raise MalformedCode(
                 f"generators must be a list of {n}x{m} matrices with integer entries in [0, {field.q})"
             )
-        mats = [MatrixFq.from_rows(field, rows) for rows in gens]
-        return code_from_generators(mats, field=field, n=n, m=m)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+        return cls(Subspace.span([[v for row in g for v in row] for g in gens], n * m, field), n, m)
 
 
 def _is_matrix(rows, n: int, m: int, q: int) -> bool:
@@ -118,21 +99,20 @@ def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
                 raise ShapeMismatch("generators must share shape and field")
     elif field is None or n is None or m is None:
         raise ShapeMismatch("empty generator list needs explicit field and shape")
-    red, _ = rref_rows([M.entries for M in mats], n * m, field)
-    basis = tuple(MatrixFq(field, n, m, row) for row in red)
-    return RankMetricCode(field, n, m, basis)
+    return RankMetricCode(Subspace.span([M.entries for M in mats], n * m, field), n, m)
 
 
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
     """All q^k codewords as row-major entry tuples, each exactly once."""
-    budget = resolve_budget(budget)
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if C.size() > budget:
         raise BudgetExceeded(f"|C| = {C.size()} exceeds budget {budget}")
     field = C.field
+    add, mul = field.add, field.mul
     words = [(0,) * (C.n * C.m)]
-    for B in C.basis:
-        scaled = [B.scale(c).entries for c in field.elements()]
-        add = field.add
+    for row in C.space.basis:
+        scaled = [tuple(mul(c, a) for a in row) for c in field.elements()]
         words = [
             tuple(add(a, b) for a, b in zip(w, s)) for s in scaled for w in words
         ]
@@ -156,26 +136,17 @@ def mat_basis(J: Subspace, m: int):
     ]
 
 
-def _code_of(S: Subspace, n: int, m: int) -> RankMetricCode:
-    # a subspace of F_q^{nm} is canonical already: its RREF rows are the basis
-    return RankMetricCode(S.field, n, m, (MatrixFq(S.field, n, m, v) for v in S.basis))
-
-
-def _subspace_of(C: RankMetricCode) -> Subspace:
-    return Subspace(C.field, C.n * C.m, C.vectorized_basis())
-
-
 def restrict(C: RankMetricCode, J: Subspace) -> RankMetricCode:
     """C(J) = {M in C : col(M) subseteq J} = C cap Mat(J) in F_q^{nm}."""
     if J.n != C.n or J.field != C.field:
         raise AmbientMismatch("subspace ambient space does not match code rows")
     mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
-    return _code_of(_subspace_of(C).intersect(mat_J), C.n, C.m)
+    return RankMetricCode(C.space.intersect(mat_J), C.n, C.m)
 
 
 def dual_code(C: RankMetricCode) -> RankMetricCode:
     """Trace-product dual: the orthogonal complement of C in F_q^{nm}."""
-    return _code_of(_subspace_of(C).perp(), C.n, C.m)
+    return RankMetricCode(C.space.perp(), C.n, C.m)
 
 
 def _rank_of_entries(entries, n, m, field) -> int:
@@ -268,18 +239,17 @@ def all_codes(n: int, m: int, field: FieldContext):
     from .subspaces import enumerate_subspaces
 
     for S in enumerate_subspaces(n * m, field):
-        yield _code_of(S, n, m)
+        yield RankMetricCode(S, n, m)
 
 
 def random_code(n: int, m: int, field: FieldContext, dim: int, rng: random.Random) -> RankMetricCode:
     """Seeded random code of the requested dimension."""
+    if n < 1 or m < 1:
+        raise InvalidValue(f"n and m must be >= 1, got n={n}, m={m}")
     if not 0 <= dim <= n * m:
-        raise ValueError("dimension out of range")
+        raise InvalidValue(f"dimension {dim} out of range [0, {n * m}]")
     while True:
-        mats = [
-            MatrixFq(field, n, m, tuple(rng.randrange(field.q) for _ in range(n * m)))
-            for _ in range(dim)
-        ]
-        C = code_from_generators(mats, field=field, n=n, m=m)
-        if C.k == dim:
-            return C
+        vectors = [[rng.randrange(field.q) for _ in range(n * m)] for _ in range(dim)]
+        S = Subspace.span(vectors, n * m, field)
+        if S.dim == dim:
+            return RankMetricCode(S, n, m)

@@ -33,6 +33,10 @@ class MalformedCode(QrankError):
     pass
 
 
+class InvalidValue(QrankError):
+    """A parameter or entry outside its domain."""
+
+
 class BudgetExceeded(QrankError):
     pass
 

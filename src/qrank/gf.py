@@ -9,9 +9,13 @@ downstream.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, NonPrimeCharacteristic, ReducibleModulus
+from .errors import DivisionByZero, InvalidValue, MalformedCode, NonPrimeCharacteristic, ReducibleModulus
 
 TABLE_LIMIT = 256
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_prime(p: int) -> bool:
@@ -109,7 +113,7 @@ class FieldContext:
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         if e < 1:
-            raise ValueError("extension degree must be >= 1")
+            raise InvalidValue("extension degree must be >= 1")
         self.p = p
         self.e = e
         self.q = p**e
@@ -209,9 +213,6 @@ class FieldContext:
     def elements(self):
         return range(self.q)
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
     # -- identity / serialization ------------------------------------------
 
     @property
@@ -235,68 +236,27 @@ class FieldContext:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FieldContext":
-        if "q" in obj:
-            return cls(int(obj["q"]), 1)
-        p = int(obj["p"])
-        e = int(obj.get("e", 1))
-        modulus = obj.get("modulus")
-        return cls(p, e, modulus)
-
+    def from_json(cls, obj) -> "FieldContext":
+        """The field of a code document: {"q": prime} or {"p": prime} with
+        optional "e" >= 1 and "modulus" (coefficients, constant term first);
+        MalformedCode for anything else."""
+        if isinstance(obj, dict) and obj.keys() == {"q"} and _is_int(obj["q"]) and obj["q"] >= 2:
+            return cls(obj["q"])
+        if (
+            isinstance(obj, dict)
+            and "p" in obj
+            and obj.keys() <= {"p", "e", "modulus"}
+            and _is_int(obj["p"])
+            and _is_int(obj.get("e", 1))
+            and obj.get("e", 1) >= 1
+            and isinstance(obj.get("modulus", []), list)
+            and all(_is_int(c) for c in obj.get("modulus", []))
+        ):
+            return cls(obj["p"], obj.get("e", 1), obj.get("modulus"))
+        raise MalformedCode(
+            'a field is {"q": prime} or {"p": prime, "e": integer >= 1, "modulus": [integers]}'
+        )
 
 def gf_new(p: int, e: int = 1, modulus=None) -> FieldContext:
     return FieldContext(p, e, modulus)
-
-
-class FieldElement:
-    """Thin operator wrapper over a packed field element."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldContext, value: int):
-        if not 0 <= value < field.q:
-            raise ValueError(f"value {value} out of range for q={field.q}")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("elements from different fields")
-            return other.value
-        return int(other) % self.field.q if self.field.e == 1 else int(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __truediv__(self, other):
-        return FieldElement(
-            self.field, self.field.mul(self.value, self.field.inv(self._coerce(other)))
-        )
-
-    def __pow__(self, k: int):
-        return FieldElement(self.field, self.field.pow(self.value, k))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.key, self.value))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} in F_{self.field.q})"
 

@@ -73,7 +73,7 @@ class QPolymatroid:
 def restriction_dims(C: RankMetricCode):
     """dim C(S) for every lattice subspace S, aligned with lattice order, by
     Grassmann's formula: dim C(S) = k + m dim S - dim(C + Mat(S))."""
-    basis, nm = list(C.vectorized_basis()), C.n * C.m
+    basis, nm = list(C.space.basis), C.n * C.m
     return [
         C.k + C.m * S.dim - len(rref_rows(basis + mat_basis(S, C.m), nm, C.field)[0])
         for S in lattice(C.n, C.field).subspaces

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import AmbientMismatch, LengthMismatch
+from .errors import AmbientMismatch, InvalidValue, LengthMismatch
 from .gf import FieldContext
 from .matspace import kernel_basis, rref_rows
 
@@ -89,7 +89,12 @@ class Subspace:
     def from_key(cls, text: str, n: int, field: FieldContext) -> "Subspace":
         if not text:
             return cls.zero(n, field)
-        rows = [[int(v) for v in part.split(",")] for part in text.split(";")]
+        try:
+            rows = [[int(v) for v in part.split(",")] for part in text.split(";")]
+        except ValueError:
+            raise InvalidValue(f"subspace key {text!r} is not rows of integers") from None
+        if not all(0 <= v < field.q for row in rows for v in row):
+            raise InvalidValue(f"subspace key entries must lie in [0, {field.q})")
         return cls.span(rows, n, field)
 
     def sort_key(self):

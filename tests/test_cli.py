@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import qrank.cli
 import qrank.delsarte
 from qrank.cli import main
 
@@ -132,6 +133,13 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def _assert_error_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qrank: error: ") and err.strip() != "qrank: error:"
+    assert "Traceback" not in err
+
+
 MALFORMED_CODES = {
     "negative-n": {"field": {"q": 2}, "n": -1, "m": 2, "generators": []},
     "zero-shape": {"field": {"q": 2}, "n": 0, "m": 0, "generators": []},
@@ -139,6 +147,10 @@ MALFORMED_CODES = {
     "string-entry": {"field": {"q": 2}, "n": 1, "m": 2, "generators": [[["a", 0]]]},
     "float-entry": {"field": {"q": 2}, "n": 1, "m": 2, "generators": [[[1.5, 0]]]},
     "entry-out-of-range": {"field": {"q": 3}, "n": 1, "m": 2, "generators": [[[3, 0]]]},
+    "field-q-list": {"field": {"q": [2]}, "n": 1, "m": 2, "generators": []},
+    "field-q-float": {"field": {"q": 2.5}, "n": 1, "m": 2, "generators": []},
+    "field-q-bool": {"field": {"q": True}, "n": 1, "m": 2, "generators": []},
+    "field-empty": {"field": {}, "n": 1, "m": 2, "generators": []},
 }
 
 
@@ -149,10 +161,44 @@ MALFORMED_CODES = {
 def test_malformed_code_exit_2(name, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(MALFORMED_CODES[name]))
-    assert main(command + [str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("qrank: error: ") and err.strip() != "qrank: error:"
-    assert "Traceback" not in err
+    _assert_error_exit_2(command + [str(path)], capsys)
+
+
+@pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])
+def test_restrict_bad_subspace_key_exit_2(key, full_2x2_file, capsys):
+    _assert_error_exit_2(["restrict", full_2x2_file, "--", key], capsys)
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ["--q", "2", "--n", "0", "--m", "2", "--dim", "0"],
+        ["--q", "2", "--n", "2", "--m", "0", "--dim", "0"],
+        ["--q", "2", "--n", "2", "--m", "3", "--dim", "7"],
+        ["--q", "2", "--n", "2", "--m", "3", "--dim", "-1"],
+        ["--p", "2", "--e", "0", "--n", "2", "--m", "2", "--dim", "1"],
+    ],
+    ids=["n=0", "m=0", "dim-too-large", "dim-negative", "e=0"],
+)
+def test_random_code_bad_shape_exit_2(shape, tmp_path, capsys):
+    out = tmp_path / "c.json"
+    _assert_error_exit_2(["random-code"] + shape + ["-o", str(out)], capsys)
+    assert not out.exists()
+
+
+def test_non_utf8_code_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": {"q": 2}, "n": 1, "m": 1, "generators": [], "note": "\xe9"}')
+    _assert_error_exit_2(["wd", str(path)], capsys)
+
+
+def test_internal_errors_are_not_reported_as_malformed_input(full_2x2_file, monkeypatch):
+    def broken(C, budget):
+        raise ValueError("internal bug")
+
+    monkeypatch.setitem(qrank.cli.IDENTITY_RUNNERS, "greene", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["check", "greene", full_2x2_file])
 
 
 def test_failed_check_exit_1(tmp_path, monkeypatch, capsys):

@@ -1,7 +1,13 @@
 import pytest
 
 from qrank import gf_new
-from qrank.errors import DivisionByZero, NonPrimeCharacteristic, ReducibleModulus
+from qrank.errors import (
+    DivisionByZero,
+    InvalidValue,
+    MalformedCode,
+    NonPrimeCharacteristic,
+    ReducibleModulus,
+)
 
 
 def test_characteristic_two():
@@ -12,7 +18,6 @@ def test_characteristic_two():
 def test_f3_inverse():
     F = gf_new(3, 1)
     assert F.inv(2) == 2
-    assert F.element(2).inverse().value == 2
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -40,7 +45,6 @@ def test_f4_x_times_x():
 def test_f4_multiplicative_order():
     F = gf_new(2, 2)
     assert F.pow(2, 3) == 1
-    assert (F.element(2) ** 3).value == 1
 
 
 def test_default_modulus_deterministic():
@@ -56,6 +60,8 @@ def test_errors():
         gf_new(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
     with pytest.raises(DivisionByZero):
         gf_new(5).inv(0)
+    with pytest.raises(InvalidValue):
+        gf_new(2, 0)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
@@ -85,12 +91,11 @@ def test_field_axioms_exhaustive(p, e):
 
 def test_element_operators():
     F = gf_new(3)
-    two = F.element(2)
-    assert (two + two).value == 1
-    assert (two * two).value == 1
-    assert (two - two).value == 0
-    assert (two / two).value == 1
-    assert (two**4).value == 1
+    assert F.add(2, 2) == 1
+    assert F.mul(2, 2) == 1
+    assert F.sub(2, 2) == 0
+    assert F.mul(2, F.inv(2)) == 1
+    assert F.pow(2, 4) == 1
 
 
 def test_json_roundtrip():
@@ -100,3 +105,32 @@ def test_json_roundtrip():
         assert FieldContext.from_json(ctx.to_json()) == ctx
     assert FieldContext.from_json({"q": 5}) == gf_new(5)
     assert FieldContext.from_json({"p": 2, "e": 2, "modulus": [1, 1, 1]}) == gf_new(2, 2)
+    assert FieldContext.from_json({"p": 3}) == gf_new(3)
+    assert FieldContext.from_json({"p": 2, "e": 2}) == gf_new(2, 2)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        None,
+        [2],
+        {},
+        {"q": [2]},
+        {"q": 2.5},
+        {"q": True},
+        {"q": 1},
+        {"q": "2"},
+        {"q": 2, "p": 2},
+        {"p": 2.0},
+        {"p": 2, "e": 0},
+        {"p": 2, "e": True},
+        {"p": 2, "e": 2, "modulus": "x^2+x+1"},
+        {"p": 2, "e": 2, "modulus": [1, 1.0, 1]},
+        {"p": 2, "extra": 1},
+    ],
+)
+def test_from_json_rejects_malformed_fields(obj):
+    from qrank import FieldContext
+
+    with pytest.raises(MalformedCode):
+        FieldContext.from_json(obj)

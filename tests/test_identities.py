@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import qrank.delsarte
@@ -16,13 +18,18 @@ from qrank import (
     greene_check,
     macwilliams_dual_enumerator,
     macwilliams_transform,
+    random_code,
+    rank_distribution,
     rank_generating_function,
     rank_weight_enumerator,
     rgf_duality_check,
 )
 from qrank.errors import BudgetExceeded
-from qrank.identities import _poly_report, greene_rhs, macwilliams_checks
+from qrank.identities import _poly_report, ambient_count_table, greene_rhs, macwilliams_checks
 from qrank.qseries import MultiPoly, g_poly, gaussian_binomial
+from qrank.subspaces import lattice
+
+from test_delsarte import SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -173,3 +180,19 @@ def test_extension_field_code():
     F4 = gf_new(2, 2)
     C = code_from_generators([MatrixFq.identity(F4, 2), MatrixFq.unit(F4, 2, 2, 0, 1)])
     assert all(r.passed for r in check_all(C))
+
+
+@pytest.mark.parametrize("n,m,field", SHAPES, ids=[f"{n}x{m}F{f.q}" for n, m, f in SHAPES])
+def test_check_all_and_lattice_distribution_across_fields(n, m, field):
+    # dimensions where both C and C^perp have at most ~3000 codewords
+    rng = random.Random(f"{n}x{m}F{field.q}")
+    dims = [k for k in range(n * m + 1) if max(field.q**k, field.q ** (n * m - k)) <= 3000]
+    for _ in range(4):
+        C = random_code(n, m, field, rng.choice(dims), rng)
+        assert all(r.passed for r in check_all(C)), C
+        # lattice route: A(S) = #{M in C : col(M) = S}, summed by dim S
+        A, _ = ambient_count_table(CodeAnalysis(C))
+        by_rank = [0] * (n + 1)
+        for d, count in zip(lattice(n, field).dims, A):
+            by_rank[d] += count
+        assert list(rank_distribution(C)) == by_rank, C
