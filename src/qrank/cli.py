@@ -20,7 +20,7 @@ from .delsarte import (
     rank_distribution,
     restrict,
 )
-from .errors import QrankError
+from .errors import MalformedCode, QrankError
 from .gf import FieldContext
 from .identities import IDENTITY_RUNNERS
 from .qpolymatroid import from_code, rank_generating_function
@@ -30,7 +30,11 @@ from .subspaces import Subspace, enumerate_subspaces
 
 def _load_code(path: str) -> RankMetricCode:
     with open(path) as fh:
-        return RankMetricCode.from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise MalformedCode(f"{path} is nested too deeply to be a code file") from None
+    return RankMetricCode.from_json(doc)
 
 
 def _emit(text: str, out_path: str | None):

@@ -2,16 +2,18 @@
 
 Elements are encoded as integers in [0, q): the coefficient vector
 (c_0, ..., c_{e-1}) of the residue polynomial, packed in base p with c_0
-least significant.  For q <= 256 full add/mul/inv tables are precomputed
-at context creation, since enumeration workloads dominate everything
-downstream.
+least significant.  Fields are refused above q = FIELD_LIMIT, so full
+add/mul/inv tables are always precomputed at context creation, since
+enumeration workloads dominate everything downstream.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero, InvalidValue, MalformedCode, NonPrimeCharacteristic, ReducibleModulus
 
-TABLE_LIMIT = 256
+# the largest field order accepted; it bounds the primality and modulus
+# searches, the arithmetic tables and a lattice's q^n-bit member sets
+FIELD_LIMIT = 256
 
 
 def _is_int(v) -> bool:
@@ -110,10 +112,14 @@ class FieldContext:
     """Immutable arithmetic context for F_q, q = p^e."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
         if e < 1:
             raise InvalidValue("extension degree must be >= 1")
+        # 2^e > FIELD_LIMIT once e reaches its bit length, so p**e is never
+        # formed for a huge e
+        if p >= 2 and (e >= FIELD_LIMIT.bit_length() or p**e > FIELD_LIMIT):
+            raise InvalidValue(f"q = {p}^{e} is above the field limit of {FIELD_LIMIT}")
+        if not _is_prime(p):
+            raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
         self.e = e
         self.q = p**e
@@ -158,11 +164,6 @@ class FieldContext:
 
     def _build_tables(self):
         q = self.q
-        if q > TABLE_LIMIT:
-            self._add = self._mul = None
-            self._neg = None
-            self._inv = None
-            return
         self._add = [self._raw_add(a, b) for a in range(q) for b in range(q)]
         self._mul = [self._raw_mul(a, b) for a in range(q) for b in range(q)]
         self._neg = [self._raw_neg(a) for a in range(q)]
@@ -175,29 +176,21 @@ class FieldContext:
     # -- public operations -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._add is not None:
-            return self._add[a * self.q + b]
-        return self._raw_add(a, b)
+        return self._add[a * self.q + b]
 
     def neg(self, a: int) -> int:
-        if self._neg is not None:
-            return self._neg[a]
-        return self._raw_neg(a)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a * self.q + b]
-        return self._raw_mul(a, b)
+        return self._mul[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
+        return self._inv[a]
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:

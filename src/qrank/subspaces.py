@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import AmbientMismatch, InvalidValue, LengthMismatch
+from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
 from .gf import FieldContext
 from .matspace import kernel_basis, rref_rows
+from .qseries import galois_number
 
 
 class Subspace:
@@ -156,11 +157,15 @@ class SubspaceLattice:
     """The full lattice of subspaces of F_q^n with precomputed structure.
 
     Intended for the small ambient dimensions the identity checks sweep
-    over; the join, meet and containment index tables are built together,
-    lazily, on first use of any of them.
+    over: a lattice of more than LATTICE_LIMIT subspaces is refused with
+    BudgetExceeded before anything is enumerated.  The join, meet and
+    containment index tables are built together, lazily, on first use of
+    any of them, from member sets (no linear algebra): meet is the AND of
+    two member bitmasks, join and containment follow from meet and perp.
     """
 
     def __init__(self, n: int, field: FieldContext):
+        _check_lattice_size(n, field.q)
         self.n = n
         self.field = field
         self.subspaces = list(enumerate_subspaces(n, field))
@@ -179,17 +184,31 @@ class SubspaceLattice:
     def index_of(self, S: Subspace) -> int:
         return self.index[S.basis]
 
+    def _member_mask(self, S: Subspace) -> int:
+        # bit v is set iff the vector with base-q digits v (first coordinate
+        # least significant) lies in S; members are spanned with the field's
+        # own add/mul, so extension fields are correct
+        field, q = self.field, self.field.q
+        members = [(0,) * self.n]
+        for row in S.basis:
+            multiples = [tuple(field.mul(c, x) for x in row) for c in range(1, q)]
+            members += [tuple(map(field.add, u, w)) for u in members for w in multiples]
+        places = [q**t for t in range(self.n)]
+        bits = bytearray(q**self.n)
+        for v in members:
+            bits[sum(x * t for x, t in zip(v, places))] = 1
+        # one byte per vector, most significant first, read as a base-2 numeral
+        return int(bits[::-1].translate(_BINARY_DIGITS), 2)
+
     def _build_tables(self):
-        # only join needs linear algebra; meet and containment follow from
-        # join and perp: A ^ B = (A^perp + B^perp)^perp, B <= A iff A + B = A
-        size = len(self.subspaces)
-        subs, index, perp = self.subspaces, self.index, self.perp
-        join = [[0] * size for _ in range(size)]
-        for i, A in enumerate(subs):
-            for j in range(i, size):
-                join[i][j] = join[j][i] = index[A.sum(subs[j]).basis]
-        meet = [[perp[join[perp[i]][perp[j]]] for j in range(size)] for i in range(size)]
-        below = [tuple(j for j in range(size) if join[i][j] == i) for i in range(size)]
+        # A ^ B is the subspace whose member set is the AND of theirs;
+        # A + B = (A^perp ^ B^perp)^perp, and B <= A iff A ^ B = B
+        masks = [self._member_mask(S) for S in self.subspaces]
+        by_mask = {mask: i for i, mask in enumerate(masks)}
+        perp = self.perp
+        meet = [[by_mask[a & b] for b in masks] for a in masks]
+        join = [[perp[row[pj]] for pj in perp] for row in (meet[pi] for pi in perp)]
+        below = [tuple(j for j, k in enumerate(row) if k == j) for row in meet]
         self._join, self._meet, self._below = join, meet, below
 
     @property
@@ -210,6 +229,28 @@ class SubspaceLattice:
         if self._meet is None:
             self._build_tables()
         return self._meet
+
+
+# the edge lattices F_2^6 (2825 subspaces) and F_3^5 (2664) fit; F_2^7
+# (29212, tables of 853M entries) does not
+LATTICE_LIMIT = 3000
+
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _check_lattice_size(n: int, q: int):
+    if n >= LATTICE_LIMIT.bit_length():
+        # F_q^n has more than 2^n subspaces: refuse without counting them
+        size = f"more than 2^{n}"
+    else:
+        size = galois_number(n, q)
+        if size <= LATTICE_LIMIT:
+            return
+    raise BudgetExceeded(
+        f"the subspace lattice of F_{q}^{n} has {size} subspaces, "
+        f"above the lattice limit of {LATTICE_LIMIT}"
+    )
+
 
 _LATTICE_CACHE: dict = {}
 

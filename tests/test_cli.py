@@ -138,6 +138,7 @@ def _assert_error_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("qrank: error: ") and err.strip() != "qrank: error:"
     assert "Traceback" not in err
+    return err
 
 
 MALFORMED_CODES = {
@@ -151,6 +152,10 @@ MALFORMED_CODES = {
     "field-q-float": {"field": {"q": 2.5}, "n": 1, "m": 2, "generators": []},
     "field-q-bool": {"field": {"q": True}, "n": 1, "m": 2, "generators": []},
     "field-empty": {"field": {}, "n": 1, "m": 2, "generators": []},
+    "field-q-above-limit": {"field": {"q": 2305843009213693951}, "n": 1, "m": 2, "generators": []},
+    "field-e-above-limit": {"field": {"p": 2, "e": 40}, "n": 1, "m": 2, "generators": []},
+    # raw text: a document json.load cannot nest that deeply
+    "deep-nesting": "[" * 100000 + "]" * 100000,
 }
 
 
@@ -160,8 +165,19 @@ MALFORMED_CODES = {
 @pytest.mark.parametrize("name", sorted(MALFORMED_CODES))
 def test_malformed_code_exit_2(name, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(MALFORMED_CODES[name]))
+    doc = MALFORMED_CODES[name]
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     _assert_error_exit_2(command + [str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "all"], ["polymatroid"], ["rgf"]], ids=["check-all", "polymatroid", "rgf"]
+)
+def test_lattice_above_limit_exit_2(command, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 7, "m": 1, "generators": [[[1]] * 7]}))
+    err = _assert_error_exit_2(command + [str(path)], capsys)
+    assert "29212 subspaces, above the lattice limit of 3000" in err
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])

@@ -8,6 +8,7 @@ from qrank.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
+from qrank.gf import FIELD_LIMIT
 
 
 def test_characteristic_two():
@@ -62,6 +63,14 @@ def test_errors():
         gf_new(5).inv(0)
     with pytest.raises(InvalidValue):
         gf_new(2, 0)
+
+
+def test_field_limit():
+    assert gf_new(2, 8).q == 256 == FIELD_LIMIT
+    assert gf_new(251).q == 251
+    for p, e in [(257, 1), (2, 9), (2305843009213693951, 1), (2, 10**12)]:
+        with pytest.raises(InvalidValue, match=f"above the field limit of {FIELD_LIMIT}"):
+            gf_new(p, e)
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qrank import (
@@ -9,7 +11,8 @@ from qrank import (
     lattice,
     orthogonal_complement,
 )
-from qrank.errors import AmbientMismatch, LengthMismatch
+from qrank.errors import AmbientMismatch, BudgetExceeded, LengthMismatch
+from qrank.subspaces import LATTICE_LIMIT
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -98,7 +101,10 @@ def test_modular_law_and_duality_exhaustive(field, n):
                 assert A.perp().contains(B.perp())
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 3)])
+@pytest.mark.parametrize(
+    "p,e,n",
+    [(2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 3), (2, 2, 3), (5, 1, 3), (7, 1, 2), (3, 2, 2)],
+)
 def test_lattice_tables_match_subspace_operations(p, e, n):
     lat = lattice(n, gf_new(p, e))
     subs, join, meet, below = lat.subspaces, lat.join, lat.meet, lat.below
@@ -107,6 +113,17 @@ def test_lattice_tables_match_subspace_operations(p, e, n):
         for j, B in enumerate(subs):
             assert subs[join[i][j]] == A.sum(B)
             assert subs[meet[i][j]] == A.intersect(B)
+
+
+def test_lattice_limit():
+    assert len(lattice(6, F2)) == 2825 <= LATTICE_LIMIT
+    assert len(lattice(5, F3)) == 2664 <= LATTICE_LIMIT
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"29212 subspaces, above the lattice limit of {LATTICE_LIMIT}"):
+        lattice(7, F2)
+    with pytest.raises(BudgetExceeded, match="more than 2"):
+        lattice(10**6, F2)
+    assert time.perf_counter() - start < 1
 
 
 def test_canonical_key_roundtrip():
