@@ -4,9 +4,10 @@ A code is stored as its subspace of the vectorized space F_q^{nm}
 (`C.space`, row-major entries); `C.basis` is the matrix view of its RREF
 rows.  The subspace is canonical, so equality tests and serialized files
 are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J), and
-the lattice sweep takes dim C(J) by Grassmann's formula (see
-`qpolymatroid.restriction_dims`); the trace-product dual is the
-orthogonal complement of C in F_q^{nm}.  Counting operations enumerate
+the lattice sweep reduces C modulo Mat(J): dim C(J) = k - rank of the
+k x m(n - dim J) matrix of the products H B, over the basis codewords B
+and an RREF basis H of J^perp (see `qpolymatroid.restriction_dims`); the
+trace-product dual is the orthogonal complement of C in F_q^{nm}.  Counting operations enumerate
 codewords under a budget (`DEFAULT_BUDGET` unless given); restriction
 never enumerates.
 """

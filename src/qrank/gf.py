@@ -4,7 +4,10 @@ Elements are encoded as integers in [0, q): the coefficient vector
 (c_0, ..., c_{e-1}) of the residue polynomial, packed in base p with c_0
 least significant.  Fields are refused above q = FIELD_LIMIT, so full
 add/mul/inv tables are always precomputed at context creation, since
-enumeration workloads dominate everything downstream.
+enumeration workloads dominate everything downstream.  Extension fields
+take their multiplication table from the log/antilog pair of a
+primitive element, so building F_256 takes a few hundred polynomial
+products instead of q^2 = 65536.
 """
 
 from __future__ import annotations
@@ -139,39 +142,55 @@ class FieldContext:
                 self.modulus = mod
         self._build_tables()
 
-    # -- raw arithmetic on packed encodings -------------------------------
-
-    def _raw_add(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a + b) % p
-        da, db = _digits(a, p, e), _digits(b, p, e)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
-
-    def _raw_neg(self, a: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (-a) % p
-        return _undigits([(-c) % p for c in _digits(a, p, e)], p)
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        if e == 1:
-            return (a * b) % p
-        prod = _poly_mulmod_p(_poly_trim(_digits(a, p, e)), _poly_trim(_digits(b, p, e)), p)
-        rem = _poly_rem(prod, list(self.modulus), p) if prod else []
-        return _undigits(rem + [0] * (e - len(rem)), p)
-
     def _build_tables(self):
-        q = self.q
-        self._add = [self._raw_add(a, b) for a in range(q) for b in range(q)]
-        self._mul = [self._raw_mul(a, b) for a in range(q) for b in range(q)]
-        self._neg = [self._raw_neg(a) for a in range(q)]
-        inv = [0] * q
+        # F_p by integer arithmetic; F_{p^e} adds digit by digit and
+        # multiplies through the log/antilog pair of a primitive element
+        p, q = self.p, self.q
+        if self.e == 1:
+            self._add = [(a + b) % p for a in range(q) for b in range(q)]
+            self._mul = [(a * b) % p for a in range(q) for b in range(q)]
+            self._neg = [(-a) % p for a in range(q)]
+            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, q)]
+            return
+        add, size = [0], 1
+        for _ in range(self.e):
+            # prepend one low base-p digit: a = a0 + p a1, b = b0 + p b1
+            add = [
+                (a0 + b0) % p + p * add[a1 * size + b1]
+                for a1 in range(size)
+                for a0 in range(p)
+                for b1 in range(size)
+                for b0 in range(p)
+            ]
+            size *= p
+        self._add = add
+        self._neg = [_undigits([(-c) % p for c in _digits(a, p, self.e)], p) for a in range(q)]
+        antilog = self._primitive_powers()
+        log = [0] * q
+        for i, v in enumerate(antilog):
+            log[v] = i
+        antilog += antilog
+        self._mul = [0] * q
         for a in range(1, q):
-            row = self._mul[a * q : (a + 1) * q]
-            inv[a] = row.index(1)
-        self._inv = inv
+            self._mul += [0] + [antilog[log[a] + log[b]] for b in range(1, q)]
+        self._inv = [0] + [antilog[q - 1 - log[a]] for a in range(1, q)]
+
+    def _primitive_powers(self):
+        # g^0, ..., g^(q-2) for the smallest primitive g, by polynomial
+        # products mod the modulus; one exists because the modulus is
+        # irreducible, but x itself need not be primitive
+        p, e, modulus = self.p, self.e, list(self.modulus)
+        for g in range(2, self.q):
+            gen = _digits(g, p, e)
+            powers, x = [1], [1]
+            while True:
+                x = _poly_rem(_poly_mulmod_p(x, gen, p), modulus, p)
+                v = _undigits(x, p)
+                if v == 1:
+                    break
+                powers.append(v)
+            if len(powers) == self.q - 1:
+                return powers
 
     # -- public operations -------------------------------------------------
 

@@ -218,44 +218,39 @@ def exact_sequence_check(a: CodeAnalysis) -> IdentityReport:
     )
 
 
-def ambient_count_table(a: CodeAnalysis):
-    """(A, B) per lattice subspace: B = q^{dim C(S)} by linear solves,
-    A recovered from B by Moebius inversion on the lattice."""
+def lattice_rank_distribution(a: CodeAnalysis):
+    """a_d = #{M in C : rank M = d}, d = 0..n, from the restriction table
+    alone: Moebius inversion on the subspace lattice, summed by dimension,
+    a_d = sum_t b_t [n-t, d-t]_q (-1)^{d-t} q^{C(d-t,2)}, with binomial
+    moments b_t = sum_{dim T = t} q^{dim C(T)}."""
     C = a.code
-    lat = lattice(C.n, C.field)
-    q = C.field.q
-    B = [q**d for d in a.restriction_table]
-    below = lat.below
-    A = []
-    for i in range(len(lat)):
-        di = lat.dims[i]
-        A.append(
-            sum(moebius_coefficient(di - lat.dims[j], q) * B[j] for j in below[i])
-        )
-    return A, B
+    q, n = C.field.q, C.n
+    b = [0] * (n + 1)
+    for t, dim in zip(lattice(n, C.field).dims, a.restriction_table):
+        b[t] += q**dim
+    return [
+        sum(b[t] * gaussian_binomial(n - t, d - t, q) * moebius_coefficient(d - t, q) for t in range(d + 1))
+        for d in range(n + 1)
+    ]
 
 
 def macwilliams_dual_enumerator(a: CodeAnalysis) -> HomogeneousPoly:
     """W_{C^perp}^R by the closed-form coefficient kernel, without any
     enumeration of the dual code."""
     C = a.code
-    lat = lattice(C.n, C.field)
     q, m, n = C.field.q, C.m, C.n
-    A, _ = ambient_count_table(a)
-    W = [Fraction(0)] * (n + 1)
-    for i in range(len(lat)):
-        if A[i] == 0:
+    W = [0] * (n + 1)
+    for ds, A in enumerate(lattice_rank_distribution(a)):
+        if A == 0:
             continue
-        ds = lat.dims[i]
         for j in range(n + 1):
             acc = 0
             for l in range(j + 1):
                 g = gaussian_binomial(n - ds, j - l, q) * gaussian_binomial(n - j + l, l, q)
                 if g:
                     acc += g * (-1) ** l * q ** (l * (l - 1) // 2) * q ** (m * (j - l))
-            W[j] += A[i] * acc
-    size = Fraction(C.size())
-    return HomogeneousPoly(n, [w / size for w in W]).integral()
+            W[j] += A * acc
+    return HomogeneousPoly(n, [Fraction(w, C.size()) for w in W]).integral()
 
 
 def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .delsarte import RankMetricCode, mat_basis
+from .delsarte import RankMetricCode
 from .gf import FieldContext
 from .matspace import rref_rows
 from .qseries import MultiPoly, g_poly
@@ -71,13 +71,38 @@ class QPolymatroid:
 
 
 def restriction_dims(C: RankMetricCode):
-    """dim C(S) for every lattice subspace S, aligned with lattice order, by
-    Grassmann's formula: dim C(S) = k + m dim S - dim(C + Mat(S))."""
-    basis, nm = list(C.space.basis), C.n * C.m
-    return [
-        C.k + C.m * S.dim - len(rref_rows(basis + mat_basis(S, C.m), nm, C.field)[0])
-        for S in lattice(C.n, C.field).subspaces
-    ]
+    """dim C(S) for every lattice subspace S, aligned with lattice order.
+
+    C(S) is the kernel on C of M -> H M, where the rows h of H are the RREF
+    basis of S^perp.  So dim C(S) = k - rank of the k x m(n - dim S) matrix
+    whose row b concatenates h B_b over the rows h of H, B_b being basis
+    codeword b as an n x m matrix.  Each h B is computed once per sweep.
+    """
+    lat = lattice(C.n, C.field)
+    m, k, field = C.m, C.k, C.field
+    # h -> [h B_b for each basis codeword b], over every row h of an RREF
+    # basis in the lattice (the bases of S^perp are those of all S)
+    images = {
+        h: [tuple(_dot(field, h, B[j::m]) for j in range(m)) for B in C.space.basis]
+        for h in {h for S in lat.subspaces for h in S.basis}
+    }
+    dims = []
+    for p in lat.perp:
+        H = lat.subspaces[p].basis
+        if not H or not k:
+            dims.append(k)
+            continue
+        rows = [sum(parts, ()) for parts in zip(*(images[h] for h in H))]
+        dims.append(k - len(rref_rows(rows, m * len(H), field)[0]))
+    return dims
+
+
+def _dot(field, u, v):
+    acc = 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
 
 
 def from_restriction_dims(C: RankMetricCode, dims) -> QPolymatroid:

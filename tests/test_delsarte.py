@@ -105,6 +105,15 @@ def test_restrict_matches_enumeration():
                 assert field.q**dim == field.q ** restrict(C, J).k == brute, (C, J)
 
 
+def test_restriction_dims_of_zero_and_full_codes():
+    # k = 0 and S = E are the sweep's branches without a row reduction
+    for n, m, field in SHAPES:
+        subspaces = list(enumerate_subspaces(n, field))
+        zero = code_from_generators([], field=field, n=n, m=m)
+        assert restriction_dims(zero) == [0] * len(subspaces)
+        assert restriction_dims(full_code(n, m, field)) == [m * S.dim for S in subspaces]
+
+
 def test_dual_code_is_trace_orthogonal():
     rng = random.Random(8)
     for n, m, field in SHAPES:

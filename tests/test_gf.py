@@ -73,6 +73,37 @@ def test_field_limit():
             gf_new(p, e)
 
 
+def _digits(v, p, e):
+    return [v // p**i % p for i in range(e)]
+
+
+def _undigits(digits, p):
+    return sum(c * p**i for i, c in enumerate(digits))
+
+
+# every admitted q = p^e with e >= 2, each with its default modulus, and
+# x^4+x^3+x^2+x+1 over F_2: irreducible, but x has order 5, not 15
+EXTENSIONS = [(p, e, None) for p in (2, 3, 5, 7, 11, 13) for e in range(2, 9) if p**e <= FIELD_LIMIT]
+EXTENSIONS.append((2, 4, [1, 1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize("p,e,modulus", EXTENSIONS, ids=[f"{p}^{e}{'-' if m else ''}" for p, e, m in EXTENSIONS])
+def test_extension_tables_match_polynomial_reference(p, e, modulus):
+    F = gf_new(p, e, modulus)
+    mod = list(F.modulus)
+    elements = [_digits(v, p, e) for v in range(F.q)]
+    for a, da in enumerate(elements):
+        assert [F.add(a, b) for b in F.elements()] == [
+            _undigits([(x + y) % p for x, y in zip(da, db)], p) for db in elements
+        ]
+        assert [F.mul(a, b) for b in F.elements()] == [
+            _undigits(_poly_mul_mod(da, db, mod, p), p) for db in elements
+        ]
+        assert F.neg(a) == _undigits([-x % p for x in da], p)
+        if a:
+            assert _undigits(_poly_mul_mod(da, elements[F.inv(a)], mod, p), p) == 1
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
 def test_frobenius_exhaustive(p, e):
     F = gf_new(p, e)
