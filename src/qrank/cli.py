@@ -20,12 +20,12 @@ from .delsarte import (
     rank_distribution,
     restrict,
 )
-from .errors import MalformedCode, QrankError
+from .errors import BudgetExceeded, MalformedCode, QrankError
 from .gf import FieldContext
 from .identities import IDENTITY_RUNNERS
 from .qpolymatroid import from_code, rank_generating_function
 from .qseries import galois_number, gaussian_binomial
-from .subspaces import Subspace, enumerate_subspaces
+from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subspace_count_exponent
 
 
 def _load_code(path: str) -> RankMetricCode:
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=DEFAULT_BUDGET,
-        help="codeword enumeration cap (default 2^24)",
+        help="cap on codewords enumerated and subspaces listed (default 2^24)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,6 +109,24 @@ def _field_from_args(args) -> FieldContext:
     if args.p is not None:
         return FieldContext(args.p, args.e)
     raise QrankError("specify --q (prime) or --p/--e")
+
+
+def _printable_subspace_count(n: int, q: int, dim: int | None) -> int:
+    """The number of subspaces of F_q^n (of dimension dim, if given);
+    BudgetExceeded when it has more decimal digits than str() prints.
+    A count that is too long is refused from its lower bound q^e before it
+    is formed."""
+    # CPython refuses str() of a longer int (since 3.11 and 3.10.7); 0 means no limit
+    digits = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
+    top = 10**digits
+    e = subspace_count_exponent(n, dim)
+    # q^e >= 2^e >= top once e reaches top's bit length, so q^e is formed only below it
+    if e < top.bit_length() and q**e < top:
+        count = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
+        if count < top:
+            return count
+    of_dim = "" if dim is None else f" of dimension {dim}"
+    raise BudgetExceeded(f"the number of subspaces of F_{q}^{n}{of_dim} has more than {digits} digits")
 
 
 def _run(args) -> int:
@@ -177,12 +195,9 @@ def _run(args) -> int:
     if args.command == "lattice":
         field = _field_from_args(args)
         if args.count_only:
-            if args.dim is None:
-                count = galois_number(args.n, field.q)
-            else:
-                count = gaussian_binomial(args.n, args.dim, field.q)
-            sys.stdout.write(f"{count}\n")
+            sys.stdout.write(f"{_printable_subspace_count(args.n, field.q, args.dim)}\n")
             return 0
+        check_subspace_count(args.n, field.q, budget, "the budget", args.dim)
         for S in enumerate_subspaces(args.n, field, args.dim):
             sys.stdout.write(f"{S.canonical_key() or '0'}\n")
         return 0

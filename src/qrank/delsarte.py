@@ -7,15 +7,23 @@ are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J), and
 the lattice sweep reduces C modulo Mat(J): dim C(J) = k - rank of the
 k x m(n - dim J) matrix of the products H B, over the basis codewords B
 and an RREF basis H of J^perp (see `qpolymatroid.restriction_dims`); the
-trace-product dual is the orthogonal complement of C in F_q^{nm}.  Counting operations enumerate
-codewords under a budget (`DEFAULT_BUDGET` unless given); restriction
-never enumerates.
+trace-product dual is the orthogonal complement of C in F_q^{nm}.
+
+Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
+unless given); restriction never enumerates.  The enumeration streams
+the q^k words in q-ary Gray-code order in constant memory: each word is
+the previous one plus a precomputed multiple of one basis row, nm reads
+of the field's addition table.  Its rank then costs an elimination on
+the min(n, m)-long side of the matrix, also by table reads.  This brute
+side never calls `rref_rows` or the lattice, so it stays an independent
+check of the restriction sweep.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import getitem
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
@@ -104,20 +112,60 @@ def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
 
 
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
-    """All q^k codewords as row-major entry tuples, each exactly once."""
+    """All q^k codewords as row-major entry tuples, each exactly once, as a
+    sized view that streams them in q-ary Gray-code order; BudgetExceeded
+    at call time if q^k is above the budget."""
     if budget is None:
         budget = DEFAULT_BUDGET
     if C.size() > budget:
         raise BudgetExceeded(f"|C| = {C.size()} exceeds budget {budget}")
-    field = C.field
-    add, mul = field.add, field.mul
-    words = [(0,) * (C.n * C.m)]
-    for row in C.space.basis:
-        scaled = [tuple(mul(c, a) for a in row) for c in field.elements()]
-        words = [
-            tuple(add(a, b) for a, b in zip(w, s)) for s in scaled for w in words
-        ]
-    return words
+    return _Codewords(C)
+
+
+class _Codewords:
+    """The codewords of C, re-iterable in constant memory.
+
+    Word t carries the coefficients of the modular q-ary Gray code of t:
+    from word t - 1 to word t exactly one coefficient, that of basis row i
+    where i is the lowest nonzero base-q digit of t, steps from c to c + 1
+    (mod q, on the integer encoding).  So each step adds the precomputed
+    row (c' - c) b_i, held as one addition-table row per entry: a step costs
+    nm table reads and no field method call.
+    """
+
+    __slots__ = ("code",)
+
+    def __init__(self, code: RankMetricCode):
+        self.code = code
+
+    def __len__(self):
+        return self.code.size()
+
+    def __iter__(self):
+        C = self.code
+        q = C.field.q
+        add, mul, neg, _ = C.field.tables
+        add_rows = [add[a * q : (a + 1) * q] for a in range(q)]
+        # steps[i][c][x] maps entry x of a word to itself plus (c' - c) b_i[x]
+        steps = []
+        for row in C.space.basis:
+            per_coeff = []
+            for c in range(q):
+                diff = add[(c + 1) % q * q + neg[c]]
+                per_coeff.append(tuple(add_rows[mul[diff * q + b]] for b in row))
+            steps.append(per_coeff)
+        coeffs = [0] * len(steps)
+        word = (0,) * (C.n * C.m)
+        yield word
+        for t in range(1, q ** len(steps)):
+            i = 0
+            while t % q == 0:
+                t //= q
+                i += 1
+            c = coeffs[i]
+            coeffs[i] = c + 1 if c + 1 < q else 0
+            word = tuple(map(getitem, steps[i][c], word))
+            yield word
 
 
 def enumerate_codewords(C: RankMetricCode, budget: int | None = None):
@@ -151,30 +199,35 @@ def dual_code(C: RankMetricCode) -> RankMetricCode:
 
 
 def _rank_of_entries(entries, n, m, field) -> int:
-    rows = [list(entries[i * m : (i + 1) * m]) for i in range(n)]
-    rank = 0
-    sub, mul, inv = field.sub, field.mul, field.inv
-    for col in range(m):
-        pivot = None
-        for i in range(rank, n):
-            if rows[i][col]:
-                pivot = i
+    """Rank of the n x m matrix with these row-major entries, by elimination
+    on its min(n, m)-long side (rank is transpose-invariant) through the
+    field's flat tables.  Each nonzero reduced vector joins the echelon
+    basis with leading entry 1; reducing by the basis in insertion order
+    clears every pivot.  Stops once the rank reaches min(n, m)."""
+    q = field.q
+    add, mul, neg, inv = field.tables
+    if n <= m:
+        length, step, starts = n, m, range(m)  # the m columns
+    else:
+        length, step, starts = m, 1, range(0, n * m, m)  # the n rows
+    basis = []
+    for s in starts:
+        v = entries[s : s + step * length : step]
+        for p, b in basis:
+            c = v[p]
+            if c:
+                f = neg[c] * q
+                v = [add[a * q + mul[f + x]] for a, x in zip(v, b)]
+        for p, c in enumerate(v):
+            if c:
+                if c != 1:
+                    f = inv[c] * q
+                    v = [mul[f + x] for x in v]
+                basis.append((p, v))
+                if len(basis) == length:
+                    return length
                 break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        if pv != 1:
-            ipv = inv(pv)
-            rows[rank] = [mul(ipv, v) for v in rows[rank]]
-        for i in range(rank + 1, n):
-            f = rows[i][col]
-            if f:
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == n:
-            break
-    return rank
+    return len(basis)
 
 
 @dataclass(frozen=True)
@@ -198,9 +251,10 @@ class RankDistribution:
 
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistribution:
     """Exact counts A_i = #{M in C : rank(M) = i}, i = 0..n."""
-    counts = [0] * (C.n + 1)
+    n, m, field = C.n, C.m, C.field
+    counts = [0] * (n + 1)
     for entries in enumerate_codeword_entries(C, budget):
-        counts[_rank_of_entries(entries, C.n, C.m, C.field)] += 1
+        counts[_rank_of_entries(entries, n, m, field)] += 1
     return RankDistribution(tuple(counts))
 
 

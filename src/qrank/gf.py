@@ -147,10 +147,10 @@ class FieldContext:
         # multiplies through the log/antilog pair of a primitive element
         p, q = self.p, self.q
         if self.e == 1:
-            self._add = [(a + b) % p for a in range(q) for b in range(q)]
-            self._mul = [(a * b) % p for a in range(q) for b in range(q)]
-            self._neg = [(-a) % p for a in range(q)]
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, q)]
+            self._add = tuple((a + b) % p for a in range(q) for b in range(q))
+            self._mul = tuple((a * b) % p for a in range(q) for b in range(q))
+            self._neg = tuple((-a) % p for a in range(q))
+            self._inv = (0,) + tuple(pow(a, p - 2, p) for a in range(1, q))
             return
         add, size = [0], 1
         for _ in range(self.e):
@@ -163,17 +163,18 @@ class FieldContext:
                 for b0 in range(p)
             ]
             size *= p
-        self._add = add
-        self._neg = [_undigits([(-c) % p for c in _digits(a, p, self.e)], p) for a in range(q)]
+        self._add = tuple(add)
+        self._neg = tuple(_undigits([(-c) % p for c in _digits(a, p, self.e)], p) for a in range(q))
         antilog = self._primitive_powers()
         log = [0] * q
         for i, v in enumerate(antilog):
             log[v] = i
         antilog += antilog
-        self._mul = [0] * q
+        mul = [0] * q
         for a in range(1, q):
-            self._mul += [0] + [antilog[log[a] + log[b]] for b in range(1, q)]
-        self._inv = [0] + [antilog[q - 1 - log[a]] for a in range(1, q)]
+            mul += [0] + [antilog[log[a] + log[b]] for b in range(1, q)]
+        self._mul = tuple(mul)
+        self._inv = (0,) + tuple(antilog[q - 1 - log[a]] for a in range(1, q))
 
     def _primitive_powers(self):
         # g^0, ..., g^(q-2) for the smallest primitive g, by polynomial
@@ -224,6 +225,14 @@ class FieldContext:
 
     def elements(self):
         return range(self.q)
+
+    @property
+    def tables(self):
+        """The read-only flat tables (add, mul, neg, inv) behind these
+        operations: a + b = add[a * q + b], a * b = mul[a * q + b], -a =
+        neg[a] and 1/a = inv[a] for a != 0 (inv[0] is 0).  Hot loops index
+        them directly instead of calling a method per element."""
+        return self._add, self._mul, self._neg, self._inv
 
     # -- identity / serialization ------------------------------------------
 

@@ -27,6 +27,7 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     """Number of b-dimensional subspaces of F_q^a; 0 outside 0 <= b <= a."""
     if b < 0 or b > a:
         return 0
+    b = min(b, a - b)  # [a, b]_q = [a, a - b]_q
     num, out = 1, 1
     # product formula with exact integer division at each step
     for i in range(b):

@@ -8,12 +8,13 @@ dimension, in a deterministic total order.
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations, product
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
 from .gf import FieldContext
 from .matspace import kernel_basis, rref_rows
-from .qseries import galois_number
+from .qseries import galois_number, gaussian_binomial
 
 
 class Subspace:
@@ -120,36 +121,37 @@ def orthogonal_complement(A: Subspace) -> Subspace:
     return A.perp()
 
 
-def _rref_bases_of_dim(n: int, d: int, field: FieldContext):
-    # every RREF matrix with d pivot rows, directly from pivot choices
-    if d == 0:
-        yield ()
-        return
-    values = list(field.elements())
-    for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        free = [
-            (i, j)
-            for i in range(d)
-            for j in range(n)
-            if j > pivots[i] and j not in pivot_set
-        ]
-        for assignment in product(values, repeat=len(free)):
-            rows = [[0] * n for _ in range(d)]
-            for i in range(d):
-                rows[i][pivots[i]] = 1
-            for (i, j), v in zip(free, assignment):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+def _rref_bases_with_pivots(n: int, pivots, field: FieldContext):
+    # every RREF matrix with these pivot columns, in increasing order: the
+    # free entries run through product() in row-major order, the order in
+    # which tuples of rows compare
+    pivot_set = set(pivots)
+    free = [
+        (i, j)
+        for i in range(len(pivots))
+        for j in range(n)
+        if j > pivots[i] and j not in pivot_set
+    ]
+    for assignment in product(field.elements(), repeat=len(free)):
+        rows = [[0] * n for _ in pivots]
+        for i, j in enumerate(pivots):
+            rows[i][j] = 1
+        for (i, j), v in zip(free, assignment):
+            rows[i][j] = v
+        yield tuple(tuple(r) for r in rows)
 
 
 def enumerate_subspaces(n: int, field: FieldContext, dim_filter: int | None = None):
-    """All subspaces of F_q^n, by dimension then lexicographic basis order."""
+    """All subspaces of F_q^n, by dimension then lexicographic basis order.
+
+    Streams: each dimension merges the sorted streams of its pivot choices,
+    so memory stays at one generator per pivot choice."""
     dims = range(n + 1) if dim_filter is None else [dim_filter]
     for d in dims:
         if not 0 <= d <= n:
             continue
-        for basis in sorted(_rref_bases_of_dim(n, d, field)):
+        streams = [_rref_bases_with_pivots(n, pivots, field) for pivots in combinations(range(n), d)]
+        for basis in heapq.merge(*streams):
             yield Subspace(field, n, basis)
 
 
@@ -165,7 +167,7 @@ class SubspaceLattice:
     """
 
     def __init__(self, n: int, field: FieldContext):
-        _check_lattice_size(n, field.q)
+        check_subspace_count(n, field.q, LATTICE_LIMIT, "the lattice limit")
         self.n = n
         self.field = field
         self.subspaces = list(enumerate_subspaces(n, field))
@@ -238,17 +240,31 @@ LATTICE_LIMIT = 3000
 _BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _check_lattice_size(n: int, q: int):
-    if n >= LATTICE_LIMIT.bit_length():
-        # F_q^n has more than 2^n subspaces: refuse without counting them
-        size = f"more than 2^{n}"
+def subspace_count_exponent(n: int, dim: int | None = None) -> int:
+    """e with at least q^e subspaces of F_q^n (of dimension `dim`, if
+    given), more than 2^e when e > 0: [n, d]_q > q^(d(n-d)) for 0 < d < n,
+    and the whole lattice holds its middle dimension."""
+    d = n // 2 if dim is None else dim
+    return d * (n - d) if 0 < d < n else 0
+
+
+def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int | None = None) -> int:
+    """The number of subspaces of F_q^n, of dimension `dim` if given.
+
+    Raises BudgetExceeded, naming `limit_name`, `limit` and the size, when
+    it is above `limit`.  A count far above the limit is never formed: it
+    is refused from its lower bound 2^e once 2^e reaches limit^2.
+    """
+    e = subspace_count_exponent(n, dim)
+    if e >= 2 * limit.bit_length():
+        size = f"more than 2^{e}"
     else:
-        size = galois_number(n, q)
-        if size <= LATTICE_LIMIT:
-            return
+        size = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
+        if size <= limit:
+            return size
+    of_dim = "" if dim is None else f" of dimension {dim}"
     raise BudgetExceeded(
-        f"the subspace lattice of F_{q}^{n} has {size} subspaces, "
-        f"above the lattice limit of {LATTICE_LIMIT}"
+        f"the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"
     )
 
 

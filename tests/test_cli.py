@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 import qrank.cli
 import qrank.delsarte
 from qrank.cli import main
+from qrank.qseries import galois_number
 
 
 @pytest.fixture
@@ -178,6 +180,34 @@ def test_lattice_above_limit_exit_2(command, tmp_path, capsys):
     path.write_text(json.dumps({"field": {"q": 2}, "n": 7, "m": 1, "generators": [[[1]] * 7]}))
     err = _assert_error_exit_2(command + [str(path)], capsys)
     assert "29212 subspaces, above the lattice limit of 3000" in err
+
+
+def test_lattice_listing_above_budget_exit_2(capsys):
+    err = _assert_error_exit_2(["--budget", "4", "lattice", "--q", "2", "--n", "2"], capsys)
+    assert "5 subspaces, above the budget of 4" in err
+    assert main(["--budget", "5", "lattice", "--q", "2", "--n", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["lattice", "--q", "2", "--n", "14", "--dim", "7"], capsys)
+    assert time.perf_counter() - start < 1
+    assert "subspaces of dimension 7, above the budget of 16777216" in err
+
+
+def test_lattice_count_too_long_to_print_exit_2(capsys):
+    assert main(["lattice", "--q", "2", "--n", "100", "--count-only"]) == 0
+    assert capsys.readouterr().out == f"{galois_number(100, 2)}\n"
+    for n in (300, 600):
+        start = time.perf_counter()
+        err = _assert_error_exit_2(["lattice", "--q", "2", "--n", str(n), "--count-only"], capsys)
+        assert time.perf_counter() - start < 1
+        assert f"the number of subspaces of F_2^{n} has more than" in err
+    # the lower bound 2^14283 has 4300 digits, the count itself 4301
+    err = _assert_error_exit_2(["lattice", "--q", "2", "--n", "276", "--dim", "69", "--count-only"], capsys)
+    assert "subspaces of F_2^276 of dimension 69 has more than" in err
+    for n in [*range(110, 131), 239, 240]:
+        assert main(["lattice", "--q", "2", "--n", str(n), "--count-only"]) in (0, 2)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err and (out or err)
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -23,12 +24,12 @@ from qrank import (
     restrict,
     trace_product,
 )
-from qrank.delsarte import enumerate_codeword_entries
+from qrank.delsarte import _rank_of_entries, enumerate_codeword_entries
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.subspaces import enumerate_subspaces
 
-from oracles import oracle_rank_distribution
+from oracles import oracle_codewords, oracle_rank_distribution, oracle_rank_matrix
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -253,6 +254,64 @@ def test_all_codes_counts():
 
 
 def test_codeword_entry_order_deterministic(full_2x2_f2):
-    a = enumerate_codeword_entries(full_2x2_f2)
-    b = enumerate_codeword_entries(full_2x2_f2)
+    a = list(enumerate_codeword_entries(full_2x2_f2))
+    b = list(enumerate_codeword_entries(full_2x2_f2))
     assert a == b
+
+
+def test_codeword_stream_matches_span_oracle():
+    rng = random.Random(11)
+    for n, m, field in SHAPES:
+        zero = code_from_generators([], field=field, n=n, m=m)
+        assert len(enumerate_codeword_entries(zero)) == 1
+        assert list(enumerate_codeword_entries(zero)) == [(0,) * (n * m)]
+        for C in _random_codes(n, m, field, 4, rng):
+            words = list(enumerate_codeword_entries(C))
+            assert len(enumerate_codeword_entries(C)) == len(words) == C.size()
+            if C.k:
+                assert sorted(words) == oracle_codewords(C.space.basis, field), C
+            # Gray order: consecutive words differ by a multiple of one basis row
+            multiples = {tuple(field.mul(c, x) for x in row) for row in C.space.basis for c in range(1, field.q)}
+            for u, w in zip(words, words[1:]):
+                assert tuple(field.sub(b, a) for a, b in zip(u, w)) in multiples, C
+
+
+def _random_matrix(n, m, rank, field, rng):
+    # an n x rank times rank x m product: rank at most `rank`
+    q = field.q
+    A = [[rng.randrange(q) for _ in range(rank)] for _ in range(n)]
+    B = [[rng.randrange(q) for _ in range(m)] for _ in range(rank)]
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = 0
+            for t in range(rank):
+                acc = field.add(acc, field.mul(A[i][t], B[t][j]))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+def test_rank_of_entries_matches_span_oracle():
+    rng = random.Random(12)
+    for n, m, field in SHAPES + [(4, 2, F3), (2, 4, gf_new(2, 2))]:
+        matrices = [[[rng.randrange(field.q) for _ in range(m)] for _ in range(n)] for _ in range(10)]
+        for r in range(min(n, m)):
+            matrices += [_random_matrix(n, m, r, field, rng) for _ in range(5)]
+        for rows in matrices:
+            entries = tuple(v for row in rows for v in row)
+            assert _rank_of_entries(entries, n, m, field) == oracle_rank_matrix(rows, field), (rows, field)
+
+
+def test_rank_distribution_memory_does_not_grow_with_the_code():
+    # 2^16 codewords; held as a list of entry tuples they take about 16 MiB
+    C = random_code(2, 8, F2, 16, random.Random(5))
+    tracemalloc.start()
+    try:
+        dist = rank_distribution(C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(dist) == 2**16
+    assert peak < 2**20, peak

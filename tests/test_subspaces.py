@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,7 @@ from qrank import (
     orthogonal_complement,
 )
 from qrank.errors import AmbientMismatch, BudgetExceeded, LengthMismatch
-from qrank.subspaces import LATTICE_LIMIT
+from qrank.subspaces import LATTICE_LIMIT, _rref_bases_with_pivots, check_subspace_count
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -123,6 +124,37 @@ def test_lattice_limit():
         lattice(7, F2)
     with pytest.raises(BudgetExceeded, match="more than 2"):
         lattice(10**6, F2)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("p,e,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 1, 7)])
+def test_enumerate_subspaces_matches_sorted_reference(p, e, n):
+    # the merged per-pivot streams give the order of sorting each dimension whole
+    field = gf_new(p, e)
+    reference = [
+        basis
+        for d in range(n + 1)
+        for basis in sorted(
+            b for pivots in combinations(range(n), d) for b in _rref_bases_with_pivots(n, pivots, field)
+        )
+    ]
+    assert [S.basis for S in enumerate_subspaces(n, field)] == reference
+
+
+def test_check_subspace_count():
+    assert check_subspace_count(4, 2, 67, "the budget") == 67
+    assert check_subspace_count(4, 2, 35, "the budget", dim=2) == 35
+    assert check_subspace_count(4, 2, 1, "the budget", dim=9) == 0
+    with pytest.raises(BudgetExceeded, match="67 subspaces, above the budget of 66"):
+        check_subspace_count(4, 2, 66, "the budget")
+    with pytest.raises(BudgetExceeded, match="35 subspaces of dimension 2, above the budget of 34"):
+        check_subspace_count(4, 2, 34, "the budget", dim=2)
+    start = time.perf_counter()
+    # the counts are refused from their lower bounds, never formed
+    with pytest.raises(BudgetExceeded, match=r"more than 2\^25000000 subspaces, above the budget"):
+        check_subspace_count(10**4, 2, 2**24, "the budget")
+    with pytest.raises(BudgetExceeded, match=r"more than 2\^25000000 subspaces of dimension 5000"):
+        check_subspace_count(10**4, 2, 2**24, "the budget", dim=5000)
     assert time.perf_counter() - start < 1
 
 
