@@ -129,6 +129,24 @@ def _printable_subspace_count(n: int, q: int, dim: int | None) -> int:
     raise BudgetExceeded(f"the number of subspaces of F_{q}^{n}{of_dim} has more than {digits} digits")
 
 
+# the most subspace-key entries one `qrank lattice` listing writes; F_2^8
+# (13350368) fits, a single key of F_2^4100 does not
+LISTING_LIMIT = 2**24
+
+
+def _check_listing_entries(n: int, q: int, dim: int | None):
+    """Refuse a listing whose keys hold more than LISTING_LIMIT entries in
+    all: [n, d]_q keys of d x n entries for each listed dimension d.  The
+    counts are formed only once the subspace budget has admitted them."""
+    entries = sum(gaussian_binomial(n, d, q) * d * n for d in (range(n + 1) if dim is None else [dim]))
+    if entries > LISTING_LIMIT:
+        of_dim = "" if dim is None else f" of dimension {dim}"
+        raise BudgetExceeded(
+            f"the listing of the subspaces of F_{q}^{n}{of_dim} writes {entries} key entries, "
+            f"above the listing limit of {LISTING_LIMIT}"
+        )
+
+
 def _run(args) -> int:
     budget = args.budget
     if budget < 1:
@@ -198,6 +216,7 @@ def _run(args) -> int:
             sys.stdout.write(f"{_printable_subspace_count(args.n, field.q, args.dim)}\n")
             return 0
         check_subspace_count(args.n, field.q, budget, "the budget", args.dim)
+        _check_listing_entries(args.n, field.q, args.dim)
         for S in enumerate_subspaces(args.n, field, args.dim):
             sys.stdout.write(f"{S.canonical_key() or '0'}\n")
         return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import DivisionByZero, InvalidValue, MalformedCode, NonPrimeCharacteristic, ReducibleModulus
 
 # the largest field order accepted; it bounds the primality and modulus
-# searches, the arithmetic tables and a lattice's q^n-bit member sets
+# searches and the arithmetic tables
 FIELD_LIMIT = 256
 
 

@@ -9,6 +9,7 @@ dimension, in a deterministic total order.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
@@ -158,16 +159,23 @@ def enumerate_subspaces(n: int, field: FieldContext, dim_filter: int | None = No
 class SubspaceLattice:
     """The full lattice of subspaces of F_q^n with precomputed structure.
 
-    Intended for the small ambient dimensions the identity checks sweep
-    over: a lattice of more than LATTICE_LIMIT subspaces is refused with
-    BudgetExceeded before anything is enumerated.  The join, meet and
-    containment index tables are built together, lazily, on first use of
-    any of them, from member sets (no linear algebra): meet is the AND of
-    two member bitmasks, join and containment follow from meet and perp.
+    A lattice whose cover build would take more than LATTICE_LIMIT mask
+    ANDs is refused with BudgetExceeded before anything is enumerated.
+    Each subspace has a point mask: bit j is set iff the one-dimensional
+    subspace at lattice index 1 + j (a projective point) lies in it.  A
+    subspace is the span of its points, so the mask determines it and
+    meet is the AND of two masks.  The lower covers of T are the meets of
+    T with the hyperplanes that do not contain it.  The lattice is
+    modular, so the polymatroid axioms need only covers and intervals of
+    length 2 (see `qpolymatroid.verify_axioms`).
+
+    The |L|^2 join, meet and containment tables are built from the same
+    masks, lazily, for lattices of at most TABLE_LIMIT subspaces.  No check
+    reads them; the test suite's exhaustive axiom oracle does.
     """
 
     def __init__(self, n: int, field: FieldContext):
-        check_subspace_count(n, field.q, LATTICE_LIMIT, "the lattice limit")
+        check_lattice_work(n, field.q)
         self.n = n
         self.field = field
         self.subspaces = list(enumerate_subspaces(n, field))
@@ -186,26 +194,51 @@ class SubspaceLattice:
     def index_of(self, S: Subspace) -> int:
         return self.index[S.basis]
 
-    def _member_mask(self, S: Subspace) -> int:
-        # bit v is set iff the vector with base-q digits v (first coordinate
-        # least significant) lies in S; members are spanned with the field's
-        # own add/mul, so extension fields are correct
-        field, q = self.field, self.field.q
-        members = [(0,) * self.n]
-        for row in S.basis:
-            multiples = [tuple(field.mul(c, x) for x in row) for c in range(1, q)]
-            members += [tuple(map(field.add, u, w)) for u in members for w in multiples]
-        places = [q**t for t in range(self.n)]
-        bits = bytearray(q**self.n)
-        for v in members:
-            bits[sum(x * t for x, t in zip(v, places))] = 1
-        # one byte per vector, most significant first, read as a base-2 numeral
-        return int(bits[::-1].translate(_BINARY_DIGITS), 2)
+    @cached_property
+    def point_masks(self):
+        """point_masks[i]: bit j set iff point 1 + j lies in S_i."""
+        add, mul, _, _ = self.field.tables
+        q, index = self.field.q, self.index
+        masks = [0] * len(self)
+        # by dimension, from the masks one dimension down: with RREF rows
+        # r_0, r_1, R, every point of S lies in <r_1, R> or in one of the
+        # <r_0 + c r_1, R>, c in F_q; those bases are RREF too
+        for i, S in enumerate(self.subspaces):
+            basis = S.basis
+            if S.dim == 1:
+                masks[i] = 1 << (i - 1)
+            elif S.dim > 1:
+                (r0, r1), rest = basis[:2], basis[2:]
+                mask = masks[index[basis[1:]]]
+                for c in range(q):
+                    row = tuple([add[a * q + mul[c * q + b]] for a, b in zip(r0, r1)])
+                    mask |= masks[index[(row,) + rest]]
+                masks[i] = mask
+        return masks
+
+    @cached_property
+    def covers(self):
+        """covers[i]: the indices of the subspaces of dimension dim S_i - 1
+        inside S_i, ascending."""
+        masks = self.point_masks
+        by_mask = {mask: i for i, mask in enumerate(masks)}
+        hyperplanes = [masks[i] for i, d in enumerate(self.dims) if d == self.n - 1]
+        covers = []
+        for t in masks:
+            meets = {t & w for w in hyperplanes}
+            meets.discard(t)
+            covers.append(tuple(sorted(by_mask[a] for a in meets)))
+        return covers
 
     def _build_tables(self):
-        # A ^ B is the subspace whose member set is the AND of theirs;
+        # A ^ B is the subspace whose point set is the AND of theirs;
         # A + B = (A^perp ^ B^perp)^perp, and B <= A iff A ^ B = B
-        masks = [self._member_mask(S) for S in self.subspaces]
+        if len(self) > TABLE_LIMIT:
+            raise BudgetExceeded(
+                f"the join, meet and containment tables of F_{self.field.q}^{self.n} "
+                f"would hold {len(self)}^2 entries each, above the table limit of {TABLE_LIMIT} subspaces"
+            )
+        masks = self.point_masks
         by_mask = {mask: i for i, mask in enumerate(masks)}
         perp = self.perp
         meet = [[by_mask[a & b] for b in masks] for a in masks]
@@ -233,11 +266,12 @@ class SubspaceLattice:
         return self._meet
 
 
-# the edge lattices F_2^6 (2825 subspaces) and F_3^5 (2664) fit; F_2^7
-# (29212, tables of 853M entries) does not
-LATTICE_LIMIT = 3000
-
-_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# the cover build ANDs each of the |L| point masks with each of the
+# [n, 1]_q hyperplane masks; F_2^7 (3709924), F_4^5 (4186798), F_8^4 and
+# F_37^3 (3962112) fit, F_41^3, F_3^6 and F_2^8 do not
+LATTICE_LIMIT = 2**22
+# the |L|^2 tables: F_2^6 (2825 subspaces) and F_3^5 (2664) fit
+TABLE_LIMIT = 3000
 
 
 def subspace_count_exponent(n: int, dim: int | None = None) -> int:
@@ -265,6 +299,28 @@ def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int |
     of_dim = "" if dim is None else f" of dimension {dim}"
     raise BudgetExceeded(
         f"the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"
+    )
+
+
+def check_lattice_work(n: int, q: int) -> int:
+    """|L| * [n, 1]_q, the mask ANDs that finding the covers of the
+    subspace lattice L of F_q^n takes.
+
+    Raises BudgetExceeded, naming LATTICE_LIMIT and the work, when it is
+    above the limit.  Work far above the limit is refused from its lower
+    bound 2^e (|L| > 2^d(n-d), [n, 1]_q >= 2^(n-1)) without being formed.
+    """
+    e = subspace_count_exponent(n) + n - 1
+    if e >= 2 * LATTICE_LIMIT.bit_length():
+        work = f"more than 2^{e}"
+    else:
+        size, points = galois_number(n, q), gaussian_binomial(n, 1, q)
+        if size * points <= LATTICE_LIMIT:
+            return size * points
+        work = f"{size * points} ({size} subspaces x {points} hyperplanes)"
+    raise BudgetExceeded(
+        f"the covers of the subspace lattice of F_{q}^{n} take {work} mask ANDs, "
+        f"above the lattice limit of {LATTICE_LIMIT}"
     )
 
 

@@ -9,6 +9,8 @@ exhaustively axiom-tested) FieldContext tables.
 
 from itertools import product
 
+from qrank.qpolymatroid import AxiomReport
+
 
 def span_set(vectors, field):
     """The full set of F_q-linear combinations of the given vectors."""
@@ -98,6 +100,31 @@ def oracle_rho(code, J):
         d += 1
     assert field.q**d == count
     return code.k - d
+
+
+def oracle_axioms(P) -> AxiomReport:
+    """Exhaustive check of (R1), (R2), (R3) and the rank-difference
+    inequality over all |L|^2 pairs of subspaces, through the lattice's
+    join, meet and containment tables."""
+    lat, r, ranks = P.lattice, P.r, P.ranks
+    report = AxiomReport()
+    keys = [S.canonical_key() for S in lat.subspaces]
+    for i in range(len(lat)):
+        if not 0 <= ranks[i] <= r * lat.dims[i]:
+            report.add("R1", keys[i], f"rho={ranks[i]} not in [0, {r * lat.dims[i]}]")
+    for i, below in enumerate(lat.below):
+        for j in below:
+            # S_j subseteq S_i
+            if ranks[j] > ranks[i]:
+                report.add("R2", f"{keys[j]} <= {keys[i]}", f"rho={ranks[j]} > rho={ranks[i]}")
+            if ranks[i] - ranks[j] > r * (lat.dims[i] - lat.dims[j]):
+                report.add("rank-difference", f"{keys[j]} <= {keys[i]}", f"gap {ranks[i] - ranks[j]}")
+    join, meet = lat.join, lat.meet
+    for i in range(len(lat)):
+        for j in range(i, len(lat)):
+            if ranks[join[i][j]] + ranks[meet[i][j]] > ranks[i] + ranks[j]:
+                report.add("R3", f"{keys[i]}, {keys[j]}", "rho(A+B)+rho(A^B) > rho(A)+rho(B)")
+    return report
 
 
 # -- plain dict-based polynomial helpers (independent of MultiPoly) -----

@@ -177,9 +177,12 @@ def test_malformed_code_exit_2(name, command, tmp_path, capsys):
 )
 def test_lattice_above_limit_exit_2(command, tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"field": {"q": 2}, "n": 7, "m": 1, "generators": [[[1]] * 7]}))
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 8, "m": 1, "generators": [[[1]] * 8]}))
+    start = time.perf_counter()
     err = _assert_error_exit_2(command + [str(path)], capsys)
-    assert "29212 subspaces, above the lattice limit of 3000" in err
+    assert time.perf_counter() - start < 1
+    assert "F_2^8 take 106385745 (417199 subspaces x 255 hyperplanes) mask ANDs" in err
+    assert "above the lattice limit of 4194304" in err
 
 
 def test_lattice_listing_above_budget_exit_2(capsys):
@@ -191,6 +194,16 @@ def test_lattice_listing_above_budget_exit_2(capsys):
     err = _assert_error_exit_2(["lattice", "--q", "2", "--n", "14", "--dim", "7"], capsys)
     assert time.perf_counter() - start < 1
     assert "subspaces of dimension 7, above the budget of 16777216" in err
+
+
+def test_lattice_listing_above_entry_limit_exit_2(capsys):
+    # one subspace, within the budget, whose key alone has 10^10 entries
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["lattice", "--q", "2", "--n", "100000", "--dim", "100000"], capsys)
+    assert time.perf_counter() - start < 1
+    assert "F_2^100000 of dimension 100000 writes 10000000000 key entries, above the listing limit of 16777216" in err
+    err = _assert_error_exit_2(["lattice", "--q", "2", "--n", "9"], capsys)
+    assert "F_2^9 writes 335480049 key entries" in err
 
 
 def test_lattice_count_too_long_to_print_exit_2(capsys):

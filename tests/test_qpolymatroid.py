@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qrank import (
@@ -8,13 +10,14 @@ from qrank import (
     dual_code,
     from_code,
     gf_new,
+    random_code,
     rank_generating_function,
     verify_axioms,
 )
 from qrank.qseries import MultiPoly
 from qrank.subspaces import lattice
 
-from oracles import oracle_rgf, oracle_rho
+from oracles import oracle_axioms, oracle_rgf, oracle_rho
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -76,6 +79,45 @@ def test_verify_axioms_r2_violation():
             ranks[i] = 1
     report = verify_axioms(QPolymatroid(lat, 1, ranks))
     assert any(axiom == "R2" for axiom, _, _ in report.violations)
+
+
+def test_verify_axioms_r3_names_the_two_smallest_intermediates():
+    lat = lattice(2, F2)
+    # rho(0) + rho(F_2^2) = 1 > 0 = rho(<0,1>) + rho(<1,0>); the line <1,1> has rank 1
+    ranks = [0, 0, 0, 1, 1]
+    report = verify_axioms(QPolymatroid(lat, 1, ranks))
+    assert report.violations == [("R3", " < 0,1, 1,0 < 1,0;0,1", "rho(X)+rho(Y)=1 > rho(A)+rho(B)=0")]
+
+
+def _violated(report):
+    return {axiom for axiom, _, _ in report.violations}
+
+
+def test_local_axioms_match_the_exhaustive_oracle_on_corpora(corpus_2x2_f2, corpus_2x2_f3, corpus_3x2_f2):
+    for C in corpus_2x2_f2 + corpus_2x2_f3 + corpus_3x2_f2:
+        P = from_code(C)
+        for X in (P, P.dual()):
+            assert _violated(verify_axioms(X)) == _violated(oracle_axioms(X)), C
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (2, 4), (3, 3)])
+def test_local_axioms_match_the_exhaustive_oracle_on_perturbed_tables(q, n):
+    # P_C or P_C^* of a random code, with 0-2 of its ranks moved by 1
+    field, rng = gf_new(q), random.Random(f"perturbed/{q}/{n}")
+    lat = lattice(n, field)
+    seen = []
+    for _ in range(60):
+        m = rng.choice([1, 2])
+        P = from_code(random_code(n, m, field, rng.randrange(n * m + 1), rng))
+        ranks = list(P.dual().ranks if rng.random() < 0.5 else P.ranks)
+        for _ in range(rng.randint(0, 2)):
+            ranks[rng.randrange(len(ranks))] += rng.choice([-1, 1])
+        Q = QPolymatroid(lat, m, ranks)
+        violated = _violated(verify_axioms(Q))
+        assert violated == _violated(oracle_axioms(Q)), ranks
+        seen.append(violated)
+    assert set().union(*seen) == {"R1", "R2", "rank-difference", "R3"}
+    assert set() in seen
 
 
 def test_all_codes_give_polymatroids(corpus_2x2_f2):

@@ -1,3 +1,4 @@
+import re
 import time
 from itertools import combinations
 
@@ -13,7 +14,15 @@ from qrank import (
     orthogonal_complement,
 )
 from qrank.errors import AmbientMismatch, BudgetExceeded, LengthMismatch
-from qrank.subspaces import LATTICE_LIMIT, _rref_bases_with_pivots, check_subspace_count
+from qrank.subspaces import (
+    LATTICE_LIMIT,
+    TABLE_LIMIT,
+    _rref_bases_with_pivots,
+    check_lattice_work,
+    check_subspace_count,
+)
+
+from test_delsarte import SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -116,14 +125,50 @@ def test_lattice_tables_match_subspace_operations(p, e, n):
             assert subs[meet[i][j]] == A.intersect(B)
 
 
+COVER_LATTICES = sorted({(n, f) for n, _, f in SHAPES} | {(3, gf_new(37))}, key=lambda s: (s[1].q, s[0]))
+
+
+@pytest.mark.parametrize("n,field", COVER_LATTICES, ids=[f"F{f.q}^{n}" for n, f in COVER_LATTICES])
+def test_covers_are_the_subspaces_one_dimension_down(n, field):
+    lat = lattice(n, field)
+    q = field.q
+    for T, covers in zip(lat.subspaces, lat.covers):
+        assert len(set(covers)) == len(covers) == (q**T.dim - 1) // (q - 1)
+        for i in covers:
+            A = lat.subspaces[i]
+            assert A.dim == T.dim - 1 and T.contains(A)
+
+
 def test_lattice_limit():
-    assert len(lattice(6, F2)) == 2825 <= LATTICE_LIMIT
-    assert len(lattice(5, F3)) == 2664 <= LATTICE_LIMIT
+    # the limit counts the mask ANDs of the cover build, |L| * [n, 1]_q
+    assert check_lattice_work(6, 2) == 2825 * 63
+    assert check_lattice_work(5, 3) == 2664 * 121
+    assert check_lattice_work(4, 8) == 5917 * 585 <= LATTICE_LIMIT
+    assert check_lattice_work(7, 2) == 29212 * 127 == 3709924 <= LATTICE_LIMIT
+    assert check_lattice_work(5, 4) == 12278 * 341 == 4186798 <= LATTICE_LIMIT
+    assert check_lattice_work(3, 37) == 2816 * 1407 == 3962112 <= LATTICE_LIMIT
+    assert len(lattice(5, gf_new(2, 2))) == 12278
     start = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match=f"29212 subspaces, above the lattice limit of {LATTICE_LIMIT}"):
-        lattice(7, F2)
+    for n, q, work in [
+        (8, 2, "106385745 (417199 subspaces x 255 hyperplanes)"),
+        (6, 3, "20614048 (56632 subspaces x 364 hyperplanes)"),
+        (3, 41, "5940904 (3448 subspaces x 1723 hyperplanes)"),
+    ]:
+        message = f"F_{q}^{n} take {work} mask ANDs, above the lattice limit of {LATTICE_LIMIT}"
+        with pytest.raises(BudgetExceeded, match=re.escape(message)):
+            lattice(n, gf_new(q))
     with pytest.raises(BudgetExceeded, match="more than 2"):
         lattice(10**6, F2)
+    assert time.perf_counter() - start < 1
+
+
+def test_lattice_tables_refused_above_the_table_limit():
+    lat = lattice(7, F2)
+    assert len(lat) == 29212 > TABLE_LIMIT
+    start = time.perf_counter()
+    for table in ("below", "join", "meet"):
+        with pytest.raises(BudgetExceeded, match=f"29212\\^2 entries each, above the table limit of {TABLE_LIMIT}"):
+            getattr(lat, table)
     assert time.perf_counter() - start < 1
 
 
