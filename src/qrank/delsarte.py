@@ -3,11 +3,13 @@
 A code is stored as its subspace of the vectorized space F_q^{nm}
 (`C.space`, row-major entries); `C.basis` is the matrix view of its RREF
 rows.  The subspace is canonical, so equality tests and serialized files
-are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J), and
-the lattice sweep reduces C modulo Mat(J): dim C(J) = k - rank of the
-k x m(n - dim J) matrix of the products H B, over the basis codewords B
-and an RREF basis H of J^perp (see `qpolymatroid.restriction_dims`); the
-trace-product dual is the orthogonal complement of C in F_q^{nm}.
+are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J).  The
+lattice sweep never forms C(J): dim C(J) = k - dim W(J^perp), where
+W(T) in F_q^k is spanned, over h in T and columns j < m, by the vectors
+whose entry b is entry j of h B_b, B_b being basis codeword b.  It grows
+W by one RREF row at a time along the lattice (see
+`qpolymatroid.restriction_dims`).  The trace-product dual is the
+orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given); restriction never enumerates.  The enumeration streams
@@ -15,8 +17,8 @@ the q^k words in q-ary Gray-code order in constant memory: each word is
 the previous one plus a precomputed multiple of one basis row, nm reads
 of the field's addition table.  Its rank then costs an elimination on
 the min(n, m)-long side of the matrix, also by table reads.  This brute
-side never calls `rref_rows` or the lattice, so it stays an independent
-check of the restriction sweep.
+side never calls `rref_rows`, the lattice or the sweep's echelon code,
+so it stays an independent check of the restriction sweep.
 """
 
 from __future__ import annotations

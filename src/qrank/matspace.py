@@ -1,7 +1,8 @@
 """Matrices over F_q: RREF, rank, kernel, column space, trace product.
 
-Matrices are immutable values; every operation returns a new value, so
-they can be shared freely across enumeration workers.
+Matrices are immutable values: every operation returns a new value.
+`rref_rows` and `kernel_basis` work on plain row tuples and eliminate
+through the field's flat tables (`FieldContext.tables`).
 """
 
 from __future__ import annotations
@@ -14,27 +15,29 @@ def rref_rows(rows, width: int, field: FieldContext):
     """Reduced row echelon form of a list of row tuples.
 
     Returns (rows, pivots): rows with zero rows dropped, pivots strictly
-    increasing.  Leftmost pivot, scale to unit, eliminate above and below.
+    increasing.  Leftmost pivot, scale to unit, eliminate above and below,
+    all through the field's flat tables.
     """
+    q = field.q
+    add, mul, neg, inv = field.tables
     work = [list(r) for r in rows]
     pivots = []
     r = 0
     for col in range(width):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = field.inv(work[r][col])
-        if inv != 1:
-            work[r] = [field.mul(inv, v) for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(work[i], work[r])]
+        c = work[r][col]
+        if c != 1:
+            f = inv[c] * q
+            work[r] = [mul[f + v] for v in work[r]]
+        prow = work[r]
+        for i, row in enumerate(work):
+            c = row[col]
+            if c and i != r:
+                f = neg[c] * q
+                work[i] = [add[a * q + mul[f + b]] for a, b in zip(row, prow)]
         pivots.append(col)
         r += 1
         if r == len(work):
@@ -44,6 +47,7 @@ def rref_rows(rows, width: int, field: FieldContext):
 
 def kernel_basis(rows, width: int, field: FieldContext):
     """Canonical (RREF) basis of {x : Mx = 0} for M given as row tuples."""
+    _, _, neg, _ = field.tables
     red, pivots = rref_rows(rows, width, field)
     free = [j for j in range(width) if j not in pivots]
     basis = []
@@ -51,7 +55,7 @@ def kernel_basis(rows, width: int, field: FieldContext):
         vec = [0] * width
         vec[f] = 1
         for i, p in enumerate(pivots):
-            vec[p] = field.neg(red[i][f])
+            vec[p] = neg[red[i][f]]
         basis.append(tuple(vec))
     canon, _ = rref_rows(basis, width, field)
     return canon

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .delsarte import RankMetricCode
 from .gf import FieldContext
-from .matspace import rref_rows
 from .qseries import MultiPoly, g_poly
 from .subspaces import SubspaceLattice, lattice
 
@@ -73,36 +72,78 @@ class QPolymatroid:
 def restriction_dims(C: RankMetricCode):
     """dim C(S) for every lattice subspace S, aligned with lattice order.
 
-    C(S) is the kernel on C of M -> H M, where the rows h of H are the RREF
-    basis of S^perp.  So dim C(S) = k - rank of the k x m(n - dim S) matrix
-    whose row b concatenates h B_b over the rows h of H, B_b being basis
-    codeword b as an n x m matrix.  Each h B is computed once per sweep.
+    For h in F_q^n and j < m, let v_{h,j} in F_q^k hold entry j of h B_b
+    over the basis codewords B_b (as n x m matrices), and let W(T) be the
+    span of the v_{h,j} over h in T.  The codeword sum_b c_b B_b lies in
+    Mat(S) iff h M = 0 for every h in S^perp, iff c is orthogonal to
+    W(S^perp); so dim C(S) = k - dim W(S^perp).
+
+    h -> v_{h,j} is linear, so W(T) = W(T') + <v_{h0,j} : j < m>, where h0
+    is the first RREF row of T and T' is the span of the other rows: an
+    RREF basis one dimension down in the lattice.  The sweep walks the
+    lattice by dimension and extends the echelon basis of W(T') by the m
+    vectors of h0, computed once per distinct h0 (each h0 is a projective
+    point), keeping only the previous dimension's echelons.
     """
     lat = lattice(C.n, C.field)
-    m, k, field = C.m, C.k, C.field
-    # h -> [h B_b for each basis codeword b], over every row h of an RREF
-    # basis in the lattice (the bases of S^perp are those of all S)
-    images = {
-        h: [tuple(_dot(field, h, B[j::m]) for j in range(m)) for B in C.space.basis]
-        for h in {h for S in lat.subspaces for h in S.basis}
-    }
-    dims = []
-    for p in lat.perp:
-        H = lat.subspaces[p].basis
-        if not H or not k:
-            dims.append(k)
-            continue
-        rows = [sum(parts, ()) for parts in zip(*(images[h] for h in H))]
-        dims.append(k - len(rref_rows(rows, m * len(H), field)[0]))
-    return dims
+    m, k = C.m, C.k
+    q = C.field.q
+    add, mul, neg, inv = C.field.tables
+    # column j of each basis codeword, as entries of F_q^n
+    columns = [[B[j::m] for B in C.space.basis] for j in range(m)]
+    images = {}
+    index, subspaces, dims = lat.index, lat.subspaces, lat.dims
+    ranks = [0] * len(lat)  # dim W(T)
+    previous, current, d = {0: ()}, {}, 1
+    for t in range(1, len(lat) if k else 0):
+        if dims[t] != d:
+            previous, current, d = current, {}, dims[t]
+        rows = subspaces[t].basis
+        echelon = previous[index[rows[1:]]]
+        if len(echelon) < k:
+            h0 = rows[0]
+            vectors = images.get(h0)
+            if vectors is None:
+                vectors = images[h0] = [_image(h0, cols, q, add, mul) for cols in columns]
+            echelon = _extend(echelon, vectors, k, q, add, mul, neg, inv)
+        current[t] = echelon
+        ranks[t] = len(echelon)
+    return [k - ranks[p] for p in lat.perp]
 
 
-def _dot(field, u, v):
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+def _image(h, cols, q, add, mul):
+    # the vector (h . col) over the same column col of each basis codeword
+    support = [(i, c * q) for i, c in enumerate(h) if c]
+    out = []
+    for col in cols:
+        acc = 0
+        for i, f in support:
+            acc = add[acc * q + mul[f + col[i]]]
+        out.append(acc)
+    return out
+
+
+def _extend(echelon, vectors, k, q, add, mul, neg, inv):
+    """The echelon basis of W + <vectors>, W given by its echelon basis:
+    (pivot, row) pairs, each row 1 at its pivot and 0 at the pivots before
+    it.  Reducing a vector by the rows in order clears every pivot."""
+    out = list(echelon)
+    for v in vectors:
+        for p, row in out:
+            c = v[p]
+            if c:
+                f = neg[c] * q
+                v = [add[a * q + mul[f + b]] for a, b in zip(v, row)]
+        for p, c in enumerate(v):
+            if c:
+                if c != 1:
+                    f = inv[c] * q
+                    v = [mul[f + b] for b in v]
+                out.append((p, v))
+                break
+        if len(out) == k:
+            break
+    return out
 
 
 def from_restriction_dims(C: RankMetricCode, dims) -> QPolymatroid:

@@ -165,7 +165,9 @@ class SubspaceLattice:
     subspace at lattice index 1 + j (a projective point) lies in it.  A
     subspace is the span of its points, so the mask determines it and
     meet is the AND of two masks.  The lower covers of T are the meets of
-    T with the hyperplanes that do not contain it.  The lattice is
+    T with the hyperplanes that do not contain it, and perp[i], the index
+    of S_i^perp, is the meet of the hyperplanes h^perp over the RREF rows
+    h of S_i: one kernel per point, not one per subspace.  The lattice is
     modular, so the polymatroid axioms need only covers and intervals of
     length 2 (see `qpolymatroid.verify_axioms`).
 
@@ -181,7 +183,7 @@ class SubspaceLattice:
         self.subspaces = list(enumerate_subspaces(n, field))
         self.index = {S.basis: i for i, S in enumerate(self.subspaces)}
         self.dims = [S.dim for S in self.subspaces]
-        self.perp = [self.index[S.perp().basis] for S in self.subspaces]
+        self.perp = self._perps()
         self.full_index = self.index[Subspace.full(n, field).basis]
         self.zero_index = 0
         self._below = None
@@ -217,11 +219,32 @@ class SubspaceLattice:
         return masks
 
     @cached_property
+    def mask_index(self):
+        """mask_index[mask]: the index of the subspace with this point mask."""
+        return {mask: i for i, mask in enumerate(self.point_masks)}
+
+    def _perps(self):
+        # S^perp is the meet of the hyperplanes h^perp over the RREF rows h
+        # of S, and each row h is the basis of a point: one kernel per point
+        masks, index, n = self.point_masks, self.index, self.n
+        points = [S.basis[0] for S in self.subspaces if S.dim == 1]
+        hyperplane = {
+            h: masks[index[tuple(kernel_basis((h,), n, self.field))]] for h in points
+        }
+        by_mask, full = self.mask_index, (1 << len(points)) - 1
+        perp = []
+        for S in self.subspaces:
+            mask = full
+            for h in S.basis:
+                mask &= hyperplane[h]
+            perp.append(by_mask[mask])
+        return perp
+
+    @cached_property
     def covers(self):
         """covers[i]: the indices of the subspaces of dimension dim S_i - 1
         inside S_i, ascending."""
-        masks = self.point_masks
-        by_mask = {mask: i for i, mask in enumerate(masks)}
+        masks, by_mask = self.point_masks, self.mask_index
         hyperplanes = [masks[i] for i, d in enumerate(self.dims) if d == self.n - 1]
         covers = []
         for t in masks:
@@ -238,9 +261,7 @@ class SubspaceLattice:
                 f"the join, meet and containment tables of F_{self.field.q}^{self.n} "
                 f"would hold {len(self)}^2 entries each, above the table limit of {TABLE_LIMIT} subspaces"
             )
-        masks = self.point_masks
-        by_mask = {mask: i for i, mask in enumerate(masks)}
-        perp = self.perp
+        masks, by_mask, perp = self.point_masks, self.mask_index, self.perp
         meet = [[by_mask[a & b] for b in masks] for a in masks]
         join = [[perp[row[pj]] for pj in perp] for row in (meet[pi] for pi in perp)]
         below = [tuple(j for j, k in enumerate(row) if k == j) for row in meet]

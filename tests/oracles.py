@@ -7,9 +7,12 @@ multiplier.  Field arithmetic itself comes from the (separately,
 exhaustively axiom-tested) FieldContext tables.
 """
 
+from functools import lru_cache
 from itertools import product
 
+from qrank.matspace import rref_rows
 from qrank.qpolymatroid import AxiomReport
+from qrank.subspaces import enumerate_subspaces
 
 
 def span_set(vectors, field):
@@ -100,6 +103,35 @@ def oracle_rho(code, J):
         d += 1
     assert field.q**d == count
     return code.k - d
+
+
+@lru_cache(maxsize=None)
+def _perp_bases(n, field):
+    return [S.perp().basis for S in enumerate_subspaces(n, field)]
+
+
+def oracle_restriction_dims(C):
+    """dim C(S) for every subspace S in lattice order, by one row reduction
+    per S: C(S) is the kernel on C of M -> H M, where the rows h of H are
+    the RREF basis of S^perp (from `Subspace.perp`, not the lattice).  So
+    dim C(S) = k - rank of the k x m(n - dim S) matrix whose row b
+    concatenates h B_b over the rows h of H."""
+    field, n, m, k = C.field, C.n, C.m, C.k
+    dims = []
+    for H in _perp_bases(n, field):
+        rows = []
+        for B in C.space.basis:
+            row = []
+            for h in H:
+                for j in range(m):
+                    acc = 0
+                    for i in range(n):
+                        acc = field.add(acc, field.mul(h[i], B[i * m + j]))
+                    row.append(acc)
+            rows.append(row)
+        rank = len(rref_rows(rows, m * len(H), field)[0]) if H and k else 0
+        dims.append(k - rank)
+    return dims
 
 
 def oracle_axioms(P) -> AxiomReport:

@@ -1,13 +1,15 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qrank import MatrixFq, Subspace, column_space, gf_new, rref_decompose, trace_product
-from qrank.matspace import kernel, rank
+from qrank.matspace import kernel, kernel_basis, rank, rref_rows
 from qrank.errors import ShapeMismatch
 
-from oracles import oracle_rank_matrix
+from oracles import oracle_perp_set, oracle_rank_matrix, span_set
+from test_delsarte import SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -133,3 +135,29 @@ def test_column_space_of_sum_contained():
             lhs = column_space(M1 + M2)
             rhs = column_space(M1).sum(column_space(M2))
             assert rhs.contains(lhs)
+
+
+RREF_FIELDS = sorted({f for _, _, f in SHAPES}, key=lambda f: f.q)
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS, ids=[f"F{f.q}" for f in RREF_FIELDS])
+def test_rref_rows_against_span_oracles(field):
+    # seeded matrices of low rank too (repeated and combined rows), with
+    # the reduced form checked against span sets, not against the library
+    rng = random.Random(f"rref/{field.key}")
+    for _ in range(40):
+        rows_n, width = rng.randint(1, 3), rng.randint(1, 4)
+        rows = [tuple(rng.randrange(field.q) for _ in range(width)) for _ in range(rows_n)]
+        if rng.random() < 0.5:
+            c = rng.randrange(field.q)
+            rows.append(tuple(field.mul(c, v) for v in rows[0]))
+        red, pivots = rref_rows(rows, width, field)
+        assert len(red) == len(pivots) == oracle_rank_matrix(rows, field)
+        zero = [(0,) * width]
+        assert span_set(red + zero, field) == span_set(rows, field)
+        assert pivots == sorted(set(pivots))
+        for row, p in zip(red, pivots):
+            assert row[p] == 1 and not any(row[:p])
+            assert all(other[p] == 0 for other in red if other is not row)
+        kern = kernel_basis(rows, width, field)
+        assert span_set(kern + zero, field) == oracle_perp_set(rows, width, field)

@@ -14,10 +14,12 @@ from qrank import (
     rank_generating_function,
     verify_axioms,
 )
+from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import MultiPoly
 from qrank.subspaces import lattice
 
-from oracles import oracle_axioms, oracle_rgf, oracle_rho
+from oracles import oracle_axioms, oracle_restriction_dims, oracle_rgf, oracle_rho
+from test_delsarte import SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -213,3 +215,55 @@ def test_rank_table_export(e11_2x2_f2):
     assert len(lines) == 5
     table = P.rank_table()
     assert table["1,0;0,1"] == 1
+
+
+# seeded shapes beyond test_delsarte.SHAPES: F_4, F_8 and F_9 with n < m
+# and n > m, and the edge lattices of F_2^5 and F_3^4
+SWEEP_SHAPES = SHAPES + [
+    (2, 3, gf_new(2, 2)),
+    (3, 2, gf_new(2, 3)),
+    (3, 2, gf_new(3, 2)),
+    (2, 3, gf_new(3, 2)),
+    (5, 2, F2),
+    (5, 3, F2),
+    (4, 2, F3),
+    (4, 3, F3),
+]
+
+
+def _assert_sweep_matches_oracle(C):
+    for X in (C, dual_code(C)):
+        assert restriction_dims(X) == oracle_restriction_dims(X), X
+
+
+def test_restriction_sweep_matches_the_oracle_on_corpora(corpus_2x2_f2, corpus_2x2_f3, corpus_3x2_f2):
+    for C in corpus_2x2_f2 + corpus_2x2_f3 + corpus_3x2_f2:
+        _assert_sweep_matches_oracle(C)
+
+
+@pytest.mark.parametrize("n,m,field", SWEEP_SHAPES, ids=lambda v: getattr(v, "q", v))
+def test_restriction_sweep_matches_the_oracle_on_seeded_codes(n, m, field):
+    rng = random.Random(f"sweep/{n}/{m}/{field.key}")
+    for k in sorted(rng.sample(range(n * m + 1), min(6, n * m + 1))):
+        _assert_sweep_matches_oracle(random_code(n, m, field, k, rng))
+
+
+def test_restriction_sweep_calls_no_rref_rows(monkeypatch):
+    import qrank
+
+    C = random_code(4, 3, F2, 6, random.Random(5))
+    lattice(C.n, C.field)  # the lattice build may reduce rows; the sweep may not
+    calls = []
+    original = qrank.matspace.rref_rows
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in vars(qrank).values():
+        if getattr(module, "rref_rows", None) is original:
+            monkeypatch.setattr(module, "rref_rows", counted)
+    assert qrank.subspaces.rref_rows is counted
+    dims = restriction_dims(C)
+    assert calls == []
+    assert dims == oracle_restriction_dims(C)

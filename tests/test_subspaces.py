@@ -139,6 +139,32 @@ def test_covers_are_the_subspaces_one_dimension_down(n, field):
             assert A.dim == T.dim - 1 and T.contains(A)
 
 
+PERP_LATTICES = COVER_LATTICES + [(6, F2), (4, F3)]
+
+
+@pytest.mark.parametrize("n,field", PERP_LATTICES, ids=[f"F{f.q}^{n}" for n, f in PERP_LATTICES])
+def test_lattice_perp_matches_subspace_perp(n, field):
+    lat = lattice(n, field)
+    assert lat.perp == [lat.index[S.perp().basis] for S in lat.subspaces]
+
+
+@pytest.mark.parametrize("n,field", [(4, F2), (3, F3), (2, gf_new(3, 2))])
+def test_lattice_build_takes_one_kernel_per_point(n, field, monkeypatch):
+    import qrank.subspaces
+
+    calls = []
+    original = qrank.subspaces.kernel_basis
+
+    def counted(rows, width, field):
+        calls.append(tuple(rows))
+        return original(rows, width, field)
+
+    monkeypatch.setattr(qrank.subspaces, "kernel_basis", counted)
+    lat = qrank.subspaces.SubspaceLattice(n, field)
+    points = [S.basis for S in lat.subspaces if S.dim == 1]
+    assert sorted(calls) == sorted(points) and len(points) == gaussian_binomial(n, 1, field.q)
+
+
 def test_lattice_limit():
     # the limit counts the mask ANDs of the cover build, |L| * [n, 1]_q
     assert check_lattice_work(6, 2) == 2825 * 63
