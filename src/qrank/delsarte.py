@@ -16,9 +16,15 @@ unless given); restriction never enumerates.  The enumeration streams
 the q^k words in q-ary Gray-code order in constant memory: each word is
 the previous one plus a precomputed multiple of one basis row, nm reads
 of the field's addition table.  Its rank then costs an elimination on
-the min(n, m)-long side of the matrix, also by table reads.  This brute
-side never calls `rref_rows`, the lattice or the sweep's echelon code,
-so it stays an independent check of the restriction sweep.
+the min(n, m)-long side of the matrix, also by table reads.  Over F_2
+`rank_distribution` walks the same words packed, one int per word with
+bit i*m + j holding entry (i, j): a Gray step is one XOR with a packed
+basis row, and the rank reduces the n m-bit rows of the word against an
+XOR basis.  XOR is addition only in characteristic 2, and an F_2 echelon
+needs no scaling, so every other q keeps the table kernel.
+`ambient_counts` reads its count off the rank distribution of C(R).
+This brute side never calls `rref_rows`, the lattice or the sweep's
+echelon code, so it stays an independent check of the restriction sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from operator import getitem
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
-from .matspace import MatrixFq, rref_rows
+from .matspace import MatrixFq
 from .qseries import HomogeneousPoly
 from .subspaces import Subspace
 
@@ -169,6 +175,17 @@ class _Codewords:
             word = tuple(map(getitem, steps[i][c], word))
             yield word
 
+    def packed(self):
+        """The same words in the same order, over F_2 only, each as one int
+        with bit i*m + j holding entry (i, j).  Word t is word t - 1 XOR the
+        packed basis row of the lowest set bit of t."""
+        rows = [sum(b << p for p, b in enumerate(row)) for row in self.code.space.basis]
+        word = 0
+        yield word
+        for t in range(1, 1 << len(rows)):
+            word ^= rows[(t & -t).bit_length() - 1]
+            yield word
+
 
 def enumerate_codewords(C: RankMetricCode, budget: int | None = None):
     """Stream of all codewords as MatrixFq values."""
@@ -232,6 +249,29 @@ def _rank_of_entries(entries, n, m, field) -> int:
     return len(basis)
 
 
+def _rank_of_packed(word: int, n: int, m: int) -> int:
+    """Rank over F_2 of the n x m matrix whose entry (i, j) is bit i*m + j
+    of `word`.  Each row, as an m-bit int, is reduced against an XOR basis
+    in insertion order: v ^ b < v iff v holds the top bit of b, so the step
+    clears that bit, and every basis row is zero at the top bits of the rows
+    before it.  Rows past the last nonzero one are skipped.  Stops once the
+    rank reaches min(n, m)."""
+    full = min(n, m)
+    mask = (1 << m) - 1
+    basis = []
+    while word:
+        v = word & mask
+        word >>= m
+        for b in basis:
+            if v ^ b < v:
+                v ^= b
+        if v:
+            basis.append(v)
+            if len(basis) == full:
+                break
+    return len(basis)
+
+
 @dataclass(frozen=True)
 class RankDistribution:
     counts: tuple
@@ -255,8 +295,13 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistr
     """Exact counts A_i = #{M in C : rank(M) = i}, i = 0..n."""
     n, m, field = C.n, C.m, C.field
     counts = [0] * (n + 1)
-    for entries in enumerate_codeword_entries(C, budget):
-        counts[_rank_of_entries(entries, n, m, field)] += 1
+    words = enumerate_codeword_entries(C, budget)
+    if field.q == 2:
+        for word in words.packed():
+            counts[_rank_of_packed(word, n, m)] += 1
+    else:
+        for entries in words:
+            counts[_rank_of_entries(entries, n, m, field)] += 1
     return RankDistribution(tuple(counts))
 
 
@@ -266,18 +311,10 @@ def rank_weight_enumerator(C: RankMetricCode, budget: int | None = None) -> Homo
 
 
 def ambient_counts(C: RankMetricCode, R: Subspace, budget: int | None = None):
-    """(A, B): A = #{M in C : col(M) = R}, B = |C(R)| = q^{dim C(R)}."""
+    """(A, B): A = #{M in C : col(M) = R}, B = |C(R)| = q^{dim C(R)}.  Every
+    M in C(R) has col(M) inside R, so col(M) = R iff rank M = dim R."""
     CR = restrict(C, R)
-    B = C.field.q**CR.k
-    A = 0
-    target = R.basis
-    n, m, field = C.n, C.m, C.field
-    for entries in enumerate_codeword_entries(CR, budget):
-        cols = [tuple(entries[i * m + j] for i in range(n)) for j in range(m)]
-        span, _ = rref_rows(cols, n, field)
-        if tuple(span) == target:
-            A += 1
-    return A, B
+    return rank_distribution(CR, budget)[R.dim], CR.size()
 
 
 def min_rank_distance(C: RankMetricCode, budget: int | None = None):

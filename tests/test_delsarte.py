@@ -149,6 +149,31 @@ def test_rank_distribution_matches_span_oracle(corpus_2x2_f2):
     for C in corpus_2x2_f2:
         oracle = oracle_rank_distribution([M.entries for M in C.basis], 2, 2, F2)
         assert list(rank_distribution(C)) == oracle
+    # seeded F_2 codes for the packed kernel, (n, m, largest k): n = 1,
+    # m = 1, n < m, n > m and square; k = nm where the oracle can afford it
+    rng = random.Random(13)
+    for n, m, top in [(1, 1, 1), (1, 5, 5), (5, 1, 5), (2, 3, 6), (3, 2, 6),
+                      (6, 2, 8), (2, 6, 8), (5, 5, 8), (4, 5, 7)]:  # fmt: skip
+        dims = [0, top, rng.randrange(1, top + 1), rng.randrange(1, top + 1)]
+        for C in (random_code(n, m, F2, k, rng) for k in dims):
+            oracle = oracle_rank_distribution(C.space.basis, n, m, F2)
+            assert list(rank_distribution(C)) == oracle, C
+
+
+def test_ambient_counts_match_column_spaces():
+    # independent route: group the codewords of C by their column space
+    rng = random.Random(9)
+    for n, m, field in SHAPES:
+        subspaces = list(enumerate_subspaces(n, field))
+        for C in _random_codes(n, m, field, 4 if field.q == 2 else 2, rng):
+            by_span = {}
+            for w in enumerate_codewords(C):
+                key = Subspace.span([w.col(j) for j in range(m)], n, field).basis
+                by_span[key] = by_span.get(key, 0) + 1
+            for R in subspaces:
+                A, B = ambient_counts(C, R)
+                assert A == by_span.get(R.basis, 0), (C, R)
+                assert B == field.q ** restrict(C, R).k
 
 
 def test_ambient_counts_examples(full_2x2_f2, e11_2x2_f2):
@@ -315,3 +340,45 @@ def test_rank_distribution_memory_does_not_grow_with_the_code():
         tracemalloc.stop()
     assert sum(dist) == 2**16
     assert peak < 2**20, peak
+
+
+def _table_kernel_counts(C):
+    counts = [0] * (C.n + 1)
+    for entries in enumerate_codeword_entries(C):
+        counts[_rank_of_entries(entries, C.n, C.m, C.field)] += 1
+    return counts
+
+
+def test_packed_rank_distribution_matches_table_kernel(corpus_2x2_f2, corpus_3x2_f2):
+    for C in corpus_2x2_f2 + corpus_3x2_f2:
+        for code in (C, dual_code(C)):
+            assert list(rank_distribution(code)) == _table_kernel_counts(code), code
+
+
+def test_packed_walk_unpacks_to_the_tuple_view():
+    rng = random.Random(14)
+    for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
+        for k in sorted({0, 1, min(n * m, 10), rng.randrange(min(n * m, 10) + 1)}):
+            view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
+            unpacked = [tuple(w >> p & 1 for p in range(n * m)) for w in view.packed()]
+            assert unpacked == list(view), (n, m, k)
+
+
+# every order q <= 9 the fields admit, on both sides of the q = 2 split
+PROPERTY_FIELDS = [gf_new(2), gf_new(3), gf_new(2, 2), gf_new(5), gf_new(7), gf_new(2, 3), gf_new(3, 2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_FIELDS),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.data(),
+)
+def test_rank_distribution_matches_span_oracle_property(field, shape, data):
+    n, m = shape
+    q = field.q
+    # q^k <= 2^10 words, and q^(k + n) <= 2^14 keeps the oracle's row spans cheap
+    top = max(k for k in range(n * m + 1) if q**k <= 2**10 and q ** (k + n) <= 2**14)
+    k = data.draw(st.integers(0, top), label="k")
+    C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
+    assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field)
