@@ -22,7 +22,7 @@ from .delsarte import (
 )
 from .errors import BudgetExceeded, MalformedCode, QrankError
 from .gf import FieldContext
-from .identities import IDENTITY_RUNNERS
+from .identities import IDENTITY_CHECKS, CodeAnalysis, check_all
 from .qpolymatroid import from_code, rank_generating_function
 from .qseries import galois_number, gaussian_binomial
 from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subspace_count_exponent
@@ -81,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     add_code_cmd("polymatroid", "rank table of P_C over the subspace lattice")
     p = sub.add_parser("check", help="verify identities; exit 0 iff all pass")
-    p.add_argument("identity", choices=sorted(IDENTITY_RUNNERS))
+    p.add_argument("identity", choices=sorted([*IDENTITY_CHECKS, "all"]))
     p.add_argument("code")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p = sub.add_parser("random-code", help="seeded random code file")
@@ -195,7 +195,10 @@ def _run(args) -> int:
 
     if args.command == "check":
         C = _load_code(args.code)
-        reports = IDENTITY_RUNNERS[args.identity](C, budget)
+        if args.identity == "all":
+            reports = check_all(C, budget)
+        else:
+            reports = IDENTITY_CHECKS[args.identity](CodeAnalysis(C, budget))
         if args.format == "json":
             sys.stdout.write(json.dumps([r.as_dict() for r in reports]) + "\n")
         else:

@@ -7,9 +7,9 @@ are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J).  The
 lattice sweep never forms C(J): dim C(J) = k - dim W(J^perp), where
 W(T) in F_q^k is spanned, over h in T and columns j < m, by the vectors
 whose entry b is entry j of h B_b, B_b being basis codeword b.  It grows
-W by one RREF row at a time along the lattice (see
-`qpolymatroid.restriction_dims`).  The trace-product dual is the
-orthogonal complement of C in F_q^{nm}.
+W by one RREF row at a time along the lattice and returns
+rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  The trace-product
+dual is the orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given); restriction never enumerates.  The enumeration streams

@@ -40,12 +40,10 @@ class QPolymatroid:
         return self.ranks[self.lattice.full_index]
 
     def rank_table(self) -> dict:
-        return {
-            S.canonical_key(): r for S, r in zip(self.lattice.subspaces, self.ranks)
-        }
+        return dict(zip(self.lattice.keys, self.ranks))
 
     def rank_table_lines(self):
-        return [f'"{S.canonical_key()}": {r}' for S, r in zip(self.lattice.subspaces, self.ranks)]
+        return [f'"{key}": {r}' for key, r in zip(self.lattice.keys, self.ranks)]
 
     def dual(self) -> "QPolymatroid":
         """rho*(J) = rho(J^perp) + r dim J - rho(E)."""
@@ -69,14 +67,15 @@ class QPolymatroid:
         return f"QPolymatroid(n={self.n}, q={self.field.q}, r={self.r})"
 
 
-def restriction_dims(C: RankMetricCode):
-    """dim C(S) for every lattice subspace S, aligned with lattice order.
+def from_code(C: RankMetricCode) -> QPolymatroid:
+    """P_C, the (q, m)-polymatroid rho_C(T) = dim C - dim C(T^perp), from
+    one sweep of the lattice.
 
     For h in F_q^n and j < m, let v_{h,j} in F_q^k hold entry j of h B_b
     over the basis codewords B_b (as n x m matrices), and let W(T) be the
     span of the v_{h,j} over h in T.  The codeword sum_b c_b B_b lies in
     Mat(S) iff h M = 0 for every h in S^perp, iff c is orthogonal to
-    W(S^perp); so dim C(S) = k - dim W(S^perp).
+    W(S^perp); so dim C(S) = k - dim W(S^perp), and rho_C(T) = dim W(T).
 
     h -> v_{h,j} is linear, so W(T) = W(T') + <v_{h0,j} : j < m>, where h0
     is the first RREF row of T and T' is the span of the other rows: an
@@ -108,7 +107,14 @@ def restriction_dims(C: RankMetricCode):
             echelon = _extend(echelon, vectors, k, q, add, mul, neg, inv)
         current[t] = echelon
         ranks[t] = len(echelon)
-    return [k - ranks[p] for p in lat.perp]
+    return QPolymatroid(lat, m, ranks)
+
+
+def restriction_dims(C: RankMetricCode):
+    """dim C(S) = k - rho_C(S^perp) for every lattice subspace S, aligned
+    with lattice order."""
+    P = from_code(C)
+    return [C.k - P.ranks[p] for p in P.lattice.perp]
 
 
 def _image(h, cols, q, add, mul):
@@ -146,18 +152,6 @@ def _extend(echelon, vectors, k, q, add, mul, neg, inv):
     return out
 
 
-def from_restriction_dims(C: RankMetricCode, dims) -> QPolymatroid:
-    """P_C from the restriction table of C: rho(J) = dim C - dim C(J^perp);
-    r = m."""
-    lat = lattice(C.n, C.field)
-    return QPolymatroid(lat, C.m, [C.k - dims[p] for p in lat.perp])
-
-
-def from_code(C: RankMetricCode) -> QPolymatroid:
-    """P_C, from one restriction sweep of C over the lattice."""
-    return from_restriction_dims(C, restriction_dims(C))
-
-
 @dataclass
 class AxiomReport:
     violations: list = dc_field(default_factory=list)
@@ -189,23 +183,19 @@ def verify_axioms(P: QPolymatroid) -> AxiomReport:
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
-    covers = lat.covers
+    covers, keys = lat.covers, lat.keys
     report = AxiomReport()
-
-    def key(i):
-        return lat.subspaces[i].canonical_key()
-
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * dims[i]:
-            report.add("R1", key(i), f"rho={ranks[i]} not in [0, {r * dims[i]}]")
+            report.add("R1", keys[i], f"rho={ranks[i]} not in [0, {r * dims[i]}]")
     for b, lower in enumerate(covers):
         for a in lower:
             if ranks[a] > ranks[b]:
-                report.add("R2", f"{key(a)} <= {key(b)}", f"rho({key(a)})={ranks[a]} > rho({key(b)})={ranks[b]}")
+                report.add("R2", f"{keys[a]} <= {keys[b]}", f"rho({keys[a]})={ranks[a]} > rho({keys[b]})={ranks[b]}")
             if ranks[b] - ranks[a] > r:
                 report.add(
                     "rank-difference",
-                    f"{key(a)} <= {key(b)}",
+                    f"{keys[a]} <= {keys[b]}",
                     f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}",
                 )
     for y, lower in enumerate(covers):
@@ -221,7 +211,7 @@ def verify_axioms(P: QPolymatroid) -> AxiomReport:
             if ranks[x] + ranks[y] > ranks[a] + ranks[b]:
                 report.add(
                     "R3",
-                    f"{key(x)} < {key(a)}, {key(b)} < {key(y)}",
+                    f"{keys[x]} < {keys[a]}, {keys[b]} < {keys[y]}",
                     f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}",
                 )
     return report

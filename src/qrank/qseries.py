@@ -122,15 +122,13 @@ class HomogeneousPoly:
 
 class HomogeneousMPoly:
     """Homogeneous bivariate polynomial whose coefficients are functions
-    of the integer parameter m (memoized), as required by the q-product's
-    m-shift."""
+    of the integer parameter m, as required by the q-product's m-shift."""
 
-    __slots__ = ("degree", "_oracle", "_memo")
+    __slots__ = ("degree", "_oracle")
 
     def __init__(self, degree: int, oracle):
         self.degree = degree
         self._oracle = oracle
-        self._memo = {}
 
     @classmethod
     def constant(cls, coeffs) -> "HomogeneousMPoly":
@@ -138,12 +136,10 @@ class HomogeneousMPoly:
         return cls(len(coeffs) - 1, lambda m: coeffs)
 
     def at(self, m: int):
-        if m not in self._memo:
-            coeffs = tuple(self._oracle(m))
-            if len(coeffs) != self.degree + 1:
-                raise ValueError("oracle returned wrong coefficient count")
-            self._memo[m] = coeffs
-        return self._memo[m]
+        coeffs = tuple(self._oracle(m))
+        if len(coeffs) != self.degree + 1:
+            raise ValueError("oracle returned wrong coefficient count")
+        return coeffs
 
 
 def x_poly() -> HomogeneousMPoly:
@@ -178,12 +174,13 @@ def q_product(a: HomogeneousMPoly, b: HomogeneousMPoly, q: int) -> HomogeneousMP
 
     def oracle(m):
         ac = a.at(m)
+        bc = [b.at(m - i) if ac[i] else None for i in range(r + 1)]
         out = []
         for u in range(r + s + 1):
             acc = 0
             for i in range(max(0, u - s), min(r, u) + 1):
                 if ac[i]:
-                    acc += qpow(q, i * s) * ac[i] * b.at(m - i)[u - i]
+                    acc += qpow(q, i * s) * ac[i] * bc[i][u - i]
             out.append(acc)
         return tuple(out)
 

@@ -62,22 +62,9 @@ class Subspace:
         return self.perp().sum(other.perp()).perp()
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff other is a subspace of self."""
+        """True iff other is a subspace of self: adding its rows keeps the rank."""
         self._check_ambient(other)
-        for v in other.basis:
-            if not self._member(v):
-                return False
-        return True
-
-    def _member(self, vec) -> bool:
-        field = self.field
-        v = list(vec)
-        for row in self.basis:
-            pivot = next(j for j, c in enumerate(row) if c != 0)
-            c = v[pivot]
-            if c:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        return all(x == 0 for x in v)
+        return len(rref_rows(self.basis + other.basis, self.n, self.field)[0]) == self.dim
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard inner product."""
@@ -195,6 +182,11 @@ class SubspaceLattice:
 
     def index_of(self, S: Subspace) -> int:
         return self.index[S.basis]
+
+    @cached_property
+    def keys(self):
+        """keys[i]: the canonical key of S_i."""
+        return [S.canonical_key() for S in self.subspaces]
 
     @cached_property
     def point_masks(self):

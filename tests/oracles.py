@@ -140,7 +140,7 @@ def oracle_axioms(P) -> AxiomReport:
     join, meet and containment tables."""
     lat, r, ranks = P.lattice, P.r, P.ranks
     report = AxiomReport()
-    keys = [S.canonical_key() for S in lat.subspaces]
+    keys = lat.keys
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * lat.dims[i]:
             report.add("R1", keys[i], f"rho={ranks[i]} not in [0, {r * lat.dims[i]}]")

@@ -252,10 +252,10 @@ def test_non_utf8_code_file_exit_2(tmp_path, capsys):
 
 
 def test_internal_errors_are_not_reported_as_malformed_input(full_2x2_file, monkeypatch):
-    def broken(C, budget):
+    def broken(a):
         raise ValueError("internal bug")
 
-    monkeypatch.setitem(qrank.cli.IDENTITY_RUNNERS, "greene", broken)
+    monkeypatch.setitem(qrank.cli.IDENTITY_CHECKS, "greene", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["check", "greene", full_2x2_file])
 
@@ -268,9 +268,9 @@ def test_failed_check_exit_1(tmp_path, monkeypatch, capsys):
     # invalid budget is malformed input
     assert main(["--budget", "0", "check", "greene", str(path)]) == 2
     # a failing report maps to exit 1
-    from qrank.identities import IDENTITY_RUNNERS, IdentityReport
+    from qrank.identities import IDENTITY_CHECKS, IdentityReport
 
     failing = IdentityReport("synthetic", {}, "a", "b", False, "forced")
-    monkeypatch.setitem(IDENTITY_RUNNERS, "greene", lambda C, budget: [failing])
+    monkeypatch.setitem(IDENTITY_CHECKS, "greene", lambda a: [failing])
     assert main(["check", "greene", str(path)]) == 1
     assert "[FAIL]" in capsys.readouterr().out

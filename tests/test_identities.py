@@ -7,6 +7,7 @@ import qrank.identities
 from qrank import (
     CodeAnalysis,
     MatrixFq,
+    QPolymatroid,
     all_codes,
     check_all,
     code_from_generators,
@@ -122,6 +123,27 @@ def test_exact_sequence_check(full_2x2_f2, e11_2x2_f2):
     assert exact_sequence_check(CodeAnalysis(e11_2x2_f2)).passed
 
 
+def test_a_perturbed_polymatroid_of_the_dual_fails_both_checks_at_its_subspace():
+    C = list(all_codes(3, 2, F2))[1234]
+    a = CodeAnalysis(C)
+    P = a.polymatroid_of_dual
+    lat = P.lattice
+    assert dual_polymatroid_check(a).passed and exact_sequence_check(a).passed
+    for i in range(len(lat)):
+        ranks = list(P.ranks)
+        ranks[i] += 1
+        a.polymatroid_of_dual = QPolymatroid(lat, P.r, ranks)
+        report = dual_polymatroid_check(a)
+        assert not report.passed
+        assert report.witness == f'subspace "{lat.keys[i]}": {a.dual_polymatroid.ranks[i]} vs {ranks[i]}'
+        # rho_{C^perp}(S) sets dim C^perp(S^perp), so the sequence breaks at R = S^perp
+        j = lat.perp[i]
+        rhs = C.m * lat.dims[j] + C.k - a.polymatroid.ranks[j]
+        report = exact_sequence_check(a)
+        assert not report.passed
+        assert report.witness == f'subspace "{lat.keys[j]}": {rhs - 1} != {rhs}'
+
+
 def test_check_all_zero_code(zero_2x2_f2):
     reports = check_all(zero_2x2_f2)
     assert len(reports) == 8
@@ -142,18 +164,18 @@ def test_check_all_zero_code(zero_2x2_f2):
 def test_check_all_sweeps_and_enumerates_each_code_once(monkeypatch):
     C = list(all_codes(3, 2, F2))[1234]
     swept, enumerated = [], []
-    restriction_dims = qrank.identities.restriction_dims
+    from_code = qrank.identities.from_code
     enumerate_entries = qrank.delsarte.enumerate_codeword_entries
 
-    def counting_restriction_dims(code):
+    def counting_from_code(code):
         swept.append(code)
-        return restriction_dims(code)
+        return from_code(code)
 
     def counting_enumerate(code, budget=None):
         enumerated.append(code)
         return enumerate_entries(code, budget)
 
-    monkeypatch.setattr(qrank.identities, "restriction_dims", counting_restriction_dims)
+    monkeypatch.setattr(qrank.identities, "from_code", counting_from_code)
     monkeypatch.setattr(qrank.delsarte, "enumerate_codeword_entries", counting_enumerate)
     with pytest.raises(BudgetExceeded):
         check_all(C, budget=C.size() - 1)
