@@ -77,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p = sub.add_parser("restrict", help="restriction C(J) to a subspace")
     p.add_argument("code")
-    p.add_argument("subspace", help='basis rows, e.g. "1,0;0,1" ("" for zero)')
+    p.add_argument("subspace", help='basis rows, e.g. "1,0;0,1" ("0" or "" for zero)')
     p.add_argument("-o", "--output", default=None)
     add_code_cmd("polymatroid", "rank table of P_C over the subspace lattice")
     p = sub.add_parser("check", help="verify identities; exit 0 iff all pass")

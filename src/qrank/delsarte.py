@@ -126,7 +126,8 @@ def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
     if budget is None:
         budget = DEFAULT_BUDGET
     if C.size() > budget:
-        raise BudgetExceeded(f"|C| = {C.size()} exceeds budget {budget}")
+        # q^k, not its value: str() refuses an int of more than 4300 digits
+        raise BudgetExceeded(f"|C| = {C.field.q}^{C.k} exceeds budget {budget}")
     return _Codewords(C)
 
 

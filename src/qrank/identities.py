@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .delsarte import RankMetricCode, dual_code, rank_distribution
 from .errors import NonIntegralResult
@@ -20,6 +20,7 @@ from .qseries import (
     HomogeneousPoly,
     gaussian_binomial,
     moebius_coefficient,
+    p_j_coeff,
     q_power,
     q_product,
     x_minus_y,
@@ -222,40 +223,38 @@ def lattice_rank_distribution(a: CodeAnalysis):
     ]
 
 
+@lru_cache(maxsize=None)
+def _formula_kernel(q: int, m: int, n: int):
+    """K[i][j] = P_j(i; m, n), the closed-form MacWilliams coefficients."""
+    return tuple(tuple(p_j_coeff(i, j, m, n, q) for j in range(n + 1)) for i in range(n + 1))
+
+
+@lru_cache(maxsize=None)
+def _transform_kernel(q: int, m: int, n: int):
+    """K[i] = (x-y)^{[i]} * (x+(q^m-1)y)^{[n-i]} at m, by the q-product
+    engine with its m-shift."""
+    xmy, xq = x_minus_y(), x_plus_qm_minus_1_y(q)
+    return tuple(q_product(q_power(xmy, i, q), q_power(xq, n - i, q), q).at(m) for i in range(n + 1))
+
+
+def _macwilliams(C: RankMetricCode, A, K) -> HomogeneousPoly:
+    """(1/|C|) A K, asserted integral: row i of K expands rank i."""
+    W = [sum(a * row[j] for a, row in zip(A, K)) for j in range(C.n + 1)]
+    return HomogeneousPoly(C.n, [Fraction(w, C.size()) for w in W]).integral()
+
+
 def macwilliams_dual_enumerator(a: CodeAnalysis) -> HomogeneousPoly:
-    """W_{C^perp}^R by the closed-form coefficient kernel, without any
-    enumeration of the dual code."""
+    """W_{C^perp}^R by the closed-form kernel P_j applied to the rank
+    distribution read off P_C, without any enumeration of the dual code."""
     C = a.code
-    q, m, n = C.field.q, C.m, C.n
-    W = [0] * (n + 1)
-    for ds, A in enumerate(lattice_rank_distribution(a)):
-        if A == 0:
-            continue
-        for j in range(n + 1):
-            acc = 0
-            for l in range(j + 1):
-                g = gaussian_binomial(n - ds, j - l, q) * gaussian_binomial(n - j + l, l, q)
-                if g:
-                    acc += g * (-1) ** l * q ** (l * (l - 1) // 2) * q ** (m * (j - l))
-            W[j] += A * acc
-    return HomogeneousPoly(n, [Fraction(w, C.size()) for w in W]).integral()
+    return _macwilliams(C, lattice_rank_distribution(a), _formula_kernel(C.field.q, C.m, C.n))
 
 
 def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:
-    """(1/|C|) sum_i A_i (x-y)^{[i]} * (x+(q^m-1)y)^{[n-i]} via the
-    q-product engine with its m-shift."""
+    """(1/|C|) sum_i A_i (x-y)^{[i]} * (x+(q^m-1)y)^{[n-i]} on the
+    brute-force rank distribution of C."""
     C = a.code
-    q, m, n = C.field.q, C.m, C.n
-    coeffs = [Fraction(0)] * (n + 1)
-    xmy, xq = x_minus_y(), x_plus_qm_minus_1_y(q)
-    for i, Ai in enumerate(a.distribution):
-        if Ai == 0:
-            continue
-        piece = q_product(q_power(xmy, i, q), q_power(xq, n - i, q), q).at(m)
-        for u in range(n + 1):
-            coeffs[u] += Ai * piece[u]
-    size = Fraction(C.size())
-    return HomogeneousPoly(n, [c / size for c in coeffs]).integral()
+    return _macwilliams(C, a.distribution, _transform_kernel(C.field.q, C.m, C.n))
 
 
 def macwilliams_checks(a: CodeAnalysis):

@@ -50,16 +50,23 @@ def moebius_coefficient(k: int, q: int) -> int:
     return (-1) ** k * q ** (k * (k - 1) // 2)
 
 
-def _join_signed(terms):
-    if not terms:
-        return "0"
+def _poly_str(terms) -> str:
+    """Signed text of (coefficient, ((variable, exponent), ...)) terms:
+    zero terms and zero exponents drop out, a unit coefficient shows only
+    on a constant, and an exponent shows only above 1 or below 0."""
     out = []
-    for idx, (negative, body) in enumerate(terms):
-        if idx == 0:
-            out.append(f"-{body}" if negative else body)
+    for c, powers in terms:
+        if c == 0:
+            continue
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in powers if e != 0]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if out:
+            out.append(f"- {body}" if c < 0 else f"+ {body}")
         else:
-            out.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(out)
+            out.append(f"-{body}" if c < 0 else body)
+    return " ".join(out) or "0"
 
 
 def _as_int(v):
@@ -101,20 +108,8 @@ class HomogeneousPoly:
         return hash((self.degree, self.coeffs))
 
     def __str__(self):
-        terms = []
         r = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts = []
-            if abs(c) != 1 or (r - i == 0 and i == 0):
-                parts.append(str(abs(c)))
-            if r - i > 0:
-                parts.append("x" if r - i == 1 else f"x^{r - i}")
-            if i > 0:
-                parts.append("y" if i == 1 else f"y^{i}")
-            terms.append((c < 0, "*".join(parts)))
-        return _join_signed(terms)
+        return _poly_str((c, (("x", r - i), ("y", i))) for i, c in enumerate(self.coeffs))
 
     def __repr__(self):
         return f"HomogeneousPoly({self})"
@@ -164,10 +159,6 @@ def x_plus_qm_minus_1_y(q: int) -> HomogeneousMPoly:
     return HomogeneousMPoly(1, lambda m: (1, qpow(q, m) - 1))
 
 
-def one_mpoly() -> HomogeneousMPoly:
-    return HomogeneousMPoly.constant((1,))
-
-
 def q_product(a: HomogeneousMPoly, b: HomogeneousMPoly, q: int) -> HomogeneousMPoly:
     """Non-commutative q-product: c_u(m) = sum_i q^{is} a_i(m) b_{u-i}(m-i)."""
     r, s = a.degree, b.degree
@@ -191,7 +182,7 @@ def q_power(a: HomogeneousMPoly, n: int, q: int) -> HomogeneousMPoly:
     """a^{[n]}: a^{[0]} = 1, a^{[n]} = a^{[n-1]} * a."""
     if n < 0:
         raise NegativeExponent("q-power exponent must be >= 0")
-    acc = one_mpoly()
+    acc = HomogeneousMPoly.constant((1,))
     for _ in range(n):
         acc = q_product(acc, a, q)
     return acc
@@ -219,8 +210,9 @@ def p_j_coeff(i: int, j: int, m: int, n: int, q: int) -> int:
     """P_j(i; m, n) from the rank-metric MacWilliams expansion:
     the coefficient of y^j x^{n-j} in (x-y)^{[i]} * (x+(q^m-1)y)^{[n-i]}.
 
-    The Gaussian factor is [i choose l]_q (resolved empirically against
-    the q-product expansion; see the identity tests).
+    The Gaussian factor is [i choose l]_q; `tests/test_qseries.py` pins
+    it to the q-product expansion (`test_p_j_matches_q_product_expansion`)
+    and to the dual-enumerator sum (`test_p_j_matches_dual_enumerator_kernel`).
     """
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError("require 0 <= i, j <= n")
@@ -309,18 +301,7 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            if abs(c) != 1 or all(e == 0 for e in exps):
-                factors.append(str(abs(c)))
-            for name, e in zip(self.VARS, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            parts.append((c < 0, "*".join(factors)))
-        return _join_signed(parts)
+        return _poly_str((c, tuple(zip(self.VARS, exps))) for exps, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -68,8 +68,6 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard inner product."""
-        if self.dim == 0:
-            return Subspace.full(self.n, self.field)
         return Subspace(self.field, self.n, kernel_basis(self.basis, self.n, self.field))
 
     def canonical_key(self) -> str:
@@ -77,7 +75,7 @@ class Subspace:
 
     @classmethod
     def from_key(cls, text: str, n: int, field: FieldContext) -> "Subspace":
-        if not text:
+        if text in ("", "0"):  # `qrank lattice` lists the zero subspace as "0"
             return cls.zero(n, field)
         try:
             rows = [[int(v) for v in part.split(",")] for part in text.split(";")]

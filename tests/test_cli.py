@@ -5,6 +5,7 @@ import pytest
 
 import qrank.cli
 import qrank.delsarte
+from qrank import Subspace, enumerate_subspaces, gf_new
 from qrank.cli import main
 from qrank.qseries import galois_number
 
@@ -96,6 +97,21 @@ def test_restrict_subcommand(full_2x2_file, capsys):
     assert main(["restrict", full_2x2_file, "1,0"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["generators"]) == 2
+    # the zero subspace, as `qrank lattice` prints it and as the empty key
+    assert main(["restrict", full_2x2_file, "0"]) == 0
+    zero = capsys.readouterr().out
+    assert json.loads(zero)["generators"] == []
+    assert main(["restrict", full_2x2_file, ""]) == 0
+    assert capsys.readouterr().out == zero
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2)])
+def test_lattice_listing_keys_parse_back(q, n, capsys):
+    assert main(["lattice", "--q", str(q), "--n", str(n)]) == 0
+    F = gf_new(q)
+    keys = capsys.readouterr().out.splitlines()
+    assert keys[0] == "0"
+    assert [Subspace.from_key(key, n, F) for key in keys] == list(enumerate_subspaces(n, F))
 
 
 def test_polymatroid_export(full_2x2_file, capsys):
@@ -221,6 +237,16 @@ def test_lattice_count_too_long_to_print_exit_2(capsys):
         assert main(["lattice", "--q", "2", "--n", str(n), "--count-only"]) in (0, 2)
         out, err = capsys.readouterr()
         assert "Traceback" not in err and (out or err)
+
+
+def test_codeword_budget_refusal_names_q_to_the_k_exit_2(tmp_path, capsys):
+    # |C^perp| = 251^1799 has more digits than str() of an int may print
+    generator = [[0] * 900 for _ in range(2)]
+    generator[0][0] = 1
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 251}, "n": 2, "m": 900, "generators": [generator]}))
+    err = _assert_error_exit_2(["check", "macwilliams", str(path)], capsys)
+    assert "|C| = 251^1799 exceeds budget 16777216" in err
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])

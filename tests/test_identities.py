@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qrank.delsarte
 import qrank.identities
+import qrank.qseries
 from qrank import (
     CodeAnalysis,
     MatrixFq,
@@ -29,7 +31,7 @@ from qrank.errors import BudgetExceeded
 from qrank.identities import _poly_report, greene_rhs, lattice_rank_distribution, macwilliams_checks
 from qrank.qseries import MultiPoly, g_poly, gaussian_binomial
 
-from test_delsarte import SHAPES
+from test_delsarte import PROPERTY_FIELDS, SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -116,6 +118,56 @@ def test_macwilliams_three_way_sample(corpus_2x2_f3):
         brute = rank_weight_enumerator(dual_code(C))
         assert macwilliams_dual_enumerator(CodeAnalysis(C)) == brute
         assert macwilliams_transform(CodeAnalysis(C)) == brute
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_FIELDS),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.data(),
+)
+def test_macwilliams_routes_match_dual_enumeration_property(field, shape, data):
+    n, m = shape
+    q = field.q
+    # both C and C^perp are enumerated: at most 2^10 words each
+    dims = [k for k in range(n * m + 1) if max(q**k, q ** (n * m - k)) <= 2**10]
+    k = data.draw(st.sampled_from(dims), label="k")
+    C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
+    brute = rank_weight_enumerator(dual_code(C))
+    assert macwilliams_dual_enumerator(CodeAnalysis(C)) == brute
+    assert macwilliams_transform(CodeAnalysis(C)) == brute
+
+
+def test_macwilliams_kernels_are_built_once_per_shape_and_stay_apart(monkeypatch):
+    qrank.identities._formula_kernel.cache_clear()
+    qrank.identities._transform_kernel.cache_clear()
+    products, p_js = [], []
+    q_product, p_j_coeff = qrank.qseries.q_product, qrank.identities.p_j_coeff
+
+    def counting_q_product(a, b, q):
+        products.append(q)
+        return q_product(a, b, q)
+
+    def counting_p_j_coeff(*args):
+        p_js.append(args)
+        return p_j_coeff(*args)
+
+    monkeypatch.setattr(qrank.qseries, "q_product", counting_q_product)
+    monkeypatch.setattr(qrank.identities, "q_product", counting_q_product)
+    monkeypatch.setattr(qrank.identities, "p_j_coeff", counting_p_j_coeff)
+    rng = random.Random(5)
+    C, D = random_code(2, 3, F3, 2, rng), random_code(2, 3, F3, 4, rng)
+    a = CodeAnalysis(C)
+    macwilliams_dual_enumerator(a)
+    assert products == [] and len(p_js) == 9  # the formula route: P_j only
+    p_js.clear()
+    macwilliams_transform(a)
+    assert products and p_js == []  # the transform route: q-products only
+    assert "dual_distribution" not in vars(a)  # neither route enumerates C^perp
+    assert all(r.passed for r in macwilliams_checks(a))
+    products.clear()
+    assert all(r.passed for r in macwilliams_checks(CodeAnalysis(D)))
+    assert products == [] and p_js == []  # same shape: both kernels are cached
 
 
 def test_exact_sequence_check(full_2x2_f2, e11_2x2_f2):
