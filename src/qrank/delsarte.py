@@ -119,15 +119,24 @@ def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
     return RankMetricCode(Subspace.span([M.entries for M in mats], n * m, field), n, m)
 
 
+def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bool = False):
+    """Refuse with BudgetExceeded the enumeration of C (of C^perp, of
+    dimension nm - k, if `dual`) when its q^k words are above the budget,
+    before C^perp is solved.  q^k >= 2^k is above the budget once k
+    reaches the budget's bit length, so q^k is formed only below it."""
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    q, k = C.field.q, C.n * C.m - C.k if dual else C.k
+    if k >= budget.bit_length() or q**k > budget:
+        # q^k, not its value: str() refuses an int of more than 4300 digits
+        raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {q}^{k} exceeds budget {budget}")
+
+
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
     """All q^k codewords as row-major entry tuples, each exactly once, as a
     sized view that streams them in q-ary Gray-code order; BudgetExceeded
     at call time if q^k is above the budget."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    if C.size() > budget:
-        # q^k, not its value: str() refuses an int of more than 4300 digits
-        raise BudgetExceeded(f"|C| = {C.field.q}^{C.k} exceeds budget {budget}")
+    check_codeword_budget(C, budget)
     return _Codewords(C)
 
 

@@ -4,8 +4,9 @@ Elements are encoded as integers in [0, q): the coefficient vector
 (c_0, ..., c_{e-1}) of the residue polynomial, packed in base p with c_0
 least significant.  Fields are refused above q = FIELD_LIMIT, so full
 add/mul/inv tables are always precomputed at context creation, since
-enumeration workloads dominate everything downstream.  Extension fields
-take their multiplication table from the log/antilog pair of a
+enumeration workloads dominate everything downstream.  Every field,
+F_p included as the case e = 1, comes from one builder: addition digit
+by digit in base p, and multiplication from the log/antilog pair of a
 primitive element, so building F_256 takes a few hundred polynomial
 products instead of q^2 = 65536.
 """
@@ -57,8 +58,6 @@ def _poly_trim(a):
 
 def _poly_mulmod_p(a, b, p):
     # plain polynomial product over F_p, coefficient lists constant-first
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -68,29 +67,20 @@ def _poly_mulmod_p(a, b, p):
 
 
 def _poly_rem(a, b, p):
-    # remainder of a mod b over F_p; b monic-led after normalization
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    while len(a) - 1 >= db and _poly_trim(a):
-        a = _poly_trim(a)
-        if len(a) - 1 < db:
-            break
-        factor = (a[-1] * inv_lb) % p
-        shift = len(a) - 1 - db
+    # remainder of a mod the monic b over F_p
+    a = _poly_trim(list(a))
+    db = len(b) - 1
+    while len(a) - 1 >= db:
+        factor, shift = a[-1], len(a) - 1 - db
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - factor * bi) % p
         a = _poly_trim(a)
-    return _poly_trim(a)
+    return a
 
 
 def _is_irreducible(poly, p: int) -> bool:
-    poly = _poly_trim(list(poly))
+    # poly is monic of degree >= 2
     deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
     if poly[0] == 0:  # divisible by x
         return False
     # trial division by every monic polynomial of degree 1 .. deg//2
@@ -143,15 +133,9 @@ class FieldContext:
         self._build_tables()
 
     def _build_tables(self):
-        # F_p by integer arithmetic; F_{p^e} adds digit by digit and
-        # multiplies through the log/antilog pair of a primitive element
+        # add digit by digit; multiply through the log/antilog pair of a
+        # primitive element
         p, q = self.p, self.q
-        if self.e == 1:
-            self._add = tuple((a + b) % p for a in range(q) for b in range(q))
-            self._mul = tuple((a * b) % p for a in range(q) for b in range(q))
-            self._neg = tuple((-a) % p for a in range(q))
-            self._inv = (0,) + tuple(pow(a, p - 2, p) for a in range(1, q))
-            return
         add, size = [0], 1
         for _ in range(self.e):
             # prepend one low base-p digit: a = a0 + p a1, b = b0 + p b1
@@ -178,10 +162,10 @@ class FieldContext:
 
     def _primitive_powers(self):
         # g^0, ..., g^(q-2) for the smallest primitive g, by polynomial
-        # products mod the modulus; one exists because the modulus is
-        # irreducible, but x itself need not be primitive
-        p, e, modulus = self.p, self.e, list(self.modulus)
-        for g in range(2, self.q):
+        # products mod the modulus (mod x for F_p); one exists because the
+        # modulus is irreducible, but x itself need not be primitive
+        p, e, modulus = self.p, self.e, list(self.modulus or (0, 1))
+        for g in range(1, self.q):
             gen = _digits(g, p, e)
             powers, x = [1], [1]
             while True:

@@ -156,8 +156,9 @@ class SubspaceLattice:
     modular, so the polymatroid axioms need only covers and intervals of
     length 2 (see `qpolymatroid.verify_axioms`).
 
-    The |L|^2 join, meet and containment tables are built from the same
-    masks, lazily, for lattices of at most TABLE_LIMIT subspaces.  No check
+    The |L|^2 join, meet and containment tables are one cached build from
+    the same masks, on first read of any of them, for lattices of at most
+    TABLE_LIMIT subspaces.  No check
     reads them; the test suite's exhaustive axiom oracle does.
     """
 
@@ -169,11 +170,8 @@ class SubspaceLattice:
         self.index = {S.basis: i for i, S in enumerate(self.subspaces)}
         self.dims = [S.dim for S in self.subspaces]
         self.perp = self._perps()
-        self.full_index = self.index[Subspace.full(n, field).basis]
+        self.full_index = len(self) - 1  # enumeration ends with F_q^n
         self.zero_index = 0
-        self._below = None
-        self._join = None
-        self._meet = None
 
     def __len__(self):
         return len(self.subspaces)
@@ -213,15 +211,19 @@ class SubspaceLattice:
         """mask_index[mask]: the index of the subspace with this point mask."""
         return {mask: i for i, mask in enumerate(self.point_masks)}
 
-    def _perps(self):
-        # S^perp is the meet of the hyperplanes h^perp over the RREF rows h
-        # of S, and each row h is the basis of a point: one kernel per point
+    @cached_property
+    def _hyperplane_masks(self):
+        # the point mask of h^perp for every point h (its RREF row): one
+        # kernel per point, and every hyperplane is one of these
         masks, index, n = self.point_masks, self.index, self.n
         points = [S.basis[0] for S in self.subspaces if S.dim == 1]
-        hyperplane = {
-            h: masks[index[tuple(kernel_basis((h,), n, self.field))]] for h in points
-        }
-        by_mask, full = self.mask_index, (1 << len(points)) - 1
+        return {h: masks[index[tuple(kernel_basis((h,), n, self.field))]] for h in points}
+
+    def _perps(self):
+        # S^perp is the meet of the hyperplanes h^perp over the RREF rows h
+        # of S, and each row h is the basis of a point
+        hyperplane, by_mask = self._hyperplane_masks, self.mask_index
+        full = (1 << len(hyperplane)) - 1
         perp = []
         for S in self.subspaces:
             mask = full
@@ -234,16 +236,16 @@ class SubspaceLattice:
     def covers(self):
         """covers[i]: the indices of the subspaces of dimension dim S_i - 1
         inside S_i, ascending."""
-        masks, by_mask = self.point_masks, self.mask_index
-        hyperplanes = [masks[i] for i, d in enumerate(self.dims) if d == self.n - 1]
+        by_mask, hyperplanes = self.mask_index, self._hyperplane_masks.values()
         covers = []
-        for t in masks:
+        for t in self.point_masks:
             meets = {t & w for w in hyperplanes}
             meets.discard(t)
             covers.append(tuple(sorted(by_mask[a] for a in meets)))
         return covers
 
-    def _build_tables(self):
+    @cached_property
+    def _tables(self):
         # A ^ B is the subspace whose point set is the AND of theirs;
         # A + B = (A^perp ^ B^perp)^perp, and B <= A iff A ^ B = B
         if len(self) > TABLE_LIMIT:
@@ -255,26 +257,20 @@ class SubspaceLattice:
         meet = [[by_mask[a & b] for b in masks] for a in masks]
         join = [[perp[row[pj]] for pj in perp] for row in (meet[pi] for pi in perp)]
         below = [tuple(j for j, k in enumerate(row) if k == j) for row in meet]
-        self._join, self._meet, self._below = join, meet, below
+        return below, join, meet
 
     @property
     def below(self):
         """below[i] = tuple of indices j with S_j a subspace of S_i."""
-        if self._below is None:
-            self._build_tables()
-        return self._below
+        return self._tables[0]
 
     @property
     def join(self):
-        if self._join is None:
-            self._build_tables()
-        return self._join
+        return self._tables[1]
 
     @property
     def meet(self):
-        if self._meet is None:
-            self._build_tables()
-        return self._meet
+        return self._tables[2]
 
 
 # the cover build ANDs each of the |L| point masks with each of the
@@ -288,7 +284,10 @@ TABLE_LIMIT = 3000
 def subspace_count_exponent(n: int, dim: int | None = None) -> int:
     """e with at least q^e subspaces of F_q^n (of dimension `dim`, if
     given), more than 2^e when e > 0: [n, d]_q > q^(d(n-d)) for 0 < d < n,
-    and the whole lattice holds its middle dimension."""
+    and the whole lattice holds its middle dimension.  InvalidValue for
+    n < 0."""
+    if n < 0:
+        raise InvalidValue(f"the ambient dimension n must be >= 0, got {n}")
     d = n // 2 if dim is None else dim
     return d * (n - d) if 0 < d < n else 0
 

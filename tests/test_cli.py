@@ -5,6 +5,7 @@ import pytest
 
 import qrank.cli
 import qrank.delsarte
+import qrank.identities
 from qrank import Subspace, enumerate_subspaces, gf_new
 from qrank.cli import main
 from qrank.qseries import galois_number
@@ -246,7 +247,45 @@ def test_codeword_budget_refusal_names_q_to_the_k_exit_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"field": {"q": 251}, "n": 2, "m": 900, "generators": [generator]}))
     err = _assert_error_exit_2(["check", "macwilliams", str(path)], capsys)
-    assert "|C| = 251^1799 exceeds budget 16777216" in err
+    assert "|C^perp| = 251^1799 exceeds budget 16777216" in err
+
+
+@pytest.fixture
+def sparse_f2_file(tmp_path):
+    # one generator in Mat(2x1000, F_2): C^perp has 2^1999 words
+    generator = [[0] * 1000 for _ in range(2)]
+    generator[0][0] = 1
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 2, "m": 1000, "generators": [generator]}))
+    return str(path)
+
+
+@pytest.fixture
+def dense_f251_file(tmp_path):
+    path = str(tmp_path / "dense.json")
+    assert main(["random-code", "--q", "251", "--n", "2", "--m", "900", "--dim", "1", "--seed", "1", "-o", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("identity", ["all", "macwilliams"])
+@pytest.mark.parametrize(
+    "code,size", [("sparse_f2_file", "2^1999"), ("dense_f251_file", "251^1799")], ids=["sparse-f2", "dense-f251"]
+)
+def test_dual_enumeration_refused_before_the_dual_is_solved(identity, code, size, request, monkeypatch, capsys):
+    path = request.getfixturevalue(code)
+    solved = []
+    monkeypatch.setattr(qrank.identities, "dual_code", lambda C: solved.append(C))
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["check", identity, path], capsys)
+    assert time.perf_counter() - start < 1
+    assert f"|C^perp| = {size} exceeds budget 16777216" in err
+    assert solved == []
+
+
+@pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])
+def test_lattice_negative_dimension_exit_2(count_only, capsys):
+    assert main(["lattice", "--q", "2", "--n", "-1", *count_only]) == 2
+    assert capsys.readouterr() == ("", "qrank: error: the ambient dimension n must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])

@@ -104,6 +104,21 @@ def test_extension_tables_match_polynomial_reference(p, e, modulus):
             assert _undigits(_poly_mul_mod(da, elements[F.inv(a)], mod, p), p) == 1
 
 
+def test_prime_field_tables_are_integer_arithmetic_mod_p():
+    # F_p comes from the log/antilog builder as the case e = 1; integer
+    # arithmetic mod p is its reference
+    primes = [p for p in range(2, FIELD_LIMIT + 1) if all(p % d for d in range(2, p))]
+    assert len(primes) == 54
+    for p in primes:
+        F = gf_new(p)
+        assert F.modulus is None and F.key == (p, 1, None)
+        add, mul, neg, inv = F.tables
+        assert add == tuple((a + b) % p for a in range(p) for b in range(p))
+        assert mul == tuple(a * b % p for a in range(p) for b in range(p))
+        assert neg == tuple(-a % p for a in range(p))
+        assert inv == (0,) + tuple(pow(a, p - 2, p) for a in range(1, p))
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
 def test_frobenius_exhaustive(p, e):
     F = gf_new(p, e)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,8 @@ from qrank import (
     rank_weight_enumerator,
     rgf_duality_check,
 )
-from qrank.errors import BudgetExceeded
-from qrank.identities import _poly_report, greene_rhs, lattice_rank_distribution, macwilliams_checks
+from qrank.errors import BudgetExceeded, NonIntegralResult
+from qrank.identities import IDENTITY_CHECKS, _poly_report, greene_rhs, lattice_rank_distribution, macwilliams_checks
 from qrank.qseries import MultiPoly, g_poly, gaussian_binomial
 
 from test_delsarte import PROPERTY_FIELDS, SHAPES
@@ -194,6 +195,72 @@ def test_a_perturbed_polymatroid_of_the_dual_fails_both_checks_at_its_subspace()
         report = exact_sequence_check(a)
         assert not report.passed
         assert report.witness == f'subspace "{lat.keys[j]}": {rhs - 1} != {rhs}'
+
+
+def _with_rank(C, i, delta):
+    """An analysis of C whose cached P_C has rho(S_i) raised by delta."""
+    a = CodeAnalysis(C)
+    P = a.polymatroid
+    ranks = list(P.ranks)
+    ranks[i] += delta
+    a.polymatroid = QPolymatroid(P.lattice, P.r, ranks)
+    return a
+
+
+FULL_2X2_PARAMS = "{'q': 2, 'n': 2, 'm': 2, 'k': 4}"
+
+
+def test_greene_reports_a_top_rank_off_by_one_as_a_residual_z_exponent(full_2x2_f2):
+    # rho(E) = k + 1 = 5: the zero subspace's term X1^5 has z-exponent
+    # 5 + (mn - k) = 5, not a multiple of m = 2
+    a = _with_rank(full_2x2_f2, -1, 1)
+    witness = "residual z-exponent 5 in Greene assembly (term (5, 0, 0, 0))"
+    with pytest.raises(NonIntegralResult, match=re.escape(witness)):
+        greene_rhs(a)
+    assert str(greene_check(a)) == (
+        f"[FAIL] greene {FULL_2X2_PARAMS}\n  lhs: x^2 + 9*x*y + 6*y^2\n  rhs: -\n  witness: {witness}"
+    )
+
+
+def test_greene_reports_a_top_rank_off_by_m_as_non_homogeneous(full_2x2_f2):
+    # rho(E) = k + m: every z-exponent grows by m, so every y-degree by 1
+    a = _with_rank(full_2x2_f2, -1, 2)
+    witness = "non-homogeneous Greene term x^0 y^3"
+    with pytest.raises(NonIntegralResult, match=re.escape(witness)):
+        greene_rhs(a)
+    report = greene_check(a)
+    assert (report.passed, report.rhs, report.witness) == (False, "-", witness)
+
+
+def test_an_interior_rank_off_by_one_fails_greene_at_a_coefficient_and_the_axioms(full_2x2_f2):
+    a = _with_rank(full_2x2_f2, 1, 1)  # rho(<(0, 1)>) = 3 > m dim = 2
+    assert a.polymatroid.lattice.keys[1] == "0,1"
+    report = greene_check(a)
+    assert (report.lhs, report.rhs) == ("x^2 + 9*x*y + 6*y^2", "x^2 + 7*x*y + 8*y^2")
+    assert report.witness == "coefficient of x^1*y^1: lhs 9, rhs 7"
+    assert rgf_duality_check(a).passed
+    primal, dual = IDENTITY_CHECKS["axioms"](a)
+    assert str(primal) == (
+        f"[FAIL] axioms-primal {FULL_2X2_PARAMS}\n  lhs: axioms\n"
+        "  rhs: R1 violated at 0,1: rho=3 not in [0, 2]\n"
+        "rank-difference violated at  <= 0,1: rho gap 3 exceeds r*dim gap 2\n"
+        "  witness: ('R1', '0,1', 'rho=3 not in [0, 2]')"
+    )
+    assert dual.witness == "('R2', '1,0 <= 1,0;0,1', 'rho(1,0)=1 > rho(1,0;0,1)=0')"
+
+
+def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f2):
+    a = _with_rank(full_2x2_f2, 0, 1)
+    report = rgf_duality_check(a)
+    assert not report.passed
+    assert report.witness == "exponents (-1, 3, 0, 2): coefficient differs by -2"
+    primal, _ = IDENTITY_CHECKS["axioms"](a)
+    assert not primal.passed
+    assert primal.rhs == (
+        "R1 violated at : rho=1 not in [0, 0]\n"
+        "R3 violated at  < 0,1, 1,0 < 1,0;0,1: rho(X)+rho(Y)=5 > rho(A)+rho(B)=4"
+    )
+    assert primal.witness == "('R1', '', 'rho=1 not in [0, 0]')"
 
 
 def test_check_all_zero_code(zero_2x2_f2):

@@ -13,13 +13,14 @@ from qrank import (
     lattice,
     orthogonal_complement,
 )
-from qrank.errors import AmbientMismatch, BudgetExceeded, LengthMismatch
+from qrank.errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
 from qrank.subspaces import (
     LATTICE_LIMIT,
     TABLE_LIMIT,
     _rref_bases_with_pivots,
     check_lattice_work,
     check_subspace_count,
+    subspace_count_exponent,
 )
 
 from test_delsarte import SHAPES
@@ -186,6 +187,17 @@ def test_lattice_limit():
     with pytest.raises(BudgetExceeded, match="more than 2"):
         lattice(10**6, F2)
     assert time.perf_counter() - start < 1
+
+
+def test_negative_ambient_dimension_is_invalid():
+    for call in (
+        lambda: subspace_count_exponent(-1),
+        lambda: check_subspace_count(-1, 2, 2**24, "the budget"),
+        lambda: lattice(-1, F2),
+    ):
+        with pytest.raises(InvalidValue, match="the ambient dimension n must be >= 0, got -1"):
+            call()
+    assert len(lattice(0, F2)) == 1
 
 
 def test_lattice_tables_refused_above_the_table_limit():
