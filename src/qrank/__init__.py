@@ -46,7 +46,6 @@ from .qseries import (
     q_transform,
 )
 from .delsarte import (
-    RankDistribution,
     RankMetricCode,
     all_codes,
     ambient_counts,
@@ -60,7 +59,6 @@ from .delsarte import (
     restrict,
 )
 from .qpolymatroid import (
-    AxiomReport,
     QPolymatroid,
     from_code,
     rank_generating_function,

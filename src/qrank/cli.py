@@ -24,8 +24,10 @@ from .errors import BudgetExceeded, MalformedCode, QrankError
 from .gf import FieldContext
 from .identities import IDENTITY_CHECKS, CodeAnalysis, check_all
 from .qpolymatroid import from_code, rank_generating_function
-from .qseries import galois_number, gaussian_binomial
-from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subspace_count_exponent
+from .qseries import HomogeneousPoly, galois_number, gaussian_binomial
+from .subspaces import (
+    Subspace, check_subspace_count, enumerate_subspaces, size_text, subspace_count_exponent
+)
 
 
 def _load_code(path: str) -> RankMetricCode:
@@ -142,7 +144,8 @@ def _check_listing_entries(n: int, q: int, dim: int | None):
     if entries > LISTING_LIMIT:
         of_dim = "" if dim is None else f" of dimension {dim}"
         raise BudgetExceeded(
-            f"the listing of the subspaces of F_{q}^{n}{of_dim} writes {entries} key entries, "
+            f"the listing of the subspaces of F_{q}^{n}{of_dim} writes "
+            f"{size_text(entries, subspace_count_exponent(n, dim))} key entries, "
             f"above the listing limit of {LISTING_LIMIT}"
         )
 
@@ -154,13 +157,13 @@ def _run(args) -> int:
 
     if args.command == "wd":
         C = _load_code(args.code)
-        dist = rank_distribution(C, budget)
-        enum = dist.enumerator()
-        obj = {"rank_distribution": list(dist), "enumerator": str(enum)}
+        dist = list(rank_distribution(C, budget))
+        enum = HomogeneousPoly(C.n, dist)
+        obj = {"rank_distribution": dist, "enumerator": str(enum)}
         if args.format == "json":
             _emit(json.dumps(obj) + "\n", args.output)
         else:
-            _emit(f"rank distribution: {list(dist)}\nenumerator: {enum}\n", args.output)
+            _emit(f"rank distribution: {dist}\nenumerator: {enum}\n", args.output)
         return 0
 
     if args.command == "rgf":

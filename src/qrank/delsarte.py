@@ -12,7 +12,9 @@ rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  The trace-product
 dual is the orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
-unless given); restriction never enumerates.  The enumeration streams
+unless given); restriction never enumerates.  A rank distribution is the
+plain tuple (A_0, ..., A_n), and the rank weight enumerator is the
+`HomogeneousPoly` with those coefficients.  The enumeration streams
 the q^k words in q-ary Gray-code order in constant memory: each word is
 the previous one plus a precomputed multiple of one basis row, nm reads
 of the field's addition table.  Its rank then costs an elimination on
@@ -282,27 +284,8 @@ def _rank_of_packed(word: int, n: int, m: int) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class RankDistribution:
-    counts: tuple
-
-    def __post_init__(self):
-        if self.counts[0] != 1:
-            raise ValueError("A_0 must be 1")
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __getitem__(self, i):
-        return self.counts[i]
-
-    def enumerator(self) -> HomogeneousPoly:
-        """W^R(x, y) = sum_i A_i x^{n-i} y^i, homogeneous of degree n."""
-        return HomogeneousPoly(len(self.counts) - 1, self.counts)
-
-
-def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistribution:
-    """Exact counts A_i = #{M in C : rank(M) = i}, i = 0..n."""
+def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
+    """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}."""
     n, m, field = C.n, C.m, C.field
     counts = [0] * (n + 1)
     words = enumerate_codeword_entries(C, budget)
@@ -312,12 +295,12 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> RankDistr
     else:
         for entries in words:
             counts[_rank_of_entries(entries, n, m, field)] += 1
-    return RankDistribution(tuple(counts))
+    return tuple(counts)
 
 
 def rank_weight_enumerator(C: RankMetricCode, budget: int | None = None) -> HomogeneousPoly:
     """W_C^R(x, y) = sum_i A_i x^{n-i} y^i, homogeneous of degree n."""
-    return rank_distribution(C, budget).enumerator()
+    return HomogeneousPoly(C.n, rank_distribution(C, budget))
 
 
 def ambient_counts(C: RankMetricCode, R: Subspace, budget: int | None = None):

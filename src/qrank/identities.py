@@ -133,6 +133,8 @@ def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
         i = ze // m
         if e3 + i != n:
             raise NonIntegralResult(f"non-homogeneous Greene term x^{e3} y^{i}")
+        if e1 < 0:
+            raise NonIntegralResult(f"negative power q^{e1} in Greene assembly (term {(e1, e2, e3, e4)})")
         coeffs[i] += c * q**e1
     return HomogeneousPoly(n, coeffs)
 
@@ -140,7 +142,7 @@ def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
 def greene_check(a: CodeAnalysis) -> IdentityReport:
     """Greene-type identity: brute-force enumerator vs the R_P route."""
     C = a.code
-    lhs = a.distribution.enumerator()
+    lhs = HomogeneousPoly(C.n, a.distribution)
     try:
         rhs = greene_rhs(a)
     except NonIntegralResult as exc:
@@ -262,7 +264,7 @@ def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:
 def macwilliams_checks(a: CodeAnalysis):
     """Both MacWilliams routes against brute-force dual enumeration."""
     C = a.code
-    brute = a.dual_distribution.enumerator()
+    brute = HomogeneousPoly(C.n, a.dual_distribution)
     formula = macwilliams_dual_enumerator(a)
     transform = macwilliams_transform(a)
     return [
@@ -272,15 +274,9 @@ def macwilliams_checks(a: CodeAnalysis):
 
 
 def _axiom_report(name, C, P) -> IdentityReport:
-    rep = verify_axioms(P)
-    return IdentityReport(
-        name,
-        _code_params(C),
-        "axioms",
-        str(rep),
-        rep.ok,
-        None if rep.ok else str(rep.violations[0]),
-    )
+    lines = verify_axioms(P)
+    rhs = "\n".join(lines) or "all axioms hold"
+    return IdentityReport(name, _code_params(C), "axioms", rhs, not lines, lines[0] if lines else None)
 
 
 # name -> runner of one shared analysis, in check_all's order; each runner

@@ -24,6 +24,8 @@ def rref_rows(rows, width: int, field: FieldContext):
     pivots = []
     r = 0
     for col in range(width):
+        if r == len(work):  # every row has a pivot, so no row is left to scan
+            break
         pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot_row is None:
             continue
@@ -40,8 +42,6 @@ def rref_rows(rows, width: int, field: FieldContext):
                 work[i] = [add[a * q + mul[f + b]] for a, b in zip(row, prow)]
         pivots.append(col)
         r += 1
-        if r == len(work):
-            break
     return [tuple(row) for row in work[:r]], pivots
 
 

@@ -4,8 +4,6 @@ functions (plain and hatted)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .delsarte import RankMetricCode
 from .gf import FieldContext
 from .qseries import MultiPoly, g_poly
@@ -152,27 +150,12 @@ def _extend(echelon, vectors, k, q, add, mul, neg, inv):
     return out
 
 
-@dataclass
-class AxiomReport:
-    violations: list = dc_field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, axiom: str, witness: str, detail: str):
-        self.violations.append((axiom, witness, detail))
-
-    def __str__(self):
-        if self.ok:
-            return "all axioms hold"
-        return "\n".join(f"{a} violated at {w}: {d}" for a, w, d in self.violations)
-
-
-def verify_axioms(P: QPolymatroid) -> AxiomReport:
+def verify_axioms(P: QPolymatroid) -> list:
     """Check (R1), (R2), (R3) and the rank-difference inequality
     rho(B) - rho(A) <= r (dim B - dim A) for A subseteq B, on the lattice's
-    covers and length-2 intervals only.
+    covers and length-2 intervals only.  Returns one line
+    "{axiom} violated at {where}: {detail}" per violation, the zero
+    subspace named 0; the list is empty when every axiom holds.
 
     The subspace lattice is modular.  So R2 and the rank-difference bound
     hold for all A <= B iff they hold on cover pairs, by telescoping along
@@ -183,20 +166,22 @@ def verify_axioms(P: QPolymatroid) -> AxiomReport:
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
-    covers, keys = lat.covers, lat.keys
-    report = AxiomReport()
+    covers, keys = lat.covers, [key or "0" for key in lat.keys]
+    report = []
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * dims[i]:
-            report.add("R1", keys[i], f"rho={ranks[i]} not in [0, {r * dims[i]}]")
+            report.append(f"R1 violated at {keys[i]}: rho={ranks[i]} not in [0, {r * dims[i]}]")
     for b, lower in enumerate(covers):
         for a in lower:
             if ranks[a] > ranks[b]:
-                report.add("R2", f"{keys[a]} <= {keys[b]}", f"rho({keys[a]})={ranks[a]} > rho({keys[b]})={ranks[b]}")
+                report.append(
+                    f"R2 violated at {keys[a]} <= {keys[b]}: "
+                    f"rho({keys[a]})={ranks[a]} > rho({keys[b]})={ranks[b]}"
+                )
             if ranks[b] - ranks[a] > r:
-                report.add(
-                    "rank-difference",
-                    f"{keys[a]} <= {keys[b]}",
-                    f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}",
+                report.append(
+                    f"rank-difference violated at {keys[a]} <= {keys[b]}: "
+                    f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}"
                 )
     for y, lower in enumerate(covers):
         if dims[y] < 2:
@@ -209,10 +194,9 @@ def verify_axioms(P: QPolymatroid) -> AxiomReport:
                 inside.setdefault(x, []).append(a)
         for x, (a, b, *_) in inside.items():
             if ranks[x] + ranks[y] > ranks[a] + ranks[b]:
-                report.add(
-                    "R3",
-                    f"{keys[x]} < {keys[a]}, {keys[b]} < {keys[y]}",
-                    f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}",
+                report.append(
+                    f"R3 violated at {keys[x]} < {keys[a]}, {keys[b]} < {keys[y]}: "
+                    f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
                 )
     return report
 

@@ -92,11 +92,6 @@ class HomogeneousPoly:
     def integral(self) -> "HomogeneousPoly":
         return HomogeneousPoly(self.degree, tuple(_as_int(c) for c in self.coeffs))
 
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return HomogeneousPoly(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __eq__(self, other):
         return (
             isinstance(other, HomogeneousPoly)
@@ -265,12 +260,6 @@ class MultiPoly:
             self.terms[exps] = new
         else:
             del self.terms[exps]
-
-    def __add__(self, other):
-        out = MultiPoly(self.terms)
-        for e, c in other.terms.items():
-            out.add_term(e, c)
-        return out
 
     def __sub__(self, other):
         out = MultiPoly(self.terms)

@@ -292,12 +292,22 @@ def subspace_count_exponent(n: int, dim: int | None = None) -> int:
     return d * (n - d) if 0 < d < n else 0
 
 
+def size_text(size: int, e: int) -> str:
+    """size in decimal, or "more than 2^e", for a size known to exceed 2^e,
+    when str() refuses an int that long (more than 4300 digits by default)."""
+    try:
+        return str(size)
+    except ValueError:
+        return f"more than 2^{e}"
+
+
 def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int | None = None) -> int:
     """The number of subspaces of F_q^n, of dimension `dim` if given.
 
     Raises BudgetExceeded, naming `limit_name`, `limit` and the size, when
     it is above `limit`.  A count far above the limit is never formed: it
-    is refused from its lower bound 2^e once 2^e reaches limit^2.
+    is refused from its lower bound 2^e once 2^e reaches limit^2.  A count
+    formed but too long to print is named by the same bound.
     """
     e = subspace_count_exponent(n, dim)
     if e >= 2 * limit.bit_length():
@@ -306,6 +316,7 @@ def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int |
         size = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
         if size <= limit:
             return size
+        size = size_text(size, e)
     of_dim = "" if dim is None else f" of dimension {dim}"
     raise BudgetExceeded(
         f"the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"

@@ -11,7 +11,6 @@ from functools import lru_cache
 from itertools import product
 
 from qrank.matspace import rref_rows
-from qrank.qpolymatroid import AxiomReport
 from qrank.subspaces import enumerate_subspaces
 
 
@@ -134,28 +133,29 @@ def oracle_restriction_dims(C):
     return dims
 
 
-def oracle_axioms(P) -> AxiomReport:
+def oracle_axioms(P) -> list:
     """Exhaustive check of (R1), (R2), (R3) and the rank-difference
     inequality over all |L|^2 pairs of subspaces, through the lattice's
-    join, meet and containment tables."""
+    join, meet and containment tables: one line
+    "{axiom} violated at {where}: {detail}" per violation."""
     lat, r, ranks = P.lattice, P.r, P.ranks
-    report = AxiomReport()
-    keys = lat.keys
+    report = []
+    keys = [key or "0" for key in lat.keys]
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * lat.dims[i]:
-            report.add("R1", keys[i], f"rho={ranks[i]} not in [0, {r * lat.dims[i]}]")
+            report.append(f"R1 violated at {keys[i]}: rho={ranks[i]} not in [0, {r * lat.dims[i]}]")
     for i, below in enumerate(lat.below):
         for j in below:
             # S_j subseteq S_i
             if ranks[j] > ranks[i]:
-                report.add("R2", f"{keys[j]} <= {keys[i]}", f"rho={ranks[j]} > rho={ranks[i]}")
+                report.append(f"R2 violated at {keys[j]} <= {keys[i]}: rho={ranks[j]} > rho={ranks[i]}")
             if ranks[i] - ranks[j] > r * (lat.dims[i] - lat.dims[j]):
-                report.add("rank-difference", f"{keys[j]} <= {keys[i]}", f"gap {ranks[i] - ranks[j]}")
+                report.append(f"rank-difference violated at {keys[j]} <= {keys[i]}: gap {ranks[i] - ranks[j]}")
     join, meet = lat.join, lat.meet
     for i in range(len(lat)):
         for j in range(i, len(lat)):
             if ranks[join[i][j]] + ranks[meet[i][j]] > ranks[i] + ranks[j]:
-                report.add("R3", f"{keys[i]}, {keys[j]}", "rho(A+B)+rho(A^B) > rho(A)+rho(B)")
+                report.append(f"R3 violated at {keys[i]}, {keys[j]}: rho(A+B)+rho(A^B) > rho(A)+rho(B)")
     return report
 
 

@@ -240,6 +240,31 @@ def test_lattice_count_too_long_to_print_exit_2(capsys):
         assert "Traceback" not in err and (out or err)
 
 
+@pytest.mark.parametrize(
+    "budget,command,message",
+    [
+        (10**4299, ["--n", "250"], "F_2^250 has more than 2^15625 subspaces, above the budget of"),
+        (10**4300 - 1, ["--n", "239", "--dim", "119"], "dimension 119 writes more than 2^14280 key entries"),
+    ],
+    ids=["count", "entries"],
+)
+def test_lattice_refusal_of_a_size_too_long_to_print_exit_2(budget, command, message, capsys):
+    # the size is formed under so large a budget, but str() refuses it
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["--budget", str(budget), "lattice", "--q", "2", *command], capsys)
+    assert time.perf_counter() - start < 2
+    assert message in err
+
+
+def test_code_without_generators_is_refused_without_scanning_its_columns(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 100000, "m": 100000, "generators": []}))
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["check", "all", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert "|C^perp| = 2^10000000000 exceeds budget 16777216" in err
+
+
 def test_codeword_budget_refusal_names_q_to_the_k_exit_2(tmp_path, capsys):
     # |C^perp| = 251^1799 has more digits than str() of an int may print
     generator = [[0] * 900 for _ in range(2)]

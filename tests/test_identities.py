@@ -232,6 +232,19 @@ def test_greene_reports_a_top_rank_off_by_m_as_non_homogeneous(full_2x2_f2):
     assert (report.passed, report.rhs, report.witness) == (False, "-", witness)
 
 
+def test_greene_reports_a_rank_above_the_top_rank_as_a_negative_power_of_q(i2_2x2_f2):
+    # rho(<(0, 1)>) = 2 > rho(E) = 1: its terms carry X1^-1, and q^-1 is no integer
+    a = _with_rank(i2_2x2_f2, 1, 1)
+    assert a.polymatroid.lattice.keys[1] == "0,1" and a.polymatroid.rho_full() == 1
+    witness = "negative power q^-1 in Greene assembly (term (-1, 0, 1, 0))"
+    with pytest.raises(NonIntegralResult, match=re.escape(witness)):
+        greene_rhs(a)
+    assert str(greene_check(a)) == (
+        "[FAIL] greene {'q': 2, 'n': 2, 'm': 2, 'k': 1}\n  lhs: x^2 + y^2\n  rhs: -\n"
+        f"  witness: {witness}"
+    )
+
+
 def test_an_interior_rank_off_by_one_fails_greene_at_a_coefficient_and_the_axioms(full_2x2_f2):
     a = _with_rank(full_2x2_f2, 1, 1)  # rho(<(0, 1)>) = 3 > m dim = 2
     assert a.polymatroid.lattice.keys[1] == "0,1"
@@ -243,10 +256,11 @@ def test_an_interior_rank_off_by_one_fails_greene_at_a_coefficient_and_the_axiom
     assert str(primal) == (
         f"[FAIL] axioms-primal {FULL_2X2_PARAMS}\n  lhs: axioms\n"
         "  rhs: R1 violated at 0,1: rho=3 not in [0, 2]\n"
-        "rank-difference violated at  <= 0,1: rho gap 3 exceeds r*dim gap 2\n"
-        "  witness: ('R1', '0,1', 'rho=3 not in [0, 2]')"
+        "rank-difference violated at 0 <= 0,1: rho gap 3 exceeds r*dim gap 2\n"
+        "  witness: R1 violated at 0,1: rho=3 not in [0, 2]"
     )
-    assert dual.witness == "('R2', '1,0 <= 1,0;0,1', 'rho(1,0)=1 > rho(1,0;0,1)=0')"
+    assert dual.witness == "R2 violated at 1,0 <= 1,0;0,1: rho(1,0)=1 > rho(1,0;0,1)=0"
+    assert dual.witness == dual.rhs.splitlines()[0]
 
 
 def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f2):
@@ -257,10 +271,10 @@ def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f
     primal, _ = IDENTITY_CHECKS["axioms"](a)
     assert not primal.passed
     assert primal.rhs == (
-        "R1 violated at : rho=1 not in [0, 0]\n"
-        "R3 violated at  < 0,1, 1,0 < 1,0;0,1: rho(X)+rho(Y)=5 > rho(A)+rho(B)=4"
+        "R1 violated at 0: rho=1 not in [0, 0]\n"
+        "R3 violated at 0 < 0,1, 1,0 < 1,0;0,1: rho(X)+rho(Y)=5 > rho(A)+rho(B)=4"
     )
-    assert primal.witness == "('R1', '', 'rho=1 not in [0, 0]')"
+    assert primal.witness == "R1 violated at 0: rho=1 not in [0, 0]"
 
 
 def test_check_all_zero_code(zero_2x2_f2):
