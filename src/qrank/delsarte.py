@@ -12,36 +12,50 @@ rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  The trace-product
 dual is the orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
-unless given); restriction never enumerates.  A rank distribution is the
-plain tuple (A_0, ..., A_n), and the rank weight enumerator is the
-`HomogeneousPoly` with those coefficients.  The enumeration streams
-the q^k words in q-ary Gray-code order in constant memory: each word is
-the previous one plus a precomputed multiple of one basis row, nm reads
-of the field's addition table.  Its rank then costs an elimination on
-the min(n, m)-long side of the matrix, also by table reads.  Over F_2
-`rank_distribution` walks the same words packed, one int per word with
-bit i*m + j holding entry (i, j): a Gray step is one XOR with a packed
-basis row, and the rank reduces the n m-bit rows of the word against an
-XOR basis.  XOR is addition only in characteristic 2, and an F_2 echelon
-needs no scaling, so every other q keeps the table kernel.
+unless given, counting all q^k words); restriction never enumerates.  A
+rank distribution is the plain tuple (A_0, ..., A_n), and the rank
+weight enumerator is the `HomogeneousPoly` with those coefficients.  The
+enumeration streams words in Gray-code order in constant memory: each
+word is the previous one plus a precomputed multiple alpha^l b_i of one
+basis row, alpha^l running over an F_p-basis of F_q, nm reads of the
+field's addition table.  Rank is invariant under nonzero scalars, so
+`rank_distribution` ranks one word per projective point,
+(q^k - 1)/(q - 1) words, and counts each rank q - 1 times; the zero
+word adds to A_0.
+A rank costs an elimination on the min(n, m)-long side of the matrix,
+also by table reads.  Over F_2 the same walk runs packed, one int per
+word with bit i*m + j holding entry (i, j): a Gray step is one XOR with
+a packed basis row, and the rank reduces the n m-bit rows of the word
+against an XOR basis.  XOR is addition only in characteristic 2, and an
+F_2 echelon needs no scaling, so every other q keeps the table kernel.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, the lattice or the sweep's
 echelon code, so it stays an independent check of the restriction sweep.
+
+`dual_code` and `restrict` solve for bases of up to nm vectors of
+F_q^{nm}: C^perp, and for C(J) also Mat(J) and Mat(J)^perp.  One whose
+entries exceed `BASIS_LIMIT` is refused before any is built
+(`check_basis_size`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import getitem
+from functools import lru_cache
+from operator import getitem, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
 from .matspace import MatrixFq
 from .qseries import HomogeneousPoly
-from .subspaces import Subspace
+from .subspaces import Subspace, size_text
 
 DEFAULT_BUDGET = 2**24
+# the most entries, rows times nm, of a basis `dual_code` or `restrict`
+# builds: `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit,
+# takes 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
+BASIS_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -134,10 +148,23 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
         raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {q}^{k} exceeds budget {budget}")
 
 
+def check_basis_size(C: RankMetricCode, rows: int, what: str):
+    """Refuse with BudgetExceeded, before it is built, a basis of `rows`
+    vectors of F_q^{nm} for `what` when its entries exceed BASIS_LIMIT:
+    nm - k rows for C^perp, dim J * m for Mat(J) and (n - dim J) * m for
+    Mat(J)^perp."""
+    entries = rows * C.n * C.m
+    if entries > BASIS_LIMIT:
+        raise BudgetExceeded(
+            f"the basis of {what} holds {size_text(entries, entries.bit_length() - 1)} entries, "
+            f"above the basis limit BASIS_LIMIT = {BASIS_LIMIT}"
+        )
+
+
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
     """All q^k codewords as row-major entry tuples, each exactly once, as a
-    sized view that streams them in q-ary Gray-code order; BudgetExceeded
-    at call time if q^k is above the budget."""
+    sized view that streams them in Gray-code order; BudgetExceeded at
+    call time if q^k is above the budget."""
     check_codeword_budget(C, budget)
     return _Codewords(C)
 
@@ -145,12 +172,12 @@ def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
 class _Codewords:
     """The codewords of C, re-iterable in constant memory.
 
-    Word t carries the coefficients of the modular q-ary Gray code of t:
-    from word t - 1 to word t exactly one coefficient, that of basis row i
-    where i is the lowest nonzero base-q digit of t, steps from c to c + 1
-    (mod q, on the integer encoding).  So each step adds the precomputed
-    row (c' - c) b_i, held as one addition-table row per entry: a step costs
-    nm table reads and no field method call.
+    Every walk is `_gray_walk` over an F_p-basis of a span of basis rows,
+    p the characteristic: the words alpha^l b_i for l < e, alpha^l being
+    the field element encoded p^l, span F_q b_i since F_q = F_p^e.  Each
+    word is the previous one plus one of these vectors.  As a tuple of
+    entries that step is one addition-table row per entry: nm table reads
+    and no field method call.
     """
 
     __slots__ = ("code",)
@@ -163,40 +190,93 @@ class _Codewords:
 
     def __iter__(self):
         C = self.code
-        q = C.field.q
-        add, mul, neg, _ = C.field.tables
-        add_rows = [add[a * q : (a + 1) * q] for a in range(q)]
-        # steps[i][c][x] maps entry x of a word to itself plus (c' - c) b_i[x]
-        steps = []
-        for row in C.space.basis:
-            per_coeff = []
-            for c in range(q):
-                diff = add[(c + 1) % q * q + neg[c]]
-                per_coeff.append(tuple(add_rows[mul[diff * q + b]] for b in row))
-            steps.append(per_coeff)
-        coeffs = [0] * len(steps)
-        word = (0,) * (C.n * C.m)
-        yield word
-        for t in range(1, q ** len(steps)):
-            i = 0
-            while t % q == 0:
-                t //= q
-                i += 1
-            c = coeffs[i]
-            coeffs[i] = c + 1 if c + 1 < q else 0
-            word = tuple(map(getitem, steps[i][c], word))
-            yield word
+        _, steps, apply, p = self._walk_tables(packed=False)
+        return _gray_walk([((0,) * (C.n * C.m), len(steps))], steps, apply, p)
 
     def packed(self):
         """The same words in the same order, over F_2 only, each as one int
-        with bit i*m + j holding entry (i, j).  Word t is word t - 1 XOR the
-        packed basis row of the lowest set bit of t."""
-        rows = [sum(b << p for p, b in enumerate(row)) for row in self.code.space.basis]
-        word = 0
+        with bit i*m + j holding entry (i, j).  A step is one XOR with a
+        packed basis row."""
+        _, steps, apply, p = self._walk_tables(packed=True)
+        return _gray_walk([(0, len(steps))], steps, apply, p)
+
+    def projective(self, packed: bool = False):
+        """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
+        all, as entry tuples (as packed ints over F_2 if `packed`): for each
+        i, b_i plus the Gray walk over the F_p-basis of the span of b_0, ...,
+        b_{i-1}, q^i words.
+
+        These are the words u whose last nonzero coefficient is 1.  Each
+        nonzero word w has a last nonzero coefficient c, at some b_i, and
+        w = c u with u = w / c; if c u = c' u' for two such u, u', their
+        coefficients agree past i and at b_i, so c = c' and u = u'.  So
+        {c u : c != 0} lists each nonzero codeword exactly once, and
+        rank(c u) = rank(u) since c is invertible."""
+        rows, steps, apply, p = self._walk_tables(packed)
+        e = self.code.field.e
+        return _gray_walk([(row, i * e) for i, row in enumerate(rows)], steps, apply, p)
+
+    def _walk_tables(self, packed: bool):
+        """(basis rows as words, steps, apply, p): steps[i * e + l] is the
+        step alpha^l b_i, and apply(step, word) adds it to a word."""
+        C = self.code
+        if packed:
+            rows = [sum(b << p for p, b in enumerate(row)) for row in C.space.basis]
+            return rows, rows, xor, 2
+        field = C.field
+        q = field.q
+        add, mul, _, _ = field.tables
+        add_rows = [add[a * q : (a + 1) * q] for a in range(q)]
+        steps = [
+            tuple(add_rows[mul[field.p**l * q + b]] for b in row) for row in C.space.basis for l in range(field.e)
+        ]
+        return C.space.basis, steps, _add_step, field.p
+
+
+def _add_step(step, word):
+    return tuple(map(getitem, step, word))
+
+
+def _gray_walk(starts, steps, apply, p):
+    """For each (word, j) of `starts`: `word`, then the p^j - 1 further
+    words of the p-ary Gray walk over steps[:j], each step of additive
+    order p.  Word t of a walk is apply(steps[i], word t - 1), where i is
+    the lowest nonzero base-p digit of t; so word t is the start plus
+    sum_i g_i steps[i], g the modular p-ary Gray code of t, and each of the
+    p^j combinations comes once.  The steps within each block of p^low
+    words repeat, so every walk reads them from one list of at most 255."""
+    top, digits = _ruler(p)
+    ruler = list(map(steps.__getitem__, digits[: p ** min(top, len(steps)) - 1]))
+    for word, j in starts:
         yield word
-        for t in range(1, 1 << len(rows)):
-            word ^= rows[(t & -t).bit_length() - 1]
-            yield word
+        low = min(top, j)
+        block = ruler[: p**low - 1]
+        for high in range(p ** (j - low)):
+            if high:
+                word = apply(steps[low + _lowest_digit(high, p)], word)
+                yield word
+            for step in block:
+                word = apply(step, word)
+                yield word
+
+
+@lru_cache(maxsize=None)
+def _ruler(p: int) -> tuple:
+    """(top, digits): top the largest l with p^l <= 256, and digits the
+    lowest nonzero base-p digit of each t = 1, ..., p^top - 1."""
+    top = 1
+    while p ** (top + 1) <= 256:
+        top += 1
+    return top, tuple(_lowest_digit(t, p) for t in range(1, p**top))
+
+
+def _lowest_digit(t: int, p: int) -> int:
+    """The position of the lowest nonzero base-p digit of t > 0."""
+    i = 0
+    while not t % p:
+        t //= p
+        i += 1
+    return i
 
 
 def enumerate_codewords(C: RankMetricCode, budget: int | None = None):
@@ -220,12 +300,17 @@ def restrict(C: RankMetricCode, J: Subspace) -> RankMetricCode:
     """C(J) = {M in C : col(M) subseteq J} = C cap Mat(J) in F_q^{nm}."""
     if J.n != C.n or J.field != C.field:
         raise AmbientMismatch("subspace ambient space does not match code rows")
+    # C cap Mat(J) = (C^perp + Mat(J)^perp)^perp, and Mat(J)^perp = Mat(J^perp)
+    check_basis_size(C, J.dim * C.m, "Mat(J)")
+    check_basis_size(C, (C.n - J.dim) * C.m, "Mat(J)^perp")
+    check_basis_size(C, C.n * C.m - C.k, "C^perp")
     mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
     return RankMetricCode(C.space.intersect(mat_J), C.n, C.m)
 
 
 def dual_code(C: RankMetricCode) -> RankMetricCode:
     """Trace-product dual: the orthogonal complement of C in F_q^{nm}."""
+    check_basis_size(C, C.n * C.m - C.k, "C^perp")
     return RankMetricCode(C.space.perp(), C.n, C.m)
 
 
@@ -290,11 +375,14 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     counts = [0] * (n + 1)
     words = enumerate_codeword_entries(C, budget)
     if field.q == 2:
-        for word in words.packed():
+        for word in words.projective(packed=True):
             counts[_rank_of_packed(word, n, m)] += 1
     else:
-        for entries in words:
+        for entries in words.projective():
             counts[_rank_of_entries(entries, n, m, field)] += 1
+    # each point stands for its q - 1 nonzero multiples, all of its rank
+    counts = [(field.q - 1) * a for a in counts]
+    counts[0] += 1
     return tuple(counts)
 
 

@@ -307,6 +307,22 @@ def test_dual_enumeration_refused_before_the_dual_is_solved(identity, code, size
     assert solved == []
 
 
+@pytest.mark.parametrize(
+    "command,what",
+    [(["dual"], "C^perp"), (["restrict", "--", "1"], "Mat(J)"), (["restrict", "--", "0"], "Mat(J)^perp")],
+    ids=["dual", "restrict", "restrict-to-zero"],
+)
+def test_basis_above_the_limit_is_refused_before_it_is_built_exit_2(command, what, tmp_path, capsys):
+    # the zero Mat(1x3000, F_2) code: C^perp, Mat(F_2^1) and Mat(0)^perp each have 3000 rows of 3000 entries
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 1, "m": 3000, "generators": []}))
+    name, *rest = command
+    start = time.perf_counter()
+    err = _assert_error_exit_2([name, str(path), *rest], capsys)
+    assert time.perf_counter() - start < 1
+    assert f"the basis of {what} holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+
+
 @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])
 def test_lattice_negative_dimension_exit_2(count_only, capsys):
     assert main(["lattice", "--q", "2", "--n", "-1", *count_only]) == 2

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrank import (
     MatrixFq,
@@ -24,7 +24,7 @@ from qrank import (
     restrict,
     trace_product,
 )
-from qrank.delsarte import _rank_of_entries, enumerate_codeword_entries
+from qrank.delsarte import BASIS_LIMIT, _rank_of_entries, check_basis_size, enumerate_codeword_entries
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.subspaces import enumerate_subspaces
@@ -94,17 +94,46 @@ def _random_codes(n, m, field, count, rng):
     return [random_code(n, m, field, rng.randrange(top + 1), rng) for _ in range(count)]
 
 
-def test_restrict_matches_enumeration():
+# every order q <= 9 the fields admit, on both sides of the q = 2 split
+PROPERTY_FIELDS = [gf_new(2), gf_new(3), gf_new(2, 2), gf_new(5), gf_new(7), gf_new(2, 3), gf_new(3, 2)]
+
+
+@st.composite
+def _codes(draw, shapes, max_words=None):
+    """A seeded random code over a field of PROPERTY_FIELDS, of one of the
+    (n, m) shapes, with at most `max_words` codewords if given."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    n, m = draw(st.sampled_from(shapes))
+    top = max(k for k in range(n * m + 1) if max_words is None or field.q**k <= max_words)
+    k = draw(st.integers(0, top), label="k")
+    return random_code(n, m, field, k, random.Random(draw(st.integers(0, 2**30), label="seed")))
+
+
+def _seeded_examples(seed, count):
+    """One Hypothesis example per code of the seeded loop over SHAPES that
+    draws `count(field)` codes per shape from random.Random(seed)."""
+    rng = random.Random(seed)
+    codes = [C for n, m, field in SHAPES for C in _random_codes(n, m, field, count(field), rng)]
+
+    def decorate(test):
+        for C in codes:
+            test = example(C)(test)
+        return test
+
+    return decorate
+
+
+@settings(max_examples=40, deadline=None)
+@_seeded_examples(7, lambda field: 20 if field.q == 2 else 3)
+@given(_codes([(1, 3), (3, 1), (2, 3), (3, 2)], max_words=1000))
+def test_restrict_matches_enumeration(C):
     # independent route: brute-force filter of codewords by column membership
-    rng = random.Random(7)
-    for n, m, field in SHAPES:
-        subspaces = list(enumerate_subspaces(n, field))
-        for C in _random_codes(n, m, field, 20 if field.q == 2 else 3, rng):
-            words = list(enumerate_codewords(C))
-            for J, dim in zip(subspaces, restriction_dims(C)):
-                span = span_set(J.basis, field) if J.dim else {(0,) * n}
-                brute = sum(all(w.col(j) in span for j in range(m)) for w in words)
-                assert field.q**dim == field.q ** restrict(C, J).k == brute, (C, J)
+    n, m, field = C.n, C.m, C.field
+    columns = [{w.col(j) for j in range(m)} for w in enumerate_codewords(C)]
+    for J, dim in zip(enumerate_subspaces(n, field), restriction_dims(C)):
+        span = span_set(J.basis, field) if J.dim else {(0,) * n}
+        brute = sum(cols <= span for cols in columns)
+        assert field.q**dim == field.q ** restrict(C, J).k == brute, (C, J)
 
 
 def test_restriction_dims_of_zero_and_full_codes():
@@ -116,13 +145,13 @@ def test_restriction_dims_of_zero_and_full_codes():
         assert restriction_dims(full_code(n, m, field)) == [m * S.dim for S in subspaces]
 
 
-def test_dual_code_is_trace_orthogonal():
-    rng = random.Random(8)
-    for n, m, field in SHAPES:
-        for C in _random_codes(n, m, field, 3, rng):
-            D = dual_code(C)
-            assert C.k + D.k == n * m
-            assert all(trace_product(M, N) == 0 for M in C.basis for N in D.basis), C
+@settings(max_examples=60, deadline=None)
+@_seeded_examples(8, lambda field: 3)
+@given(_codes([(1, 4), (4, 1), (2, 3), (3, 2), (2, 4), (4, 2)]))
+def test_dual_code_is_trace_orthogonal(C):
+    D = dual_code(C)
+    assert C.k + D.k == C.n * C.m
+    assert all(trace_product(M, N) == 0 for M in C.basis for N in D.basis), C
 
 
 def test_dual_code_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
@@ -331,16 +360,18 @@ def test_rank_of_entries_matches_span_oracle():
 
 
 def test_rank_distribution_memory_does_not_grow_with_the_code():
-    # 2^16 codewords; held as a list of entry tuples they take about 16 MiB
-    C = random_code(2, 8, F2, 16, random.Random(5))
-    tracemalloc.start()
-    try:
-        dist = rank_distribution(C)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(dist) == 2**16
-    assert peak < 2**20, peak
+    # 2^16 and 3^10 codewords; held as a list of entry tuples the first
+    # takes about 16 MiB
+    rng = random.Random(5)
+    for C in (random_code(2, 8, F2, 16, rng), random_code(2, 5, F3, 10, rng)):
+        tracemalloc.start()
+        try:
+            dist = rank_distribution(C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(dist) == C.size()
+        assert peak < 2**20, (C, peak)
 
 
 def _table_kernel_counts(C):
@@ -350,10 +381,15 @@ def _table_kernel_counts(C):
     return counts
 
 
-def test_packed_rank_distribution_matches_table_kernel(corpus_2x2_f2, corpus_3x2_f2):
-    for C in corpus_2x2_f2 + corpus_3x2_f2:
+def test_rank_distribution_matches_the_all_words_table_kernel(corpus_2x2_f2, corpus_3x2_f2, corpus_2x2_f3):
+    # one rank per projective point, packed over F_2, against one per word
+    for C in corpus_2x2_f2 + corpus_3x2_f2 + corpus_2x2_f3:
         for code in (C, dual_code(C)):
             assert list(rank_distribution(code)) == _table_kernel_counts(code), code
+
+
+def _unpack(word, nm):
+    return tuple(word >> p & 1 for p in range(nm))
 
 
 def test_packed_walk_unpacks_to_the_tuple_view():
@@ -361,12 +397,8 @@ def test_packed_walk_unpacks_to_the_tuple_view():
     for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
         for k in sorted({0, 1, min(n * m, 10), rng.randrange(min(n * m, 10) + 1)}):
             view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
-            unpacked = [tuple(w >> p & 1 for p in range(n * m)) for w in view.packed()]
+            unpacked = [_unpack(w, n * m) for w in view.packed()]
             assert unpacked == list(view), (n, m, k)
-
-
-# every order q <= 9 the fields admit, on both sides of the q = 2 split
-PROPERTY_FIELDS = [gf_new(2), gf_new(3), gf_new(2, 2), gf_new(5), gf_new(7), gf_new(2, 3), gf_new(3, 2)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -383,3 +415,50 @@ def test_rank_distribution_matches_span_oracle_property(field, shape, data):
     k = data.draw(st.integers(0, top), label="k")
     C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
     assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field)
+
+
+def _point(word, field):
+    """The multiple of a nonzero word whose last nonzero entry is 1."""
+    f = field.inv(next(x for x in reversed(word) if x))
+    return tuple(field.mul(f, x) for x in word)
+
+
+def test_projective_walk_visits_each_point_once():
+    rng = random.Random(15)
+    for field in PROPERTY_FIELDS:
+        q = field.q
+        for n, m in [(1, 3), (3, 1), (2, 3), (3, 2)]:
+            # k = nm where q^nm <= 2^12 words
+            top = max(k for k in range(n * m + 1) if q**k <= 2**12)
+            for k in sorted({0, 1, top}):
+                C = random_code(n, m, field, k, rng)
+                view = enumerate_codeword_entries(C)
+                points = list(view.projective())
+                assert len(view) == q**k
+                assert len(points) == (q**k - 1) // (q - 1), C
+                assert all(any(w) for w in points), C
+                # no two proportional
+                assert len({_point(w, field) for w in points}) == len(points), C
+                # {c w : c != 0} and the zero word: each codeword exactly once
+                zero = (0,) * (n * m)
+                words = [zero] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, q)]
+                assert sorted(words) == (oracle_codewords(C.space.basis, field) if k else [zero]), C
+                if q == 2:
+                    assert [_unpack(w, n * m) for w in view.projective(packed=True)] == points, C
+
+
+def test_basis_limit_admits_its_own_size_and_refuses_one_row_more():
+    # C^perp of the zero Mat(1 x 1024, F_2) code: 1024 x 1024 = BASIS_LIMIT entries
+    zero = code_from_generators([], field=F2, n=1, m=1024)
+    assert 1024 * 1024 == BASIS_LIMIT
+    check_basis_size(zero, 1024, "C^perp")
+    with pytest.raises(BudgetExceeded, match="basis of C\\^perp holds 1049600 entries, above the basis limit"):
+        check_basis_size(zero, 1025, "C^perp")
+    wide = code_from_generators([], field=F2, n=1, m=1025)
+    with pytest.raises(BudgetExceeded, match="C\\^perp holds 1050625 entries"):
+        dual_code(wide)
+    with pytest.raises(BudgetExceeded, match="Mat\\(J\\) holds 1050625 entries"):
+        restrict(wide, Subspace.full(1, F2))
+    # the intersection solves Mat(J)^perp = Mat(J^perp) even when J = 0
+    with pytest.raises(BudgetExceeded, match="Mat\\(J\\)\\^perp holds 1050625 entries"):
+        restrict(wide, Subspace.zero(1, F2))
