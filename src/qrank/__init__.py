@@ -51,7 +51,6 @@ from .delsarte import (
     ambient_counts,
     code_from_generators,
     dual_code,
-    enumerate_codewords,
     min_rank_distance,
     random_code,
     rank_distribution,

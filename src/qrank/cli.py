@@ -36,6 +36,8 @@ def _load_code(path: str) -> RankMetricCode:
             doc = json.load(fh)
         except RecursionError:
             raise MalformedCode(f"{path} is nested too deeply to be a code file") from None
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer of more than 4300 digits
+            raise MalformedCode(f"{path} is not a code file: {exc}") from None
     return RankMetricCode.from_json(doc)
 
 
@@ -235,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (QrankError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (QrankError, OSError) as exc:
         print(f"qrank: error: {exc}", file=sys.stderr)
         return 2
 

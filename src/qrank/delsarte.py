@@ -1,15 +1,17 @@
 """Delsarte rank-metric codes: F_q-linear subspaces of Mat(n x m, F_q).
 
 A code is stored as its subspace of the vectorized space F_q^{nm}
-(`C.space`, row-major entries); `C.basis` is the matrix view of its RREF
-rows.  The subspace is canonical, so equality tests and serialized files
-are stable.  Restriction is subspace algebra: C(J) = C cap Mat(J).  The
-lattice sweep never forms C(J): dim C(J) = k - dim W(J^perp), where
-W(T) in F_q^k is spanned, over h in T and columns j < m, by the vectors
-whose entry b is entry j of h B_b, B_b being basis codeword b.  It grows
-W by one RREF row at a time along the lattice and returns
-rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  The trace-product
-dual is the orthogonal complement of C in F_q^{nm}.
+(`C.space`), and every codeword is a row-major entry tuple.  The subspace
+is canonical, so equality tests and serialized files are stable.  For h
+in F_q^n and j < m, v_{h,j} in F_q^k holds entry j of h B_b over the
+basis codewords B_b, and W(T) is the span of the v_{h,j} over h in T.  A
+codeword sum_b x_b B_b lies in C(J) = {M in C : col(M) subseteq J} iff
+h M = 0 for every h in J^perp, iff x is orthogonal to W(J^perp).
+`restrict` solves that k-variable system; the lattice sweep never forms
+C(J), but grows W by one RREF row at a time along the lattice and
+returns rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  Both read
+the v_{h,j} from `_column_images`.  The trace-product dual is the
+orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given, counting all q^k words); restriction never enumerates.  A
@@ -32,10 +34,10 @@ F_2 echelon needs no scaling, so every other q keeps the table kernel.
 This brute side never calls `rref_rows`, the lattice or the sweep's
 echelon code, so it stays an independent check of the restriction sweep.
 
-`dual_code` and `restrict` solve for bases of up to nm vectors of
-F_q^{nm}: C^perp, and for C(J) also Mat(J) and Mat(J)^perp.  One whose
-entries exceed `BASIS_LIMIT` is refused before any is built
-(`check_basis_size`).
+`dual_code` solves for C^perp, a basis of nm - k vectors of F_q^{nm},
+and refuses one whose entries exceed `BASIS_LIMIT` before building it.
+`restrict` needs no limit of its own: its system holds at most k nm
+entries, as many as the basis of C itself.
 """
 
 from __future__ import annotations
@@ -47,14 +49,14 @@ from operator import getitem, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
-from .matspace import MatrixFq
+from .matspace import kernel_basis
 from .qseries import HomogeneousPoly
 from .subspaces import Subspace, size_text
 
 DEFAULT_BUDGET = 2**24
-# the most entries, rows times nm, of a basis `dual_code` or `restrict`
-# builds: `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit,
-# takes 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
+# the most entries, rows times nm, of the C^perp basis `dual_code` builds:
+# `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit, takes
+# 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
 BASIS_LIMIT = 2**20
 
 
@@ -74,11 +76,6 @@ class RankMetricCode:
     def k(self) -> int:
         return self.space.dim
 
-    @property
-    def basis(self):
-        """The RREF basis as n x m matrices."""
-        return tuple(MatrixFq(self.field, self.n, self.m, v) for v in self.space.basis)
-
     def size(self) -> int:
         return self.field.q**self.k
 
@@ -90,7 +87,9 @@ class RankMetricCode:
             "field": self.field.to_json(),
             "n": self.n,
             "m": self.m,
-            "generators": [M.to_rows() for M in self.basis],
+            "generators": [
+                [list(v[i * self.m : (i + 1) * self.m]) for i in range(self.n)] for v in self.space.basis
+            ],
         }
 
     @classmethod
@@ -146,19 +145,6 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
     if k >= budget.bit_length() or q**k > budget:
         # q^k, not its value: str() refuses an int of more than 4300 digits
         raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {q}^{k} exceeds budget {budget}")
-
-
-def check_basis_size(C: RankMetricCode, rows: int, what: str):
-    """Refuse with BudgetExceeded, before it is built, a basis of `rows`
-    vectors of F_q^{nm} for `what` when its entries exceed BASIS_LIMIT:
-    nm - k rows for C^perp, dim J * m for Mat(J) and (n - dim J) * m for
-    Mat(J)^perp."""
-    entries = rows * C.n * C.m
-    if entries > BASIS_LIMIT:
-        raise BudgetExceeded(
-            f"the basis of {what} holds {size_text(entries, entries.bit_length() - 1)} entries, "
-            f"above the basis limit BASIS_LIMIT = {BASIS_LIMIT}"
-        )
 
 
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
@@ -279,38 +265,64 @@ def _lowest_digit(t: int, p: int) -> int:
     return i
 
 
-def enumerate_codewords(C: RankMetricCode, budget: int | None = None):
-    """Stream of all codewords as MatrixFq values."""
-    for entries in enumerate_codeword_entries(C, budget):
-        yield MatrixFq(C.field, C.n, C.m, entries)
-
-
-def mat_basis(J: Subspace, m: int):
-    """RREF basis of Mat(J) = {M : col(M) subseteq J} in F_q^{nm}: each basis
-    row of J placed in each of the m columns, ordered by (row, column)."""
-    n = J.n
-    return [
-        tuple(v[i] if j == c else 0 for i in range(n) for j in range(m))
-        for v in J.basis
-        for c in range(m)
-    ]
+def _column_images(support, columns, q, add, mul):
+    """The m vectors v_{h,j} of F_q^k, j < m: entry b of v_{h,j} is entry j
+    of h B_b.  h is given by its support, the pairs (i, h_i * q) with
+    h_i != 0, and columns[j][b] is column j of B_b; q, add and mul are the
+    field's order and flat tables."""
+    out = []
+    for cols in columns:
+        vector = []
+        for col in cols:
+            acc = 0
+            for i, f in support:
+                acc = add[acc * q + mul[f + col[i]]]
+            vector.append(acc)
+        out.append(vector)
+    return out
 
 
 def restrict(C: RankMetricCode, J: Subspace) -> RankMetricCode:
-    """C(J) = {M in C : col(M) subseteq J} = C cap Mat(J) in F_q^{nm}."""
+    """C(J) = {M in C : col(M) subseteq J}, the codewords sum_b x_b B_b with
+    x orthogonal to W(J^perp).  J^perp is spanned by h_f = e_f - sum_i
+    r_i[f] e_{p_i} over the non-pivot columns f of J, r_i being J's RREF
+    rows and p_i their pivots, so x solves the (n - dim J) m equations
+    v_{h_f,j}.  sum_b x_b B_b is x_b at the pivot of B_b, so the words of
+    the RREF kernel rows are C(J)'s RREF basis."""
     if J.n != C.n or J.field != C.field:
         raise AmbientMismatch("subspace ambient space does not match code rows")
-    # C cap Mat(J) = (C^perp + Mat(J)^perp)^perp, and Mat(J)^perp = Mat(J^perp)
-    check_basis_size(C, J.dim * C.m, "Mat(J)")
-    check_basis_size(C, (C.n - J.dim) * C.m, "Mat(J)^perp")
-    check_basis_size(C, C.n * C.m - C.k, "C^perp")
-    mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
-    return RankMetricCode(C.space.intersect(mat_J), C.n, C.m)
+    n, m, field, basis = C.n, C.m, C.field, C.space.basis
+    if not basis or J.dim == n:
+        return C
+    q = field.q
+    add, mul, neg, _ = field.tables
+    pivots = [row.index(1) for row in J.basis]
+    columns = [[B[j::m] for B in basis] for j in range(m)]
+    system = []
+    for f in sorted(set(range(n)).difference(pivots)):
+        support = [(f, q)] + [(p, neg[row[f]] * q) for p, row in zip(pivots, J.basis) if row[f]]
+        system += _column_images(support, columns, q, add, mul)
+    words = []
+    for x in kernel_basis(system, len(basis), field):
+        word = [0] * (n * m)
+        for c, B in zip(x, basis):
+            if c:
+                f = c * q
+                word = [add[a * q + mul[f + b]] for a, b in zip(word, B)]
+        words.append(word)
+    return RankMetricCode(Subspace(field, n * m, words), n, m)
 
 
 def dual_code(C: RankMetricCode) -> RankMetricCode:
-    """Trace-product dual: the orthogonal complement of C in F_q^{nm}."""
-    check_basis_size(C, C.n * C.m - C.k, "C^perp")
+    """Trace-product dual: the orthogonal complement of C in F_q^{nm}.
+    BudgetExceeded, before it is built, when its basis of nm - k vectors
+    holds more than BASIS_LIMIT entries."""
+    entries = (C.n * C.m - C.k) * C.n * C.m
+    if entries > BASIS_LIMIT:
+        raise BudgetExceeded(
+            f"the basis of C^perp holds {size_text(entries, entries.bit_length() - 1)} entries, "
+            f"above the basis limit BASIS_LIMIT = {BASIS_LIMIT}"
+        )
     return RankMetricCode(C.space.perp(), C.n, C.m)
 
 

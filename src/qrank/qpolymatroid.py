@@ -4,7 +4,7 @@ functions (plain and hatted)."""
 
 from __future__ import annotations
 
-from .delsarte import RankMetricCode
+from .delsarte import RankMetricCode, _column_images
 from .gf import FieldContext
 from .qseries import MultiPoly, g_poly
 from .subspaces import SubspaceLattice, lattice
@@ -69,11 +69,8 @@ def from_code(C: RankMetricCode) -> QPolymatroid:
     """P_C, the (q, m)-polymatroid rho_C(T) = dim C - dim C(T^perp), from
     one sweep of the lattice.
 
-    For h in F_q^n and j < m, let v_{h,j} in F_q^k hold entry j of h B_b
-    over the basis codewords B_b (as n x m matrices), and let W(T) be the
-    span of the v_{h,j} over h in T.  The codeword sum_b c_b B_b lies in
-    Mat(S) iff h M = 0 for every h in S^perp, iff c is orthogonal to
-    W(S^perp); so dim C(S) = k - dim W(S^perp), and rho_C(T) = dim W(T).
+    With v_{h,j} and W(T) as in `delsarte`, dim C(S) = k - dim W(S^perp),
+    so rho_C(T) = dim W(T).
 
     h -> v_{h,j} is linear, so W(T) = W(T') + <v_{h0,j} : j < m>, where h0
     is the first RREF row of T and T' is the span of the other rows: an
@@ -101,7 +98,8 @@ def from_code(C: RankMetricCode) -> QPolymatroid:
             h0 = rows[0]
             vectors = images.get(h0)
             if vectors is None:
-                vectors = images[h0] = [_image(h0, cols, q, add, mul) for cols in columns]
+                support = [(i, c * q) for i, c in enumerate(h0) if c]
+                vectors = images[h0] = _column_images(support, columns, q, add, mul)
             echelon = _extend(echelon, vectors, k, q, add, mul, neg, inv)
         current[t] = echelon
         ranks[t] = len(echelon)
@@ -113,18 +111,6 @@ def restriction_dims(C: RankMetricCode):
     with lattice order."""
     P = from_code(C)
     return [C.k - P.ranks[p] for p in P.lattice.perp]
-
-
-def _image(h, cols, q, add, mul):
-    # the vector (h . col) over the same column col of each basis codeword
-    support = [(i, c * q) for i, c in enumerate(h) if c]
-    out = []
-    for col in cols:
-        acc = 0
-        for i, f in support:
-            acc = add[acc * q + mul[f + col[i]]]
-        out.append(acc)
-    return out
 
 
 def _extend(echelon, vectors, k, q, add, mul, neg, inv):

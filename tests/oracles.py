@@ -10,8 +10,9 @@ exhaustively axiom-tested) FieldContext tables.
 from functools import lru_cache
 from itertools import product
 
+from qrank.delsarte import RankMetricCode
 from qrank.matspace import rref_rows
-from qrank.subspaces import enumerate_subspaces
+from qrank.subspaces import Subspace, enumerate_subspaces
 
 
 def span_set(vectors, field):
@@ -91,7 +92,7 @@ def oracle_rho(code, J):
     field, n, m = code.field, code.n, code.m
     perp_span = oracle_perp_set(J.basis, n, field)
     count = 0
-    basis_entries = [M.entries for M in code.basis]
+    basis_entries = code.space.basis
     words = span_set(basis_entries, field) if basis_entries else {(0,) * (n * m)}
     for entries in words:
         cols = [tuple(entries[i * m + j] for i in range(n)) for j in range(m)]
@@ -131,6 +132,24 @@ def oracle_restriction_dims(C):
         rank = len(rref_rows(rows, m * len(H), field)[0]) if H and k else 0
         dims.append(k - rank)
     return dims
+
+
+def mat_basis(J, m):
+    """RREF basis of Mat(J) = {M : col(M) subseteq J} in F_q^{nm}: each basis
+    row of J placed in each of the m columns, ordered by (row, column)."""
+    n = J.n
+    return [
+        tuple(v[i] if j == c else 0 for i in range(n) for j in range(m))
+        for v in J.basis
+        for c in range(m)
+    ]
+
+
+def oracle_restrict(C, J):
+    """C(J) = C cap Mat(J), intersected in F_q^{nm} through
+    `Subspace.intersect`, (C^perp + Mat(J)^perp)^perp."""
+    mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
+    return RankMetricCode(C.space.intersect(mat_J), C.n, C.m)
 
 
 def oracle_axioms(P) -> list:

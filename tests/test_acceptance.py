@@ -184,7 +184,7 @@ def test_criterion_6_pinned_values(capsys, full_2x2_f2):
     F2 = gf_new(2)
     ok = True
     # oracle 1: brute-force span rank distribution
-    oracle_dist = oracle_rank_distribution([M.entries for M in full_2x2_f2.basis], 2, 2, F2)
+    oracle_dist = oracle_rank_distribution(full_2x2_f2.space.basis, 2, 2, F2)
     ok &= oracle_dist == [1, 9, 6]
     ok &= str(rank_weight_enumerator(full_2x2_f2)) == "x^2 + 9*x*y + 6*y^2"
     # oracle 2: RGF assembled from brute-force rho and plain poly ops

@@ -175,6 +175,8 @@ MALFORMED_CODES = {
     "field-e-above-limit": {"field": {"p": 2, "e": 40}, "n": 1, "m": 2, "generators": []},
     # raw text: a document json.load cannot nest that deeply
     "deep-nesting": "[" * 100000 + "]" * 100000,
+    # json.load refuses an integer literal of more than 4300 digits
+    "5000-digit-n": '{"field": {"q": 2}, "n": ' + "1" * 5000 + ', "m": 1, "generators": []}',
 }
 
 
@@ -307,20 +309,28 @@ def test_dual_enumeration_refused_before_the_dual_is_solved(identity, code, size
     assert solved == []
 
 
-@pytest.mark.parametrize(
-    "command,what",
-    [(["dual"], "C^perp"), (["restrict", "--", "1"], "Mat(J)"), (["restrict", "--", "0"], "Mat(J)^perp")],
-    ids=["dual", "restrict", "restrict-to-zero"],
-)
-def test_basis_above_the_limit_is_refused_before_it_is_built_exit_2(command, what, tmp_path, capsys):
-    # the zero Mat(1x3000, F_2) code: C^perp, Mat(F_2^1) and Mat(0)^perp each have 3000 rows of 3000 entries
+ZERO_1X3000 = {"field": {"q": 2}, "n": 1, "m": 3000, "generators": []}
+
+
+def test_basis_above_the_limit_is_refused_before_it_is_built_exit_2(tmp_path, capsys):
+    # C^perp of the zero Mat(1x3000, F_2) code has 3000 rows of 3000 entries
     path = tmp_path / "zero.json"
-    path.write_text(json.dumps({"field": {"q": 2}, "n": 1, "m": 3000, "generators": []}))
-    name, *rest = command
+    path.write_text(json.dumps(ZERO_1X3000))
     start = time.perf_counter()
-    err = _assert_error_exit_2([name, str(path), *rest], capsys)
+    err = _assert_error_exit_2(["dual", str(path)], capsys)
     assert time.perf_counter() - start < 1
-    assert f"the basis of {what} holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+    assert "the basis of C^perp holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+
+
+@pytest.mark.parametrize("key", ["0", "1"], ids=["restrict-to-zero", "restrict"])
+def test_restrict_of_the_zero_code_needs_no_basis_limit_exit_0(key, tmp_path, capsys):
+    # Mat(J) or Mat(J)^perp in Mat(1x3000, F_2) would have 3000 rows of 3000 entries
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_1X3000))
+    start = time.perf_counter()
+    assert main(["restrict", str(path), "--", key]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == ZERO_1X3000
 
 
 @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 import tracemalloc
 from itertools import product
 
@@ -14,7 +15,6 @@ from qrank import (
     ambient_counts,
     code_from_generators,
     dual_code,
-    enumerate_codewords,
     gf_new,
     min_rank_distance,
     moebius_coefficient,
@@ -24,12 +24,12 @@ from qrank import (
     restrict,
     trace_product,
 )
-from qrank.delsarte import BASIS_LIMIT, _rank_of_entries, check_basis_size, enumerate_codeword_entries
+from qrank.delsarte import BASIS_LIMIT, _rank_of_entries, enumerate_codeword_entries
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.subspaces import enumerate_subspaces
 
-from oracles import oracle_codewords, oracle_rank_distribution, oracle_rank_matrix, span_set
+from oracles import oracle_codewords, oracle_rank_distribution, oracle_rank_matrix, oracle_restrict, span_set
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -55,16 +55,16 @@ def test_code_from_generators_shape_mismatch():
 
 
 def test_enumerate_codewords_counts(zero_2x2_f2, e11_2x2_f2, full_2x2_f2):
-    assert list(enumerate_codewords(zero_2x2_f2)) == [MatrixFq.zeros(F2, 2, 2)]
-    assert len(list(enumerate_codewords(e11_2x2_f2))) == 2
-    words = list(enumerate_codewords(full_2x2_f2))
+    assert list(enumerate_codeword_entries(zero_2x2_f2)) == [(0, 0, 0, 0)]
+    assert len(list(enumerate_codeword_entries(e11_2x2_f2))) == 2
+    words = list(enumerate_codeword_entries(full_2x2_f2))
     assert len(words) == 16
     assert len(set(words)) == 16
 
 
 def test_budget_exceeded(full_2x2_f2):
     with pytest.raises(BudgetExceeded):
-        list(enumerate_codewords(full_2x2_f2, budget=8))
+        enumerate_codeword_entries(full_2x2_f2, budget=8)
 
 
 def test_restrict_examples(full_2x2_f2):
@@ -129,11 +129,40 @@ def _seeded_examples(seed, count):
 def test_restrict_matches_enumeration(C):
     # independent route: brute-force filter of codewords by column membership
     n, m, field = C.n, C.m, C.field
-    columns = [{w.col(j) for j in range(m)} for w in enumerate_codewords(C)]
+    columns = [{w[j::m] for j in range(m)} for w in enumerate_codeword_entries(C)]
     for J, dim in zip(enumerate_subspaces(n, field), restriction_dims(C)):
         span = span_set(J.basis, field) if J.dim else {(0,) * n}
         brute = sum(cols <= span for cols in columns)
         assert field.q**dim == field.q ** restrict(C, J).k == brute, (C, J)
+
+
+@st.composite
+def _subspaces(draw, n, field):
+    """A subspace of F_q^n: the span of up to n drawn vectors."""
+    vectors = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=n, max_size=n), max_size=n), label="J")
+    return Subspace.span(vectors, n, field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _codes([(1, 4), (4, 1), (2, 3), (3, 2), (2, 5), (5, 2), (3, 5), (5, 3), (4, 4), (2, 8), (8, 2)]),
+    st.data(),
+)
+def test_restrict_matches_the_intersection_oracle(C, data):
+    # k up to nm: most of these codes are far too large to enumerate
+    J = data.draw(_subspaces(C.n, C.field))
+    assert restrict(C, J) == oracle_restrict(C, J), (C, J)
+
+
+def test_restrict_of_a_tall_code_needs_no_basis_limit():
+    # one generator in Mat(100000 x 1, F_2): Mat(J)^perp would hold 10^10 entries
+    n = 100000
+    C = code_from_generators([MatrixFq.unit(F2, n, 1, 5, 0)])
+    e5 = Subspace.span([tuple(int(i == 5) for i in range(n))], n, F2)
+    for J, dim in [(Subspace.zero(n, F2), 0), (e5, 1)]:
+        start = time.perf_counter()
+        assert restrict(C, J).k == dim
+        assert time.perf_counter() - start < 1
 
 
 def test_restriction_dims_of_zero_and_full_codes():
@@ -151,7 +180,8 @@ def test_restriction_dims_of_zero_and_full_codes():
 def test_dual_code_is_trace_orthogonal(C):
     D = dual_code(C)
     assert C.k + D.k == C.n * C.m
-    assert all(trace_product(M, N) == 0 for M in C.basis for N in D.basis), C
+    matrices = [[MatrixFq(C.field, C.n, C.m, v) for v in X.space.basis] for X in (C, D)]
+    assert all(trace_product(M, N) == 0 for M in matrices[0] for N in matrices[1]), C
 
 
 def test_dual_code_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
@@ -159,7 +189,7 @@ def test_dual_code_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
     assert dual_code(full_2x2_f2).k == 0
     D = dual_code(e11_2x2_f2)
     assert D.k == 3
-    assert all(M.entries[0] == 0 for M in enumerate_codewords(D))
+    assert all(w[0] == 0 for w in enumerate_codeword_entries(D))
 
 
 def test_rank_distribution_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
@@ -177,7 +207,7 @@ def test_rank_weight_enumerator_examples(full_2x2_f2, i2_2x2_f2):
 
 def test_rank_distribution_matches_span_oracle(corpus_2x2_f2):
     for C in corpus_2x2_f2:
-        oracle = oracle_rank_distribution([M.entries for M in C.basis], 2, 2, F2)
+        oracle = oracle_rank_distribution(C.space.basis, 2, 2, F2)
         assert list(rank_distribution(C)) == oracle
     # seeded F_2 codes for the packed kernel, (n, m, largest k): n = 1,
     # m = 1, n < m, n > m and square; k = nm where the oracle can afford it
@@ -197,8 +227,8 @@ def test_ambient_counts_match_column_spaces():
         subspaces = list(enumerate_subspaces(n, field))
         for C in _random_codes(n, m, field, 4 if field.q == 2 else 2, rng):
             by_span = {}
-            for w in enumerate_codewords(C):
-                key = Subspace.span([w.col(j) for j in range(m)], n, field).basis
+            for w in enumerate_codeword_entries(C):
+                key = Subspace.span([w[j::m] for j in range(m)], n, field).basis
                 by_span[key] = by_span.get(key, 0) + 1
             for R in subspaces:
                 A, B = ambient_counts(C, R)
@@ -259,10 +289,6 @@ def test_distribution_sums_and_moebius_roundtrip(corpus_2x2_f2):
             assert recovered == AB[R.basis][0]
 
 
-def _code_as_subspace(C):
-    return Subspace.span([M.entries for M in C.basis], C.n * C.m, C.field)
-
-
 dim_strategy = st.integers(0, 6)
 
 
@@ -276,15 +302,8 @@ def test_dual_involution_and_intersection_law(d1, d2, seed):
     assert dual_code(C).k == 6 - C.k
     # (C cap D)^perp = C^perp + D^perp, with the intersection computed on
     # the vectorized subspaces (independent route)
-    inter = _code_as_subspace(C).intersect(_code_as_subspace(D))
-    inter_code = code_from_generators(
-        [MatrixFq(F2, 3, 2, v) for v in inter.basis], field=F2, n=3, m=2
-    )
-    lhs = dual_code(inter_code)
-    rhs = code_from_generators(
-        list(dual_code(C).basis) + list(dual_code(D).basis), field=F2, n=3, m=2
-    )
-    assert lhs == rhs
+    lhs = dual_code(RankMetricCode(C.space.intersect(D.space), 3, 2))
+    assert lhs.space == dual_code(C).space.sum(dual_code(D).space)
 
 
 def test_json_roundtrip_canonical(full_2x2_f2, e11_2x2_f2):
@@ -449,16 +468,12 @@ def test_projective_walk_visits_each_point_once():
 
 def test_basis_limit_admits_its_own_size_and_refuses_one_row_more():
     # C^perp of the zero Mat(1 x 1024, F_2) code: 1024 x 1024 = BASIS_LIMIT entries
-    zero = code_from_generators([], field=F2, n=1, m=1024)
     assert 1024 * 1024 == BASIS_LIMIT
-    check_basis_size(zero, 1024, "C^perp")
+    assert dual_code(code_from_generators([], field=F2, n=1, m=1024)).k == 1024
+    # in Mat(1 x 1025, F_2), C^perp of 1023 rows fits (1048575 entries) and of 1024 does not
+    units = [MatrixFq.unit(F2, 1, 1025, 0, j) for j in range(2)]
+    assert dual_code(code_from_generators(units)).k == 1023
     with pytest.raises(BudgetExceeded, match="basis of C\\^perp holds 1049600 entries, above the basis limit"):
-        check_basis_size(zero, 1025, "C^perp")
-    wide = code_from_generators([], field=F2, n=1, m=1025)
+        dual_code(code_from_generators(units[:1]))
     with pytest.raises(BudgetExceeded, match="C\\^perp holds 1050625 entries"):
-        dual_code(wide)
-    with pytest.raises(BudgetExceeded, match="Mat\\(J\\) holds 1050625 entries"):
-        restrict(wide, Subspace.full(1, F2))
-    # the intersection solves Mat(J)^perp = Mat(J^perp) even when J = 0
-    with pytest.raises(BudgetExceeded, match="Mat\\(J\\)\\^perp holds 1050625 entries"):
-        restrict(wide, Subspace.zero(1, F2))
+        dual_code(code_from_generators([], field=F2, n=1, m=1025))
