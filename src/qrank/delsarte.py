@@ -24,15 +24,24 @@ field's addition table.  Rank is invariant under nonzero scalars, so
 `rank_distribution` ranks one word per projective point,
 (q^k - 1)/(q - 1) words, and counts each rank q - 1 times; the zero
 word adds to A_0.
-A rank costs an elimination on the min(n, m)-long side of the matrix,
-also by table reads.  Over F_2 the same walk runs packed, one int per
-word with bit i*m + j holding entry (i, j): a Gray step is one XOR with
-a packed basis row, and the rank reduces the n m-bit rows of the word
-against an XOR basis.  XOR is addition only in characteristic 2, and an
-F_2 echelon needs no scaling, so every other q keeps the table kernel.
+A word's rank is the dimension of the span of its L-long vectors, L =
+min(n, m): its columns when n <= m, its rows otherwise.  They are folded
+through the echelon-transition table of F_q^L, one dict step per vector:
+each state is a subspace S, named by its fully reduced echelon basis, and
+state[v] is the state of S + <v>, filled by one elimination on the field's
+flat tables the first time it is read.  The fold stops at F_q^L, and the
+rank is the final state's dimension.  One table per (field, L) is cached
+for the process, so C, C^perp and every later code of the shape share it.
+It is used while its full size, galois_number(L, q) q^L transitions, is
+at most RANK_TABLE_LIMIT; above it, each word gets its own elimination.
+Over F_2 the same walk runs packed, one int per word with vector t in bits
+t L to t L + L - 1: a Gray step is one XOR with a packed basis row, and a
+vector is one shift and mask.  XOR is addition only in characteristic 2,
+so every other q walks entry tuples and slices the vectors out of them.
 `ambient_counts` reads its count off the rank distribution of C(R).
-This brute side never calls `rref_rows`, the lattice or the sweep's
-echelon code, so it stays an independent check of the restriction sweep.
+This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
+the sweep's echelon extension: its table does its own elimination, so it
+stays an independent check of the restriction sweep.
 
 `dual_code` solves for C^perp, a basis of nm - k vectors of F_q^{nm},
 and refuses one whose entries exceed `BASIS_LIMIT` before building it.
@@ -45,12 +54,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from operator import getitem, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
 from .matspace import kernel_basis
-from .qseries import HomogeneousPoly
+from .qseries import HomogeneousPoly, galois_number
 from .subspaces import Subspace, size_text
 
 DEFAULT_BUDGET = 2**24
@@ -58,6 +68,15 @@ DEFAULT_BUDGET = 2**24
 # `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit, takes
 # 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
 BASIS_LIMIT = 2**20
+# the most transitions, galois_number(L, q) q^L with L = min(n, m), of the
+# rank table `rank_distribution` folds words through.  Mat(3 x 3, F_5), at
+# 8000, and Mat(5 x 5, F_2), at 11968, are admitted; Mat(4 x 4, F_3), at
+# 17172, and Mat(6 x 6, F_2), at 180800, are not.  Filled from cold, a table
+# at the limit costs about 0.04 s and under 1 MiB.  Above it the fills can
+# outweigh the eliminations they save: cold, Mat(6 x 6, F_2) k = 18 takes
+# 1.0 s through the table against 0.58 s without, and Mat(3 x 3, F_8) k = 5
+# 0.19 s against 0.03 s (2 cores, Python 3.11.7)
+RANK_TABLE_LIMIT = 2**14
 
 
 @dataclass(frozen=True)
@@ -179,16 +198,9 @@ class _Codewords:
         _, steps, apply, p = self._walk_tables(packed=False)
         return _gray_walk([((0,) * (C.n * C.m), len(steps))], steps, apply, p)
 
-    def packed(self):
-        """The same words in the same order, over F_2 only, each as one int
-        with bit i*m + j holding entry (i, j).  A step is one XOR with a
-        packed basis row."""
-        _, steps, apply, p = self._walk_tables(packed=True)
-        return _gray_walk([(0, len(steps))], steps, apply, p)
-
     def projective(self, packed: bool = False):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
-        all, as entry tuples (as packed ints over F_2 if `packed`): for each
+        all, as entry tuples (over F_2, as packed ints if `packed`): for each
         i, b_i plus the Gray walk over the F_p-basis of the span of b_0, ...,
         b_{i-1}, q^i words.
 
@@ -204,10 +216,18 @@ class _Codewords:
 
     def _walk_tables(self, packed: bool):
         """(basis rows as words, steps, apply, p): steps[i * e + l] is the
-        step alpha^l b_i, and apply(step, word) adds it to a word."""
+        step alpha^l b_i, and apply(step, word) adds it to a word.  A packed
+        word is vector-major: its min(n, m)-bit vector t, bits t L to
+        t L + L - 1 with L = min(n, m), is column t of the matrix when
+        n <= m and row t otherwise, so entry (i, j) is bit j n + i or bit
+        i m + j."""
         C = self.code
+        n, m = C.n, C.m
         if packed:
-            rows = [sum(b << p for p, b in enumerate(row)) for row in C.space.basis]
+            rows = [
+                _pack_bits(chain.from_iterable(row[j::m] for j in range(m)) if n <= m else row)
+                for row in C.space.basis
+            ]
             return rows, rows, xor, 2
         field = C.field
         q = field.q
@@ -217,6 +237,11 @@ class _Codewords:
             tuple(add_rows[mul[field.p**l * q + b]] for b in row) for row in C.space.basis for l in range(field.e)
         ]
         return C.space.basis, steps, _add_step, field.p
+
+
+def _pack_bits(bits) -> int:
+    """The int whose bit t is the t-th of these 0s and 1s."""
+    return int(bytes(bits)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
 
 def _add_step(step, word):
@@ -358,40 +383,174 @@ def _rank_of_entries(entries, n, m, field) -> int:
     return len(basis)
 
 
-def _rank_of_packed(word: int, n: int, m: int) -> int:
-    """Rank over F_2 of the n x m matrix whose entry (i, j) is bit i*m + j
-    of `word`.  Each row, as an m-bit int, is reduced against an XOR basis
+def _rank_of_packed(word: int, length: int) -> int:
+    """Rank over F_2 of the matrix whose `length`-bit vectors, its columns
+    or its rows, are packed low to high in `word` (see
+    `_Codewords._walk_tables`).  Each vector is reduced against an XOR basis
     in insertion order: v ^ b < v iff v holds the top bit of b, so the step
-    clears that bit, and every basis row is zero at the top bits of the rows
-    before it.  Rows past the last nonzero one are skipped.  Stops once the
-    rank reaches min(n, m)."""
-    full = min(n, m)
-    mask = (1 << m) - 1
+    clears that bit, and every basis vector is zero at the top bits of the
+    vectors before it.  Vectors past the last nonzero one are skipped.
+    Stops once the rank reaches `length`."""
+    mask = (1 << length) - 1
     basis = []
     while word:
         v = word & mask
-        word >>= m
+        word >>= length
         for b in basis:
             if v ^ b < v:
                 v ^= b
         if v:
             basis.append(v)
-            if len(basis) == full:
+            if len(basis) == length:
                 break
     return len(basis)
 
 
+class _Echelon(dict):
+    """A subspace S of F_q^L, as the map v -> the state of S + <v>: a state
+    of an `_EchelonTable`.  `rows` is the fully reduced echelon basis of S,
+    so two states are one subspace iff one object.  An entry is filled the
+    first time it is read."""
+
+    __slots__ = ("dim", "rows", "table")
+
+    def __init__(self, rows, table):
+        self.dim, self.rows, self.table = len(rows), rows, table
+
+    def __missing__(self, v):
+        return self.table.fill(self, v)
+
+
+class _EchelonTable:
+    """The echelon-transition table of F_q^L: its states, interned by their
+    rows, and one key object per vector shared by every state (vectors are
+    ints over F_2, entry tuples otherwise).  `zero` and `full` are the
+    states of 0 and of F_q^L; every vector maps `full` to itself."""
+
+    __slots__ = ("field", "states", "vectors", "zero", "full")
+
+    def __init__(self, field: FieldContext, length: int):
+        self.field, self.states, self.vectors = field, {}, {}
+        self.zero = self.state(())
+        self.full = self.state(
+            tuple(1 << i for i in reversed(range(length)))
+            if field.q == 2
+            else tuple(tuple(int(i == j) for j in range(length)) for i in range(length))
+        )
+
+    def state(self, rows) -> _Echelon:
+        state = self.states.get(rows)
+        if state is None:
+            state = self.states[rows] = _Echelon(rows, self)
+        return state
+
+    def fill(self, state: _Echelon, v) -> _Echelon:
+        """Set state[c v], for every c != 0, to the state of S + <v>, which
+        is S + <c v>: one join for q - 1 transitions."""
+        field = self.field
+        if field.q == 2:
+            state[v] = target = self.state(_join_bits(state.rows, v))
+            return target
+        target = self.state(_join_entries(state.rows, v, field))
+        q, mul = field.q, field.tables[1]
+        for f in range(q, q * q, q):
+            w = tuple(mul[f + x] for x in v)
+            state[self.vectors.setdefault(w, w)] = target
+        return target
+
+
+def _join_bits(rows, v):
+    """The fully reduced echelon basis of <rows> + <v> over F_2, vectors as
+    ints: each row's top bit is clear in every other row, and the rows are
+    sorted by it, highest first."""
+    for b in rows:
+        if v ^ b < v:
+            v ^= b
+    if not v:
+        return rows
+    top = 1 << v.bit_length() - 1
+    return tuple(sorted([v] + [b ^ v if b & top else b for b in rows], reverse=True))
+
+
+def _join_entries(rows, v, field):
+    """The fully reduced echelon basis of <rows> + <v>, vectors as entry
+    tuples: each row is 1 at its pivot, its first nonzero entry, and 0 at
+    the other rows' pivots.  Sorted descending, the rows run in pivot
+    order.  The elimination of `_rank_of_entries`, plus back-reduction."""
+    q = field.q
+    add, mul, neg, inv = field.tables
+    for row in rows:
+        c = v[row.index(1)]
+        if c:
+            f = neg[c] * q
+            v = [add[a * q + mul[f + x]] for a, x in zip(v, row)]
+    p = next((p for p, c in enumerate(v) if c), None)
+    if p is None:
+        return rows
+    f = inv[v[p]] * q
+    v = tuple(mul[f + x] for x in v)
+    out = [v]
+    for row in rows:
+        if row[p]:
+            f = neg[row[p]] * q
+            row = tuple(add[a * q + mul[f + x]] for a, x in zip(row, v))
+        out.append(row)
+    return tuple(sorted(out, reverse=True))
+
+
+_RANK_TABLE_CACHE: dict = {}
+
+
+def _rank_table(field: FieldContext, length: int):
+    """The `_EchelonTable` of F_q^length, cached per field and length; None
+    when the full table, galois_number(length, q) q^length transitions, is
+    above RANK_TABLE_LIMIT.  q^length alone refuses first, so no subspace
+    count of a long side is formed."""
+    q = field.q
+    if length >= RANK_TABLE_LIMIT.bit_length() or q**length * galois_number(length, q) > RANK_TABLE_LIMIT:
+        return None
+    key = (field.key, length)
+    if key not in _RANK_TABLE_CACHE:
+        _RANK_TABLE_CACHE[key] = _EchelonTable(field, length)
+    return _RANK_TABLE_CACHE[key]
+
+
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
-    """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}."""
+    """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
+
+    Each word's rank is the dimension of the state its L-long vectors fold
+    to through the rank table, L = min(n, m), from the zero state and
+    stopping at F_q^L; above RANK_TABLE_LIMIT, one elimination per word."""
     n, m, field = C.n, C.m, C.field
+    length = min(n, m)
     counts = [0] * (n + 1)
     words = enumerate_codeword_entries(C, budget)
-    if field.q == 2:
+    table = _rank_table(field, length)
+    if table is None and field.q == 2:
         for word in words.projective(packed=True):
-            counts[_rank_of_packed(word, n, m)] += 1
-    else:
+            counts[_rank_of_packed(word, length)] += 1
+    elif table is None:
         for entries in words.projective():
             counts[_rank_of_entries(entries, n, m, field)] += 1
+    elif field.q == 2:
+        zero, full, mask = table.zero, table.full, (1 << length) - 1
+        for word in words.projective(packed=True):
+            state = zero
+            while word and state is not full:
+                state = state[word & mask]
+                word >>= length
+            counts[state.dim] += 1
+    else:
+        zero, full = table.zero, table.full
+        # the L-long vectors of a word: its columns, or its rows
+        cuts = [slice(j, None, m) for j in range(m)] if n <= m else [slice(i, i + m) for i in range(0, n * m, m)]
+        for entries in words.projective():
+            state = zero
+            for cut in cuts:
+                state = state[entries[cut]]
+                if state is full:
+                    break
+            counts[state.dim] += 1
     # each point stands for its q - 1 nonzero multiples, all of its rank
     counts = [(field.q - 1) * a for a in counts]
     counts[0] += 1

@@ -141,7 +141,8 @@ def verify_axioms(P: QPolymatroid) -> list:
     rho(B) - rho(A) <= r (dim B - dim A) for A subseteq B, on the lattice's
     covers and length-2 intervals only.  Returns one line
     "{axiom} violated at {where}: {detail}" per violation, the zero
-    subspace named 0; the list is empty when every axiom holds.
+    subspace named 0; the list is empty when every axiom holds, and the
+    lattice's keys are then never built.
 
     The subspace lattice is modular.  So R2 and the rank-difference bound
     hold for all A <= B iff they hold on cover pairs, by telescoping along
@@ -152,21 +153,26 @@ def verify_axioms(P: QPolymatroid) -> list:
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
-    covers, keys = lat.covers, [key or "0" for key in lat.keys]
+    covers = lat.covers
+
+    def key(i):
+        # the lattice's keys are built only once a line needs one
+        return lat.keys[i] or "0"
+
     report = []
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * dims[i]:
-            report.append(f"R1 violated at {keys[i]}: rho={ranks[i]} not in [0, {r * dims[i]}]")
+            report.append(f"R1 violated at {key(i)}: rho={ranks[i]} not in [0, {r * dims[i]}]")
     for b, lower in enumerate(covers):
         for a in lower:
             if ranks[a] > ranks[b]:
                 report.append(
-                    f"R2 violated at {keys[a]} <= {keys[b]}: "
-                    f"rho({keys[a]})={ranks[a]} > rho({keys[b]})={ranks[b]}"
+                    f"R2 violated at {key(a)} <= {key(b)}: "
+                    f"rho({key(a)})={ranks[a]} > rho({key(b)})={ranks[b]}"
                 )
             if ranks[b] - ranks[a] > r:
                 report.append(
-                    f"rank-difference violated at {keys[a]} <= {keys[b]}: "
+                    f"rank-difference violated at {key(a)} <= {key(b)}: "
                     f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}"
                 )
     for y, lower in enumerate(covers):
@@ -181,7 +187,7 @@ def verify_axioms(P: QPolymatroid) -> list:
         for x, (a, b, *_) in inside.items():
             if ranks[x] + ranks[y] > ranks[a] + ranks[b]:
                 report.append(
-                    f"R3 violated at {keys[x]} < {keys[a]}, {keys[b]} < {keys[y]}: "
+                    f"R3 violated at {key(x)} < {key(a)}, {key(b)} < {key(y)}: "
                     f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
                 )
     return report

@@ -57,8 +57,9 @@ def oracle_rank_distribution(basis_entries, n, m, field):
         counts[0] = 1
         return counts
     for entries in span_set(basis_entries, field):
-        rows = [entries[i * m : (i + 1) * m] for i in range(n)]
-        counts[oracle_rank_matrix(rows, field)] += 1
+        # rank is transpose-invariant: span the rows or the columns, whichever are fewer
+        vectors = [entries[i * m : (i + 1) * m] for i in range(n)] if n <= m else [entries[j::m] for j in range(m)]
+        counts[oracle_rank_matrix(vectors, field)] += 1
     return counts
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 import tracemalloc
 from itertools import product
@@ -24,12 +25,21 @@ from qrank import (
     restrict,
     trace_product,
 )
-from qrank.delsarte import BASIS_LIMIT, _rank_of_entries, enumerate_codeword_entries
+import qrank.delsarte
+from qrank.delsarte import BASIS_LIMIT, RANK_TABLE_LIMIT, _rank_of_entries, _rank_table, enumerate_codeword_entries
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
+from qrank.qseries import galois_number
 from qrank.subspaces import enumerate_subspaces
 
-from oracles import oracle_codewords, oracle_rank_distribution, oracle_rank_matrix, oracle_restrict, span_set
+from oracles import (
+    oracle_codewords,
+    oracle_dim,
+    oracle_rank_distribution,
+    oracle_rank_matrix,
+    oracle_restrict,
+    span_set,
+)
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -407,8 +417,10 @@ def test_rank_distribution_matches_the_all_words_table_kernel(corpus_2x2_f2, cor
             assert list(rank_distribution(code)) == _table_kernel_counts(code), code
 
 
-def _unpack(word, nm):
-    return tuple(word >> p & 1 for p in range(nm))
+def _unpack(word, n, m):
+    """The entry tuple of a packed F_2 word: bit j n + i holds entry (i, j)
+    when n <= m, bit i m + j otherwise."""
+    return tuple(word >> (j * n + i if n <= m else i * m + j) & 1 for i in range(n) for j in range(m))
 
 
 def test_packed_walk_unpacks_to_the_tuple_view():
@@ -416,24 +428,107 @@ def test_packed_walk_unpacks_to_the_tuple_view():
     for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
         for k in sorted({0, 1, min(n * m, 10), rng.randrange(min(n * m, 10) + 1)}):
             view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
-            unpacked = [_unpack(w, n * m) for w in view.packed()]
-            assert unpacked == list(view), (n, m, k)
+            unpacked = [_unpack(w, n, m) for w in view.projective(packed=True)]
+            assert unpacked == list(view.projective()), (n, m, k)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(PROPERTY_FIELDS),
-    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
-    st.data(),
-)
-def test_rank_distribution_matches_span_oracle_property(field, shape, data):
-    n, m = shape
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PROPERTY_FIELDS), st.data())
+def test_rank_distribution_matches_span_oracle_property(field, data):
     q = field.q
-    # q^k <= 2^10 words, and q^(k + n) <= 2^14 keeps the oracle's row spans cheap
-    top = max(k for k in range(n * m + 1) if q**k <= 2**10 and q ** (k + n) <= 2**14)
+    # n < m, n > m and n = m, with q^min(n, m) <= 2^10; each field has shapes
+    # on both sides of RANK_TABLE_LIMIT, such as (4, 4) over F_3 and (6, 6)
+    # over F_2 above it
+    shapes = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (5, 2), (4, 4), (6, 6)]
+    n, m = data.draw(st.sampled_from([s for s in shapes if q ** min(s) <= 2**10]), label="shape")
+    # the oracle spans q^min(n, m) vectors per word: q^k <= 2^10 words and
+    # q^(k + min(n, m)) nm <= 2^18 keep it cheap
+    top = max(k for k in range(n * m + 1) if q**k <= 2**10 and q ** (k + min(n, m)) * n * m <= 2**18)
     k = data.draw(st.integers(0, top), label="k")
     C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
-    assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field)
+    oracle = oracle_rank_distribution(C.space.basis, n, m, field)
+    # first with every rank table cold, then with this code's transitions filled
+    qrank.delsarte._RANK_TABLE_CACHE.clear()
+    assert list(rank_distribution(C)) == oracle, C
+    assert list(rank_distribution(C)) == oracle, C
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the brute side called an engine of the restriction sweep")
+
+
+def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
+    # on both sides of RANK_TABLE_LIMIT, over F_2 and q > 2, n < m and n > m
+    rng = random.Random(16)
+    shapes = [(4, 5, F2, 8), (5, 4, F2, 8), (6, 6, F2, 6), (2, 20, F2, 8), (3, 4, F3, 5), (4, 3, F3, 5),
+              (4, 4, F3, 4), (3, 3, gf_new(2, 2), 4), (3, 3, gf_new(5), 3), (2, 3, gf_new(3, 2), 3)]  # fmt: skip
+    codes = [random_code(n, m, field, k, rng) for n, m, field, k in shapes]
+    expected = [oracle_rank_distribution(C.space.basis, C.n, C.m, C.field) for C in codes]
+    # every binding of each name, in every qrank module that imported it
+    for module in [mod for name, mod in sys.modules.items() if name == "qrank" or name.startswith("qrank.")]:
+        for name in ("rref_rows", "kernel_basis", "lattice", "_extend"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _refuse)
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    for C, dist in zip(codes, expected):
+        assert list(rank_distribution(C)) == dist, C
+
+
+def test_rank_table_limit_admits_f5_cubed_and_refuses_f3_to_the_fourth():
+    # galois_number(L, q) q^L transitions: 64 * 125 = 8000, 374 * 32 = 11968,
+    # 212 * 81 = 17172 and 2825 * 64 = 180800
+    assert RANK_TABLE_LIMIT == 2**14
+    assert _rank_table(gf_new(5), 3) is not None and _rank_table(F2, 5) is not None
+    assert _rank_table(F3, 4) is None and _rank_table(F2, 6) is None
+
+
+def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
+    # every transition of F_2^4, F_3^3, F_4^3 and F_5^3, filled from cold:
+    # one state per subspace, and each state's dimension is its rank
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    for field, length in [(F2, 4), (F3, 3), (gf_new(2, 2), 3), (gf_new(5), 3)]:
+        q = field.q
+        table = _rank_table(field, length)
+        vectors = range(2**length) if q == 2 else list(product(range(q), repeat=length))
+        seen, todo = {id(table.zero)}, [table.zero]
+        while todo:
+            state = todo.pop()
+            for target in map(state.__getitem__, vectors):
+                if id(target) not in seen:
+                    seen.add(id(target))
+                    todo.append(target)
+        assert len(table.states) == len(seen) == galois_number(length, q), (field, length)
+        assert sum(map(len, table.states.values())) == galois_number(length, q) * q**length
+        assert table.full.dim == length
+        for state in table.states.values():
+            rows = [tuple(r >> i & 1 for i in range(length)) for r in state.rows] if q == 2 else list(state.rows)
+            assert state.dim == oracle_dim(rows, field), (field, state.rows)
+
+
+def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
+    # one generator in Mat(400 x 400, F_2): 2^400 alone is above the limit;
+    # galois_number(400, 2) would take seconds
+    C = random_code(400, 400, F2, 1, random.Random(17))
+    start = time.perf_counter()
+    dist = rank_distribution(C)
+    assert time.perf_counter() - start < 0.1
+    assert dist[0] == 1 and sum(dist) == 2
+
+
+def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
+    # Mat(3 x 3, F_5): 64 states of 125 transitions each, built from cold
+    # by a 5^7-word code, held under the bound of the test above
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    C = random_code(3, 3, gf_new(5), 7, random.Random(18))
+    tracemalloc.start()
+    try:
+        dist = rank_distribution(C)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(dist) == C.size()
+    assert len(_rank_table(C.field, 3).states) == 64
+    assert peak < 2**20, peak
 
 
 def _point(word, field):
@@ -463,7 +558,7 @@ def test_projective_walk_visits_each_point_once():
                 words = [zero] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, q)]
                 assert sorted(words) == (oracle_codewords(C.space.basis, field) if k else [zero]), C
                 if q == 2:
-                    assert [_unpack(w, n * m) for w in view.projective(packed=True)] == points, C
+                    assert [_unpack(w, n, m) for w in view.projective(packed=True)] == points, C
 
 
 def test_basis_limit_admits_its_own_size_and_refuses_one_row_more():

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qrank.delsarte
 import qrank.identities
@@ -343,11 +343,25 @@ def test_check_all_at_the_n6_edge():
 
 @pytest.mark.parametrize("n,m,field", SHAPES, ids=[f"{n}x{m}F{f.q}" for n, m, f in SHAPES])
 def test_check_all_and_lattice_distribution_across_fields(n, m, field):
+    """A property per shape of SHAPES, which together cover every field of
+    PROPERTY_FIELDS with n < m, n > m and n = m; the four seeded codes of
+    each shape are explicit examples.  Both Greene and MacWilliams rank
+    C and C^perp through the rank table."""
     # dimensions where both C and C^perp have at most ~3000 codewords
-    rng = random.Random(f"{n}x{m}F{field.q}")
     dims = [k for k in range(n * m + 1) if max(field.q**k, field.q ** (n * m - k)) <= 3000]
-    for _ in range(4):
-        C = random_code(n, m, field, rng.choice(dims), rng)
+    codes = st.builds(
+        random_code, st.just(n), st.just(m), st.just(field), st.sampled_from(dims),
+        st.builds(random.Random, st.integers(0, 2**30)),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(codes)
+    def check(C):
         assert all(r.passed for r in check_all(C)), C
         # lattice route: Moebius inversion of the restriction table by dimension
         assert list(rank_distribution(C)) == lattice_rank_distribution(CodeAnalysis(C)), C
+
+    rng = random.Random(f"{n}x{m}F{field.q}")
+    for _ in range(4):
+        check = example(random_code(n, m, field, rng.choice(dims), rng))(check)
+    check()

@@ -16,7 +16,7 @@ from qrank import (
 )
 from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import MultiPoly
-from qrank.subspaces import lattice
+from qrank.subspaces import SubspaceLattice, lattice
 
 from oracles import oracle_axioms, oracle_restriction_dims, oracle_rgf, oracle_rho
 from test_delsarte import SHAPES
@@ -88,6 +88,18 @@ def test_verify_axioms_r3_names_the_two_smallest_intermediates():
     ranks = [0, 0, 0, 1, 1]
     report = verify_axioms(QPolymatroid(lat, 1, ranks))
     assert report == ["R3 violated at 0 < 0,1, 1,0 < 1,0;0,1: rho(X)+rho(Y)=1 > rho(A)+rho(B)=0"]
+
+
+def test_a_passing_axiom_check_builds_no_keys():
+    # a fresh lattice, not the cached one other tests have read keys from
+    lat = SubspaceLattice(3, F2)
+    C = random_code(3, 2, F2, 3, random.Random(19))
+    assert verify_axioms(QPolymatroid(lat, 2, from_code(C).ranks)) == []
+    assert "keys" not in lat.__dict__
+    ranks = [0] * len(lat)
+    ranks[lat.zero_index] = 1
+    assert verify_axioms(QPolymatroid(lat, 2, ranks))[0] == "R1 violated at 0: rho=1 not in [0, 0]"
+    assert "keys" in lat.__dict__
 
 
 def _violated(report):
