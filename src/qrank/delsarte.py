@@ -17,27 +17,34 @@ Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given, counting all q^k words); restriction never enumerates.  A
 rank distribution is the plain tuple (A_0, ..., A_n), and the rank
 weight enumerator is the `HomogeneousPoly` with those coefficients.  The
-enumeration streams words in Gray-code order in constant memory: each
-word is the previous one plus a precomputed multiple alpha^l b_i of one
-basis row, alpha^l running over an F_p-basis of F_q, nm reads of the
-field's addition table.  Rank is invariant under nonzero scalars, so
+enumeration streams words in Gray-code order, in memory bounded by the
+basis and not by the number of words: each word is the previous one plus
+a precomputed multiple alpha^l b_i of one basis row, alpha^l running over
+an F_p-basis of F_q.  The walk comes in blocks of at most 256 words, each
+the block's start plus one of the same prefix offsets, which hold at most
+BLOCK_ENTRIES entries in all.  Rank is invariant under nonzero scalars, so
 `rank_distribution` ranks one word per projective point,
 (q^k - 1)/(q - 1) words, and counts each rank q - 1 times; the zero
 word adds to A_0.
 A word's rank is the dimension of the span of its L-long vectors, L =
-min(n, m): its columns when n <= m, its rows otherwise.  They are folded
-through the echelon-transition table of F_q^L, one dict step per vector:
-each state is a subspace S, named by its fully reduced echelon basis, and
-state[v] is the state of S + <v>, filled by one elimination on the field's
-flat tables the first time it is read.  The fold stops at F_q^L, and the
-rank is the final state's dimension.  One table per (field, L) is cached
-for the process, so C, C^perp and every later code of the shape share it.
-It is used while its full size, galois_number(L, q) q^L transitions, is
-at most RANK_TABLE_LIMIT; above it, each word gets its own elimination.
-Over F_2 the same walk runs packed, one int per word with vector t in bits
-t L to t L + L - 1: a Gray step is one XOR with a packed basis row, and a
-vector is one shift and mask.  XOR is addition only in characteristic 2,
-so every other q walks entry tuples and slices the vectors out of them.
+min(n, m): its columns when n <= m, its rows otherwise.  The
+echelon-transition table of F_q^L has one state per subspace S, named by
+its fully reduced echelon basis, and maps S and a vector v to S + <v> by
+one elimination on the field's flat tables (`_transitions`).  When a
+code has enough words to pay for it (`_fold_width`), or one is already
+cached, the table is read into flat int lists, g vectors per key: entry
+s K + x is the state that the g vectors of key x lead to from state s,
+so a word folds from the zero state in ceil(max(n, m) / g) list reads,
+and the last read gives the rank.  F_q^L maps to itself, so no read
+tests for it, and a block whose words all reach it reads no further.
+The lists are cached per (field, L, g), so C, C^perp and every later
+code of the shape share them.
+In characteristic 2 a word is one int, e bits per entry, and a key is a
+run of its bits: addition in F_{2^e} is XOR of the element codes.
+Elsewhere a word is an entry tuple, and a key sum is one read of a cached
+row.  A block folds a key column at a time, its keys being its start's
+key plus the offsets' keys, which are read once per walk.  Without a
+table, each word gets its own elimination, packed over F_2.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table does its own elimination, so it
@@ -52,9 +59,8 @@ entries, as many as the basis of C itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import getitem, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
@@ -68,24 +74,48 @@ DEFAULT_BUDGET = 2**24
 # `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit, takes
 # 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
 BASIS_LIMIT = 2**20
-# the most transitions, galois_number(L, q) q^L with L = min(n, m), of the
-# rank table `rank_distribution` folds words through.  Mat(3 x 3, F_5), at
-# 8000, and Mat(5 x 5, F_2), at 11968, are admitted; Mat(4 x 4, F_3), at
-# 17172, and Mat(6 x 6, F_2), at 180800, are not.  Filled from cold, a table
-# at the limit costs about 0.04 s and under 1 MiB.  Above it the fills can
-# outweigh the eliminations they save: cold, Mat(6 x 6, F_2) k = 18 takes
-# 1.0 s through the table against 0.58 s without, and Mat(3 x 3, F_8) k = 5
-# 0.19 s against 0.03 s (2 cores, Python 3.11.7)
-RANK_TABLE_LIMIT = 2**14
+# the most keys, q^(g L), and the most entries, galois_number(L, q)
+# q^(g L), of a rank table `rank_distribution` folds words through, g
+# vectors of F_q^L per key (see `_fold_width`).  Mat(4 x 4, F_3), at 17172
+# entries, and Mat(4 x 5, F_2) at g = 2, at 17152, fit; Mat(6 x 6, F_2),
+# at 180800, and Mat(3 x 3, F_8), at 512 keys, do not.
+# Filled from cold, the table of Mat(4 x 4, F_3) costs about 0.07 s and
+# under 1 MiB (2 cores, Python 3.11.7)
+FOLD_KEYS = 2**8
+RANK_TABLE_LIMIT = 2**15
+# the most entries, words times nm, of the offsets a block of the Gray
+# walk is read from: 256 words of up to 64 entries, 2^14 / nm words of
+# a longer one.  As entry tuples they take about 256 KiB
+BLOCK_ENTRIES = 2**14
 
 
-@dataclass(frozen=True)
 class RankMetricCode:
-    """Canonical rank-metric code: its subspace of F_q^{nm}."""
+    """Canonical rank-metric code: its subspace of F_q^{nm}.  Immutable:
+    equal and hashed by (space, n, m)."""
 
-    space: Subspace
-    n: int
-    m: int
+    __slots__ = ("space", "n", "m")
+
+    def __init__(self, space: Subspace, n: int, m: int):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable RankMetricCode")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable RankMetricCode")
+
+    def __reduce__(self):
+        return RankMetricCode, (self.space, self.n, self.m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.n, self.m) == (other.space, other.n, other.m)
+
+    def __hash__(self):
+        return hash((self.space, self.n, self.m))
 
     @property
     def field(self) -> FieldContext:
@@ -175,14 +205,14 @@ def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
 
 
 class _Codewords:
-    """The codewords of C, re-iterable in constant memory.
+    """The codewords of C, re-iterable in memory bounded by the basis.
 
-    Every walk is `_gray_walk` over an F_p-basis of a span of basis rows,
-    p the characteristic: the words alpha^l b_i for l < e, alpha^l being
-    the field element encoded p^l, span F_q b_i since F_q = F_p^e.  Each
-    word is the previous one plus one of these vectors.  As a tuple of
-    entries that step is one addition-table row per entry: nm table reads
-    and no field method call.
+    Every walk is a Gray walk of `_gray_blocks` over an F_p-basis of a span
+    of basis rows, p the characteristic: the words alpha^l b_i for l < e,
+    alpha^l being the field element encoded p^l, span F_q b_i since F_q =
+    F_p^e.  A word is a row-major entry tuple, or, in characteristic 2, a
+    packed int (see `_walk`), and a walk comes in blocks of at most 256
+    words, each word the block's start plus one of the walk's offsets.
     """
 
     __slots__ = ("code",)
@@ -194,15 +224,13 @@ class _Codewords:
         return self.code.size()
 
     def __iter__(self):
-        C = self.code
-        _, steps, apply, p = self._walk_tables(packed=False)
-        return _gray_walk([((0,) * (C.n * C.m), len(steps))], steps, apply, p)
+        return self._words(False, projective=False)
 
     def projective(self, packed: bool = False):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
-        all, as entry tuples (over F_2, as packed ints if `packed`): for each
-        i, b_i plus the Gray walk over the F_p-basis of the span of b_0, ...,
-        b_{i-1}, q^i words.
+        all, as entry tuples (in characteristic 2, as packed ints if
+        `packed`): for each i, b_i plus the Gray walk over the F_p-basis of
+        the span of b_0, ..., b_{i-1}, q^i words.
 
         These are the words u whose last nonzero coefficient is 1.  Each
         nonzero word w has a last nonzero coefficient c, at some b_i, and
@@ -210,65 +238,120 @@ class _Codewords:
         coefficients agree past i and at b_i, so c = c' and u = u'.  So
         {c u : c != 0} lists each nonzero codeword exactly once, and
         rank(c u) = rank(u) since c is invertible."""
-        rows, steps, apply, p = self._walk_tables(packed)
-        e = self.code.field.e
-        return _gray_walk([(row, i * e) for i, row in enumerate(rows)], steps, apply, p)
+        return self._words(packed)
 
-    def _walk_tables(self, packed: bool):
-        """(basis rows as words, steps, apply, p): steps[i * e + l] is the
-        step alpha^l b_i, and apply(step, word) adds it to a word.  A packed
-        word is vector-major: its min(n, m)-bit vector t, bits t L to
-        t L + L - 1 with L = min(n, m), is column t of the matrix when
-        n <= m and row t otherwise, so entry (i, j) is bit j n + i or bit
-        i m + j."""
-        C = self.code
-        n, m = C.n, C.m
+    def _words(self, packed: bool, projective: bool = True):
+        """The words of `_walk`, one at a time: over entry tuples each is
+        one addition-table row per entry of its offset, applied to the
+        block's start."""
+        offsets, blocks = self._walk(packed, projective)
         if packed:
-            rows = [
-                _pack_bits(chain.from_iterable(row[j::m] for j in range(m)) if n <= m else row)
-                for row in C.space.basis
-            ]
-            return rows, rows, xor, 2
-        field = C.field
-        q = field.q
-        add, mul, _, _ = field.tables
-        add_rows = [add[a * q : (a + 1) * q] for a in range(q)]
-        steps = [
-            tuple(add_rows[mul[field.p**l * q + b]] for b in row) for row in C.space.basis for l in range(field.e)
-        ]
-        return C.space.basis, steps, _add_step, field.p
+            moves, apply = offsets, xor
+        else:
+            rows = _add_rows(self.code.field)
+            moves, apply = [tuple(map(rows.__getitem__, o)) for o in offsets], _add_step
+        for start, size in blocks:
+            yield from map(apply, moves, repeat(start, size))
+
+    def _walk(self, packed: bool, projective: bool = True):
+        """(offsets, blocks) of the projective walk, or with `projective`
+        false of the walk of all q^k words from 0 (see `_gray_blocks`),
+        in blocks of p^depth words, p^depth nm <= BLOCK_ENTRIES.  A
+        packed word is vector-major, with e bits per entry: its vector t,
+        L = min(n, m) entries long, is column t of the matrix when n <= m
+        and row t otherwise, and entry (i, j) is bits u e to u e + e - 1,
+        u = j n + i or i m + j.  Those bits are the entry's code, whose
+        base-2 digits are its coordinates over F_2, so addition in F_{2^e}
+        is XOR."""
+        C = self.code
+        field, n, m, k = C.field, C.n, C.m, C.k
+        q, p, e = field.q, field.p, field.e
+        steps = C.space.basis
+        if e > 1:
+            mul = field.tables[1]
+            steps = [tuple(mul[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
+        if packed:
+            steps = [_pack(chain.from_iterable(s[j::m] for j in range(m)) if n <= m else s, e) for s in steps]
+            moves, plus, moved, zero = steps, xor, lambda v: v, 0
+        else:
+            # a step as its entries' addition-table rows: adding it is one map
+            rows = _add_rows(field)
+            moved, plus, zero = lambda v: tuple(map(rows.__getitem__, v)), _add_step, (0,) * (n * m)
+            moves = [moved(s) for s in steps]
+        if projective:
+            starts, longest = [(steps[i * e], i * e) for i in range(k)], max(k - 1, 0) * e
+        else:
+            starts, longest = [(zero, k * e)], k * e
+        depth = _block_depth(p, n * m)
+        offsets = _gray_offsets(moves[:longest], plus, zero, p, depth)
+        return offsets, _gray_blocks(starts, moves, offsets, plus, moved, p, depth)
 
 
-def _pack_bits(bits) -> int:
-    """The int whose bit t is the t-th of these 0s and 1s."""
-    return int(bytes(bits)[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
+@lru_cache(maxsize=None)
+def _add_rows(field: FieldContext) -> tuple:
+    """The addition table of F_q as q rows: rows[a][b] = a + b."""
+    q, add = field.q, field.tables[0]
+    return tuple(add[a * q : (a + 1) * q] for a in range(q))
 
 
-def _add_step(step, word):
-    return tuple(map(getitem, step, word))
+def _add_step(rows, word) -> tuple:
+    """The word plus the vector whose addition-table rows these are."""
+    return tuple(map(getitem, rows, word))
 
 
-def _gray_walk(starts, steps, apply, p):
-    """For each (word, j) of `starts`: `word`, then the p^j - 1 further
-    words of the p-ary Gray walk over steps[:j], each step of additive
-    order p.  Word t of a walk is apply(steps[i], word t - 1), where i is
-    the lowest nonzero base-p digit of t; so word t is the start plus
-    sum_i g_i steps[i], g the modular p-ary Gray code of t, and each of the
-    p^j combinations comes once.  The steps within each block of p^low
-    words repeat, so every walk reads them from one list of at most 255."""
-    top, digits = _ruler(p)
-    ruler = list(map(steps.__getitem__, digits[: p ** min(top, len(steps)) - 1]))
+def _pack(entries, e: int) -> int:
+    """The int holding these elements of F_{2^e}, the first lowest, each as
+    the e bits of its code."""
+    return int(bytes(entries)[::-1].decode("latin-1").translate(_bit_codes(e)), 2)
+
+
+@lru_cache(maxsize=None)
+def _bit_codes(e: int) -> dict:
+    """The e-bit binary numeral of each element code of F_{2^e}."""
+    return {x: format(x, f"0{e}b") for x in range(2**e)}
+
+
+def _gray_offsets(moves, plus, zero, p, depth):
+    """The sums offsets[t] of the first t steps of the ruler of `_ruler`,
+    t < p^min(depth, len(moves)): the offsets of every block of a walk.
+    plus(move, word) adds a step, given as its move, to a word."""
+    offsets = [zero]
+    for d in _ruler(p)[1][: p ** min(depth, len(moves)) - 1]:
+        offsets.append(plus(moves[d], offsets[-1]))
+    return offsets
+
+
+def _gray_blocks(starts, moves, offsets, plus, moved, p, depth):
+    """For each (word, j) of `starts`, the p^j words of the p-ary Gray walk
+    over the steps of moves[:j] from `word`, each step of additive order p,
+    as blocks (start, size): the words start + offsets[t], t < size =
+    p^min(j, depth).  Word t of a walk is word t - 1 plus step i, i the
+    lowest nonzero base-p digit of t; so it is the walk's start plus sum_i
+    g_i step i, g the modular p-ary Gray code of t, and each of the p^j
+    sums comes once.  The low digits run through the same ruler in every
+    block, so block h starts at the last word of block h - 1 plus step
+    low + i, i the lowest nonzero base-p digit of h.  moved(v) is the move
+    of a word v."""
     for word, j in starts:
-        yield word
-        low = min(top, j)
-        block = ruler[: p**low - 1]
+        low = min(depth, j)
+        size = p**low
+        last = moved(offsets[size - 1]) if size > 1 else None
         for high in range(p ** (j - low)):
             if high:
-                word = apply(steps[low + _lowest_digit(high, p)], word)
-                yield word
-            for step in block:
-                word = apply(step, word)
-                yield word
+                if last is not None:
+                    word = plus(last, word)
+                word = plus(moves[low + _lowest_digit(high, p)], word)
+            yield word, size
+
+
+@lru_cache(maxsize=1024)
+def _block_depth(p: int, entries: int) -> int:
+    """The largest depth <= top of `_ruler` with p^depth words of this
+    many entries at most BLOCK_ENTRIES; 0 for one word per block."""
+    top, depth = _ruler(p)[0], 0
+    while depth < top and p ** (depth + 1) * entries <= BLOCK_ENTRIES:
+        depth += 1
+    return depth
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +469,7 @@ def _rank_of_entries(entries, n, m, field) -> int:
 def _rank_of_packed(word: int, length: int) -> int:
     """Rank over F_2 of the matrix whose `length`-bit vectors, its columns
     or its rows, are packed low to high in `word` (see
-    `_Codewords._walk_tables`).  Each vector is reduced against an XOR basis
+    `_Codewords._walk`).  Each vector is reduced against an XOR basis
     in insertion order: v ^ b < v iff v holds the top bit of b, so the step
     clears that bit, and every basis vector is zero at the top bits of the
     vectors before it.  Vectors past the last nonzero one are skipped.
@@ -404,59 +487,6 @@ def _rank_of_packed(word: int, length: int) -> int:
             if len(basis) == length:
                 break
     return len(basis)
-
-
-class _Echelon(dict):
-    """A subspace S of F_q^L, as the map v -> the state of S + <v>: a state
-    of an `_EchelonTable`.  `rows` is the fully reduced echelon basis of S,
-    so two states are one subspace iff one object.  An entry is filled the
-    first time it is read."""
-
-    __slots__ = ("dim", "rows", "table")
-
-    def __init__(self, rows, table):
-        self.dim, self.rows, self.table = len(rows), rows, table
-
-    def __missing__(self, v):
-        return self.table.fill(self, v)
-
-
-class _EchelonTable:
-    """The echelon-transition table of F_q^L: its states, interned by their
-    rows, and one key object per vector shared by every state (vectors are
-    ints over F_2, entry tuples otherwise).  `zero` and `full` are the
-    states of 0 and of F_q^L; every vector maps `full` to itself."""
-
-    __slots__ = ("field", "states", "vectors", "zero", "full")
-
-    def __init__(self, field: FieldContext, length: int):
-        self.field, self.states, self.vectors = field, {}, {}
-        self.zero = self.state(())
-        self.full = self.state(
-            tuple(1 << i for i in reversed(range(length)))
-            if field.q == 2
-            else tuple(tuple(int(i == j) for j in range(length)) for i in range(length))
-        )
-
-    def state(self, rows) -> _Echelon:
-        state = self.states.get(rows)
-        if state is None:
-            state = self.states[rows] = _Echelon(rows, self)
-        return state
-
-    def fill(self, state: _Echelon, v) -> _Echelon:
-        """Set state[c v], for every c != 0, to the state of S + <v>, which
-        is S + <c v>: one join for q - 1 transitions."""
-        field = self.field
-        if field.q == 2:
-            state[v] = target = self.state(_join_bits(state.rows, v))
-            return target
-        target = self.state(_join_entries(state.rows, v, field))
-        q, mul = field.q, field.tables[1]
-        for f in range(q, q * q, q):
-            w = tuple(mul[f + x] for x in v)
-            state[self.vectors.setdefault(w, w)] = target
-        return target
 
 
 def _join_bits(rows, v):
@@ -501,58 +531,221 @@ def _join_entries(rows, v, field):
 _RANK_TABLE_CACHE: dict = {}
 
 
-def _rank_table(field: FieldContext, length: int):
-    """The `_EchelonTable` of F_q^length, cached per field and length; None
-    when the full table, galois_number(length, q) q^length transitions, is
-    above RANK_TABLE_LIMIT.  q^length alone refuses first, so no subspace
-    count of a long side is formed."""
-    q = field.q
-    if length >= RANK_TABLE_LIMIT.bit_length() or q**length * galois_number(length, q) > RANK_TABLE_LIMIT:
-        return None
-    key = (field.key, length)
-    if key not in _RANK_TABLE_CACHE:
-        _RANK_TABLE_CACHE[key] = _EchelonTable(field, length)
-    return _RANK_TABLE_CACHE[key]
+def _transitions(field: FieldContext, length: int):
+    """(targets, bases) of the echelon-transition table of F_q^length,
+    cached per field and length.  A breadth-first walk from the zero
+    subspace numbers each subspace S the first time it is reached and names
+    it by its fully reduced echelon basis, bases[s], so dim S =
+    len(bases[s]); targets[s][x] is the number of S + <v>, v the vector of
+    key x = sum_j v_j q^j (over F_2, the int whose bit j is v_j).  Every
+    transition is one `_join_bits` or `_join_entries`, whose state is also
+    that of the q - 1 nonzero multiples of v."""
+    cache_key = (field.key, length)
+    if cache_key not in _RANK_TABLE_CACHE:
+        q, mul = field.q, field.tables[1]
+        size = q**length
+        if q == 2:
+            vectors, multiples = range(size), [(x,) for x in range(size)]
+        else:
+            vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
+            weights = [q**j for j in range(length)]
+            multiples = [
+                {sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors
+            ]
+        numbers, bases, targets = {(): 0}, [()], []
+        for rows in bases:  # grows as new subspaces are reached
+            row = [None] * size
+            for x, v in enumerate(vectors):
+                if row[x] is None:
+                    joined = _join_bits(rows, v) if q == 2 else _join_entries(rows, v, field)
+                    t = numbers.setdefault(joined, len(bases))
+                    if t == len(bases):
+                        bases.append(joined)
+                    for y in multiples[x]:
+                        row[y] = t
+            targets.append(row)
+        _RANK_TABLE_CACHE[cache_key] = targets, bases
+    return _RANK_TABLE_CACHE[cache_key]
+
+
+class _KeyRows(dict):
+    """The map x -> the list of the key sums x + y over all keys y, for
+    keys of `digits` entries of F_q: a key is the base-q number of its
+    entries, added entry by entry.  A row is filled the first time it is
+    read."""
+
+    __slots__ = ("field", "digits")
+
+    def __init__(self, field: FieldContext, digits: int):
+        self.field, self.digits = field, digits
+
+    def __missing__(self, x):
+        q, add = self.field.q, self.field.tables[0]
+        row = [0]
+        for i in range(self.digits):
+            # the sums over keys y < q^(i + 1), indexed y_i q^i + lower digits
+            shift, weight = x // q**i % q * q, q**i
+            row = [v + add[shift + d] * weight for d in range(q) for v in row]
+        self[x] = row
+        return row
+
+
+def _fold_table(field: FieldContext, length: int, g: int):
+    """(flat, last, rows, full) folding g vectors of F_q^length per read,
+    cached per field, length and g.  The key of g vectors v_0, ..., v_{g-1}
+    is sum_t key(v_t) q^(t L), one of K = q^(g L); from state s, the key x
+    reaches the state t of `_transitions` that g steps reach, and entry
+    s K + x is t K in `flat` and dim t in `last`.  A zero vector leaves
+    every state where it is, so a word's last, shorter key reads the same
+    lists.  `rows` holds the `_KeyRows` of these keys, and `full` is f K,
+    f the state of F_q^length."""
+    cache_key = (field.key, length, g)
+    if cache_key not in _RANK_TABLE_CACHE:
+        targets, bases = _transitions(field, length)
+        dims = [len(rows) for rows in bases]
+        reached = targets
+        for _ in range(g - 1):
+            # one more vector, as the top digits of the key
+            reached = [[targets[t][v] for v in range(len(targets[0])) for t in row] for row in reached]
+        keys = len(reached[0])
+        scaled = [s * keys for s in range(len(dims))]
+        _RANK_TABLE_CACHE[cache_key] = (
+            [scaled[t] for row in reached for t in row],
+            [dims[t] for row in reached for t in row],
+            _KeyRows(field, g * length),
+            scaled[dims.index(length)],
+        )
+    return _RANK_TABLE_CACHE[cache_key]
+
+
+@lru_cache(maxsize=1024)
+def _fold_width(q: int, length: int, width: int, k: int) -> int:
+    """The fold width g for which `rank_distribution` fills a table to rank
+    the (q^k - 1)/(q - 1) projective words of a k-dimensional code, each of
+    `width` vectors of F_q^length; 0 for one elimination per word.  The
+    words must pay for the table's galois_number(L, q) q^L transitions, 8
+    words a transition over F_2 and 2/3 for q > 2, and those transitions
+    must be at most RANK_TABLE_LIMIT.  A width 1 < g <= `width` is admitted
+    when its table reads at most FOLD_KEYS keys, q^(g L), and its
+    galois_number(L, q) q^(g L) entries number at most RANK_TABLE_LIMIT and
+    at most the words.  Of the admitted widths, the smallest that reads a
+    word in as few keys as the widest.  q^L is checked first, so no
+    subspace count of a long side is formed.
+
+    Filled from cold, a transition costs one elimination, about as much as
+    ranking a word by elimination: the table breaks even at 0.34 to 0.8
+    words per transition for q > 2, and at 2.0 to 6.3 over F_2, whose
+    packed elimination is cheaper (at 103 on F_2^2, where a fold saves next
+    to nothing).  An entry of a wider table is one list read, about 1/15
+    of a transition (2 cores, Python 3.11.7).  So Mat(4 x 4, F_3) k = 10
+    (29524 words, 17172 transitions) and Mat(2 x 2, F_3) k = 4 (40 words,
+    54 transitions) take a table; Mat(4 x 3, F_3) k = 6 (364 words, 756
+    transitions) and Mat(5 x 2, F_2) k = 5 (31 words, 20 transitions) do
+    not; Mat(4 x 5, F_2) k = 16 (65535 words, 1072 transitions) folds at
+    g = 2, whose 17152 entries halve its reads."""
+    words = (q**k - 1) // (q - 1)
+    factor = 8 if q == 2 else 2 / 3
+    # the transitions are at least q^L
+    if length >= FOLD_KEYS.bit_length() or q**length > FOLD_KEYS or factor * q**length > words:
+        return 0
+    states = galois_number(length, q)
+    if factor * states * q**length > words or states * q**length > RANK_TABLE_LIMIT:
+        return 0
+    g = 1
+    while g < width:
+        keys = q ** ((g + 1) * length)
+        if keys > FOLD_KEYS or states * keys > min(RANK_TABLE_LIMIT, words):
+            break
+        g += 1
+    return -(-width // -(-width // g))
+
+
+def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
+    """The number of projective words of each rank, each word folded from
+    the zero state through `_fold_table` one key at a time, g vectors per
+    key, the last key read in `last`.  A block's words are its start plus
+    the walk's offsets, so key i of each is the sum of the start's key i
+    and the offset's: the offsets' keys are read once per walk, when the
+    fold first reaches key i, the start's once per block, and a block folds
+    one key column at a time.  Packed words (characteristic 2 only) add
+    keys by XOR; entry tuples read the sum off the cached row of the
+    start's key.  F_q^L maps to itself, so once every word of a block is
+    there, the block's keys left are not read."""
+    C = words.code
+    field, n, m = C.field, C.n, C.m
+    q, length, width = field.q, min(n, m), max(n, m)
+    flat, last, rows, full = _fold_table(field, length, g)
+    size = q ** (g * length)
+    chunks = -(-width // g)
+    offsets, blocks = words._walk(packed)
+    if packed:
+        bits = size.bit_length() - 1
+
+        def key_of(i):
+            return lambda w, shift=i * bits: w >> shift & size - 1
+
+    else:
+        # the entries of key i, and their weights q^u: vector-major, as packed
+        order = [i * m + j for j in range(width) for i in range(n)] if n <= m else range(n * m)
+        weights = [q**u for u in range(g * length)]
+
+        def key_of(i):
+            cut = order[i * g * length : (i + 1) * g * length]
+            return lambda w: sum(w[u] * c for u, c in zip(cut, weights))
+
+    columns = []  # (key i, the offsets' keys i, its list), made when first read
+    counts = [0] * (n + 1)
+    for start, block in blocks:
+        ranks = repeat(0, block)
+        for i in range(chunks):
+            if i == len(columns):
+                key = key_of(i)
+                columns.append((key, [key(o) for o in offsets], last if i == chunks - 1 else flat))
+            key, column, table = columns[i]
+            x = key(start)
+            if packed:
+                ranks = [table[s + (x ^ o)] for s, o in zip(ranks, column)]
+            else:
+                row = rows[x]
+                ranks = [table[s + row[o]] for s, o in zip(ranks, column)]
+            # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
+            if (i + 1) * g >= length and i + 1 < chunks and ranks.count(full) == block:
+                counts[length] += block
+                break
+        else:
+            for r in range(length + 1):
+                counts[r] += ranks.count(r)
+    return counts
 
 
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
-    Each word's rank is the dimension of the state its L-long vectors fold
-    to through the rank table, L = min(n, m), from the zero state and
-    stopping at F_q^L; above RANK_TABLE_LIMIT, one elimination per word."""
+    Each projective word is ranked by `_fold_ranks` when `_fold_width`
+    admits a table, or through the widest table of F_q^L already cached
+    when k > L, so that the (q^k - 1)/(q - 1) words outnumber the q^L
+    vectors; packed in characteristic 2.  Otherwise by one elimination per
+    word, packed over F_2."""
     n, m, field = C.n, C.m, C.field
-    length = min(n, m)
-    counts = [0] * (n + 1)
+    q, length = field.q, min(n, m)
     words = enumerate_codeword_entries(C, budget)
-    table = _rank_table(field, length)
-    if table is None and field.q == 2:
-        for word in words.projective(packed=True):
-            counts[_rank_of_packed(word, length)] += 1
-    elif table is None:
-        for entries in words.projective():
-            counts[_rank_of_entries(entries, n, m, field)] += 1
-    elif field.q == 2:
-        zero, full, mask = table.zero, table.full, (1 << length) - 1
-        for word in words.projective(packed=True):
-            state = zero
-            while word and state is not full:
-                state = state[word & mask]
-                word >>= length
-            counts[state.dim] += 1
+    g = _fold_width(q, length, max(n, m), C.k)
+    if not g and C.k > length and (field.key, length) in _RANK_TABLE_CACHE:
+        # more words than the q^L vectors: fold through the widest cached table
+        widths = range(FOLD_KEYS.bit_length(), 0, -1)
+        g = next((g for g in widths if (field.key, length, g) in _RANK_TABLE_CACHE), 0)
+    if g:
+        counts = _fold_ranks(words, g, field.p == 2)
     else:
-        zero, full = table.zero, table.full
-        # the L-long vectors of a word: its columns, or its rows
-        cuts = [slice(j, None, m) for j in range(m)] if n <= m else [slice(i, i + m) for i in range(0, n * m, m)]
-        for entries in words.projective():
-            state = zero
-            for cut in cuts:
-                state = state[entries[cut]]
-                if state is full:
-                    break
-            counts[state.dim] += 1
+        counts = [0] * (n + 1)
+        if q == 2:
+            for word in words.projective(packed=True):
+                counts[_rank_of_packed(word, length)] += 1
+        else:
+            for entries in words.projective():
+                counts[_rank_of_entries(entries, n, m, field)] += 1
     # each point stands for its q - 1 nonzero multiples, all of its rank
-    counts = [(field.q - 1) * a for a in counts]
+    counts = [(q - 1) * a for a in counts]
     counts[0] += 1
     return tuple(counts)
 

@@ -9,7 +9,6 @@ polynomial whose z-exponents are multiples of m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -28,14 +27,29 @@ from .qseries import (
 )
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    params: dict
-    lhs: str
-    rhs: str
-    passed: bool
-    witness: str | None = None
+    """One identity's outcome on one code: its two sides as text, whether
+    they are equal and, if not, a witness.  Equal by value, unhashable."""
+
+    __slots__ = ("name", "params", "lhs", "rhs", "passed", "witness")
+    __hash__ = None
+
+    def __init__(self, name: str, params: dict, lhs: str, rhs: str, passed: bool, witness: str | None = None):
+        self.name, self.params, self.lhs, self.rhs = name, params, lhs, rhs
+        self.passed, self.witness = passed, witness
+
+    def _fields(self):
+        return self.name, self.params, self.lhs, self.rhs, self.passed, self.witness
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "IdentityReport({})".format(
+            ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        )
 
     def as_dict(self) -> dict:
         return {

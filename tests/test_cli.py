@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -390,3 +394,16 @@ def test_failed_check_exit_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(IDENTITY_CHECKS, "greene", lambda a: [failing])
     assert main(["check", "greene", str(path)]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays its imports; these two cost about 9 ms of a cold child
+    probe = (
+        "import json, sys; before = set(sys.modules); import qrank.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(qrank.cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60, check=True)
+    added = json.loads(out.stdout)
+    assert "qrank.cli" in added
+    assert "dataclasses" not in added and "inspect" not in added, added

@@ -26,7 +26,18 @@ from qrank import (
     trace_product,
 )
 import qrank.delsarte
-from qrank.delsarte import BASIS_LIMIT, RANK_TABLE_LIMIT, _rank_of_entries, _rank_table, enumerate_codeword_entries
+from qrank.delsarte import (
+    BASIS_LIMIT,
+    BLOCK_ENTRIES,
+    FOLD_KEYS,
+    RANK_TABLE_LIMIT,
+    _fold_ranks,
+    _fold_table,
+    _fold_width,
+    _rank_of_entries,
+    _transitions,
+    enumerate_codeword_entries,
+)
 from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import galois_number
@@ -316,6 +327,22 @@ def test_dual_involution_and_intersection_law(d1, d2, seed):
     assert lhs.space == dual_code(C).space.sum(dual_code(D).space)
 
 
+def test_a_code_is_immutable_and_equal_by_value(full_2x2_f2, e11_2x2_f2):
+    import copy
+    import pickle
+
+    C = full_2x2_f2
+    twin = RankMetricCode(space=C.space, n=C.n, m=C.m)
+    assert twin == C and hash(twin) == hash(C) and twin != e11_2x2_f2
+    assert len({C, twin, e11_2x2_f2}) == 2
+    for name in ("space", "n", "m", "other"):
+        with pytest.raises(AttributeError):
+            setattr(C, name, None)
+        with pytest.raises(AttributeError):
+            delattr(C, name)
+    assert copy.copy(C) == pickle.loads(pickle.dumps(C)) == C
+
+
 def test_json_roundtrip_canonical(full_2x2_f2, e11_2x2_f2):
     for C in [full_2x2_f2, e11_2x2_f2]:
         text = json.dumps(C.to_json())
@@ -417,19 +444,22 @@ def test_rank_distribution_matches_the_all_words_table_kernel(corpus_2x2_f2, cor
             assert list(rank_distribution(code)) == _table_kernel_counts(code), code
 
 
-def _unpack(word, n, m):
-    """The entry tuple of a packed F_2 word: bit j n + i holds entry (i, j)
-    when n <= m, bit i m + j otherwise."""
-    return tuple(word >> (j * n + i if n <= m else i * m + j) & 1 for i in range(n) for j in range(m))
+def _unpack(word, n, m, e=1):
+    """The entry tuple of a packed word over F_{2^e}: bits u e to u e + e - 1
+    hold entry (i, j), u = j n + i when n <= m and u = i m + j otherwise."""
+    return tuple(word >> e * (j * n + i if n <= m else i * m + j) & 2**e - 1 for i in range(n) for j in range(m))
 
 
 def test_packed_walk_unpacks_to_the_tuple_view():
     rng = random.Random(14)
-    for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
-        for k in sorted({0, 1, min(n * m, 10), rng.randrange(min(n * m, 10) + 1)}):
-            view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
-            unpacked = [_unpack(w, n, m) for w in view.projective(packed=True)]
-            assert unpacked == list(view.projective()), (n, m, k)
+    for field in (F2, gf_new(2, 2), gf_new(2, 3)):
+        for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
+            # k with at most 2^10 words
+            top = min(n * m, 10 // field.e)
+            for k in sorted({0, 1, top, rng.randrange(top + 1)}):
+                view = enumerate_codeword_entries(random_code(n, m, field, k, rng))
+                unpacked = [_unpack(w, n, m, field.e) for w in view.projective(packed=True)]
+                assert unpacked == list(view.projective()), (field, n, m, k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -437,7 +467,7 @@ def test_packed_walk_unpacks_to_the_tuple_view():
 def test_rank_distribution_matches_span_oracle_property(field, data):
     q = field.q
     # n < m, n > m and n = m, with q^min(n, m) <= 2^10; each field has shapes
-    # on both sides of RANK_TABLE_LIMIT, such as (4, 4) over F_3 and (6, 6)
+    # on both sides of the fold gate, such as (4, 4) over F_3 and (6, 6)
     # over F_2 above it
     shapes = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (5, 2), (4, 4), (6, 6)]
     n, m = data.draw(st.sampled_from([s for s in shapes if q ** min(s) <= 2**10]), label="shape")
@@ -458,12 +488,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
-    # on both sides of RANK_TABLE_LIMIT, over F_2 and q > 2, n < m and n > m
+    # on both sides of the fold gate, over F_2 and q > 2, n < m and n > m
     rng = random.Random(16)
     shapes = [(4, 5, F2, 8), (5, 4, F2, 8), (6, 6, F2, 6), (2, 20, F2, 8), (3, 4, F3, 5), (4, 3, F3, 5),
               (4, 4, F3, 4), (3, 3, gf_new(2, 2), 4), (3, 3, gf_new(5), 3), (2, 3, gf_new(3, 2), 3)]  # fmt: skip
     codes = [random_code(n, m, field, k, rng) for n, m, field, k in shapes]
     expected = [oracle_rank_distribution(C.space.basis, C.n, C.m, C.field) for C in codes]
+    # the three shapes of the benchmark's enumeration workload, and a packed
+    # F_8 shape, through the table; one elimination per codeword for these
+    for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5)]:
+        C = random_code(n, m, field, k, rng)
+        assert _fold_width(field.q, min(n, m), max(n, m), k), C
+        codes.append(C)
+        expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
     for module in [mod for name, mod in sys.modules.items() if name == "qrank" or name.startswith("qrank.")]:
         for name in ("rref_rows", "kernel_basis", "lattice", "_extend"):
@@ -474,35 +511,66 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
         assert list(rank_distribution(C)) == dist, C
 
 
-def test_rank_table_limit_admits_f5_cubed_and_refuses_f3_to_the_fourth():
-    # galois_number(L, q) q^L transitions: 64 * 125 = 8000, 374 * 32 = 11968,
-    # 212 * 81 = 17172 and 2825 * 64 = 180800
-    assert RANK_TABLE_LIMIT == 2**14
-    assert _rank_table(gf_new(5), 3) is not None and _rank_table(F2, 5) is not None
-    assert _rank_table(F3, 4) is None and _rank_table(F2, 6) is None
+def test_fold_width_weighs_words_against_transitions():
+    # (q, L, width, k) -> g: (q^k - 1)/(q - 1) words against galois_number(L,
+    # q) q^L transitions, 8 words each over F_2 and 2/3 for q > 2, then against
+    # the galois_number(L, q) q^(g L) entries of a g-wide table, at most
+    # 2^15 of them and 2^8 keys
+    assert (FOLD_KEYS, RANK_TABLE_LIMIT) == (2**8, 2**15)
+    decisions = {
+        (2, 4, 5, 16): 2,  # 67 * 16 = 1072 transitions and 17152 entries for 65535 words
+        (2, 4, 5, 14): 1,  # 17152 entries for 16383 words are too many
+        (2, 4, 5, 4): 0,  # 1072 transitions for 15 words: the dual of the first
+        (3, 3, 4, 9): 1,  # 28 * 27 = 756 for 9841; g = 2 would read 729 keys
+        (4, 3, 3, 7): 1,  # 44 * 64 = 2816 for 5461
+        (5, 3, 3, 7): 1,  # 64 * 125 = 8000 for 19531
+        (3, 4, 4, 10): 1,  # 212 * 81 = 17172 for 29524
+        (3, 4, 4, 9): 0,  # 2/3 of 17172 is above 9841
+        (3, 3, 4, 6): 0,  # 756 for 364: Mat(4 x 3, F_3) k = 6, a cold CLI child's code
+        (3, 2, 2, 4): 1,  # 6 * 9 = 54 for 40
+        (3, 2, 2, 3): 0,  # 54 for 13
+        (4, 2, 2, 4): 1,  # 7 * 16 = 112 for 85
+        (2, 2, 5, 5): 0,  # 8 * 5 * 4 = 160 for 31: Mat(5 x 2, F_2) k = 5, a cold CLI child's code
+        (2, 3, 5, 10): 0,  # 8 * 16 * 8 = 1024 for 1023
+        (2, 3, 5, 11): 2,  # 1024 for 2047, and 1024 entries at g = 2 fold 5 vectors in 3 keys
+        (8, 3, 3, 5): 0,  # 8^3 = 512 keys
+        (8, 2, 3, 5): 1,  # 11 * 64 = 704 for 4681
+        (2, 6, 6, 18): 0,  # 2825 * 64 = 180800 entries, above the limit
+        (2, 6, 6, 36): 0,
+        (2, 5, 5, 20): 1,  # 374 * 32 = 11968; g = 2 would read 1024 keys
+        (2, 2, 5, 16): 3,  # 5 * 256 = 1280 at g = 4 folds 5 vectors in 2 keys, as g = 3 at 320 does
+        (2, 2, 20, 16): 4,
+        (5, 2, 4, 8): 1,
+        (2, 400, 400, 1): 0,
+        (3, 1, 2, 0): 0,  # no words
+    }
+    assert {args: _fold_width(*args) for args in decisions} == decisions
 
 
 def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
     # every transition of F_2^4, F_3^3, F_4^3 and F_5^3, filled from cold:
     # one state per subspace, and each state's dimension is its rank
     monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    rng = random.Random(22)
     for field, length in [(F2, 4), (F3, 3), (gf_new(2, 2), 3), (gf_new(5), 3)]:
         q = field.q
-        table = _rank_table(field, length)
-        vectors = range(2**length) if q == 2 else list(product(range(q), repeat=length))
-        seen, todo = {id(table.zero)}, [table.zero]
+        targets, bases = _transitions(field, length)
+        seen, todo = {0}, [0]
         while todo:
-            state = todo.pop()
-            for target in map(state.__getitem__, vectors):
-                if id(target) not in seen:
-                    seen.add(id(target))
+            for target in targets[todo.pop()]:
+                if target not in seen:
+                    seen.add(target)
                     todo.append(target)
-        assert len(table.states) == len(seen) == galois_number(length, q), (field, length)
-        assert sum(map(len, table.states.values())) == galois_number(length, q) * q**length
-        assert table.full.dim == length
-        for state in table.states.values():
-            rows = [tuple(r >> i & 1 for i in range(length)) for r in state.rows] if q == 2 else list(state.rows)
-            assert state.dim == oracle_dim(rows, field), (field, state.rows)
+        assert len(bases) == len(set(bases)) == len(seen) == galois_number(length, q), (field, length)
+        assert sum(map(len, targets)) == galois_number(length, q) * q**length
+        assert max(map(len, bases)) == length
+        vectors = [tuple(x // q**j % q for j in range(length)) for x in range(q**length)]
+        as_rows = [[tuple(r >> i & 1 for i in range(length)) for r in rows] if q == 2 else list(rows) for rows in bases]
+        for rows, row in zip(as_rows, targets):
+            assert None not in row and len(rows) == oracle_dim(rows, field), (field, rows)
+            # S + <v> has the dimension of the span of S's rows and v
+            for x in rng.sample(range(q**length), 8):
+                assert len(as_rows[row[x]]) == oracle_dim(rows + [vectors[x]], field), (field, rows, x)
 
 
 def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
@@ -516,19 +584,126 @@ def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
 
 
 def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
-    # Mat(3 x 3, F_5): 64 states of 125 transitions each, built from cold
-    # by a 5^7-word code, held under the bound of the test above
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-    C = random_code(3, 3, gf_new(5), 7, random.Random(18))
-    tracemalloc.start()
-    try:
-        dist = rank_distribution(C)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(dist) == C.size()
-    assert len(_rank_table(C.field, 3).states) == 64
-    assert peak < 2**20, peak
+    # Mat(3 x 3, F_5), 64 states of 125 transitions each, and Mat(4 x 4, F_3),
+    # the largest admitted table at 212 states of 81: each built from cold by
+    # a 5^7- and a 3^10-word code, held under the bound of the test above
+    rng = random.Random(18)
+    for n, m, field, k, states in [(3, 3, gf_new(5), 7, 64), (4, 4, F3, 10, 212)]:
+        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+        C = random_code(n, m, field, k, rng)
+        tracemalloc.start()
+        try:
+            dist = rank_distribution(C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(dist) == C.size()
+        # the measured call filled the table: the cache was empty before it
+        assert (C.field.key, min(n, m)) in qrank.delsarte._RANK_TABLE_CACHE, C
+        targets, bases = _transitions(C.field, min(n, m))
+        assert len(targets) == len(bases) == states
+        assert peak < 2**20, (C, peak)
+
+
+def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
+    # Mat(2 x 5000, F_3) k = 5 takes the table at g = 1, and Mat(2 x 5000,
+    # F_5) k = 3 is refused one: offsets for blocks of 81 and 25 words of
+    # 10^4 entries would take about 6 and 2 MiB as tuples, twice with their
+    # add-rows; the basis steps and their add-rows take under 1 MiB
+    rng = random.Random(21)
+    for field, k in [(F3, 5), (gf_new(5), 3)]:
+        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+        C = random_code(2, 5000, field, k, rng)
+        assert bool(_fold_width(field.q, 2, 5000, k)) == (field.q == 3), C
+        tracemalloc.start()
+        try:
+            dist = rank_distribution(C)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(dist) == C.size()
+        assert peak < 2**21, (C, peak)
+    # a block is 256 words of 64 entries, or 128 of 65
+    assert BLOCK_ENTRIES == 2**14
+    for n, m, size in [(8, 8, 256), (5, 13, 128)]:
+        offsets, _ = enumerate_codeword_entries(random_code(n, m, F2, 9, rng))._walk(True)
+        assert len(offsets) == size, (n, m)
+
+
+def _fold_widths(q, length):
+    """Every fold width g whose table reads at most FOLD_KEYS keys; a g
+    above a word's width folds it in one key."""
+    return [g for g in range(1, FOLD_KEYS.bit_length()) if q ** (g * length) <= FOLD_KEYS]
+
+
+def _eliminate(*args):
+    raise AssertionError("a word was eliminated although a rank table was cached")
+
+
+def _key(entries, q):
+    return sum(x * q**u for u, x in enumerate(entries))
+
+
+def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
+    # _fold_ranks at each g the key limit allows, packed and as entry tuples
+    # in characteristic 2, against one elimination per projective word and
+    # the span oracle over all q^k words, from cold tables and warm
+    rng = random.Random(19)
+    for field in PROPERTY_FIELDS:
+        q = field.q
+        for n, m in [(1, 3), (3, 1), (2, 3), (3, 2)]:
+            length, width = min(n, m), max(n, m)
+            # k = nm where q^nm <= 2^10 (every field on 1 x 3 and 3 x 1), else
+            # the largest k with q^k <= 2^10
+            top = max(k for k in range(n * m + 1) if q**k <= 2**10)
+            for k in sorted({0, 1, top}):
+                C = random_code(n, m, field, k, rng)
+                words = enumerate_codeword_entries(C)
+                per_word = [0] * (n + 1)
+                for entries in words.projective():
+                    per_word[_rank_of_entries(entries, n, m, field)] += 1
+                everything = [(q - 1) * a for a in per_word]
+                everything[0] += 1
+                assert everything == oracle_rank_distribution(C.space.basis, n, m, field), C
+                for g in _fold_widths(q, length):
+                    for packed in (False, True) if field.p == 2 else (False,):
+                        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+                        assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
+                        assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
+                if k <= length:
+                    continue
+                # with the widest table cached, even a code the gate refuses
+                # is folded through it once k > L
+                monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+                _fold_table(field, length, _fold_widths(q, length)[-1])
+                with monkeypatch.context() as patch:
+                    patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
+                    patch.setattr(qrank.delsarte, "_rank_of_packed", _eliminate)
+                    assert list(rank_distribution(C)) == everything, C
+
+
+def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
+    rng = random.Random(20)
+    for field in PROPERTY_FIELDS:
+        q = field.q
+        for length in (1, 2):
+            targets, bases = _transitions(field, length)
+            dims = list(map(len, bases))
+            full = dims.index(length)
+            assert targets[full] == [full] * q**length and dims.count(length) == 1
+            for g in _fold_widths(q, length):
+                flat, last, rows, full_key = _fold_table(field, length, g)
+                keys = q ** (g * length)
+                assert len(flat) == len(last) == len(dims) * keys and full_key == full * keys
+                # the full state maps to itself under every key: a word's
+                # fold needs no test for it
+                assert flat[full * keys : (full + 1) * keys] == [full * keys] * keys
+                assert last[full * keys : (full + 1) * keys] == [length] * keys
+                for _ in range(20):
+                    u = [rng.randrange(q) for _ in range(g * length)]
+                    w = [rng.randrange(q) for _ in range(g * length)]
+                    total = [field.add(a, b) for a, b in zip(u, w)]
+                    assert rows[_key(u, q)][_key(w, q)] == _key(total, q), (field, u, w)
 
 
 def _point(word, field):
@@ -557,8 +732,8 @@ def test_projective_walk_visits_each_point_once():
                 zero = (0,) * (n * m)
                 words = [zero] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, q)]
                 assert sorted(words) == (oracle_codewords(C.space.basis, field) if k else [zero]), C
-                if q == 2:
-                    assert [_unpack(w, n, m) for w in view.projective(packed=True)] == points, C
+                if field.p == 2:
+                    assert [_unpack(w, n, m, field.e) for w in view.projective(packed=True)] == points, C
 
 
 def test_basis_limit_admits_its_own_size_and_refuses_one_row_more():
