@@ -30,21 +30,21 @@ A word's rank is the dimension of the span of its L-long vectors, L =
 min(n, m): its columns when n <= m, its rows otherwise.  The
 echelon-transition table of F_q^L has one state per subspace S, named by
 its fully reduced echelon basis, and maps S and a vector v to S + <v> by
-one elimination on the field's flat tables (`_transitions`).  When a
-code has enough words to pay for it (`_fold_width`), or one is already
-cached, the table is read into flat int lists, g vectors per key: entry
-s K + x is the state that the g vectors of key x lead to from state s,
-so a word folds from the zero state in ceil(max(n, m) / g) list reads,
-and the last read gives the rank.  F_q^L maps to itself, so no read
-tests for it, and a block whose words all reach it reads no further.
-The lists are cached per (field, L, g), so C, C^perp and every later
-code of the shape share them.
+one elimination on the field's flat tables (`_transitions`).  When the
+code's words, or those of earlier calls on F_q^L, pay for it
+(`_fold_width`), the table is read into flat int lists, g vectors per
+key: entry s K + x is the state that the g vectors of key x lead to from
+state s, so a word folds from the zero state in ceil(max(n, m) / g) list
+reads, and the last read gives the rank.  F_q^L maps to itself, so no
+read tests for it, and a block whose words all reach it reads no
+further.  The lists are cached per (field, L, g), so C, C^perp and every
+later code of the shape share them.
 In characteristic 2 a word is one int, e bits per entry, and a key is a
 run of its bits: addition in F_{2^e} is XOR of the element codes.
-Elsewhere a word is an entry tuple, and a key sum is one read of a cached
-row.  A block folds a key column at a time, its keys being its start's
-key plus the offsets' keys, which are read once per walk.  Without a
-table, each word gets its own elimination, packed over F_2.
+Elsewhere the fold walks tuples of keys, and a key sum is one read of a
+cached row.  A block folds a key column at a time, its keys being its
+start's key plus the offsets' keys.  Without a table, each word gets its
+own elimination, packed over F_2.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table does its own elimination, so it
@@ -61,7 +61,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import getitem, xor
+from operator import getitem, mul, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
@@ -253,7 +253,7 @@ class _Codewords:
         for start, size in blocks:
             yield from map(apply, moves, repeat(start, size))
 
-    def _walk(self, packed: bool, projective: bool = True):
+    def _walk(self, packed: bool, projective: bool = True, keys=None):
         """(offsets, blocks) of the projective walk, or with `projective`
         false of the walk of all q^k words from 0 (see `_gray_blocks`),
         in blocks of p^depth words, p^depth nm <= BLOCK_ENTRIES.  A
@@ -262,24 +262,29 @@ class _Codewords:
         and row t otherwise, and entry (i, j) is bits u e to u e + e - 1,
         u = j n + i or i m + j.  Those bits are the entry's code, whose
         base-2 digits are its coordinates over F_2, so addition in F_{2^e}
-        is XOR."""
+        is XOR.  Otherwise a word is its entry tuple, or with `keys` = ((cuts,
+        weights), rows) its keys sum_u w[cut[u]] weights[u], which rows adds."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e = field.q, field.p, field.e
         steps = C.space.basis
         if e > 1:
-            mul = field.tables[1]
-            steps = [tuple(mul[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
+            times = field.tables[1]
+            steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
         if packed:
             steps = [_pack(chain.from_iterable(s[j::m] for j in range(m)) if n <= m else s, e) for s in steps]
-            moves, plus, moved, zero = steps, xor, lambda v: v, 0
+            moves, plus, moved, zero = steps, xor, None, 0
         else:
+            zero, rows = (0,) * (n * m), _add_rows(field)
+            if keys:
+                (cuts, weights), rows = keys
+                steps = [tuple(sum(map(mul, map(s.__getitem__, cut), weights)) for cut in cuts) for s in steps]
+                zero = (0,) * len(cuts)
             # a step as its entries' addition-table rows: adding it is one map
-            rows = _add_rows(field)
-            moved, plus, zero = lambda v: tuple(map(rows.__getitem__, v)), _add_step, (0,) * (n * m)
+            moved, plus = lambda v: tuple(map(rows.__getitem__, v)), _add_step
             moves = [moved(s) for s in steps]
         if projective:
-            starts, longest = [(steps[i * e], i * e) for i in range(k)], max(k - 1, 0) * e
+            starts, longest = zip(steps[::e], range(0, k * e, e)), max(k - 1, 0) * e
         else:
             starts, longest = [(zero, k * e)], k * e
         depth = _block_depth(p, n * m)
@@ -302,7 +307,11 @@ def _add_step(rows, word) -> tuple:
 def _pack(entries, e: int) -> int:
     """The int holding these elements of F_{2^e}, the first lowest, each as
     the e bits of its code."""
-    return int(bytes(entries)[::-1].decode("latin-1").translate(_bit_codes(e)), 2)
+    text = bytes(entries)[::-1]
+    return int(text.translate(_BITS) if e == 1 else text.decode("latin-1").translate(_bit_codes(e)), 2)
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @lru_cache(maxsize=None)
@@ -331,17 +340,16 @@ def _gray_blocks(starts, moves, offsets, plus, moved, p, depth):
     sums comes once.  The low digits run through the same ruler in every
     block, so block h starts at the last word of block h - 1 plus step
     low + i, i the lowest nonzero base-p digit of h.  moved(v) is the move
-    of a word v."""
+    of a word v, or None when a word is its own move."""
     for word, j in starts:
         low = min(depth, j)
         size = p**low
-        last = moved(offsets[size - 1]) if size > 1 else None
-        for high in range(p ** (j - low)):
-            if high:
-                if last is not None:
-                    word = plus(last, word)
-                word = plus(moves[low + _lowest_digit(high, p)], word)
-            yield word, size
+        yield word, size
+        if j > low:
+            last = offsets[size - 1] if moved is None else moved(offsets[size - 1])
+            for high in range(1, p ** (j - low)):
+                word = plus(moves[low + _lowest_digit(high, p)], plus(last, word) if size > 1 else word)
+                yield word, size
 
 
 @lru_cache(maxsize=1024)
@@ -528,6 +536,7 @@ def _join_entries(rows, v, field):
     return tuple(sorted(out, reverse=True))
 
 
+# (field.key, L) -> transitions, (field.key, L, g) -> fold table, g = 0 -> words ranked so far
 _RANK_TABLE_CACHE: dict = {}
 
 
@@ -619,18 +628,33 @@ def _fold_table(field: FieldContext, length: int, g: int):
 
 
 @lru_cache(maxsize=1024)
-def _fold_width(q: int, length: int, width: int, k: int) -> int:
+def _fold_gate(q: int, length: int, width: int) -> tuple:
+    """The pairs (words, g) of `_fold_width`, g ascending: the fewest
+    words for which it admits a table g vectors of F_q^length wide."""
+    # q^L first, so no subspace count of a long side is formed
+    if length >= FOLD_KEYS.bit_length() or q**length > FOLD_KEYS:
+        return ()
+    states = galois_number(length, q)
+    gate, need = [], (8 if q == 2 else 2 / 3) * states * q**length
+    for g in range(1, width + 1):
+        keys = q ** (g * length)
+        if keys > FOLD_KEYS or states * keys > RANK_TABLE_LIMIT:
+            break
+        gate.append((need if g == 1 else max(need, states * keys), -(-width // -(-width // g))))
+    return tuple(gate)
+
+
+def _fold_width(q: int, length: int, width: int, words: int) -> int:
     """The fold width g for which `rank_distribution` fills a table to rank
-    the (q^k - 1)/(q - 1) projective words of a k-dimensional code, each of
-    `width` vectors of F_q^length; 0 for one elimination per word.  The
-    words must pay for the table's galois_number(L, q) q^L transitions, 8
-    words a transition over F_2 and 2/3 for q > 2, and those transitions
-    must be at most RANK_TABLE_LIMIT.  A width 1 < g <= `width` is admitted
-    when its table reads at most FOLD_KEYS keys, q^(g L), and its
-    galois_number(L, q) q^(g L) entries number at most RANK_TABLE_LIMIT and
-    at most the words.  Of the admitted widths, the smallest that reads a
-    word in as few keys as the widest.  q^L is checked first, so no
-    subspace count of a long side is formed.
+    words of `width` vectors of F_q^length, weighing `words` projective
+    words against it; 0 for one elimination per word.  The words must pay
+    for the table's galois_number(L, q) q^L transitions, 8 words a
+    transition over F_2 and 2/3 for q > 2, and those transitions must be at
+    most RANK_TABLE_LIMIT.  A width 1 < g <= `width` is admitted when its
+    table reads at most FOLD_KEYS keys, q^(g L), and its galois_number(L,
+    q) q^(g L) entries number at most RANK_TABLE_LIMIT and at most the
+    words.  Of the admitted widths, the smallest that reads a word in as
+    few keys as the widest.
 
     Filled from cold, a transition costs one elimination, about as much as
     ranking a word by elimination: the table breaks even at 0.34 to 0.8
@@ -643,21 +667,21 @@ def _fold_width(q: int, length: int, width: int, k: int) -> int:
     transitions) and Mat(5 x 2, F_2) k = 5 (31 words, 20 transitions) do
     not; Mat(4 x 5, F_2) k = 16 (65535 words, 1072 transitions) folds at
     g = 2, whose 17152 entries halve its reads."""
-    words = (q**k - 1) // (q - 1)
-    factor = 8 if q == 2 else 2 / 3
-    # the transitions are at least q^L
-    if length >= FOLD_KEYS.bit_length() or q**length > FOLD_KEYS or factor * q**length > words:
-        return 0
-    states = galois_number(length, q)
-    if factor * states * q**length > words or states * q**length > RANK_TABLE_LIMIT:
-        return 0
-    g = 1
-    while g < width:
-        keys = q ** ((g + 1) * length)
-        if keys > FOLD_KEYS or states * keys > min(RANK_TABLE_LIMIT, words):
+    g = 0
+    for need, wider in _fold_gate(q, length, width):
+        if words < need:
             break
-        g += 1
-    return -(-width // -(-width // g))
+        g = wider
+    return g
+
+
+@lru_cache(maxsize=1024)
+def _key_cuts(n: int, m: int, span: int, q: int) -> tuple:
+    """(cuts, weights): the indices of the entries of each key of an n x m
+    word, span entries per key, vector-major as packed, and the weights q^u
+    of a key's entries."""
+    order = [i * m + j for j in range(m) for i in range(n)] if n <= m else range(n * m)
+    return tuple(order[i : i + span] for i in range(0, n * m, span)), [q**u for u in range(span)]
 
 
 def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
@@ -665,75 +689,70 @@ def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
     the zero state through `_fold_table` one key at a time, g vectors per
     key, the last key read in `last`.  A block's words are its start plus
     the walk's offsets, so key i of each is the sum of the start's key i
-    and the offset's: the offsets' keys are read once per walk, when the
-    fold first reaches key i, the start's once per block, and a block folds
+    and the offset's, read once per block and once per walk: a block folds
     one key column at a time.  Packed words (characteristic 2 only) add
-    keys by XOR; entry tuples read the sum off the cached row of the
-    start's key.  F_q^L maps to itself, so once every word of a block is
-    there, the block's keys left are not read."""
+    keys by XOR; otherwise the walk runs over key tuples, added by the rows
+    of `_fold_table`.  F_q^L maps to itself, so once every word of a block
+    is there, the block's keys left are not read."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
     flat, last, rows, full = _fold_table(field, length, g)
-    size = q ** (g * length)
-    chunks = -(-width // g)
-    offsets, blocks = words._walk(packed)
+    chunks, span = -(-width // g), g * length
     if packed:
-        bits = size.bit_length() - 1
-
-        def key_of(i):
-            return lambda w, shift=i * bits: w >> shift & size - 1
-
+        bits, mask = span * field.e, q**span - 1
+        offsets, blocks = words._walk(True)
+        columns = [[o >> i * bits & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
     else:
-        # the entries of key i, and their weights q^u: vector-major, as packed
-        order = [i * m + j for j in range(width) for i in range(n)] if n <= m else range(n * m)
-        weights = [q**u for u in range(g * length)]
-
-        def key_of(i):
-            cut = order[i * g * length : (i + 1) * g * length]
-            return lambda w: sum(w[u] * c for u, c in zip(cut, weights))
-
-    columns = []  # (key i, the offsets' keys i, its list), made when first read
+        offsets, blocks = words._walk(False, keys=(_key_cuts(n, m, span, q), rows))
+        columns = list(zip(*offsets))
     counts = [0] * (n + 1)
+    if chunks == 1:
+        # a word is one key, so there are at most FOLD_KEYS words: one pass
+        if packed:
+            ranks = [last[x ^ o] for x, size in blocks for o in offsets[:size]]
+        else:
+            ranks = [last[row[o]] for x, size in blocks for row in [rows[x[0]]] for o in columns[0][:size]]
+        for r in ranks:
+            counts[r] += 1
+        return counts
+    tables = [flat] * (chunks - 1) + [last]
     for start, block in blocks:
         ranks = repeat(0, block)
-        for i in range(chunks):
-            if i == len(columns):
-                key = key_of(i)
-                columns.append((key, [key(o) for o in offsets], last if i == chunks - 1 else flat))
-            key, column, table = columns[i]
-            x = key(start)
+        for i, (column, table) in enumerate(zip(columns, tables)):
             if packed:
+                x = start >> i * bits & mask
                 ranks = [table[s + (x ^ o)] for s, o in zip(ranks, column)]
             else:
-                row = rows[x]
+                row = rows[start[i]]
                 ranks = [table[s + row[o]] for s, o in zip(ranks, column)]
             # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
             if (i + 1) * g >= length and i + 1 < chunks and ranks.count(full) == block:
                 counts[length] += block
                 break
         else:
-            for r in range(length + 1):
-                counts[r] += ranks.count(r)
+            for r in ranks:
+                counts[r] += 1
     return counts
 
 
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
-    Each projective word is ranked by `_fold_ranks` when `_fold_width`
-    admits a table, or through the widest table of F_q^L already cached
-    when k > L, so that the (q^k - 1)/(q - 1) words outnumber the q^L
-    vectors; packed in characteristic 2.  Otherwise by one elimination per
-    word, packed over F_2."""
+    Each projective word is ranked by `_fold_ranks`, packed in
+    characteristic 2, when `_fold_width` admits a table for the code's
+    (q^k - 1)/(q - 1) words or for the words ranked by earlier calls on
+    F_q^L, whichever are more: a process that has ranked that many is
+    likely to rank as many again.  Otherwise by one elimination per word,
+    packed over F_2."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
     words = enumerate_codeword_entries(C, budget)
-    g = _fold_width(q, length, max(n, m), C.k)
-    if not g and C.k > length and (field.key, length) in _RANK_TABLE_CACHE:
-        # more words than the q^L vectors: fold through the widest cached table
-        widths = range(FOLD_KEYS.bit_length(), 0, -1)
-        g = next((g for g in widths if (field.key, length, g) in _RANK_TABLE_CACHE), 0)
+    count = (q**C.k - 1) // (q - 1)
+    tally = field.key, length, 0
+    ranked = _RANK_TABLE_CACHE.get(tally, 0)
+    _RANK_TABLE_CACHE[tally] = ranked + count
+    g = _fold_width(q, length, max(n, m), max(count, ranked))
     if g:
         counts = _fold_ranks(words, g, field.p == 2)
     else:

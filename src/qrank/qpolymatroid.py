@@ -1,6 +1,6 @@
 """(q,r)-polymatroids: rank tables over the full subspace lattice,
 axiom verification, duality, and the four-variable rank generating
-functions (plain and hatted)."""
+functions (plain and hatted), counted per (e1, e2, l)."""
 
 from __future__ import annotations
 
@@ -196,17 +196,18 @@ def verify_axioms(P: QPolymatroid) -> list:
 def rank_generating_function(P: QPolymatroid, hatted: bool = False) -> MultiPoly:
     """R_P (or the hatted variant) as an exact 4-variable polynomial:
     sum over D of X1^{rho(E)-rho(D)} X2^{r dim D - rho(D)} g^l(X3, X4)
-    with l = dim D (plain) or dim D^perp (hatted)."""
-    lat, r, ranks = P.lattice, P.r, P.ranks
-    q = P.field.q
+    with l = dim D (plain) or dim D^perp (hatted).  The subspaces are
+    counted per (e1, e2, l) and each g^l expanded once per triple; terms
+    of distinct triples never meet, as l = e3 + e4."""
+    lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
     top = P.rho_full()
-    out = MultiPoly()
-    for i in range(len(lat)):
-        d = lat.dims[i]
-        e1 = top - ranks[i]
-        e2 = r * d - ranks[i]
-        l = lat.dims[lat.perp[i]] if hatted else d
+    counts = {}
+    for rank, d, p in zip(ranks, dims, lat.perp):
+        triple = top - rank, r * d - rank, dims[p] if hatted else d
+        counts[triple] = counts.get(triple, 0) + 1
+    out, q = MultiPoly(), P.field.q
+    for (e1, e2, l), count in counts.items():
         for u, c in enumerate(g_poly(q, l)):
             if c:
-                out.add_term((e1, e2, l - u, u), c)
+                out.terms[e1, e2, l - u, u] = count * c
     return out

@@ -89,9 +89,6 @@ class HomogeneousPoly:
         self.degree = degree
         self.coeffs = coeffs
 
-    def integral(self) -> "HomogeneousPoly":
-        return HomogeneousPoly(self.degree, tuple(_as_int(c) for c in self.coeffs))
-
     def __eq__(self, other):
         return (
             isinstance(other, HomogeneousPoly)
@@ -279,8 +276,7 @@ class MultiPoly:
 
     def swap_x1_x2(self) -> "MultiPoly":
         out = MultiPoly()
-        for (e1, e2, e3, e4), c in self.terms.items():
-            out.add_term((e2, e1, e3, e4), c)
+        out.terms = {(e2, e1, e3, e4): c for (e1, e2, e3, e4), c in self.terms.items()}
         return out
 
     def __eq__(self, other):

@@ -12,6 +12,7 @@ from itertools import product
 
 from qrank.delsarte import RankMetricCode
 from qrank.matspace import rref_rows
+from qrank.qseries import MultiPoly, g_poly
 from qrank.subspaces import Subspace, enumerate_subspaces
 
 
@@ -208,7 +209,7 @@ def oracle_g_poly(q: int, l: int) -> dict:
     return acc
 
 
-def oracle_rgf(code, subspace_list, hatted=False) -> dict:
+def oracle_code_rgf(code, subspace_list, hatted=False) -> dict:
     """Rank generating function assembled from oracle_rho and the plain
     polynomial helpers."""
     q, r = code.field.q, code.m
@@ -220,4 +221,19 @@ def oracle_rgf(code, subspace_list, hatted=False) -> dict:
         l = (code.n - D.dim) if hatted else D.dim
         mono = {(rho_top - rho, r * D.dim - rho, 0, 0): 1}
         out = poly_add(out, poly_mul(mono, oracle_g_poly(q, l)))
+    return out
+
+
+def oracle_rgf(P, hatted=False) -> MultiPoly:
+    """R_P (or its hatted variant) term by term from its definition: for
+    each subspace D, X1^{rho(E)-rho(D)} X2^{r dim D - rho(D)} g^l(X3, X4),
+    l = dim D (or dim D^perp), added into one MultiPoly by `add_term`."""
+    lat, r, ranks = P.lattice, P.r, P.ranks
+    top = P.rho_full()
+    out = MultiPoly()
+    for i in range(len(lat)):
+        d = lat.dims[i]
+        l = lat.dims[lat.perp[i]] if hatted else d
+        for u, c in enumerate(g_poly(P.field.q, l)):
+            out.add_term((top - ranks[i], r * d - ranks[i], l - u, u), c)
     return out

@@ -28,7 +28,7 @@ from qrank.delsarte import restrict
 from qrank.qseries import MultiPoly, gaussian_binomial, qpow, x_minus_y, x_plus_qm_minus_1_y
 from qrank.subspaces import enumerate_subspaces, lattice
 
-from oracles import oracle_rank_distribution, oracle_rgf
+from oracles import oracle_code_rgf, oracle_rank_distribution
 
 
 def _report(capsys, number, description, passed):
@@ -189,7 +189,7 @@ def test_criterion_6_pinned_values(capsys, full_2x2_f2):
     ok &= str(rank_weight_enumerator(full_2x2_f2)) == "x^2 + 9*x*y + 6*y^2"
     # oracle 2: RGF assembled from brute-force rho and plain poly ops
     lat = lattice(2, F2)
-    oracle = oracle_rgf(full_2x2_f2, lat.subspaces)
+    oracle = oracle_code_rgf(full_2x2_f2, lat.subspaces)
     pinned_rgf = MultiPoly(
         {
             (4, 0, 0, 0): 1,

@@ -483,6 +483,11 @@ def test_rank_distribution_matches_span_oracle_property(field, data):
     assert list(rank_distribution(C)) == oracle, C
 
 
+def _words(q, k):
+    """The projective words of a k-dimensional code over F_q."""
+    return (q**k - 1) // (q - 1)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("the brute side called an engine of the restriction sweep")
 
@@ -498,7 +503,7 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
     # F_8 shape, through the table; one elimination per codeword for these
     for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5)]:
         C = random_code(n, m, field, k, rng)
-        assert _fold_width(field.q, min(n, m), max(n, m), k), C
+        assert _fold_width(field.q, min(n, m), max(n, m), _words(field.q, k)), C
         codes.append(C)
         expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
@@ -511,7 +516,7 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
         assert list(rank_distribution(C)) == dist, C
 
 
-def test_fold_width_weighs_words_against_transitions():
+def test_fold_width_weighs_words_against_transitions(monkeypatch):
     # (q, L, width, k) -> g: (q^k - 1)/(q - 1) words against galois_number(L,
     # q) q^L transitions, 8 words each over F_2 and 2/3 for q > 2, then against
     # the galois_number(L, q) q^(g L) entries of a g-wide table, at most
@@ -544,7 +549,18 @@ def test_fold_width_weighs_words_against_transitions():
         (2, 400, 400, 1): 0,
         (3, 1, 2, 0): 0,  # no words
     }
-    assert {args: _fold_width(*args) for args in decisions} == decisions
+    assert {(q, L, w, k): _fold_width(q, L, w, _words(q, k)) for q, L, w, k in decisions} == decisions
+    # the words of earlier calls on F_q^L count once they alone pay for a
+    # table: the 127 words of a Mat(3 x 3, F_2) k = 7 code never do, and a
+    # process ranking such codes fills the table of F_2^3 on its tenth, when
+    # the nine before it have ranked 1143 words, at g = 2 (16 * 64 entries)
+    assert _fold_width(2, 3, 3, 1023) == 0 and _fold_width(2, 3, 3, 1024) == 2
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    rng = random.Random(23)
+    for calls in range(1, 11):
+        rank_distribution(random_code(3, 3, F2, 7, rng))
+        assert ((F2.key, 3) in qrank.delsarte._RANK_TABLE_CACHE) == (calls == 10), calls
+    assert (F2.key, 3, 2) in qrank.delsarte._RANK_TABLE_CACHE
 
 
 def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
@@ -614,7 +630,7 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
     for field, k in [(F3, 5), (gf_new(5), 3)]:
         monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
         C = random_code(2, 5000, field, k, rng)
-        assert bool(_fold_width(field.q, 2, 5000, k)) == (field.q == 3), C
+        assert bool(_fold_width(field.q, 2, 5000, _words(field.q, k))) == (field.q == 3), C
         tracemalloc.start()
         try:
             dist = rank_distribution(C)
@@ -670,12 +686,13 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                         monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
                         assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
                         assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
-                if k <= length:
+                if not k:
                     continue
-                # with the widest table cached, even a code the gate refuses
-                # is folded through it once k > L
+                # once earlier calls have ranked words enough to pay for a
+                # table of F_q^L, even a code the gate refuses alone folds
                 monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-                _fold_table(field, length, _fold_widths(q, length)[-1])
+                while (field.key, length) not in qrank.delsarte._RANK_TABLE_CACHE:
+                    assert list(rank_distribution(C)) == everything, C
                 with monkeypatch.context() as patch:
                     patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
                     patch.setattr(qrank.delsarte, "_rank_of_packed", _eliminate)

@@ -29,8 +29,18 @@ from qrank import (
     rgf_duality_check,
 )
 from qrank.errors import BudgetExceeded, NonIntegralResult
-from qrank.identities import IDENTITY_CHECKS, _poly_report, greene_rhs, lattice_rank_distribution, macwilliams_checks
-from qrank.qseries import MultiPoly, g_poly, gaussian_binomial
+from qrank.identities import (
+    IDENTITY_CHECKS,
+    _axiom_report,
+    _formula_kernel,
+    _macwilliams,
+    _poly_report,
+    _transform_kernel,
+    greene_rhs,
+    lattice_rank_distribution,
+    macwilliams_checks,
+)
+from qrank.qseries import HomogeneousPoly, MultiPoly, g_poly, gaussian_binomial
 
 from test_delsarte import PROPERTY_FIELDS, SHAPES
 
@@ -189,6 +199,7 @@ def test_a_perturbed_polymatroid_of_the_dual_fails_both_checks_at_its_subspace()
         report = dual_polymatroid_check(a)
         assert not report.passed
         assert report.witness == f'subspace "{lat.keys[i]}": {a.dual_polymatroid.ranks[i]} vs {ranks[i]}'
+        assert report.rhs == "; ".join(a.polymatroid_of_dual.rank_table_lines()) != report.lhs
         # rho_{C^perp}(S) sets dim C^perp(S^perp), so the sequence breaks at R = S^perp
         j = lat.perp[i]
         rhs = C.m * lat.dims[j] + C.k - a.polymatroid.ranks[j]
@@ -277,6 +288,60 @@ def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f
     assert primal.witness == "R1 violated at 0: rho=1 not in [0, 0]"
 
 
+def _axioms_by_two_passes(a):
+    """The axiom reports with a verify_axioms pass for P_C and one for P_C^*."""
+    return [
+        _axiom_report("axioms-primal", a.code, a.polymatroid),
+        _axiom_report("axioms-dual", a.code, a.dual_polymatroid),
+    ]
+
+
+def _counting_verify_axioms(monkeypatch):
+    calls = []
+    verify_axioms = qrank.identities.verify_axioms
+
+    def counting(P):
+        calls.append(P)
+        return verify_axioms(P)
+
+    monkeypatch.setattr(qrank.identities, "verify_axioms", counting)
+    return calls
+
+
+def test_one_axiom_pass_reports_p_star_as_two_passes_would(monkeypatch, corpus_2x2_f2, corpus_2x2_f3, corpus_3x2_f2):
+    # every code of the exhaustive corpora: P_C holds, so one pass reports both
+    calls = _counting_verify_axioms(monkeypatch)
+    for C in corpus_2x2_f2 + corpus_2x2_f3 + corpus_3x2_f2:
+        a = CodeAnalysis(C)
+        calls.clear()
+        reports = IDENTITY_CHECKS["axioms"](a)
+        assert calls == [a.polymatroid], C
+        assert reports == _axioms_by_two_passes(a), C
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_a_failing_p_gets_a_second_pass_for_p_star(monkeypatch, q, n):
+    # P_C of a random code with 1-2 ranks moved: each of R1, R2, R3 and the
+    # rank-difference bound fails in some table, and P^* is checked on its own
+    calls = _counting_verify_axioms(monkeypatch)
+    field, rng = gf_new(q), random.Random(f"axioms/{q}/{n}")
+    failed = set()
+    for _ in range(60):
+        m = rng.choice([1, 2])
+        a = CodeAnalysis(random_code(n, m, field, rng.randrange(n * m + 1), rng))
+        ranks = list(a.polymatroid.ranks)
+        for _ in range(rng.randint(1, 2)):
+            ranks[rng.randrange(len(ranks))] += rng.choice([-1, 1])
+        a.polymatroid = QPolymatroid(a.polymatroid.lattice, m, ranks)
+        calls.clear()
+        primal, dual = IDENTITY_CHECKS["axioms"](a)
+        assert calls == ([a.polymatroid] if primal.passed else [a.polymatroid, a.dual_polymatroid]), ranks
+        assert [primal, dual] == _axioms_by_two_passes(a), ranks
+        if not primal.passed:
+            failed.update(line.split(" violated at ")[0] for line in primal.rhs.splitlines())
+    assert failed == {"R1", "R2", "R3", "rank-difference"}
+
+
 def test_check_all_zero_code(zero_2x2_f2):
     reports = check_all(zero_2x2_f2)
     assert len(reports) == 8
@@ -327,7 +392,43 @@ def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):
     rep = _poly_report("synthetic", full_2x2_f2, lhs, rhs)
     assert not rep.passed
     assert rep.witness is not None and "coefficient" in rep.witness
-    assert rep.lhs != rep.rhs
+    assert (rep.lhs, rep.rhs) == (str(lhs), str(rhs)) and rep.lhs != rep.rhs
+    # a given lhs text stands for both sides of a pass, never for a failing rhs
+    rep = _poly_report("synthetic", full_2x2_f2, lhs, rhs, "LHS")
+    assert (rep.passed, rep.lhs, rep.rhs) == (False, "LHS", str(rhs))
+    rep = _poly_report("synthetic", full_2x2_f2, lhs, rank_weight_enumerator(full_2x2_f2), "LHS")
+    assert (rep.passed, rep.lhs, rep.rhs, rep.witness) == (True, "LHS", "LHS", None)
+
+
+def test_failing_reports_print_their_own_rhs(full_2x2_f2):
+    # rgf-duality: rho(0) = 1 breaks R_{P*} = R-hat_P swapped
+    a = _with_rank(full_2x2_f2, 0, 1)
+    report = rgf_duality_check(a)
+    lhs = rank_generating_function(a.dual_polymatroid)
+    rhs = rank_generating_function(a.polymatroid, hatted=True).swap_x1_x2()
+    assert not report.passed
+    assert (report.lhs, report.rhs) == (str(lhs), str(rhs)) and report.lhs != report.rhs
+    # both MacWilliams routes against a brute dual enumeration moved by one word
+    a = CodeAnalysis(random_code(2, 2, F2, 2, random.Random(3)))
+    dist = list(a.dual_distribution)
+    dist[1], dist[2] = dist[1] + 1, dist[2] - 1
+    a.dual_distribution = tuple(dist)
+    formula, transform = macwilliams_checks(a)
+    assert not formula.passed and not transform.passed
+    assert formula.lhs == transform.lhs == str(HomogeneousPoly(2, dist))
+    assert formula.rhs == transform.rhs == str(macwilliams_dual_enumerator(a)) == str(macwilliams_transform(a))
+    assert formula.lhs != formula.rhs
+
+
+@pytest.mark.parametrize(
+    "dist,fraction", [([2, 0, 0], "1/8"), ([16, 0, 1], "17/16"), ([12, 2, 2], "13/2"), ([15, 0, 1], "33/4")]
+)
+def test_a_distribution_not_divisible_by_the_code_size_is_refused(full_2x2_f2, dist, fraction):
+    # |C| = 16: the first coefficient of (1/|C|) A K that 16 does not divide,
+    # in lowest terms as `Fraction` prints it
+    for kernel in (_formula_kernel(2, 2, 2), _transform_kernel(2, 2, 2)):
+        with pytest.raises(NonIntegralResult, match=f"^expected integer, got {re.escape(fraction)}$"):
+            _macwilliams(full_2x2_f2, dist, kernel)
 
 
 def test_extension_field_code():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrank import (
     MatrixFq,
@@ -18,8 +19,8 @@ from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import MultiPoly
 from qrank.subspaces import SubspaceLattice, lattice
 
-from oracles import oracle_axioms, oracle_restriction_dims, oracle_rgf, oracle_rho
-from test_delsarte import SHAPES
+from oracles import oracle_axioms, oracle_code_rgf, oracle_restriction_dims, oracle_rgf, oracle_rho
+from test_delsarte import SHAPES, _codes
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -171,7 +172,7 @@ def test_rgf_zero_polymatroid_n1():
 def test_rgf_full_code_pinned(full_2x2_f2):
     # oracle first: assemble from brute-force rho and plain poly ops
     lat = lattice(2, F2)
-    oracle = oracle_rgf(full_2x2_f2, lat.subspaces)
+    oracle = oracle_code_rgf(full_2x2_f2, lat.subspaces)
     R = rank_generating_function(from_code(full_2x2_f2))
     assert dict(R.terms) == oracle
     # pinned: X1^4 + 3 X1^2 (X3 - X4) + (X3 - X4)(X3 - 2 X4)
@@ -190,7 +191,7 @@ def test_rgf_full_code_pinned(full_2x2_f2):
 
 def test_rgf_hatted_full_code(full_2x2_f2):
     lat = lattice(2, F2)
-    oracle = oracle_rgf(full_2x2_f2, lat.subspaces, hatted=True)
+    oracle = oracle_code_rgf(full_2x2_f2, lat.subspaces, hatted=True)
     R = rank_generating_function(from_code(full_2x2_f2), hatted=True)
     assert dict(R.terms) == oracle
     # X1^4 (X3-X4)(X3-2X4) + 3 X1^2 (X3-X4) + 1
@@ -205,6 +206,23 @@ def test_rgf_hatted_full_code(full_2x2_f2):
         }
     )
     assert R == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_codes([(1, 1), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]), st.data())
+def test_rank_generating_function_matches_the_per_subspace_oracle(C, data):
+    # P_C, P_C^* and a table of either with ranks moved, rho(0) among them:
+    # counted per (e1, e2, l) against one add_term per subspace and term
+    P = from_code(C)
+    lat = P.lattice
+    X = P.dual() if data.draw(st.booleans(), label="dual") else P
+    moves = data.draw(st.lists(st.tuples(st.integers(0, len(lat) - 1), st.sampled_from([-2, -1, 1, 2])), max_size=3))
+    ranks = list(X.ranks)
+    for i, delta in [(lat.zero_index, data.draw(st.sampled_from([0, 1, -1]), label="rho(0)"))] + moves:
+        ranks[i] += delta
+    for Y in (P, P.dual(), QPolymatroid(lat, X.r, ranks)):
+        for hatted in (False, True):
+            assert rank_generating_function(Y, hatted) == oracle_rgf(Y, hatted), (C, Y.ranks, hatted)
 
 
 def test_f_and_g_structure(full_2x2_f2):
