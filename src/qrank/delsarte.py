@@ -31,14 +31,14 @@ min(n, m): its columns when n <= m, its rows otherwise.  The
 echelon-transition table of F_q^L has one state per subspace S, named by
 its fully reduced echelon basis, and maps S and a vector v to S + <v> by
 one elimination on the field's flat tables (`_transitions`).  When the
-code's words, or those of earlier calls on F_q^L, pay for it
-(`_fold_width`), the table is read into flat int lists, g vectors per
-key: entry s K + x is the state that the g vectors of key x lead to from
-state s, so a word folds from the zero state in ceil(max(n, m) / g) list
-reads, and the last read gives the rank.  F_q^L maps to itself, so no
-read tests for it, and a block whose words all reach it reads no
-further.  The lists are cached per (field, L, g), so C, C^perp and every
-later code of the shape share them.
+code's shape admits a table (`_fold_width`) and the transitions are
+cached or the code's own words are at least as many, the table is read
+into flat int lists, g vectors per key: entry s K + x is the state that
+the g vectors of key x lead to from state s, so a word folds from the
+zero state in ceil(max(n, m) / g) list reads, and the last read gives
+the rank.  F_q^L maps to itself, so no read tests for it, and a block
+whose words all reach it reads no further.  The lists are cached per
+(field, L, g), so C, C^perp and every later code of the shape share them.
 In characteristic 2 a word is one int, e bits per entry, and a key is a
 run of its bits: addition in F_{2^e} is XOR of the element codes.
 Elsewhere the fold walks tuples of keys, and a key sum is one read of a
@@ -67,20 +67,23 @@ from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode
 from .gf import FieldContext, _is_int
 from .matspace import kernel_basis
 from .qseries import HomogeneousPoly, galois_number
-from .subspaces import Subspace, size_text
+from .subspaces import Subspace, more_than, size_text
 
 DEFAULT_BUDGET = 2**24
-# the most entries, rows times nm, of the C^perp basis `dual_code` builds:
-# `qrank dual` on the zero Mat(1 x 1024, F_2) code, at the limit, takes
-# 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s and 446 MiB
+# the most entries, rows times nm, of the C^perp basis `dual_code` builds
+# and of the basis `random_code` draws, and the most counts, n + 1, of a
+# rank distribution: `qrank dual` on the zero Mat(1 x 1024, F_2) code, at
+# the limit, takes 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s
+# and 446 MiB
 BASIS_LIMIT = 2**20
 # the most keys, q^(g L), and the most entries, galois_number(L, q)
 # q^(g L), of a rank table `rank_distribution` folds words through, g
 # vectors of F_q^L per key (see `_fold_width`).  Mat(4 x 4, F_3), at 17172
 # entries, and Mat(4 x 5, F_2) at g = 2, at 17152, fit; Mat(6 x 6, F_2),
-# at 180800, and Mat(3 x 3, F_8), at 512 keys, do not.
-# Filled from cold, the table of Mat(4 x 4, F_3) costs about 0.07 s and
-# under 1 MiB (2 cores, Python 3.11.7)
+# at 180800, and Mat(3 x 3, F_8), at 512 keys, do not.  Filled from cold,
+# the table of Mat(4 x 4, F_3) costs about 0.07 s and under 1 MiB (2
+# cores, Python 3.11.7); a wider table is composed from the transitions
+# by list reads
 FOLD_KEYS = 2**8
 RANK_TABLE_LIMIT = 2**15
 # the most entries, words times nm, of the offsets a block of the Gray
@@ -193,7 +196,11 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
     q, k = C.field.q, C.n * C.m - C.k if dual else C.k
     if k >= budget.bit_length() or q**k > budget:
         # q^k, not its value: str() refuses an int of more than 4300 digits
-        raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {q}^{k} exceeds budget {budget}")
+        try:
+            size = f"{q}^{k}"
+        except ValueError:  # k as well, when n and m are that long
+            size = f"{q}^({more_than(k.bit_length() - 1)})"
+        raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {size} exceeds budget {budget}")
 
 
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
@@ -433,13 +440,17 @@ def dual_code(C: RankMetricCode) -> RankMetricCode:
     """Trace-product dual: the orthogonal complement of C in F_q^{nm}.
     BudgetExceeded, before it is built, when its basis of nm - k vectors
     holds more than BASIS_LIMIT entries."""
-    entries = (C.n * C.m - C.k) * C.n * C.m
+    _check_entries("the basis of C^perp", (C.n * C.m - C.k) * C.n * C.m)
+    return RankMetricCode(C.space.perp(), C.n, C.m)
+
+
+def _check_entries(what: str, entries: int):
+    """BudgetExceeded, naming `what` and its size, above BASIS_LIMIT entries."""
     if entries > BASIS_LIMIT:
         raise BudgetExceeded(
-            f"the basis of C^perp holds {size_text(entries, entries.bit_length() - 1)} entries, "
+            f"{what} holds {size_text(entries, entries.bit_length() - 1)} entries, "
             f"above the basis limit BASIS_LIMIT = {BASIS_LIMIT}"
         )
-    return RankMetricCode(C.space.perp(), C.n, C.m)
 
 
 def _rank_of_entries(entries, n, m, field) -> int:
@@ -536,7 +547,7 @@ def _join_entries(rows, v, field):
     return tuple(sorted(out, reverse=True))
 
 
-# (field.key, L) -> transitions, (field.key, L, g) -> fold table, g = 0 -> words ranked so far
+# (field.key, L) -> transitions, (field.key, L, g) -> fold table
 _RANK_TABLE_CACHE: dict = {}
 
 
@@ -628,51 +639,22 @@ def _fold_table(field: FieldContext, length: int, g: int):
 
 
 @lru_cache(maxsize=1024)
-def _fold_gate(q: int, length: int, width: int) -> tuple:
-    """The pairs (words, g) of `_fold_width`, g ascending: the fewest
-    words for which it admits a table g vectors of F_q^length wide."""
+def _fold_width(q: int, length: int, width: int) -> int:
+    """The fold width g of the table `rank_distribution` folds words of
+    `width` vectors of F_q^length through; 0 when no table fits.  The
+    largest g <= `width` whose table reads at most FOLD_KEYS keys, q^(g L),
+    and holds at most RANK_TABLE_LIMIT entries, galois_number(L, q)
+    q^(g L); then the smallest g that reads a word in as few keys.  So
+    Mat(4 x 4, F_3) and Mat(3 x 4, F_3) fold at g = 1, Mat(4 x 5, F_2) at
+    g = 2 (17152 entries), and Mat(6 x 6, F_2) (180800 entries) and
+    Mat(3 x 3, F_8) (512 keys) never fold."""
     # q^L first, so no subspace count of a long side is formed
     if length >= FOLD_KEYS.bit_length() or q**length > FOLD_KEYS:
-        return ()
-    states = galois_number(length, q)
-    gate, need = [], (8 if q == 2 else 2 / 3) * states * q**length
-    for g in range(1, width + 1):
-        keys = q ** (g * length)
-        if keys > FOLD_KEYS or states * keys > RANK_TABLE_LIMIT:
-            break
-        gate.append((need if g == 1 else max(need, states * keys), -(-width // -(-width // g))))
-    return tuple(gate)
-
-
-def _fold_width(q: int, length: int, width: int, words: int) -> int:
-    """The fold width g for which `rank_distribution` fills a table to rank
-    words of `width` vectors of F_q^length, weighing `words` projective
-    words against it; 0 for one elimination per word.  The words must pay
-    for the table's galois_number(L, q) q^L transitions, 8 words a
-    transition over F_2 and 2/3 for q > 2, and those transitions must be at
-    most RANK_TABLE_LIMIT.  A width 1 < g <= `width` is admitted when its
-    table reads at most FOLD_KEYS keys, q^(g L), and its galois_number(L,
-    q) q^(g L) entries number at most RANK_TABLE_LIMIT and at most the
-    words.  Of the admitted widths, the smallest that reads a word in as
-    few keys as the widest.
-
-    Filled from cold, a transition costs one elimination, about as much as
-    ranking a word by elimination: the table breaks even at 0.34 to 0.8
-    words per transition for q > 2, and at 2.0 to 6.3 over F_2, whose
-    packed elimination is cheaper (at 103 on F_2^2, where a fold saves next
-    to nothing).  An entry of a wider table is one list read, about 1/15
-    of a transition (2 cores, Python 3.11.7).  So Mat(4 x 4, F_3) k = 10
-    (29524 words, 17172 transitions) and Mat(2 x 2, F_3) k = 4 (40 words,
-    54 transitions) take a table; Mat(4 x 3, F_3) k = 6 (364 words, 756
-    transitions) and Mat(5 x 2, F_2) k = 5 (31 words, 20 transitions) do
-    not; Mat(4 x 5, F_2) k = 16 (65535 words, 1072 transitions) folds at
-    g = 2, whose 17152 entries halve its reads."""
-    g = 0
-    for need, wider in _fold_gate(q, length, width):
-        if words < need:
-            break
-        g = wider
-    return g
+        return 0
+    states, g = galois_number(length, q), 0
+    while g < width and q ** (g * length + length) <= min(FOLD_KEYS, RANK_TABLE_LIMIT // states):
+        g += 1
+    return g and -(-width // -(-width // g))
 
 
 @lru_cache(maxsize=1024)
@@ -741,19 +723,22 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
 
     Each projective word is ranked by `_fold_ranks`, packed in
     characteristic 2, when `_fold_width` admits a table for the code's
-    (q^k - 1)/(q - 1) words or for the words ranked by earlier calls on
-    F_q^L, whichever are more: a process that has ranked that many is
-    likely to rank as many again.  Otherwise by one elimination per word,
-    packed over F_2."""
+    shape and the transitions of F_q^L are cached or the code's own
+    (q^k - 1)/(q - 1) words are at least their galois_number(L, q) q^L:
+    filled from cold, a transition costs about one elimination.
+    Otherwise by one elimination per word, packed over F_2.
+    BudgetExceeded when the tuple would hold more than BASIS_LIMIT counts."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
+    # a code without generators loads at any n
+    _check_entries("the rank distribution (A_0, ..., A_n)", n + 1)
     words = enumerate_codeword_entries(C, budget)
-    count = (q**C.k - 1) // (q - 1)
-    tally = field.key, length, 0
-    ranked = _RANK_TABLE_CACHE.get(tally, 0)
-    _RANK_TABLE_CACHE[tally] = ranked + count
-    g = _fold_width(q, length, max(n, m), max(count, ranked))
-    if g:
+    if not C.k:  # no word to walk, and a walk would hold a zero word of nm entries
+        return (1,) + (0,) * n
+    g = _fold_width(q, length, max(n, m))
+    if g and (
+        (field.key, length) in _RANK_TABLE_CACHE or (q**C.k - 1) // (q - 1) >= galois_number(length, q) * q**length
+    ):
         counts = _fold_ranks(words, g, field.p == 2)
     else:
         counts = [0] * (n + 1)
@@ -801,11 +786,14 @@ def all_codes(n: int, m: int, field: FieldContext):
 
 
 def random_code(n: int, m: int, field: FieldContext, dim: int, rng: random.Random) -> RankMetricCode:
-    """Seeded random code of the requested dimension."""
+    """Seeded random code of the requested dimension.  BudgetExceeded,
+    before any entry is drawn, when its dim generators hold more than
+    BASIS_LIMIT entries."""
     if n < 1 or m < 1:
         raise InvalidValue(f"n and m must be >= 1, got n={n}, m={m}")
-    if not 0 <= dim <= n * m:
-        raise InvalidValue(f"dimension {dim} out of range [0, {n * m}]")
+    if not 0 <= dim <= n * m:  # n m may be too long for str()
+        raise InvalidValue(f"dimension {dim} out of range [0, n m] for n = {n}, m = {m}")
+    _check_entries(f"the basis of a random code of dimension {dim} in Mat({n} x {m})", dim * n * m)
     while True:
         vectors = [[rng.randrange(field.q) for _ in range(n * m)] for _ in range(dim)]
         S = Subspace.span(vectors, n * m, field)

@@ -136,7 +136,9 @@ def enumerate_subspaces(n: int, field: FieldContext, dim_filter: int | None = No
     for d in dims:
         if not 0 <= d <= n:
             continue
-        streams = [_rref_bases_with_pivots(n, pivots, field) for pivots in combinations(range(n), d)]
+        # combinations() holds range(n) as a tuple, even to choose no pivot
+        choices = combinations(range(n), d) if d else [()]
+        streams = [_rref_bases_with_pivots(n, pivots, field) for pivots in choices]
         for basis in heapq.merge(*streams):
             yield Subspace(field, n, basis)
 
@@ -293,12 +295,21 @@ def subspace_count_exponent(n: int, dim: int | None = None) -> int:
 
 
 def size_text(size: int, e: int) -> str:
-    """size in decimal, or "more than 2^e", for a size known to exceed 2^e,
+    """size in decimal, or `more_than(e)` for a size known to exceed 2^e,
     when str() refuses an int that long (more than 4300 digits by default)."""
     try:
         return str(size)
     except ValueError:
+        return more_than(e)
+
+
+def more_than(e: int) -> str:
+    """"more than 2^e", or, when e itself is too long for str(), "more than
+    2^(2^b)" with 2^b <= e."""
+    try:
         return f"more than 2^{e}"
+    except ValueError:
+        return f"more than 2^(2^{e.bit_length() - 1})"
 
 
 def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int | None = None) -> int:
@@ -311,7 +322,7 @@ def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int |
     """
     e = subspace_count_exponent(n, dim)
     if e >= 2 * limit.bit_length():
-        size = f"more than 2^{e}"
+        size = more_than(e)
     else:
         size = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
         if size <= limit:
@@ -333,7 +344,7 @@ def check_lattice_work(n: int, q: int) -> int:
     """
     e = subspace_count_exponent(n) + n - 1
     if e >= 2 * LATTICE_LIMIT.bit_length():
-        work = f"more than 2^{e}"
+        work = more_than(e)
     else:
         size, points = galois_number(n, q), gaussian_binomial(n, 1, q)
         if size * points <= LATTICE_LIMIT:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qrank.cli
 import qrank.delsarte
@@ -246,6 +249,16 @@ def test_lattice_count_too_long_to_print_exit_2(capsys):
         assert "Traceback" not in err and (out or err)
 
 
+def test_lattice_of_a_4300_digit_n(capsys):
+    n = "9" * 4300
+    # 2^(n^2 / 4) is refused from its exponent, itself too long for str()
+    err = _assert_error_exit_2(["lattice", "--q", "2", "--n", n], capsys)
+    assert "has more than 2^(2^" in err
+    # the zero subspace is listed without holding range(n) as a tuple
+    assert main(["lattice", "--q", "2", "--n", n, "--dim", "0"]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
 @pytest.mark.parametrize(
     "budget,command,message",
     [
@@ -355,14 +368,54 @@ def test_restrict_bad_subspace_key_exit_2(key, full_2x2_file, capsys):
         ["--q", "2", "--n", "2", "--m", "0", "--dim", "0"],
         ["--q", "2", "--n", "2", "--m", "3", "--dim", "7"],
         ["--q", "2", "--n", "2", "--m", "3", "--dim", "-1"],
+        # n m has 8600 digits, too many for str()
+        ["--q", "2", "--n", "9" * 4300, "--m", "9" * 4300, "--dim", "-1"],
         ["--p", "2", "--e", "0", "--n", "2", "--m", "2", "--dim", "1"],
     ],
-    ids=["n=0", "m=0", "dim-too-large", "dim-negative", "e=0"],
+    ids=["n=0", "m=0", "dim-too-large", "dim-negative", "dim-negative-huge-shape", "e=0"],
 )
 def test_random_code_bad_shape_exit_2(shape, tmp_path, capsys):
     out = tmp_path / "c.json"
     _assert_error_exit_2(["random-code"] + shape + ["-o", str(out)], capsys)
     assert not out.exists()
+
+
+def test_random_code_above_the_basis_limit_is_refused_before_drawing_exit_2(tmp_path, capsys):
+    # one generator of 10^10 entries
+    out = tmp_path / "c.json"
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["random-code", "--q", "2", "--n", "100000", "--m", "100000", "--dim", "1", "-o", str(out)], capsys)
+    assert time.perf_counter() - start < 1
+    assert "holds 10000000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["wd"], ["check", "greene"]], ids=["wd", "greene"])
+def test_rank_distribution_of_a_huge_zero_code_is_refused_exit_2(command, tmp_path, capsys):
+    # a code without generators loads at any n, but (A_0, ..., A_n) has n + 1 counts
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 5}, "n": 10**30, "m": 1, "generators": []}))
+    err = _assert_error_exit_2(command + [str(path)], capsys)
+    assert f"(A_0, ..., A_n) holds {10**30 + 1} entries, above the basis limit BASIS_LIMIT = 1048576" in err
+
+
+def test_rank_distribution_of_a_wide_zero_code_walks_no_word(tmp_path, capsys):
+    # the zero word alone would hold 3 * 10^30 entries
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 5}, "n": 3, "m": 10**30, "generators": []}))
+    assert main(["wd", str(path)]) == 0
+    assert capsys.readouterr().out == "rank distribution: [1, 0, 0, 0]\nenumerator: x^3\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["wd"], ["rgf"], ["dual"], ["polymatroid"], ["check", "all"], ["check", "macwilliams"]]
+)
+def test_sizes_of_a_zero_code_with_4300_digit_n_and_m_are_named_by_a_bound_exit_2(command, tmp_path, capsys):
+    # n m has 8600 digits and n^2 m^2 17200, too many for str()
+    path = tmp_path / "c.json"
+    path.write_text('{"field": {"q": 2}, "n": %s, "m": %s, "generators": []}' % ("9" * 4300, "9" * 4300))
+    err = _assert_error_exit_2(command + [str(path)], capsys)
+    assert "more than 2^" in err
 
 
 def test_non_utf8_code_file_exit_2(tmp_path, capsys):
@@ -407,3 +460,132 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     added = json.loads(out.stdout)
     assert "qrank.cli" in added
     assert "dataclasses" not in added and "inspect" not in added, added
+
+
+# valid code files the exit-code property mutates
+BASE_CODES = [
+    {"field": {"q": 2}, "n": 2, "m": 2, "generators": [[[1, 0], [0, 1]], [[0, 1], [1, 1]]]},
+    {"field": {"q": 3}, "n": 2, "m": 3, "generators": [[[1, 2, 0], [0, 1, 1]]]},
+    {"field": {"p": 2, "e": 2}, "n": 1, "m": 3, "generators": [[[3, 1, 0]]]},
+    {"field": {"p": 2, "e": 2, "modulus": [1, 1, 1]}, "n": 2, "m": 1, "generators": [[[1], [2]]]},
+    {"field": {"q": 5}, "n": 3, "m": 1, "generators": []},
+]
+# JSON text that json.dumps cannot write, spliced in for its quoted name
+RAW_VALUES = {"<huge>": "9" * 5000, "<deep>": "[" * 100000 + "]" * 100000, "<nan>": "NaN", "<inf>": "-Infinity"}
+# small ints keep every lattice at most F_q^4 and, as one mutation leaves at
+# most one member changed, every C^perp within the default budget at most
+# 5^9 words, so an example takes under 1 s; huge ones lie past every limit
+SMALL_INTS = st.integers(-3, 4)
+HUGE_INTS = st.sampled_from([2**20 + 1, 10**30, -(10**30), int("9" * 4300)])
+JSON_VALUES = st.one_of(
+    SMALL_INTS, HUGE_INTS, st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.sampled_from(sorted(RAW_VALUES)), st.lists(SMALL_INTS, max_size=3), st.just({}),
+)  # fmt: skip
+
+
+def _mutate(doc, data):
+    """A copy of a JSON value with a few of its members replaced, deleted or
+    wrapped."""
+    if not data.draw(st.integers(0, 3), label="mutate here?") or not isinstance(doc, (dict, list)) or not doc:
+        return doc
+    doc = dict(doc) if isinstance(doc, dict) else list(doc)
+    keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+    key = data.draw(st.sampled_from(keys), label="member")
+    action = data.draw(st.sampled_from(["replace", "recurse", "recurse", "delete", "wrap"]), label="action")
+    if action == "replace":
+        doc[key] = data.draw(JSON_VALUES, label="value")
+    elif action == "recurse":
+        doc[key] = _mutate(doc[key], data)
+    elif action == "delete":
+        del doc[key]
+    else:
+        doc[key] = [doc[key]]
+    return doc
+
+
+@st.composite
+def code_bytes(draw):
+    """The bytes of a code file: a valid one, a mutated one, or mutated text."""
+    doc = _mutate(draw(st.sampled_from(BASE_CODES), label="base"), draw(st.data()))
+    text = json.dumps(doc)
+    for name, raw in RAW_VALUES.items():
+        text = text.replace(json.dumps(name), raw)
+    data = text.encode()
+    edit = draw(st.sampled_from(["none", "none", "truncate", "non-utf8", "top-level-list"]), label="text edit")
+    cut = draw(st.integers(0, len(data)), label="at")
+    if edit == "truncate":
+        data = data[:cut]
+    elif edit == "non-utf8":
+        data = data[:cut] + b"\xff" + data[cut:]
+    elif edit == "top-level-list":
+        data = b"[" + data + b"]"
+    return data
+
+
+def _int_text(draw, label):
+    return str(draw(st.one_of(SMALL_INTS, HUGE_INTS), label=label))
+
+
+def _field_args(draw):
+    if draw(st.booleans(), label="--q or --p/--e"):
+        return ["--q", draw(st.sampled_from(["2", "3", "4", "5", "7", "1", "0", "-2", "257", "x"]), label="--q")]
+    # F_27 is left out: listing the subspaces of F_27^4 takes minutes
+    p, e = draw(st.sampled_from([("2", ""), ("2", "2"), ("2", "3"), ("3", "2"), ("3", "1"), ("4", ""), ("0", ""),
+                                 ("2", "0"), ("2", "-1"), ("2", "40")]), label="--p, --e")  # fmt: skip
+    return ["--p", p] + (["--e", e] if e else [])
+
+
+@st.composite
+def cli_argv(draw, code_path, out_path):
+    """argv for `qrank`: every subcommand, with drawn options and budget."""
+    argv = []
+    command = draw(st.sampled_from(["wd", "rgf", "dual", "restrict", "polymatroid", "check", "random-code", "lattice"]))
+    if draw(st.booleans(), label="give --budget"):
+        # a huge budget only where limits of their own bound the work: it
+        # would let `check all` enumerate 5^12 words of a mutated code's C^perp
+        huge = [10**4299] if command == "lattice" else []
+        budget = draw(st.one_of(st.integers(-2, 2**24), st.sampled_from([*huge, "1e3"])), label="--budget")
+        argv += ["--budget", str(budget)]
+    argv.append(command)
+    if command == "random-code":
+        argv += _field_args(draw)
+        argv += ["--n", _int_text(draw, "--n"), "--m", _int_text(draw, "--m"), "--dim", _int_text(draw, "--dim")]
+        argv += ["--seed", str(draw(st.integers(0, 3), label="--seed"))]
+    elif command == "lattice":
+        argv += _field_args(draw) + ["--n", _int_text(draw, "--n")]
+        if draw(st.booleans(), label="give --dim"):
+            argv += ["--dim", _int_text(draw, "--dim")]
+        if draw(st.booleans(), label="--count-only"):
+            argv.append("--count-only")
+    else:
+        if command == "check":
+            argv.append(draw(st.sampled_from(sorted([*qrank.cli.IDENTITY_CHECKS, "all", "nope"])), label="identity"))
+        argv.append(draw(st.sampled_from([code_path] * 3 + [code_path + ".missing"]), label="code path"))
+        if command == "restrict":
+            key = draw(st.sampled_from(["0", "", "1", "1,0", "0,1", "1,0;0,1", "2,1", "5,0", "-1,0", "1,a", "9" * 5000]))
+            argv += ["--", key] if draw(st.booleans(), label="--") else [key]
+        if command in ("wd", "rgf", "polymatroid", "check") and draw(st.booleans(), label="--format"):
+            argv += ["--format", draw(st.sampled_from(["text", "json", "xml"]), label="format")]
+        if command == "rgf" and draw(st.booleans(), label="--hat"):
+            argv.append("--hat")
+    if command != "check" and draw(st.booleans(), label="-o"):
+        argv += ["-o", draw(st.sampled_from([out_path, out_path + "/missing/dir.json"]), label="output")]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_every_argv_exits_0_1_or_2(tmp_path, data):
+    # the exit-code contract: 0 all pass, 1 a check failed, 2 malformed
+    # input or a refused budget, and no exception escapes main
+    code_path, out_path = str(tmp_path / "code.json"), str(tmp_path / "out.json")
+    with open(code_path, "wb") as fh:
+        fh.write(data.draw(code_bytes(), label="code file"))
+    argv = data.draw(cli_argv(code_path, out_path), label="argv")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            status = exc.code
+    assert status in (0, 1, 2), (argv, status, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -483,9 +483,16 @@ def test_rank_distribution_matches_span_oracle_property(field, data):
     assert list(rank_distribution(C)) == oracle, C
 
 
-def _words(q, k):
-    """The projective words of a k-dimensional code over F_q."""
-    return (q**k - 1) // (q - 1)
+def _cold_width(C):
+    """The fold width g that `rank_distribution` takes for C from a cold
+    cache, 0 for one elimination per word, found without ranking a word."""
+    taken = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+        patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g, packed: taken.append(g) or [0] * (C.n + 1))
+        patch.setattr(qrank.delsarte._Codewords, "projective", lambda self, packed=False: iter(()))
+        rank_distribution(C, C.size())
+    return taken[0] if taken else 0
 
 
 def _refuse(*args, **kwargs):
@@ -503,7 +510,7 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
     # F_8 shape, through the table; one elimination per codeword for these
     for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5)]:
         C = random_code(n, m, field, k, rng)
-        assert _fold_width(field.q, min(n, m), max(n, m), _words(field.q, k)), C
+        assert _cold_width(C), C
         codes.append(C)
         expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
@@ -517,50 +524,89 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
 
 
 def test_fold_width_weighs_words_against_transitions(monkeypatch):
-    # (q, L, width, k) -> g: (q^k - 1)/(q - 1) words against galois_number(L,
-    # q) q^L transitions, 8 words each over F_2 and 2/3 for q > 2, then against
-    # the galois_number(L, q) q^(g L) entries of a g-wide table, at most
-    # 2^15 of them and 2^8 keys
+    # (q, L, width, k) -> g from a cold cache, for a code in Mat(L x width,
+    # F_q): a table is filled only when its galois_number(L, q) q^L
+    # transitions are at most the (q^k - 1)/(q - 1) words; g is the widest
+    # width of at most 2^8 keys, q^(g L), and 2^15 entries, galois_number(L,
+    # q) q^(g L), narrowed to the fewest that read a word in as few keys
     assert (FOLD_KEYS, RANK_TABLE_LIMIT) == (2**8, 2**15)
     decisions = {
-        (2, 4, 5, 16): 2,  # 67 * 16 = 1072 transitions and 17152 entries for 65535 words
-        (2, 4, 5, 14): 1,  # 17152 entries for 16383 words are too many
+        (2, 4, 5, 16): 2,  # 67 * 16 = 1072 transitions and 17152 entries at g = 2 for 65535 words
+        (2, 4, 5, 14): 2,  # 1072 for 16383
         (2, 4, 5, 4): 0,  # 1072 transitions for 15 words: the dual of the first
         (3, 3, 4, 9): 1,  # 28 * 27 = 756 for 9841; g = 2 would read 729 keys
         (4, 3, 3, 7): 1,  # 44 * 64 = 2816 for 5461
         (5, 3, 3, 7): 1,  # 64 * 125 = 8000 for 19531
         (3, 4, 4, 10): 1,  # 212 * 81 = 17172 for 29524
-        (3, 4, 4, 9): 0,  # 2/3 of 17172 is above 9841
+        (3, 4, 4, 9): 0,  # 17172 for 9841
         (3, 3, 4, 6): 0,  # 756 for 364: Mat(4 x 3, F_3) k = 6, a cold CLI child's code
-        (3, 2, 2, 4): 1,  # 6 * 9 = 54 for 40
+        (3, 2, 2, 4): 0,  # 6 * 9 = 54 for 40
         (3, 2, 2, 3): 0,  # 54 for 13
-        (4, 2, 2, 4): 1,  # 7 * 16 = 112 for 85
-        (2, 2, 5, 5): 0,  # 8 * 5 * 4 = 160 for 31: Mat(5 x 2, F_2) k = 5, a cold CLI child's code
-        (2, 3, 5, 10): 0,  # 8 * 16 * 8 = 1024 for 1023
-        (2, 3, 5, 11): 2,  # 1024 for 2047, and 1024 entries at g = 2 fold 5 vectors in 3 keys
+        (4, 2, 2, 4): 0,  # 7 * 16 = 112 for 85
+        (4, 2, 3, 5): 2,  # 112 for 341, and 1792 entries at g = 2 fold 3 vectors in 2 keys
+        (2, 2, 5, 5): 3,  # 5 * 4 = 20 for 31: Mat(5 x 2, F_2) k = 5, a cold CLI child's code
+        (2, 2, 5, 4): 0,  # 20 for 15
+        (2, 3, 5, 10): 2,  # 16 * 8 = 128 for 1023, and 1024 entries at g = 2 fold 5 vectors in 3 keys
+        (2, 3, 5, 11): 2,  # 128 for 2047
+        (2, 3, 3, 7): 0,  # 128 for 127
+        (2, 3, 3, 8): 2,  # 128 for 255
         (8, 3, 3, 5): 0,  # 8^3 = 512 keys
         (8, 2, 3, 5): 1,  # 11 * 64 = 704 for 4681
         (2, 6, 6, 18): 0,  # 2825 * 64 = 180800 entries, above the limit
         (2, 6, 6, 36): 0,
         (2, 5, 5, 20): 1,  # 374 * 32 = 11968; g = 2 would read 1024 keys
-        (2, 2, 5, 16): 3,  # 5 * 256 = 1280 at g = 4 folds 5 vectors in 2 keys, as g = 3 at 320 does
+        (2, 2, 5, 10): 3,  # 5 * 256 = 1280 at g = 4 folds 5 vectors in 2 keys, as g = 3 at 320 does
         (2, 2, 20, 16): 4,
         (5, 2, 4, 8): 1,
         (2, 400, 400, 1): 0,
         (3, 1, 2, 0): 0,  # no words
     }
-    assert {(q, L, w, k): _fold_width(q, L, w, _words(q, k)) for q, L, w, k in decisions} == decisions
-    # the words of earlier calls on F_q^L count once they alone pay for a
-    # table: the 127 words of a Mat(3 x 3, F_2) k = 7 code never do, and a
-    # process ranking such codes fills the table of F_2^3 on its tenth, when
-    # the nine before it have ranked 1143 words, at g = 2 (16 * 64 entries)
-    assert _fold_width(2, 3, 3, 1023) == 0 and _fold_width(2, 3, 3, 1024) == 2
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    fields = {2: F2, 3: F3, 4: gf_new(2, 2), 5: gf_new(5), 8: gf_new(2, 3)}
     rng = random.Random(23)
-    for calls in range(1, 11):
+    codes = {(q, L, w, k): random_code(L, w, fields[q], k, rng) for q, L, w, k in decisions}
+    assert {key: _cold_width(C) for key, C in codes.items()} == decisions
+    # the width depends on the shape alone, and a cached table serves every
+    # code of its shape: each refused code above folds at that width
+    widths = {(2, 4, 5): 2, (3, 4, 4): 1, (3, 3, 4): 1, (3, 2, 2): 2, (4, 2, 2): 2, (2, 2, 5): 3, (2, 3, 3): 2,
+              (8, 3, 3): 0, (2, 6, 6): 0, (2, 400, 400): 0, (3, 1, 2): 2}  # fmt: skip
+    assert {(q, L, w): _fold_width(q, L, w) for q, L, w in widths} == widths
+    for key, C in codes.items():
+        g = _fold_width(*key[:3])
+        assert decisions[key] in (0, g), key
+        if g and not decisions[key] and C.k:
+            taken = []
+            monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+            _transitions(C.field, C.n)
+            with monkeypatch.context() as patch:
+                patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g, packed: taken.append(g) or [0] * (C.n + 1))
+                rank_distribution(C)
+            assert taken == [g], key
+    # a process ranking few-word codes fills no table however many it ranks:
+    # ten Mat(3 x 3, F_2) k = 7 codes, 127 words against 128 transitions
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    for _ in range(10):
         rank_distribution(random_code(3, 3, F2, 7, rng))
-        assert ((F2.key, 3) in qrank.delsarte._RANK_TABLE_CACHE) == (calls == 10), calls
-    assert (F2.key, 3, 2) in qrank.delsarte._RANK_TABLE_CACHE
+    assert qrank.delsarte._RANK_TABLE_CACHE == {}
+    rank_distribution(random_code(3, 3, F2, 8, rng))
+    assert set(qrank.delsarte._RANK_TABLE_CACHE) == {(F2.key, 3), (F2.key, 3, 2)}
+
+
+def test_a_few_word_code_fills_no_table_and_folds_once_one_is_cached(monkeypatch):
+    # Mat(4 x 4, F_3) k = 2: 4 projective words against 17172 transitions
+    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    rng = random.Random(24)
+    few = random_code(4, 4, F3, 2, rng)
+    cold = rank_distribution(few)
+    assert list(cold) == oracle_rank_distribution(few.space.basis, 4, 4, F3)
+    assert qrank.delsarte._RANK_TABLE_CACHE == {}
+    # 29524 words pay for the table; then the 4-word code folds through it
+    rank_distribution(random_code(4, 4, F3, 10, rng))
+    with monkeypatch.context() as patch:
+        patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
+        assert rank_distribution(few) == cold
+    # the cache holds the transitions and one fold table, and no word count
+    assert set(qrank.delsarte._RANK_TABLE_CACHE) == {(F3.key, 4), (F3.key, 4, 1)}
+    assert not any(isinstance(value, int) for value in qrank.delsarte._RANK_TABLE_CACHE.values())
 
 
 def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
@@ -622,7 +668,7 @@ def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
 
 
 def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
-    # Mat(2 x 5000, F_3) k = 5 takes the table at g = 1, and Mat(2 x 5000,
+    # Mat(2 x 5000, F_3) k = 5 takes the table at g = 2, and Mat(2 x 5000,
     # F_5) k = 3 is refused one: offsets for blocks of 81 and 25 words of
     # 10^4 entries would take about 6 and 2 MiB as tuples, twice with their
     # add-rows; the basis steps and their add-rows take under 1 MiB
@@ -630,7 +676,7 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
     for field, k in [(F3, 5), (gf_new(5), 3)]:
         monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
         C = random_code(2, 5000, field, k, rng)
-        assert bool(_fold_width(field.q, 2, 5000, _words(field.q, k))) == (field.q == 3), C
+        assert bool(_cold_width(C)) == (field.q == 3), C
         tracemalloc.start()
         try:
             dist = rank_distribution(C)
@@ -686,13 +732,10 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                         monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
                         assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
                         assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
-                if not k:
-                    continue
-                # once earlier calls have ranked words enough to pay for a
-                # table of F_q^L, even a code the gate refuses alone folds
+                # once the transitions of F_q^L are cached, even a code whose
+                # own words would not pay for them folds
                 monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-                while (field.key, length) not in qrank.delsarte._RANK_TABLE_CACHE:
-                    assert list(rank_distribution(C)) == everything, C
+                _transitions(field, length)
                 with monkeypatch.context() as patch:
                     patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
                     patch.setattr(qrank.delsarte, "_rank_of_packed", _eliminate)
@@ -751,6 +794,24 @@ def test_projective_walk_visits_each_point_once():
                 assert sorted(words) == (oracle_codewords(C.space.basis, field) if k else [zero]), C
                 if field.p == 2:
                     assert [_unpack(w, n, m, field.e) for w in view.projective(packed=True)] == points, C
+
+
+class _NoDraws(random.Random):
+    def randrange(self, *args):
+        raise AssertionError("an entry was drawn")
+
+
+def test_random_code_refuses_a_basis_above_the_limit_before_drawing():
+    # 1024 generators of 1025 entries are 1049600 > BASIS_LIMIT; 1023 fit
+    with pytest.raises(BudgetExceeded, match=r"the basis of a random code of dimension 1024 in Mat\(1 x 1025\) "
+                       r"holds 1049600 entries, above the basis limit BASIS_LIMIT = 1048576"):  # fmt: skip
+        random_code(1, 1025, F2, 1024, _NoDraws())
+    # a size too long for str() is named by a bound
+    n = 10**3000
+    with pytest.raises(BudgetExceeded, match=r"holds more than 2\^19931 entries"):
+        random_code(n, n, F2, 1, _NoDraws())
+    with pytest.raises(AssertionError, match="an entry was drawn"):
+        random_code(1, 1025, F2, 1023, _NoDraws())
 
 
 def test_basis_limit_admits_its_own_size_and_refuses_one_row_more():
