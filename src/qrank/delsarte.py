@@ -9,9 +9,10 @@ codeword sum_b x_b B_b lies in C(J) = {M in C : col(M) subseteq J} iff
 h M = 0 for every h in J^perp, iff x is orthogonal to W(J^perp).
 `restrict` solves that k-variable system; the lattice sweep never forms
 C(J), but grows W by one RREF row at a time along the lattice and
-returns rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  Both read
-the v_{h,j} from `_column_images`.  The trace-product dual is the
-orthogonal complement of C in F_q^{nm}.
+returns rho_C(T) = dim W(T) (see `qpolymatroid.from_code`).  `restrict`
+reads the v_{h,j} from `_column_images`, and so does the sweep over every
+field but F_2, where it XORs packed column bits instead.  The
+trace-product dual is the orthogonal complement of C in F_q^{nm}.
 
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given, counting all q^k words); restriction never enumerates.  A

@@ -74,33 +74,56 @@ def from_code(C: RankMetricCode) -> QPolymatroid:
 
     h -> v_{h,j} is linear, so W(T) = W(T') + <v_{h0,j} : j < m>, where h0
     is the first RREF row of T and T' is the span of the other rows: an
-    RREF basis one dimension down in the lattice.  The sweep walks the
-    lattice by dimension and extends the echelon basis of W(T') by the m
-    vectors of h0, computed once per distinct h0 (each h0 is a projective
-    point), keeping only the previous dimension's echelons.
+    RREF basis one dimension down in the lattice.  The lattice's plan
+    (`SubspaceLattice.plan`) names T' and the point <h0> of every T, so
+    the sweep walks the lattice by dimension and extends the echelon basis
+    of W(T') by the m vectors of h0, held in a list indexed by point and
+    computed once per code, keeping only the previous dimension's
+    echelons.  Over F_2 each v_{h,j} is one k-bit int, bit b being entry j
+    of h B_b: the XOR, over the support of h, of the column bits of the
+    basis, which are packed once per code.  An echelon row is then a
+    (pivot, int) pair and a reduction step one XOR (`_extend_packed`).
+    Every other field reduces entry lists through its flat tables
+    (`_extend`).
     """
     lat = lattice(C.n, C.field)
-    m, k = C.m, C.k
+    m, k, n = C.m, C.k, C.n
     q = C.field.q
-    add, mul, neg, inv = C.field.tables
-    # column j of each basis codeword, as entries of F_q^n
-    columns = [[B[j::m] for B in C.space.basis] for j in range(m)]
-    images = {}
-    index, subspaces, dims = lat.index, lat.subspaces, lat.dims
     ranks = [0] * len(lat)  # dim W(T)
+    if not k:
+        return QPolymatroid(lat, m, ranks)
+    basis = C.space.basis
+    if q == 2:
+        # bits[e]: bit b set iff entry e of B_b is 1
+        bits = [0] * (n * m)
+        for B in reversed(basis):
+            bits = [c << 1 | e for c, e in zip(bits, B)]
+        # rows[i]: the m column bits of entry n - 1 - i.  The point at
+        # lattice index t spells t in binary, entry 0 first, so its images
+        # are those of t & (t - 1) XOR the row of t's lowest set bit
+        rows = [bits[i * m : i * m + m] for i in reversed(range(n))]
+        images = [[0] * m]
+        for t in range(1, 1 << n):
+            images.append([a ^ b for a, b in zip(images[t & t - 1], rows[(t & -t).bit_length() - 1])])
+        extend, args = _extend_packed, (k,)
+    else:
+        add, mul, neg, inv = C.field.tables
+        # column j of each basis codeword, as entries of F_q^n
+        columns = [[B[j::m] for B in basis] for j in range(m)]
+        # images[t]: the m vectors of the point at lattice index t >= 1
+        images = [None]
+        for S in lat.subspaces[1 : 1 + (q**n - 1) // (q - 1)]:
+            support = [(i, c * q) for i, c in enumerate(S.basis[0]) if c]
+            images.append(_column_images(support, columns, q, add, mul))
+        extend, args = _extend, (k, q, add, mul, neg, inv)
+    (parents, points), dims = lat.plan, lat.dims
     previous, current, d = {0: ()}, {}, 1
-    for t in range(1, len(lat) if k else 0):
+    for t in range(1, len(lat)):
         if dims[t] != d:
             previous, current, d = current, {}, dims[t]
-        rows = subspaces[t].basis
-        echelon = previous[index[rows[1:]]]
+        echelon = previous[parents[t]]
         if len(echelon) < k:
-            h0 = rows[0]
-            vectors = images.get(h0)
-            if vectors is None:
-                support = [(i, c * q) for i, c in enumerate(h0) if c]
-                vectors = images[h0] = _column_images(support, columns, q, add, mul)
-            echelon = _extend(echelon, vectors, k, q, add, mul, neg, inv)
+            echelon = extend(echelon, images[points[t]], *args)
         current[t] = echelon
         ranks[t] = len(echelon)
     return QPolymatroid(lat, m, ranks)
@@ -133,6 +156,22 @@ def _extend(echelon, vectors, k, q, add, mul, neg, inv):
                 break
         if len(out) == k:
             break
+    return out
+
+
+def _extend_packed(echelon, vectors, k):
+    """`_extend` over F_2, each vector a k-bit int and each row a (pivot,
+    int) pair, the pivot being the row's lowest set bit: a row is clear
+    at the pivots before it."""
+    out = list(echelon)
+    for v in vectors:
+        for pivot, row in out:
+            if v & pivot:
+                v ^= row
+        if v:
+            out.append((v & -v, v))
+            if len(out) == k:
+                break
     return out
 
 

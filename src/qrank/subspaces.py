@@ -158,6 +158,12 @@ class SubspaceLattice:
     modular, so the polymatroid axioms need only covers and intervals of
     length 2 (see `qpolymatroid.verify_axioms`).
 
+    The plan pairs each nonzero subspace with its parent, the span of its
+    RREF rows after the first (an RREF basis one dimension down), and the
+    point of its first row.  It is built once per lattice, with the point
+    masks, which read their parents from it, and every restriction sweep
+    of every code walks it (`qpolymatroid.from_code`).
+
     The |L|^2 join, meet and containment tables are one cached build from
     the same masks, on first read of any of them, for lattices of at most
     TABLE_LIMIT subspaces.  No check
@@ -187,10 +193,19 @@ class SubspaceLattice:
         return [S.canonical_key() for S in self.subspaces]
 
     @cached_property
+    def plan(self):
+        """(parents, points): for S_t with RREF rows r_0, R, parents[t] is
+        the index of <R>, one dimension down, and points[t] the index of the
+        point <r_0>, so S_t = <r_0> + <R>.  Both are 0 at the zero subspace."""
+        index = self.index
+        bases = [S.basis for S in self.subspaces]
+        return [index[b[1:]] for b in bases], [index[b[:1]] for b in bases]
+
+    @cached_property
     def point_masks(self):
         """point_masks[i]: bit j set iff point 1 + j lies in S_i."""
         add, mul, _, _ = self.field.tables
-        q, index = self.field.q, self.index
+        q, index, parents = self.field.q, self.index, self.plan[0]
         masks = [0] * len(self)
         # by dimension, from the masks one dimension down: with RREF rows
         # r_0, r_1, R, every point of S lies in <r_1, R> or in one of the
@@ -201,7 +216,7 @@ class SubspaceLattice:
                 masks[i] = 1 << (i - 1)
             elif S.dim > 1:
                 (r0, r1), rest = basis[:2], basis[2:]
-                mask = masks[index[basis[1:]]]
+                mask = masks[parents[i]]
                 for c in range(q):
                     row = tuple([add[a * q + mul[c * q + b]] for a, b in zip(r0, r1)])
                     mask |= masks[index[(row,) + rest]]

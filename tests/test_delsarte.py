@@ -515,7 +515,7 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
         expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
     for module in [mod for name, mod in sys.modules.items() if name == "qrank" or name.startswith("qrank.")]:
-        for name in ("rref_rows", "kernel_basis", "lattice", "_extend"):
+        for name in ("rref_rows", "kernel_basis", "lattice", "_extend", "_extend_packed"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
     monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrank import (
     MatrixFq,
@@ -15,6 +15,7 @@ from qrank import (
     rank_generating_function,
     verify_axioms,
 )
+import qrank.qpolymatroid
 from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import MultiPoly
 from qrank.subspaces import SubspaceLattice, lattice
@@ -24,6 +25,7 @@ from test_delsarte import SHAPES, _codes
 
 F2 = gf_new(2)
 F3 = gf_new(3)
+F4 = gf_new(2, 2)
 
 
 def free_polymatroid(n, r, field):
@@ -274,6 +276,38 @@ def test_restriction_sweep_matches_the_oracle_on_corpora(corpus_2x2_f2, corpus_2
 def test_restriction_sweep_matches_the_oracle_on_seeded_codes(n, m, field):
     rng = random.Random(f"sweep/{n}/{m}/{field.key}")
     for k in sorted(rng.sample(range(n * m + 1), min(6, n * m + 1))):
+        _assert_sweep_matches_oracle(random_code(n, m, field, k, rng))
+
+
+# `qrank random-code --q 2 --n 3 --m 30 --dim 70 --seed 1`: packed over
+# F_2, each v_{h,j} of C is 70 bits wide, wider than a machine word
+W70 = random_code(3, 30, F2, 70, random.Random(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_codes([(2, 3), (3, 2), (2, 2)]))
+@example(random_code(2, 3, F4, 0, random.Random(0)))
+@example(random_code(3, 2, F3, 6, random.Random(0)))
+@example(W70)
+def test_restriction_sweep_matches_the_oracle_property(C):
+    _assert_sweep_matches_oracle(C)
+
+
+def _refuse_path(*args, **kwargs):
+    raise AssertionError("the sweep reduced through the other field's extension")
+
+
+def test_f2_sweep_reduces_packed_ints_only(monkeypatch):
+    monkeypatch.setattr(qrank.qpolymatroid, "_extend", _refuse_path)
+    rng = random.Random(21)
+    for n, m, k in [(3, 2, 3), (2, 3, 4), (4, 3, 6), (3, 3, 9), (5, 2, 5), (1, 4, 2)]:
+        _assert_sweep_matches_oracle(random_code(n, m, F2, k, rng))
+
+
+def test_other_fields_sweep_through_the_flat_tables_only(monkeypatch):
+    monkeypatch.setattr(qrank.qpolymatroid, "_extend_packed", _refuse_path)
+    rng = random.Random(21)
+    for n, m, field, k in [(3, 2, F3, 3), (2, 3, F3, 4), (4, 2, F3, 5), (3, 3, F4, 4), (2, 2, F4, 3), (3, 2, F4, 6)]:
         _assert_sweep_matches_oracle(random_code(n, m, field, k, rng))
 
 

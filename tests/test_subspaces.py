@@ -140,6 +140,24 @@ def test_covers_are_the_subspaces_one_dimension_down(n, field):
             assert A.dim == T.dim - 1 and T.contains(A)
 
 
+PLAN_LATTICES = [(4, F2), (3, F3), (3, gf_new(2, 2)), (0, F2), (1, F3)]
+
+
+@pytest.mark.parametrize("n,field", PLAN_LATTICES, ids=[f"F{f.q}^{n}" for n, f in PLAN_LATTICES])
+def test_plan_splits_each_subspace_into_a_point_and_its_parent(n, field):
+    lat = lattice(n, field)
+    parents, points = lat.plan
+    assert len(parents) == len(points) == len(lat)
+    for t in range(1, len(lat)):
+        parent, point = parents[t], points[t]
+        assert parent < t and lat.dims[parent] == lat.dims[t] - 1
+        assert lat.dims[point] == 1
+        rows = lat.subspaces[point].basis + lat.subspaces[parent].basis
+        assert Subspace.span(rows, n, field) == lat.subspaces[t]
+        if lat.dims[t] == 1:
+            assert parent == 0
+
+
 PERP_LATTICES = COVER_LATTICES + [(6, F2), (4, F3)]
 
 
