@@ -17,35 +17,33 @@ trace-product dual is the orthogonal complement of C in F_q^{nm}.
 Counting operations enumerate codewords under a budget (`DEFAULT_BUDGET`
 unless given, counting all q^k words); restriction never enumerates.  A
 rank distribution is the plain tuple (A_0, ..., A_n), and the rank
-weight enumerator is the `HomogeneousPoly` with those coefficients.  The
-enumeration streams words in Gray-code order, in memory bounded by the
-basis and not by the number of words: each word is the previous one plus
-a precomputed multiple alpha^l b_i of one basis row, alpha^l running over
-an F_p-basis of F_q.  The walk comes in blocks of at most 256 words, each
-the block's start plus one of the same prefix offsets, which hold at most
-BLOCK_ENTRIES entries in all.  Rank is invariant under nonzero scalars, so
-`rank_distribution` ranks one word per projective point,
-(q^k - 1)/(q - 1) words, and counts each rank q - 1 times; the zero
-word adds to A_0.
+weight enumerator is the `HomogeneousPoly` with those coefficients.  Rank
+is invariant under nonzero scalars, so `rank_distribution` ranks one word
+per projective point, (q^k - 1)/(q - 1) words, and counts each rank q - 1
+times; the zero word adds to A_0.  The projective walk streams those
+words in Gray-code order, in memory bounded by the basis and not by the
+number of words: each word is the previous one plus a precomputed
+multiple alpha^l b_i of one basis row, alpha^l running over an F_p-basis
+of F_q.  The walk comes in blocks of at most 256 words, each the block's
+start plus one of the same prefix offsets, which hold at most
+BLOCK_ENTRIES entries in all.
 A word's rank is the dimension of the span of its L-long vectors, L =
 min(n, m): its columns when n <= m, its rows otherwise.  The
 echelon-transition table of F_q^L has one state per subspace S, named by
 its fully reduced echelon basis, and maps S and a vector v to S + <v> by
 one elimination on the field's flat tables (`_transitions`).  When the
-code's shape admits a table (`_fold_width`) and the transitions are
-cached or the code's own words are at least as many, the table is read
-into flat int lists, g vectors per key: entry s K + x is the state that
-the g vectors of key x lead to from state s, so a word folds from the
-zero state in ceil(max(n, m) / g) list reads, and the last read gives
-the rank.  F_q^L maps to itself, so no read tests for it, and a block
-whose words all reach it reads no further.  The lists are cached per
-(field, L, g), so C, C^perp and every later code of the shape share them.
-In characteristic 2 a word is one int, e bits per entry, and a key is a
-run of its bits: addition in F_{2^e} is XOR of the element codes.
-Elsewhere the fold walks tuples of keys, and a key sum is one read of a
-cached row.  A block folds a key column at a time, its keys being its
-start's key plus the offsets' keys.  Without a table, each word gets its
-own elimination, packed over F_2.
+code's shape admits a table (`_fold_width`), the table is read into flat
+int lists, g vectors per key: entry s K + x is the state that the g
+vectors of key x lead to from state s, so a word folds from the zero
+state in ceil(max(n, m) / g) list reads, and the last read gives the
+rank.  F_q^L maps to itself, so no read tests for it, and a block whose
+words all reach it reads no further.  The lists are cached per (field,
+L, g), so C, C^perp and every later code of the shape share them.  Over
+F_2 a word is one int, a bit per entry, and a key is a run of its bits,
+added by XOR.  Over every other field the fold walks tuples of keys, and
+a key sum is one read of a cached row.  A block folds a key column at a
+time, its keys being its start's key plus the offsets' keys.  Without a
+table, each word gets its own elimination, packed over F_2.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table does its own elimination, so it
@@ -205,22 +203,22 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
 
 
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
-    """All q^k codewords as row-major entry tuples, each exactly once, as a
-    sized view that streams them in Gray-code order; BudgetExceeded at
-    call time if q^k is above the budget."""
+    """The q^k codewords of C as a sized view whose `projective` walk
+    streams one word per projective point; BudgetExceeded at call time if
+    q^k is above the budget."""
     check_codeword_budget(C, budget)
     return _Codewords(C)
 
 
 class _Codewords:
-    """The codewords of C, re-iterable in memory bounded by the basis.
+    """The codewords of C, re-walkable in memory bounded by the basis.
 
-    Every walk is a Gray walk of `_gray_blocks` over an F_p-basis of a span
+    The walk is a Gray walk of `_gray_blocks` over an F_p-basis of a span
     of basis rows, p the characteristic: the words alpha^l b_i for l < e,
     alpha^l being the field element encoded p^l, span F_q b_i since F_q =
-    F_p^e.  A word is a row-major entry tuple, or, in characteristic 2, a
-    packed int (see `_walk`), and a walk comes in blocks of at most 256
-    words, each word the block's start plus one of the walk's offsets.
+    F_p^e.  A word is a row-major entry tuple, or, over F_2, a packed int
+    (see `_walk`), and a walk comes in blocks of at most 256 words, each
+    word the block's start plus one of the walk's offsets.
     """
 
     __slots__ = ("code",)
@@ -231,14 +229,12 @@ class _Codewords:
     def __len__(self):
         return self.code.size()
 
-    def __iter__(self):
-        return self._words(False, projective=False)
-
     def projective(self, packed: bool = False):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
-        all, as entry tuples (in characteristic 2, as packed ints if
-        `packed`): for each i, b_i plus the Gray walk over the F_p-basis of
-        the span of b_0, ..., b_{i-1}, q^i words.
+        all, as entry tuples (over F_2, as packed ints if `packed`): for
+        each i, b_i plus the Gray walk over the F_p-basis of the span of
+        b_0, ..., b_{i-1}, q^i words.  An entry tuple is one addition-table
+        row per entry of its offset, applied to the block's start.
 
         These are the words u whose last nonzero coefficient is 1.  Each
         nonzero word w has a last nonzero coefficient c, at some b_i, and
@@ -246,13 +242,7 @@ class _Codewords:
         coefficients agree past i and at b_i, so c = c' and u = u'.  So
         {c u : c != 0} lists each nonzero codeword exactly once, and
         rank(c u) = rank(u) since c is invertible."""
-        return self._words(packed)
-
-    def _words(self, packed: bool, projective: bool = True):
-        """The words of `_walk`, one at a time: over entry tuples each is
-        one addition-table row per entry of its offset, applied to the
-        block's start."""
-        offsets, blocks = self._walk(packed, projective)
+        offsets, blocks = self._walk(packed)
         if packed:
             moves, apply = offsets, xor
         else:
@@ -261,17 +251,15 @@ class _Codewords:
         for start, size in blocks:
             yield from map(apply, moves, repeat(start, size))
 
-    def _walk(self, packed: bool, projective: bool = True, keys=None):
-        """(offsets, blocks) of the projective walk, or with `projective`
-        false of the walk of all q^k words from 0 (see `_gray_blocks`),
-        in blocks of p^depth words, p^depth nm <= BLOCK_ENTRIES.  A
-        packed word is vector-major, with e bits per entry: its vector t,
-        L = min(n, m) entries long, is column t of the matrix when n <= m
-        and row t otherwise, and entry (i, j) is bits u e to u e + e - 1,
-        u = j n + i or i m + j.  Those bits are the entry's code, whose
-        base-2 digits are its coordinates over F_2, so addition in F_{2^e}
-        is XOR.  Otherwise a word is its entry tuple, or with `keys` = ((cuts,
-        weights), rows) its keys sum_u w[cut[u]] weights[u], which rows adds."""
+    def _walk(self, packed: bool, keys=None):
+        """(offsets, blocks) of the projective walk (see `_gray_blocks`), in
+        blocks of p^depth words, p^depth nm <= BLOCK_ENTRIES.  A packed
+        word, over F_2 only, is vector-major, one bit per entry: its vector
+        t, L = min(n, m) entries long, is column t of the matrix when n <= m
+        and row t otherwise, and entry (i, j) is bit j n + i or i m + j, so
+        addition is XOR.  Otherwise a word is its entry tuple, or with
+        `keys` = ((cuts, weights), rows) its keys sum_u w[cut[u]]
+        weights[u], which rows adds."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e = field.q, field.p, field.e
@@ -280,7 +268,7 @@ class _Codewords:
             times = field.tables[1]
             steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
         if packed:
-            steps = [_pack(chain.from_iterable(s[j::m] for j in range(m)) if n <= m else s, e) for s in steps]
+            steps = [_pack(chain.from_iterable(s[j::m] for j in range(m)) if n <= m else s) for s in steps]
             moves, plus, moved, zero = steps, xor, None, 0
         else:
             zero, rows = (0,) * (n * m), _add_rows(field)
@@ -291,12 +279,9 @@ class _Codewords:
             # a step as its entries' addition-table rows: adding it is one map
             moved, plus = lambda v: tuple(map(rows.__getitem__, v)), _add_step
             moves = [moved(s) for s in steps]
-        if projective:
-            starts, longest = zip(steps[::e], range(0, k * e, e)), max(k - 1, 0) * e
-        else:
-            starts, longest = [(zero, k * e)], k * e
         depth = _block_depth(p, n * m)
-        offsets = _gray_offsets(moves[:longest], plus, zero, p, depth)
+        offsets = _gray_offsets(moves[: max(k - 1, 0) * e], plus, zero, p, depth)
+        starts = zip(steps[::e], range(0, k * e, e))
         return offsets, _gray_blocks(starts, moves, offsets, plus, moved, p, depth)
 
 
@@ -312,20 +297,12 @@ def _add_step(rows, word) -> tuple:
     return tuple(map(getitem, rows, word))
 
 
-def _pack(entries, e: int) -> int:
-    """The int holding these elements of F_{2^e}, the first lowest, each as
-    the e bits of its code."""
-    text = bytes(entries)[::-1]
-    return int(text.translate(_BITS) if e == 1 else text.decode("latin-1").translate(_bit_codes(e)), 2)
+def _pack(entries) -> int:
+    """The int whose bit u is entry u of these elements of F_2."""
+    return int(bytes(entries)[::-1].translate(_BITS), 2)
 
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-@lru_cache(maxsize=None)
-def _bit_codes(e: int) -> dict:
-    """The e-bit binary numeral of each element code of F_{2^e}."""
-    return {x: format(x, f"0{e}b") for x in range(2**e)}
 
 
 def _gray_offsets(moves, plus, zero, p, depth):
@@ -509,19 +486,6 @@ def _rank_of_packed(word: int, length: int) -> int:
     return len(basis)
 
 
-def _join_bits(rows, v):
-    """The fully reduced echelon basis of <rows> + <v> over F_2, vectors as
-    ints: each row's top bit is clear in every other row, and the rows are
-    sorted by it, highest first."""
-    for b in rows:
-        if v ^ b < v:
-            v ^= b
-    if not v:
-        return rows
-    top = 1 << v.bit_length() - 1
-    return tuple(sorted([v] + [b ^ v if b & top else b for b in rows], reverse=True))
-
-
 def _join_entries(rows, v, field):
     """The fully reduced echelon basis of <rows> + <v>, vectors as entry
     tuples: each row is 1 at its pivot, its first nonzero entry, and 0 at
@@ -558,27 +522,23 @@ def _transitions(field: FieldContext, length: int):
     subspace numbers each subspace S the first time it is reached and names
     it by its fully reduced echelon basis, bases[s], so dim S =
     len(bases[s]); targets[s][x] is the number of S + <v>, v the vector of
-    key x = sum_j v_j q^j (over F_2, the int whose bit j is v_j).  Every
-    transition is one `_join_bits` or `_join_entries`, whose state is also
-    that of the q - 1 nonzero multiples of v."""
+    key x = sum_j v_j q^j.  Every transition is one `_join_entries`, whose
+    state is also that of the q - 1 nonzero multiples of v."""
     cache_key = (field.key, length)
     if cache_key not in _RANK_TABLE_CACHE:
         q, mul = field.q, field.tables[1]
         size = q**length
-        if q == 2:
-            vectors, multiples = range(size), [(x,) for x in range(size)]
-        else:
-            vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
-            weights = [q**j for j in range(length)]
-            multiples = [
-                {sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors
-            ]
+        vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
+        weights = [q**j for j in range(length)]
+        multiples = [
+            {sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors
+        ]
         numbers, bases, targets = {(): 0}, [()], []
         for rows in bases:  # grows as new subspaces are reached
             row = [None] * size
             for x, v in enumerate(vectors):
                 if row[x] is None:
-                    joined = _join_bits(rows, v) if q == 2 else _join_entries(rows, v, field)
+                    joined = _join_entries(rows, v, field)
                     t = numbers.setdefault(joined, len(bases))
                     if t == len(bases):
                         bases.append(joined)
@@ -667,25 +627,26 @@ def _key_cuts(n: int, m: int, span: int, q: int) -> tuple:
     return tuple(order[i : i + span] for i in range(0, n * m, span)), [q**u for u in range(span)]
 
 
-def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
+def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from
     the zero state through `_fold_table` one key at a time, g vectors per
     key, the last key read in `last`.  A block's words are its start plus
     the walk's offsets, so key i of each is the sum of the start's key i
     and the offset's, read once per block and once per walk: a block folds
-    one key column at a time.  Packed words (characteristic 2 only) add
-    keys by XOR; otherwise the walk runs over key tuples, added by the rows
-    of `_fold_table`.  F_q^L maps to itself, so once every word of a block
-    is there, the block's keys left are not read."""
+    one key column at a time.  Over F_2 the words are packed and add keys
+    by XOR; otherwise the walk runs over key tuples, added by the rows of
+    `_fold_table`.  F_q^L maps to itself, so once every word of a block is
+    there, the block's keys left are not read."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
+    packed = q == 2
     flat, last, rows, full = _fold_table(field, length, g)
     chunks, span = -(-width // g), g * length
     if packed:
-        bits, mask = span * field.e, q**span - 1
+        mask = 2**span - 1
         offsets, blocks = words._walk(True)
-        columns = [[o >> i * bits & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
+        columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
     else:
         offsets, blocks = words._walk(False, keys=(_key_cuts(n, m, span, q), rows))
         columns = list(zip(*offsets))
@@ -704,7 +665,7 @@ def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
         ranks = repeat(0, block)
         for i, (column, table) in enumerate(zip(columns, tables)):
             if packed:
-                x = start >> i * bits & mask
+                x = start >> i * span & mask
                 ranks = [table[s + (x ^ o)] for s, o in zip(ranks, column)]
             else:
                 row = rows[start[i]]
@@ -722,13 +683,10 @@ def _fold_ranks(words: _Codewords, g: int, packed: bool) -> list:
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
-    Each projective word is ranked by `_fold_ranks`, packed in
-    characteristic 2, when `_fold_width` admits a table for the code's
-    shape and the transitions of F_q^L are cached or the code's own
-    (q^k - 1)/(q - 1) words are at least their galois_number(L, q) q^L:
-    filled from cold, a transition costs about one elimination.
-    Otherwise by one elimination per word, packed over F_2.
-    BudgetExceeded when the tuple would hold more than BASIS_LIMIT counts."""
+    Each projective word is ranked by `_fold_ranks` when `_fold_width`
+    admits a table for the code's shape, and otherwise by one elimination;
+    over F_2 either way as a packed int.  BudgetExceeded when the tuple
+    would hold more than BASIS_LIMIT counts."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
     # a code without generators loads at any n
@@ -737,10 +695,8 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     if not C.k:  # no word to walk, and a walk would hold a zero word of nm entries
         return (1,) + (0,) * n
     g = _fold_width(q, length, max(n, m))
-    if g and (
-        (field.key, length) in _RANK_TABLE_CACHE or (q**C.k - 1) // (q - 1) >= galois_number(length, q) * q**length
-    ):
-        counts = _fold_ranks(words, g, field.p == 2)
+    if g:
+        counts = _fold_ranks(words, g)
     else:
         counts = [0] * (n + 1)
         if q == 2:

@@ -75,11 +75,19 @@ def test_code_from_generators_shape_mismatch():
         code_from_generators([MatrixFq.zeros(F2, 2, 2), MatrixFq.zeros(F2, 2, 3)])
 
 
+def _all_words(C):
+    """The q^k codewords of C as entry tuples: the zero word and the q - 1
+    nonzero multiples of each word of the projective walk."""
+    field = C.field
+    points = enumerate_codeword_entries(C).projective()
+    return [(0,) * (C.n * C.m)] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, field.q)]
+
+
 def test_enumerate_codewords_counts(zero_2x2_f2, e11_2x2_f2, full_2x2_f2):
-    assert list(enumerate_codeword_entries(zero_2x2_f2)) == [(0, 0, 0, 0)]
-    assert len(list(enumerate_codeword_entries(e11_2x2_f2))) == 2
-    words = list(enumerate_codeword_entries(full_2x2_f2))
-    assert len(words) == 16
+    assert _all_words(zero_2x2_f2) == [(0, 0, 0, 0)]
+    assert len(_all_words(e11_2x2_f2)) == len(enumerate_codeword_entries(e11_2x2_f2)) == 2
+    words = _all_words(full_2x2_f2)
+    assert len(words) == len(enumerate_codeword_entries(full_2x2_f2)) == 16
     assert len(set(words)) == 16
 
 
@@ -144,13 +152,18 @@ def _seeded_examples(seed, count):
     return decorate
 
 
+def _oracle_words(C):
+    """The q^k codewords of C as entry tuples, spanned by the oracle."""
+    return oracle_codewords(C.space.basis, C.field) if C.k else [(0,) * (C.n * C.m)]
+
+
 @settings(max_examples=40, deadline=None)
 @_seeded_examples(7, lambda field: 20 if field.q == 2 else 3)
 @given(_codes([(1, 3), (3, 1), (2, 3), (3, 2)], max_words=1000))
 def test_restrict_matches_enumeration(C):
     # independent route: brute-force filter of codewords by column membership
     n, m, field = C.n, C.m, C.field
-    columns = [{w[j::m] for j in range(m)} for w in enumerate_codeword_entries(C)]
+    columns = [{w[j::m] for j in range(m)} for w in _oracle_words(C)]
     for J, dim in zip(enumerate_subspaces(n, field), restriction_dims(C)):
         span = span_set(J.basis, field) if J.dim else {(0,) * n}
         brute = sum(cols <= span for cols in columns)
@@ -210,7 +223,7 @@ def test_dual_code_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
     assert dual_code(full_2x2_f2).k == 0
     D = dual_code(e11_2x2_f2)
     assert D.k == 3
-    assert all(w[0] == 0 for w in enumerate_codeword_entries(D))
+    assert all(w[0] == 0 for w in _oracle_words(D))
 
 
 def test_rank_distribution_examples(zero_2x2_f2, full_2x2_f2, e11_2x2_f2):
@@ -230,11 +243,12 @@ def test_rank_distribution_matches_span_oracle(corpus_2x2_f2):
     for C in corpus_2x2_f2:
         oracle = oracle_rank_distribution(C.space.basis, 2, 2, F2)
         assert list(rank_distribution(C)) == oracle
-    # seeded F_2 codes for the packed kernel, (n, m, largest k): n = 1,
-    # m = 1, n < m, n > m and square; k = nm where the oracle can afford it
+    # seeded F_2 codes, (n, m, largest k): n = 1, m = 1, n < m, n > m and
+    # square; k = nm where the oracle can afford it.  From min(n, m) = 6 no
+    # table fits, and the packed kernel ranks each word
     rng = random.Random(13)
     for n, m, top in [(1, 1, 1), (1, 5, 5), (5, 1, 5), (2, 3, 6), (3, 2, 6),
-                      (6, 2, 8), (2, 6, 8), (5, 5, 8), (4, 5, 7)]:  # fmt: skip
+                      (6, 2, 8), (2, 6, 8), (5, 5, 8), (4, 5, 7), (6, 6, 8), (6, 9, 8), (9, 6, 8)]:  # fmt: skip
         dims = [0, top, rng.randrange(1, top + 1), rng.randrange(1, top + 1)]
         for C in (random_code(n, m, F2, k, rng) for k in dims):
             oracle = oracle_rank_distribution(C.space.basis, n, m, F2)
@@ -248,7 +262,7 @@ def test_ambient_counts_match_column_spaces():
         subspaces = list(enumerate_subspaces(n, field))
         for C in _random_codes(n, m, field, 4 if field.q == 2 else 2, rng):
             by_span = {}
-            for w in enumerate_codeword_entries(C):
+            for w in _oracle_words(C):
                 key = Subspace.span([w[j::m] for j in range(m)], n, field).basis
                 by_span[key] = by_span.get(key, 0) + 1
             for R in subspaces:
@@ -365,9 +379,9 @@ def test_all_codes_counts():
 
 
 def test_codeword_entry_order_deterministic(full_2x2_f2):
-    a = list(enumerate_codeword_entries(full_2x2_f2))
-    b = list(enumerate_codeword_entries(full_2x2_f2))
-    assert a == b
+    view = enumerate_codeword_entries(full_2x2_f2)
+    a = list(view.projective())
+    assert a == list(view.projective()) == list(enumerate_codeword_entries(full_2x2_f2).projective())
 
 
 def test_codeword_stream_matches_span_oracle():
@@ -375,16 +389,16 @@ def test_codeword_stream_matches_span_oracle():
     for n, m, field in SHAPES:
         zero = code_from_generators([], field=field, n=n, m=m)
         assert len(enumerate_codeword_entries(zero)) == 1
-        assert list(enumerate_codeword_entries(zero)) == [(0,) * (n * m)]
+        assert list(enumerate_codeword_entries(zero).projective()) == []
         for C in _random_codes(n, m, field, 4, rng):
-            words = list(enumerate_codeword_entries(C))
-            assert len(enumerate_codeword_entries(C)) == len(words) == C.size()
-            if C.k:
-                assert sorted(words) == oracle_codewords(C.space.basis, field), C
-            # Gray order: consecutive words differ by a multiple of one basis row
+            assert len(enumerate_codeword_entries(C)) == C.size()
+            assert sorted(_all_words(C)) == _oracle_words(C), C
+            # Gray order: each word is a basis row, b_i starting its walk,
+            # or the word before it plus a multiple of one basis row
+            points = list(enumerate_codeword_entries(C).projective())
             multiples = {tuple(field.mul(c, x) for x in row) for row in C.space.basis for c in range(1, field.q)}
-            for u, w in zip(words, words[1:]):
-                assert tuple(field.sub(b, a) for a, b in zip(u, w)) in multiples, C
+            for u, w in zip(points, points[1:]):
+                assert w in C.space.basis or tuple(field.sub(b, a) for a, b in zip(u, w)) in multiples, C
 
 
 def _random_matrix(n, m, rank, field, rng):
@@ -432,7 +446,7 @@ def test_rank_distribution_memory_does_not_grow_with_the_code():
 
 def _table_kernel_counts(C):
     counts = [0] * (C.n + 1)
-    for entries in enumerate_codeword_entries(C):
+    for entries in _all_words(C):
         counts[_rank_of_entries(entries, C.n, C.m, C.field)] += 1
     return counts
 
@@ -444,22 +458,21 @@ def test_rank_distribution_matches_the_all_words_table_kernel(corpus_2x2_f2, cor
             assert list(rank_distribution(code)) == _table_kernel_counts(code), code
 
 
-def _unpack(word, n, m, e=1):
-    """The entry tuple of a packed word over F_{2^e}: bits u e to u e + e - 1
-    hold entry (i, j), u = j n + i when n <= m and u = i m + j otherwise."""
-    return tuple(word >> e * (j * n + i if n <= m else i * m + j) & 2**e - 1 for i in range(n) for j in range(m))
+def _unpack(word, n, m):
+    """The entry tuple of a packed word over F_2: bit u holds entry (i, j),
+    u = j n + i when n <= m and u = i m + j otherwise."""
+    return tuple(word >> (j * n + i if n <= m else i * m + j) & 1 for i in range(n) for j in range(m))
 
 
 def test_packed_walk_unpacks_to_the_tuple_view():
     rng = random.Random(14)
-    for field in (F2, gf_new(2, 2), gf_new(2, 3)):
-        for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
-            # k with at most 2^10 words
-            top = min(n * m, 10 // field.e)
-            for k in sorted({0, 1, top, rng.randrange(top + 1)}):
-                view = enumerate_codeword_entries(random_code(n, m, field, k, rng))
-                unpacked = [_unpack(w, n, m, field.e) for w in view.projective(packed=True)]
-                assert unpacked == list(view.projective()), (field, n, m, k)
+    for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
+        # k with at most 2^10 words
+        top = min(n * m, 10)
+        for k in sorted({0, 1, top, rng.randrange(top + 1)}):
+            view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
+            unpacked = [_unpack(w, n, m) for w in view.projective(packed=True)]
+            assert unpacked == list(view.projective()), (n, m, k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -467,9 +480,9 @@ def test_packed_walk_unpacks_to_the_tuple_view():
 def test_rank_distribution_matches_span_oracle_property(field, data):
     q = field.q
     # n < m, n > m and n = m, with q^min(n, m) <= 2^10; each field has shapes
-    # on both sides of the fold gate, such as (4, 4) over F_3 and (6, 6)
-    # over F_2 above it
-    shapes = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (5, 2), (4, 4), (6, 6)]
+    # on both sides of the fold gate, such as (5, 5) over F_3 and (6, 6)
+    # over F_2 without a table
+    shapes = [(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 5), (5, 2), (4, 4), (5, 5), (6, 6)]
     n, m = data.draw(st.sampled_from([s for s in shapes if q ** min(s) <= 2**10]), label="shape")
     # the oracle spans q^min(n, m) vectors per word: q^k <= 2^10 words and
     # q^(k + min(n, m)) nm <= 2^18 keep it cheap
@@ -477,22 +490,17 @@ def test_rank_distribution_matches_span_oracle_property(field, data):
     k = data.draw(st.integers(0, top), label="k")
     C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
     oracle = oracle_rank_distribution(C.space.basis, n, m, field)
-    # first with every rank table cold, then with this code's transitions filled
-    qrank.delsarte._RANK_TABLE_CACHE.clear()
-    assert list(rank_distribution(C)) == oracle, C
-    assert list(rank_distribution(C)) == oracle, C
-
-
-def _cold_width(C):
-    """The fold width g that `rank_distribution` takes for C from a cold
-    cache, 0 for one elimination per word, found without ranking a word."""
+    # the path depends on the shape alone: a code folds through the table
+    # iff one fits, first with every rank table cold, then with this
+    # shape's tables filled
+    g = _fold_width(q, min(n, m), max(n, m))
     taken = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-        patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g, packed: taken.append(g) or [0] * (C.n + 1))
-        patch.setattr(qrank.delsarte._Codewords, "projective", lambda self, packed=False: iter(()))
-        rank_distribution(C, C.size())
-    return taken[0] if taken else 0
+        patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g: taken.append(g) or _fold_ranks(words, g))
+        qrank.delsarte._RANK_TABLE_CACHE.clear()
+        assert list(rank_distribution(C)) == oracle, C
+        assert list(rank_distribution(C)) == oracle, C
+    assert taken == ([g, g] if g and k else []), (C, g)
 
 
 def _refuse(*args, **kwargs):
@@ -500,17 +508,19 @@ def _refuse(*args, **kwargs):
 
 
 def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
-    # on both sides of the fold gate, over F_2 and q > 2, n < m and n > m
+    # on both sides of the fold gate, over F_2 and q > 2 (Mat(6 x 6, F_2) and
+    # Mat(3 x 3, F_8) below without a table), n < m and n > m
     rng = random.Random(16)
     shapes = [(4, 5, F2, 8), (5, 4, F2, 8), (6, 6, F2, 6), (2, 20, F2, 8), (3, 4, F3, 5), (4, 3, F3, 5),
               (4, 4, F3, 4), (3, 3, gf_new(2, 2), 4), (3, 3, gf_new(5), 3), (2, 3, gf_new(3, 2), 3)]  # fmt: skip
     codes = [random_code(n, m, field, k, rng) for n, m, field, k in shapes]
     expected = [oracle_rank_distribution(C.space.basis, C.n, C.m, C.field) for C in codes]
-    # the three shapes of the benchmark's enumeration workload, and a packed
-    # F_8 shape, through the table; one elimination per codeword for these
-    for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5)]:
+    # the three shapes of the benchmark's enumeration workload and an F_8
+    # shape, through the table, and Mat(3 x 3, F_8), 512 keys, without one;
+    # one elimination per codeword for these
+    for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5),
+                           (3, 3, gf_new(2, 3), 4)]:  # fmt: skip
         C = random_code(n, m, field, k, rng)
-        assert _cold_width(C), C
         codes.append(C)
         expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
@@ -523,95 +533,43 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
         assert list(rank_distribution(C)) == dist, C
 
 
-def test_fold_width_weighs_words_against_transitions(monkeypatch):
-    # (q, L, width, k) -> g from a cold cache, for a code in Mat(L x width,
-    # F_q): a table is filled only when its galois_number(L, q) q^L
-    # transitions are at most the (q^k - 1)/(q - 1) words; g is the widest
-    # width of at most 2^8 keys, q^(g L), and 2^15 entries, galois_number(L,
-    # q) q^(g L), narrowed to the fewest that read a word in as few keys
+def test_fold_width_depends_on_the_shape_alone(monkeypatch):
+    # (q, L, width) -> g for Mat(L x width, F_q): g is the widest width of at
+    # most 2^8 keys, q^(g L), and 2^15 entries, galois_number(L, q) q^(g L),
+    # narrowed to the fewest that read a word in as few keys
     assert (FOLD_KEYS, RANK_TABLE_LIMIT) == (2**8, 2**15)
-    decisions = {
-        (2, 4, 5, 16): 2,  # 67 * 16 = 1072 transitions and 17152 entries at g = 2 for 65535 words
-        (2, 4, 5, 14): 2,  # 1072 for 16383
-        (2, 4, 5, 4): 0,  # 1072 transitions for 15 words: the dual of the first
-        (3, 3, 4, 9): 1,  # 28 * 27 = 756 for 9841; g = 2 would read 729 keys
-        (4, 3, 3, 7): 1,  # 44 * 64 = 2816 for 5461
-        (5, 3, 3, 7): 1,  # 64 * 125 = 8000 for 19531
-        (3, 4, 4, 10): 1,  # 212 * 81 = 17172 for 29524
-        (3, 4, 4, 9): 0,  # 17172 for 9841
-        (3, 3, 4, 6): 0,  # 756 for 364: Mat(4 x 3, F_3) k = 6, a cold CLI child's code
-        (3, 2, 2, 4): 0,  # 6 * 9 = 54 for 40
-        (3, 2, 2, 3): 0,  # 54 for 13
-        (4, 2, 2, 4): 0,  # 7 * 16 = 112 for 85
-        (4, 2, 3, 5): 2,  # 112 for 341, and 1792 entries at g = 2 fold 3 vectors in 2 keys
-        (2, 2, 5, 5): 3,  # 5 * 4 = 20 for 31: Mat(5 x 2, F_2) k = 5, a cold CLI child's code
-        (2, 2, 5, 4): 0,  # 20 for 15
-        (2, 3, 5, 10): 2,  # 16 * 8 = 128 for 1023, and 1024 entries at g = 2 fold 5 vectors in 3 keys
-        (2, 3, 5, 11): 2,  # 128 for 2047
-        (2, 3, 3, 7): 0,  # 128 for 127
-        (2, 3, 3, 8): 2,  # 128 for 255
-        (8, 3, 3, 5): 0,  # 8^3 = 512 keys
-        (8, 2, 3, 5): 1,  # 11 * 64 = 704 for 4681
-        (2, 6, 6, 18): 0,  # 2825 * 64 = 180800 entries, above the limit
-        (2, 6, 6, 36): 0,
-        (2, 5, 5, 20): 1,  # 374 * 32 = 11968; g = 2 would read 1024 keys
-        (2, 2, 5, 10): 3,  # 5 * 256 = 1280 at g = 4 folds 5 vectors in 2 keys, as g = 3 at 320 does
-        (2, 2, 20, 16): 4,
-        (5, 2, 4, 8): 1,
-        (2, 400, 400, 1): 0,
-        (3, 1, 2, 0): 0,  # no words
+    widths = {
+        (2, 4, 5): 2,  # 67 * 16 = 1072 transitions and 17152 entries at g = 2
+        (3, 3, 4): 1,  # 28 * 27 = 756 transitions; g = 2 would read 729 keys
+        (4, 3, 3): 1,  # 44 * 64 = 2816
+        (5, 3, 3): 1,  # 64 * 125 = 8000
+        (3, 4, 4): 1,  # 212 * 81 = 17172
+        (3, 2, 2): 2,  # 6 * 81 = 486 entries at g = 2
+        (4, 2, 2): 2,
+        (4, 2, 3): 2,  # 7 * 256 = 1792 entries at g = 2 fold 3 vectors in 2 keys
+        (2, 2, 5): 3,  # 5 * 256 = 1280 at g = 4 folds 5 vectors in 2 keys, as g = 3 at 320 does
+        (2, 3, 5): 2,  # 16 * 64 = 1024 entries at g = 2 fold 5 vectors in 3 keys
+        (2, 3, 3): 2,
+        (8, 3, 3): 0,  # 8^3 = 512 keys
+        (8, 2, 3): 1,  # 11 * 64 = 704
+        (2, 6, 6): 0,  # 2825 * 64 = 180800 entries, above the limit
+        (2, 5, 5): 1,  # 374 * 32 = 11968; g = 2 would read 1024 keys
+        (2, 2, 20): 4,
+        (5, 2, 4): 1,
+        (2, 400, 400): 0,
+        (3, 1, 2): 2,
     }
-    fields = {2: F2, 3: F3, 4: gf_new(2, 2), 5: gf_new(5), 8: gf_new(2, 3)}
-    rng = random.Random(23)
-    codes = {(q, L, w, k): random_code(L, w, fields[q], k, rng) for q, L, w, k in decisions}
-    assert {key: _cold_width(C) for key, C in codes.items()} == decisions
-    # the width depends on the shape alone, and a cached table serves every
-    # code of its shape: each refused code above folds at that width
-    widths = {(2, 4, 5): 2, (3, 4, 4): 1, (3, 3, 4): 1, (3, 2, 2): 2, (4, 2, 2): 2, (2, 2, 5): 3, (2, 3, 3): 2,
-              (8, 3, 3): 0, (2, 6, 6): 0, (2, 400, 400): 0, (3, 1, 2): 2}  # fmt: skip
-    assert {(q, L, w): _fold_width(q, L, w) for q, L, w in widths} == widths
-    for key, C in codes.items():
-        g = _fold_width(*key[:3])
-        assert decisions[key] in (0, g), key
-        if g and not decisions[key] and C.k:
-            taken = []
-            monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-            _transitions(C.field, C.n)
-            with monkeypatch.context() as patch:
-                patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g, packed: taken.append(g) or [0] * (C.n + 1))
-                rank_distribution(C)
-            assert taken == [g], key
-    # a process ranking few-word codes fills no table however many it ranks:
-    # ten Mat(3 x 3, F_2) k = 7 codes, 127 words against 128 transitions
+    assert {key: _fold_width(*key) for key in widths} == widths
+    # a one-word code fills the transitions and one fold table, and no more
     monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-    for _ in range(10):
-        rank_distribution(random_code(3, 3, F2, 7, rng))
-    assert qrank.delsarte._RANK_TABLE_CACHE == {}
-    rank_distribution(random_code(3, 3, F2, 8, rng))
+    rank_distribution(random_code(3, 3, F2, 1, random.Random(23)))
     assert set(qrank.delsarte._RANK_TABLE_CACHE) == {(F2.key, 3), (F2.key, 3, 2)}
-
-
-def test_a_few_word_code_fills_no_table_and_folds_once_one_is_cached(monkeypatch):
-    # Mat(4 x 4, F_3) k = 2: 4 projective words against 17172 transitions
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-    rng = random.Random(24)
-    few = random_code(4, 4, F3, 2, rng)
-    cold = rank_distribution(few)
-    assert list(cold) == oracle_rank_distribution(few.space.basis, 4, 4, F3)
-    assert qrank.delsarte._RANK_TABLE_CACHE == {}
-    # 29524 words pay for the table; then the 4-word code folds through it
-    rank_distribution(random_code(4, 4, F3, 10, rng))
-    with monkeypatch.context() as patch:
-        patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
-        assert rank_distribution(few) == cold
-    # the cache holds the transitions and one fold table, and no word count
-    assert set(qrank.delsarte._RANK_TABLE_CACHE) == {(F3.key, 4), (F3.key, 4, 1)}
-    assert not any(isinstance(value, int) for value in qrank.delsarte._RANK_TABLE_CACHE.values())
 
 
 def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
     # every transition of F_2^4, F_3^3, F_4^3 and F_5^3, filled from cold:
-    # one state per subspace, and each state's dimension is its rank
+    # one state per subspace, named by entry tuples, and each state's
+    # dimension is its rank
     monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
     rng = random.Random(22)
     for field, length in [(F2, 4), (F3, 3), (gf_new(2, 2), 3), (gf_new(5), 3)]:
@@ -627,12 +585,11 @@ def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
         assert sum(map(len, targets)) == galois_number(length, q) * q**length
         assert max(map(len, bases)) == length
         vectors = [tuple(x // q**j % q for j in range(length)) for x in range(q**length)]
-        as_rows = [[tuple(r >> i & 1 for i in range(length)) for r in rows] if q == 2 else list(rows) for rows in bases]
-        for rows, row in zip(as_rows, targets):
+        for rows, row in zip(bases, targets):
             assert None not in row and len(rows) == oracle_dim(rows, field), (field, rows)
             # S + <v> has the dimension of the span of S's rows and v
             for x in rng.sample(range(q**length), 8):
-                assert len(as_rows[row[x]]) == oracle_dim(rows + [vectors[x]], field), (field, rows, x)
+                assert len(bases[row[x]]) == oracle_dim(rows + (vectors[x],), field), (field, rows, x)
 
 
 def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
@@ -668,15 +625,16 @@ def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
 
 
 def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
-    # Mat(2 x 5000, F_3) k = 5 takes the table at g = 2, and Mat(2 x 5000,
-    # F_5) k = 3 is refused one: offsets for blocks of 81 and 25 words of
-    # 10^4 entries would take about 6 and 2 MiB as tuples, twice with their
-    # add-rows; the basis steps and their add-rows take under 1 MiB
+    # Mat(2 x 5000, F_3) k = 5 and Mat(2 x 5000, F_5) k = 3 take the table
+    # at g = 2 and 1, and Mat(2 x 5000, F_17) k = 2 is refused one, 17^2
+    # keys: offsets for blocks of 81, 25 and 17 words of 10^4 entries would
+    # take about 6, 2 and 1.4 MiB as tuples, twice with their add-rows; the
+    # basis steps and their add-rows take under 1 MiB
     rng = random.Random(21)
-    for field, k in [(F3, 5), (gf_new(5), 3)]:
+    for field, k in [(F3, 5), (gf_new(5), 3), (gf_new(17), 2)]:
         monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
         C = random_code(2, 5000, field, k, rng)
-        assert bool(_cold_width(C)) == (field.q == 3), C
+        assert bool(_fold_width(field.q, 2, 5000)) == (field.q != 17), C
         tracemalloc.start()
         try:
             dist = rank_distribution(C)
@@ -699,7 +657,7 @@ def _fold_widths(q, length):
 
 
 def _eliminate(*args):
-    raise AssertionError("a word was eliminated although a rank table was cached")
+    raise AssertionError("a word was eliminated although a rank table fits its shape")
 
 
 def _key(entries, q):
@@ -707,9 +665,9 @@ def _key(entries, q):
 
 
 def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
-    # _fold_ranks at each g the key limit allows, packed and as entry tuples
-    # in characteristic 2, against one elimination per projective word and
-    # the span oracle over all q^k words, from cold tables and warm
+    # _fold_ranks at each g the key limit allows, packed over F_2 and as key
+    # tuples elsewhere, against one elimination per projective word and the
+    # span oracle over all q^k words, from cold tables and warm
     rng = random.Random(19)
     for field in PROPERTY_FIELDS:
         q = field.q
@@ -728,14 +686,11 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                 everything[0] += 1
                 assert everything == oracle_rank_distribution(C.space.basis, n, m, field), C
                 for g in _fold_widths(q, length):
-                    for packed in (False, True) if field.p == 2 else (False,):
-                        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-                        assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
-                        assert _fold_ranks(words, g, packed) == per_word, (C, g, packed)
-                # once the transitions of F_q^L are cached, even a code whose
-                # own words would not pay for them folds
+                    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+                    assert _fold_ranks(words, g) == per_word, (C, g)
+                    assert _fold_ranks(words, g) == per_word, (C, g)
+                # every code of these shapes folds from cold, however few its words
                 monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
-                _transitions(field, length)
                 with monkeypatch.context() as patch:
                     patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
                     patch.setattr(qrank.delsarte, "_rank_of_packed", _eliminate)
@@ -789,11 +744,9 @@ def test_projective_walk_visits_each_point_once():
                 # no two proportional
                 assert len({_point(w, field) for w in points}) == len(points), C
                 # {c w : c != 0} and the zero word: each codeword exactly once
-                zero = (0,) * (n * m)
-                words = [zero] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, q)]
-                assert sorted(words) == (oracle_codewords(C.space.basis, field) if k else [zero]), C
-                if field.p == 2:
-                    assert [_unpack(w, n, m, field.e) for w in view.projective(packed=True)] == points, C
+                assert sorted(_all_words(C)) == _oracle_words(C), C
+                if q == 2:
+                    assert [_unpack(w, n, m) for w in view.projective(packed=True)] == points, C
 
 
 class _NoDraws(random.Random):
