@@ -1,7 +1,7 @@
 """Delsarte rank-metric codes: F_q-linear subspaces of Mat(n x m, F_q).
 
 A code is stored as its subspace of the vectorized space F_q^{nm}
-(`C.space`), and every codeword is a row-major entry tuple.  The subspace
+(`C.space`), each basis codeword a row-major entry tuple.  The subspace
 is canonical, so equality tests and serialized files are stable.  For h
 in F_q^n and j < m, v_{h,j} in F_q^k holds entry j of h B_b over the
 basis codewords B_b, and W(T) is the span of the v_{h,j} over h in T.  A
@@ -20,30 +20,31 @@ rank distribution is the plain tuple (A_0, ..., A_n), and the rank
 weight enumerator is the `HomogeneousPoly` with those coefficients.  Rank
 is invariant under nonzero scalars, so `rank_distribution` ranks one word
 per projective point, (q^k - 1)/(q - 1) words, and counts each rank q - 1
-times; the zero word adds to A_0.  The projective walk streams those
-words in Gray-code order, in memory bounded by the basis and not by the
-number of words: each word is the previous one plus a precomputed
-multiple alpha^l b_i of one basis row, alpha^l running over an F_p-basis
-of F_q.  The walk comes in blocks of at most 256 words, each the block's
-start plus one of the same prefix offsets, which hold at most
-BLOCK_ENTRIES entries in all.
-A word's rank is the dimension of the span of its L-long vectors, L =
-min(n, m): its columns when n <= m, its rows otherwise.  The
-echelon-transition table of F_q^L has one state per subspace S, named by
-its fully reduced echelon basis, and maps S and a vector v to S + <v> by
-one elimination on the field's flat tables (`_transitions`).  When the
-code's shape admits a table (`_fold_width`), the table is read into flat
-int lists, g vectors per key: entry s K + x is the state that the g
-vectors of key x lead to from state s, so a word folds from the zero
-state in ceil(max(n, m) / g) list reads, and the last read gives the
-rank.  F_q^L maps to itself, so no read tests for it, and a block whose
-words all reach it reads no further.  The lists are cached per (field,
-L, g), so C, C^perp and every later code of the shape share them.  Over
-F_2 a word is one int, a bit per entry, and a key is a run of its bits,
-added by XOR.  Over every other field the fold walks tuples of keys, and
-a key sum is one read of a cached row.  A block folds a key column at a
+times; the zero word adds to A_0.  Before any word is walked, the work of
+the ranking is checked against RANK_WORK_LIMIT (`check_rank_work`).  The
+projective walk streams those words in memory bounded by the basis and
+not by the number of words: each walk spans an F_p-basis alpha^l b_i of
+basis rows with its F_p-digits counting up (`_span`), in blocks of at
+most 256 words and BLOCK_ENTRIES entries, each word the block's start
+plus one of the walk's offsets.  A word is vector-major: its L-long
+vectors, L = min(n, m), are its columns when n <= m and its rows
+otherwise.  Over F_2 it is one int, a bit per entry, added by XOR; over
+every other field it is a tuple of keys, each the base-q number of a run
+of its entries, added by the rows of a `_KeyRows`.  Its rank is the
+dimension of the span of its vectors.  The echelon-transition table of
+F_q^L has one state per subspace S, named by its fully reduced echelon
+basis, and maps S and a vector v to S + <v> by one elimination on the
+field's flat tables (`_transitions`).  When the code's shape admits a
+table (`_fold_width`), the table is read into flat int lists, g vectors
+per key: entry s K + x is the state that the g vectors of key x lead to
+from state s, so a word folds from the zero state in ceil(max(n, m) / g)
+list reads, and the last read gives the rank.  F_q^L maps to itself, so
+no read tests for it, and a block whose words all reach it reads no
+further.  The lists are cached per (field, L, g), so C, C^perp and every
+later code of the shape share them.  A block folds a key column at a
 time, its keys being its start's key plus the offsets' keys.  Without a
-table, each word gets its own elimination, packed over F_2.
+table, each word gets its own elimination, of one-entry keys, or over
+F_2 of the packed int.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table does its own elimination, so it
@@ -59,8 +60,8 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import getitem, mul, xor
+from itertools import accumulate, chain, repeat
+from operator import getitem, itemgetter, mul, xor
 
 from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
 from .gf import FieldContext, _is_int
@@ -85,10 +86,14 @@ BASIS_LIMIT = 2**20
 # by list reads
 FOLD_KEYS = 2**8
 RANK_TABLE_LIMIT = 2**15
-# the most entries, words times nm, of the offsets a block of the Gray
-# walk is read from: 256 words of up to 64 entries, 2^14 / nm words of
-# a longer one.  As entry tuples they take about 256 KiB
+# the most entries, words times nm, of a walk's offsets: 256 words of up
+# to 64 entries, 2^14 / nm of a longer one, about 256 KiB as tuples
 BLOCK_ENTRIES = 2**14
+# the most work, table reads or elimination steps (see `_rank_work`), of
+# a rank distribution.  Warm, a unit takes 50-170 ns (2 cores, Python
+# 3.11.7), so Mat(6 x 6, F_3) k = 14, 5.2e8 steps at 131 ns, takes about a
+# minute, and Mat(40 x 40, F_3) k = 15, 4.6e11 steps, is refused
+RANK_WORK_LIMIT = 2**29
 
 
 class RankMetricCode:
@@ -202,6 +207,35 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
         raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {size} exceeds budget {budget}")
 
 
+def check_rank_work(C: RankMetricCode, budget: int | None = None, dual: bool = False) -> int:
+    """The fold width g, 0 to eliminate each word, with which
+    `rank_distribution` ranks C (C^perp if `dual`), once its words pass
+    `check_codeword_budget`; BudgetExceeded, naming RANK_WORK_LIMIT and
+    the work, when that ranking's work (`_rank_work`) is above it."""
+    check_codeword_budget(C, budget, dual)
+    n, m = C.n, C.m
+    k = n * m - C.k if dual else C.k
+    g, words, work = _rank_work(C.field.q, n, m, k)
+    if work > RANK_WORK_LIMIT:
+        raise BudgetExceeded(
+            f"ranking the {size_text(words, k - 1)} projective words of C{'^perp' if dual else ''} takes "
+            f"{size_text(work, k - 1)} {'table reads' if g else 'elimination steps'}, "
+            f"above the rank work limit RANK_WORK_LIMIT = {RANK_WORK_LIMIT}"
+        )
+    return g
+
+
+@lru_cache(maxsize=1024)
+def _rank_work(q: int, n: int, m: int, k: int) -> tuple:
+    """(g, words, work) of a k-dimensional code in Mat(n x m, F_q): the
+    `_fold_width`, the (q^k - 1)/(q - 1) projective words, and the words
+    times ceil(max(n, m) / g) table reads if g, else times n m min(n, m)
+    entry operations, or n m packed XORs over F_2."""
+    g = _fold_width(q, min(n, m), max(n, m))
+    words = (q**k - 1) // (q - 1)
+    return g, words, words * (-(-max(n, m) // g) if g else n * m * (1 if q == 2 else min(n, m)))
+
+
 def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
     """The q^k codewords of C as a sized view whose `projective` walk
     streams one word per projective point; BudgetExceeded at call time if
@@ -211,15 +245,10 @@ def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
 
 
 class _Codewords:
-    """The codewords of C, re-walkable in memory bounded by the basis.
-
-    The walk is a Gray walk of `_gray_blocks` over an F_p-basis of a span
-    of basis rows, p the characteristic: the words alpha^l b_i for l < e,
-    alpha^l being the field element encoded p^l, span F_q b_i since F_q =
-    F_p^e.  A word is a row-major entry tuple, or, over F_2, a packed int
-    (see `_walk`), and a walk comes in blocks of at most 256 words, each
-    word the block's start plus one of the walk's offsets.
-    """
+    """The codewords of C, re-walkable in memory bounded by the basis.  A
+    walk spans the steps alpha^l b_i, l < e, an F_p-basis of F_q b_i
+    (F_q = F_p^e, alpha^l the element encoded p^l), p the characteristic.
+    Over F_2 a word is the int whose bit u is its vector-major entry u."""
 
     __slots__ = ("code",)
 
@@ -229,12 +258,11 @@ class _Codewords:
     def __len__(self):
         return self.code.size()
 
-    def projective(self, packed: bool = False):
+    def projective(self):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
-        all, as entry tuples (over F_2, as packed ints if `packed`): for
-        each i, b_i plus the Gray walk over the F_p-basis of the span of
-        b_0, ..., b_{i-1}, q^i words.  An entry tuple is one addition-table
-        row per entry of its offset, applied to the block's start.
+        all, as ints over F_2 and as vector-major entry tuples otherwise:
+        for each i, b_i plus every F_p-combination of the steps of b_0, ...,
+        b_{i-1}, q^i words.
 
         These are the words u whose last nonzero coefficient is 1.  Each
         nonzero word w has a last nonzero coefficient c, at some b_i, and
@@ -242,24 +270,17 @@ class _Codewords:
         coefficients agree past i and at b_i, so c = c' and u = u'.  So
         {c u : c != 0} lists each nonzero codeword exactly once, and
         rank(c u) = rank(u) since c is invertible."""
-        offsets, blocks = self._walk(packed)
-        if packed:
-            moves, apply = offsets, xor
-        else:
-            rows = _add_rows(self.code.field)
-            moves, apply = [tuple(map(rows.__getitem__, o)) for o in offsets], _add_step
+        offsets, blocks, add = self._walk(1, _KeyRows(self.code.field, 1))
         for start, size in blocks:
-            yield from map(apply, moves, repeat(start, size))
+            yield from map(add, offsets[:size], repeat(start, size))
 
-    def _walk(self, packed: bool, keys=None):
-        """(offsets, blocks) of the projective walk (see `_gray_blocks`), in
-        blocks of p^depth words, p^depth nm <= BLOCK_ENTRIES.  A packed
-        word, over F_2 only, is vector-major, one bit per entry: its vector
-        t, L = min(n, m) entries long, is column t of the matrix when n <= m
-        and row t otherwise, and entry (i, j) is bit j n + i or i m + j, so
-        addition is XOR.  Otherwise a word is its entry tuple, or with
-        `keys` = ((cuts, weights), rows) its keys sum_u w[cut[u]]
-        weights[u], which rows adds."""
+    def _walk(self, span: int, rows):
+        """(offsets, blocks, add) of the projective walk, words over q > 2
+        being tuples of keys of `span` entries, which add adds by `rows`.
+        offsets is the `_span` of the first `depth` steps, so offsets[:p^l]
+        spans the first l.  Walk i is the blocks (start, p^min(depth, i e)),
+        start running over the `_span` of b_i over steps depth to i e; a
+        block's words are start + offsets[t], t < its size."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e = field.q, field.p, field.e
@@ -267,34 +288,68 @@ class _Codewords:
         if e > 1:
             times = field.tables[1]
             steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
-        if packed:
-            steps = [_pack(chain.from_iterable(s[j::m] for j in range(m)) if n <= m else s) for s in steps]
-            moves, plus, moved, zero = steps, xor, None, 0
+        vectors = _vector_major(n, m)
+        if q == 2:
+            steps, zero, add = [_pack(vectors(s)) for s in steps], 0, xor
+            plus, sums = xor, lambda moves: list(accumulate(moves, xor))
         else:
-            zero, rows = (0,) * (n * m), _add_rows(field)
-            if keys:
-                (cuts, weights), rows = keys
-                steps = [tuple(sum(map(mul, map(s.__getitem__, cut), weights)) for cut in cuts) for s in steps]
-                zero = (0,) * len(cuts)
-            # a step as its entries' addition-table rows: adding it is one map
-            moved, plus = lambda v: tuple(map(rows.__getitem__, v)), _add_step
-            moves = [moved(s) for s in steps]
-        depth = _block_depth(p, n * m)
-        offsets = _gray_offsets(moves[: max(k - 1, 0) * e], plus, zero, p, depth)
-        starts = zip(steps[::e], range(0, k * e, e))
-        return offsets, _gray_blocks(starts, moves, offsets, plus, moved, p, depth)
+            weights = [q**u for u in range(span)]
+            steps, zero = [_keys(vectors(s), weights) for s in steps], (0,) * -(-n * m // span)
+            # `_span` adds a running sum again and again, so it gets its keys' rows
+            plus = lambda r, b: tuple(map(getitem, r, b))
+            add = lambda a, b: plus(map(rows.__getitem__, a), b)
+            sums = lambda moves: [tuple(map(rows.__getitem__, s)) for s in accumulate(moves, add)]
+        depth = min(_block_depth(p, n * m), max(k - 1, 0) * e)
+        # a walk with i e <= depth is one block from b_i: no `_span` for it
+        short = min(k, depth // e + 1)
+        blocks = chain(
+            zip(steps[: short * e : e], [p ** (i * e) for i in range(short)]),
+            ((s, p**depth) for i in range(short, k) for s in _span(steps[i * e], sums(steps[depth : i * e]), plus, p)),
+        )
+        return list(_span(zero, sums(steps[:depth]), plus, p)), blocks, add
 
 
-@lru_cache(maxsize=None)
-def _add_rows(field: FieldContext) -> tuple:
-    """The addition table of F_q as q rows: rows[a][b] = a + b."""
-    q, add = field.q, field.tables[0]
-    return tuple(add[a * q : (a + 1) * q] for a in range(q))
+def _span(word, sums, plus, p: int):
+    """word + sum_t c_t m_t for each c in F_p^len(sums), sums[t] = m_0 + ...
+    + m_t, c counting up as the base-p digits of x = 0, 1, ..., c_0 lowest.
+    From x - 1 to x the lowest nonzero digit t of x rises and the digits
+    under it fall from p - 1 to 0: one plus(sums[t], word), as p m_s = 0.
+    A loop, not a recursion, so any number of moves will do."""
+    yield word
+    for x in range(1, p ** len(sums)):
+        t = 0
+        while not x % p:
+            x //= p
+            t += 1
+        word = plus(sums[t], word)
+        yield word
 
 
-def _add_step(rows, word) -> tuple:
-    """The word plus the vector whose addition-table rows these are."""
-    return tuple(map(getitem, rows, word))
+@lru_cache(maxsize=1024)
+def _block_depth(p: int, entries: int) -> int:
+    """The largest depth with p^depth <= min(256, BLOCK_ENTRIES // entries),
+    blocks of at most 256 words and BLOCK_ENTRIES entries."""
+    most, depth = min(256, BLOCK_ENTRIES // entries), 0
+    while p ** (depth + 1) <= most:
+        depth += 1
+    return depth
+
+
+@lru_cache(maxsize=1024)
+def _vector_major(n: int, m: int):
+    """The map from the row-major entries of an n x m matrix to vector-major
+    ones: its columns in turn when n <= m, else its rows (as for n = 1)."""
+    return itemgetter(*(i * m + j for j in range(m) for i in range(n))) if 1 < n <= m else tuple
+
+
+def _keys(entries, weights) -> tuple:
+    """The keys of these vector-major entries, s = len(weights) to a key:
+    key j is sum_u entries[j s + u] weights[u], weights[u] = q^u, the last
+    key taking the entries left."""
+    span = len(weights)
+    if span == 1:
+        return tuple(entries)
+    return tuple(sum(map(mul, entries[i : i + span], weights)) for i in range(0, len(entries), span))
 
 
 def _pack(entries) -> int:
@@ -303,67 +358,6 @@ def _pack(entries) -> int:
 
 
 _BITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _gray_offsets(moves, plus, zero, p, depth):
-    """The sums offsets[t] of the first t steps of the ruler of `_ruler`,
-    t < p^min(depth, len(moves)): the offsets of every block of a walk.
-    plus(move, word) adds a step, given as its move, to a word."""
-    offsets = [zero]
-    for d in _ruler(p)[1][: p ** min(depth, len(moves)) - 1]:
-        offsets.append(plus(moves[d], offsets[-1]))
-    return offsets
-
-
-def _gray_blocks(starts, moves, offsets, plus, moved, p, depth):
-    """For each (word, j) of `starts`, the p^j words of the p-ary Gray walk
-    over the steps of moves[:j] from `word`, each step of additive order p,
-    as blocks (start, size): the words start + offsets[t], t < size =
-    p^min(j, depth).  Word t of a walk is word t - 1 plus step i, i the
-    lowest nonzero base-p digit of t; so it is the walk's start plus sum_i
-    g_i step i, g the modular p-ary Gray code of t, and each of the p^j
-    sums comes once.  The low digits run through the same ruler in every
-    block, so block h starts at the last word of block h - 1 plus step
-    low + i, i the lowest nonzero base-p digit of h.  moved(v) is the move
-    of a word v, or None when a word is its own move."""
-    for word, j in starts:
-        low = min(depth, j)
-        size = p**low
-        yield word, size
-        if j > low:
-            last = offsets[size - 1] if moved is None else moved(offsets[size - 1])
-            for high in range(1, p ** (j - low)):
-                word = plus(moves[low + _lowest_digit(high, p)], plus(last, word) if size > 1 else word)
-                yield word, size
-
-
-@lru_cache(maxsize=1024)
-def _block_depth(p: int, entries: int) -> int:
-    """The largest depth <= top of `_ruler` with p^depth words of this
-    many entries at most BLOCK_ENTRIES; 0 for one word per block."""
-    top, depth = _ruler(p)[0], 0
-    while depth < top and p ** (depth + 1) * entries <= BLOCK_ENTRIES:
-        depth += 1
-    return depth
-
-
-@lru_cache(maxsize=None)
-def _ruler(p: int) -> tuple:
-    """(top, digits): top the largest l with p^l <= 256, and digits the
-    lowest nonzero base-p digit of each t = 1, ..., p^top - 1."""
-    top = 1
-    while p ** (top + 1) <= 256:
-        top += 1
-    return top, tuple(_lowest_digit(t, p) for t in range(1, p**top))
-
-
-def _lowest_digit(t: int, p: int) -> int:
-    """The position of the lowest nonzero base-p digit of t > 0."""
-    i = 0
-    while not t % p:
-        t //= p
-        i += 1
-    return i
 
 
 def _column_images(support, columns, q, add, mul):
@@ -431,21 +425,18 @@ def _check_entries(what: str, entries: int):
         )
 
 
-def _rank_of_entries(entries, n, m, field) -> int:
-    """Rank of the n x m matrix with these row-major entries, by elimination
-    on its min(n, m)-long side (rank is transpose-invariant) through the
-    field's flat tables.  Each nonzero reduced vector joins the echelon
-    basis with leading entry 1; reducing by the basis in insertion order
-    clears every pivot.  Stops once the rank reaches min(n, m)."""
+def _rank_of_entries(entries, length: int, field) -> int:
+    """Rank of the matrix whose `length`-long vectors, its columns or its
+    rows, follow each other in these vector-major entries (see
+    `_Codewords`), by elimination through the field's flat tables.  Each
+    nonzero reduced vector joins the echelon basis with leading entry 1;
+    reducing by the basis in insertion order clears every pivot.  Stops
+    once the rank reaches `length`."""
     q = field.q
     add, mul, neg, inv = field.tables
-    if n <= m:
-        length, step, starts = n, m, range(m)  # the m columns
-    else:
-        length, step, starts = m, 1, range(0, n * m, m)  # the n rows
     basis = []
-    for s in starts:
-        v = entries[s : s + step * length : step]
+    for s in range(0, len(entries), length):
+        v = entries[s : s + length]
         for p, b in basis:
             c = v[p]
             if c:
@@ -466,7 +457,7 @@ def _rank_of_entries(entries, n, m, field) -> int:
 def _rank_of_packed(word: int, length: int) -> int:
     """Rank over F_2 of the matrix whose `length`-bit vectors, its columns
     or its rows, are packed low to high in `word` (see
-    `_Codewords._walk`).  Each vector is reduced against an XOR basis
+    `_Codewords`).  Each vector is reduced against an XOR basis
     in insertion order: v ^ b < v iff v holds the top bit of b, so the step
     clears that bit, and every basis vector is zero at the top bits of the
     vectors before it.  Vectors past the last nonzero one are skipped.
@@ -550,10 +541,9 @@ def _transitions(field: FieldContext, length: int):
 
 
 class _KeyRows(dict):
-    """The map x -> the list of the key sums x + y over all keys y, for
-    keys of `digits` entries of F_q: a key is the base-q number of its
-    entries, added entry by entry.  A row is filled the first time it is
-    read."""
+    """The map x -> the key sums x + y over all keys y, for keys of
+    `digits` entries of F_q: a key is the base-q number of its entries,
+    added entry by entry.  A row is filled the first time it is read."""
 
     __slots__ = ("field", "digits")
 
@@ -618,65 +608,45 @@ def _fold_width(q: int, length: int, width: int) -> int:
     return g and -(-width // -(-width // g))
 
 
-@lru_cache(maxsize=1024)
-def _key_cuts(n: int, m: int, span: int, q: int) -> tuple:
-    """(cuts, weights): the indices of the entries of each key of an n x m
-    word, span entries per key, vector-major as packed, and the weights q^u
-    of a key's entries."""
-    order = [i * m + j for j in range(m) for i in range(n)] if n <= m else range(n * m)
-    return tuple(order[i : i + span] for i in range(0, n * m, span)), [q**u for u in range(span)]
-
-
 def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from
     the zero state through `_fold_table` one key at a time, g vectors per
-    key, the last key read in `last`.  A block's words are its start plus
-    the walk's offsets, so key i of each is the sum of the start's key i
-    and the offset's, read once per block and once per walk: a block folds
-    one key column at a time.  Over F_2 the words are packed and add keys
-    by XOR; otherwise the walk runs over key tuples, added by the rows of
-    `_fold_table`.  F_q^L maps to itself, so once every word of a block is
-    there, the block's keys left are not read."""
+    key, the last key read in `last`.  Key i of a block's word, its bits i
+    span to (i + 1) span over F_2 and its entry i otherwise, is the start's
+    key i plus the offset's, one read of the start's row of `rows`.  F_q^L
+    maps to itself, so a block whose words all reach it reads no further."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
-    packed = q == 2
     flat, last, rows, full = _fold_table(field, length, g)
     chunks, span = -(-width // g), g * length
-    if packed:
+    offsets, blocks, _ = words._walk(span, rows)
+    if q == 2:
         mask = 2**span - 1
-        offsets, blocks = words._walk(True)
+        key = lambda word, i: word >> i * span & mask
         columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
     else:
-        offsets, blocks = words._walk(False, keys=(_key_cuts(n, m, span, q), rows))
-        columns = list(zip(*offsets))
+        key, columns = getitem, list(zip(*offsets))
     counts = [0] * (n + 1)
     if chunks == 1:
         # a word is one key, so there are at most FOLD_KEYS words: one pass
-        if packed:
-            ranks = [last[x ^ o] for x, size in blocks for o in offsets[:size]]
-        else:
-            ranks = [last[row[o]] for x, size in blocks for row in [rows[x[0]]] for o in columns[0][:size]]
-        for r in ranks:
-            counts[r] += 1
+        ranks = [last[row[o]] for x, size in blocks for row in [rows[key(x, 0)]] for o in columns[0][:size]]
+        for r in range(length + 1):
+            counts[r] = ranks.count(r)
         return counts
     tables = [flat] * (chunks - 1) + [last]
     for start, block in blocks:
         ranks = repeat(0, block)
         for i, (column, table) in enumerate(zip(columns, tables)):
-            if packed:
-                x = start >> i * span & mask
-                ranks = [table[s + (x ^ o)] for s, o in zip(ranks, column)]
-            else:
-                row = rows[start[i]]
-                ranks = [table[s + row[o]] for s, o in zip(ranks, column)]
+            row = rows[key(start, i)]
+            ranks = [table[s + row[o]] for s, o in zip(ranks, column)]
             # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
             if (i + 1) * g >= length and i + 1 < chunks and ranks.count(full) == block:
                 counts[length] += block
                 break
         else:
-            for r in ranks:
-                counts[r] += 1
+            for r in range(length + 1):
+                counts[r] += ranks.count(r)
     return counts
 
 
@@ -684,9 +654,10 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
     Each projective word is ranked by `_fold_ranks` when `_fold_width`
-    admits a table for the code's shape, and otherwise by one elimination;
-    over F_2 either way as a packed int.  BudgetExceeded when the tuple
-    would hold more than BASIS_LIMIT counts."""
+    admits a table for the code's shape, and otherwise by one elimination,
+    of a packed int over F_2.  BudgetExceeded when the tuple would hold
+    more than BASIS_LIMIT counts, and, before any word is walked, when the
+    ranking's work is above RANK_WORK_LIMIT (`check_rank_work`)."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
     # a code without generators loads at any n
@@ -694,17 +665,13 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     words = enumerate_codeword_entries(C, budget)
     if not C.k:  # no word to walk, and a walk would hold a zero word of nm entries
         return (1,) + (0,) * n
-    g = _fold_width(q, length, max(n, m))
+    g = check_rank_work(C, budget)
     if g:
         counts = _fold_ranks(words, g)
     else:
         counts = [0] * (n + 1)
-        if q == 2:
-            for word in words.projective(packed=True):
-                counts[_rank_of_packed(word, length)] += 1
-        else:
-            for entries in words.projective():
-                counts[_rank_of_entries(entries, n, m, field)] += 1
+        for word in words.projective():
+            counts[_rank_of_packed(word, length) if q == 2 else _rank_of_entries(word, length, field)] += 1
     # each point stands for its q - 1 nonzero multiples, all of its rank
     counts = [(q - 1) * a for a in counts]
     counts[0] += 1

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .delsarte import RankMetricCode, check_codeword_budget, dual_code, rank_distribution
+from .delsarte import RankMetricCode, check_rank_work, dual_code, rank_distribution
 from .errors import NonIntegralResult
 from .qpolymatroid import from_code, rank_generating_function, verify_axioms
 from .qseries import (
@@ -113,8 +113,8 @@ class CodeAnalysis:
     @cached_property
     def dual_distribution(self):
         """Rank distribution of C^perp by brute-force enumeration, refused
-        by the budget before C^perp is solved."""
-        check_codeword_budget(self.code, self.budget, dual=True)
+        by the budget or the rank work limit before C^perp is solved."""
+        check_rank_work(self.code, self.budget, dual=True)
         return rank_distribution(self.dual, self.budget)
 
 
@@ -325,8 +325,9 @@ IDENTITY_CHECKS = {
 def check_all(C: RankMetricCode, budget=None):
     """Every identity for one code, from one analysis; deterministic
     report order.  Refused before any work when C or C^perp has more
-    codewords than the budget."""
-    check_codeword_budget(C, budget)
-    check_codeword_budget(C, budget, dual=True)
+    codewords than the budget, or takes more work to rank than
+    RANK_WORK_LIMIT."""
+    check_rank_work(C, budget)
+    check_rank_work(C, budget, dual=True)
     a = CodeAnalysis(C, budget)
     return [report for run in IDENTITY_CHECKS.values() for report in run(a)]

@@ -3,17 +3,20 @@ import random
 import sys
 import time
 import tracemalloc
-from itertools import product
+from itertools import accumulate, islice, product
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrank import (
+    CodeAnalysis,
     MatrixFq,
     RankMetricCode,
     Subspace,
     all_codes,
     ambient_counts,
+    check_all,
     code_from_generators,
     dual_code,
     gf_new,
@@ -26,15 +29,19 @@ from qrank import (
     trace_product,
 )
 import qrank.delsarte
+import qrank.identities
 from qrank.delsarte import (
     BASIS_LIMIT,
     BLOCK_ENTRIES,
     FOLD_KEYS,
     RANK_TABLE_LIMIT,
+    RANK_WORK_LIMIT,
+    _KeyRows,
     _fold_ranks,
     _fold_table,
     _fold_width,
     _rank_of_entries,
+    _rank_work,
     _transitions,
     enumerate_codeword_entries,
 )
@@ -75,12 +82,54 @@ def test_code_from_generators_shape_mismatch():
         code_from_generators([MatrixFq.zeros(F2, 2, 2), MatrixFq.zeros(F2, 2, 3)])
 
 
+def _row_major(word, C):
+    """The row-major entry tuple of a word of C's walk: over F_2 an int
+    whose bit u is entry u of the vector-major order, otherwise the
+    vector-major entry tuple.  Entry (i, j) is entry u = j n + i of that
+    order when n <= m, the columns in turn, and u = i m + j otherwise."""
+    n, m = C.n, C.m
+    at = (lambda u: word >> u & 1) if C.field.q == 2 else word.__getitem__
+    return tuple(at(j * n + i if n <= m else i * m + j) for i in range(n) for j in range(m))
+
+
+def _vector_major(entries, n, m):
+    """Row-major entries of an n x m matrix in vector-major order: the
+    columns in turn when n <= m, else the rows as they are."""
+    return tuple(entries[i * m + j] for j in range(m) for i in range(n)) if n <= m else tuple(entries)
+
+
 def _all_words(C):
     """The q^k codewords of C as entry tuples: the zero word and the q - 1
     nonzero multiples of each word of the projective walk."""
     field = C.field
-    points = enumerate_codeword_entries(C).projective()
+    points = [_row_major(w, C) for w in enumerate_codeword_entries(C).projective()]
     return [(0,) * (C.n * C.m)] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, field.q)]
+
+
+def _steps(C):
+    """The F_p-steps alpha^l b_i of C's walk, l < e, as row-major entry
+    tuples, alpha^l being the field element encoded p^l."""
+    field = C.field
+    return [tuple(field.mul(field.p**l, x) for x in b) for b in C.space.basis for l in range(field.e)]
+
+
+def _combinations(word, steps, field):
+    """word + sum_t c_t steps[t] for each c in F_p^len(steps), c counting up
+    as a base-p number whose lowest digit is c_0."""
+    out = []
+    for digits in product(range(field.p), repeat=len(steps)):
+        w = word
+        for c, s in zip(reversed(digits), steps):
+            w = tuple(field.add(a, field.mul(c, b)) for a, b in zip(w, s))
+        out.append(w)
+    return out
+
+
+def _counting_walk(C):
+    """The projective walk by its definition: for each i, b_i plus every
+    F_p-combination of the first i e steps, in counting order."""
+    e, steps = C.field.e, _steps(C)
+    return [w for i, b in enumerate(C.space.basis) for w in _combinations(b, steps[: i * e], C.field)]
 
 
 def test_enumerate_codewords_counts(zero_2x2_f2, e11_2x2_f2, full_2x2_f2):
@@ -393,12 +442,19 @@ def test_codeword_stream_matches_span_oracle():
         for C in _random_codes(n, m, field, 4, rng):
             assert len(enumerate_codeword_entries(C)) == C.size()
             assert sorted(_all_words(C)) == _oracle_words(C), C
-            # Gray order: each word is a basis row, b_i starting its walk,
-            # or the word before it plus a multiple of one basis row
-            points = list(enumerate_codeword_entries(C).projective())
-            multiples = {tuple(field.mul(c, x) for x in row) for row in C.space.basis for c in range(1, field.q)}
-            for u, w in zip(points, points[1:]):
-                assert w in C.space.basis or tuple(field.sub(b, a) for a, b in zip(u, w)) in multiples, C
+            # the walk's invariant: offsets[:p^l] spans the first l F_p-steps
+            # in counting order, and each block's words are its start plus
+            # offsets[:size]
+            view = enumerate_codeword_entries(C)
+            offsets, blocks, _ = view._walk(1, _KeyRows(field, 1))
+            offsets = [_row_major(o, C) for o in offsets]
+            steps, l = _steps(C), 0
+            while field.p**l <= len(offsets):
+                assert offsets[: field.p**l] == _combinations(offsets[0], steps[:l], field), (C, l)
+                l += 1
+            assert field.p ** (l - 1) == len(offsets) and not any(offsets[0]), C
+            words = [tuple(map(field.add, _row_major(start, C), o)) for start, size in blocks for o in offsets[:size]]
+            assert words == [_row_major(w, C) for w in view.projective()] == _counting_walk(C), C
 
 
 def _random_matrix(n, m, rank, field, rng):
@@ -425,8 +481,8 @@ def test_rank_of_entries_matches_span_oracle():
         for r in range(min(n, m)):
             matrices += [_random_matrix(n, m, r, field, rng) for _ in range(5)]
         for rows in matrices:
-            entries = tuple(v for row in rows for v in row)
-            assert _rank_of_entries(entries, n, m, field) == oracle_rank_matrix(rows, field), (rows, field)
+            entries = _vector_major([v for row in rows for v in row], n, m)
+            assert _rank_of_entries(entries, min(n, m), field) == oracle_rank_matrix(rows, field), (rows, field)
 
 
 def test_rank_distribution_memory_does_not_grow_with_the_code():
@@ -447,7 +503,7 @@ def test_rank_distribution_memory_does_not_grow_with_the_code():
 def _table_kernel_counts(C):
     counts = [0] * (C.n + 1)
     for entries in _all_words(C):
-        counts[_rank_of_entries(entries, C.n, C.m, C.field)] += 1
+        counts[_rank_of_entries(_vector_major(entries, C.n, C.m), min(C.n, C.m), C.field)] += 1
     return counts
 
 
@@ -458,21 +514,18 @@ def test_rank_distribution_matches_the_all_words_table_kernel(corpus_2x2_f2, cor
             assert list(rank_distribution(code)) == _table_kernel_counts(code), code
 
 
-def _unpack(word, n, m):
-    """The entry tuple of a packed word over F_2: bit u holds entry (i, j),
-    u = j n + i when n <= m and u = i m + j otherwise."""
-    return tuple(word >> (j * n + i if n <= m else i * m + j) & 1 for i in range(n) for j in range(m))
-
-
 def test_packed_walk_unpacks_to_the_tuple_view():
+    # over F_2 the walk's ints unpack to the entry tuples of the walk's
+    # definition, in its order
     rng = random.Random(14)
     for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
         # k with at most 2^10 words
         top = min(n * m, 10)
         for k in sorted({0, 1, top, rng.randrange(top + 1)}):
-            view = enumerate_codeword_entries(random_code(n, m, F2, k, rng))
-            unpacked = [_unpack(w, n, m) for w in view.projective(packed=True)]
-            assert unpacked == list(view.projective()), (n, m, k)
+            C = random_code(n, m, F2, k, rng)
+            points = list(enumerate_codeword_entries(C).projective())
+            assert all(isinstance(w, int) for w in points), (n, m, k)
+            assert [_row_major(w, C) for w in points] == _counting_walk(C), (n, m, k)
 
 
 @settings(max_examples=120, deadline=None)
@@ -646,7 +699,7 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
     # a block is 256 words of 64 entries, or 128 of 65
     assert BLOCK_ENTRIES == 2**14
     for n, m, size in [(8, 8, 256), (5, 13, 128)]:
-        offsets, _ = enumerate_codeword_entries(random_code(n, m, F2, 9, rng))._walk(True)
+        offsets = enumerate_codeword_entries(random_code(n, m, F2, 9, rng))._walk(1, _KeyRows(F2, 1))[0]
         assert len(offsets) == size, (n, m)
 
 
@@ -666,8 +719,9 @@ def _key(entries, q):
 
 def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
     # _fold_ranks at each g the key limit allows, packed over F_2 and as key
-    # tuples elsewhere, against one elimination per projective word and the
-    # span oracle over all q^k words, from cold tables and warm
+    # tuples elsewhere, against one elimination of the vector-major entries
+    # of each projective word and the span oracle over all q^k words, from
+    # cold tables and warm
     rng = random.Random(19)
     for field in PROPERTY_FIELDS:
         q = field.q
@@ -680,8 +734,8 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                 C = random_code(n, m, field, k, rng)
                 words = enumerate_codeword_entries(C)
                 per_word = [0] * (n + 1)
-                for entries in words.projective():
-                    per_word[_rank_of_entries(entries, n, m, field)] += 1
+                for w in words.projective():
+                    per_word[_rank_of_entries(_vector_major(_row_major(w, C), n, m), length, field)] += 1
                 everything = [(q - 1) * a for a in per_word]
                 everything[0] += 1
                 assert everything == oracle_rank_distribution(C.space.basis, n, m, field), C
@@ -737,7 +791,7 @@ def test_projective_walk_visits_each_point_once():
             for k in sorted({0, 1, top}):
                 C = random_code(n, m, field, k, rng)
                 view = enumerate_codeword_entries(C)
-                points = list(view.projective())
+                points = [_row_major(w, C) for w in view.projective()]
                 assert len(view) == q**k
                 assert len(points) == (q**k - 1) // (q - 1), C
                 assert all(any(w) for w in points), C
@@ -745,8 +799,67 @@ def test_projective_walk_visits_each_point_once():
                 assert len({_point(w, field) for w in points}) == len(points), C
                 # {c w : c != 0} and the zero word: each codeword exactly once
                 assert sorted(_all_words(C)) == _oracle_words(C), C
-                if q == 2:
-                    assert [_unpack(w, n, m) for w in view.projective(packed=True)] == points, C
+
+
+def test_the_walk_does_not_recurse():
+    # full spaces from Subspace.full, so no elimination: k e = 1200 and 1400
+    # steps, past the recursion limit, under a budget that admits their words
+    F4 = gf_new(2, 2)
+    for m, field in [(1200, F2), (700, F4)]:
+        C = RankMetricCode(Subspace.full(m, field), 1, m)
+        assert C.k * field.e > sys.getrecursionlimit()
+        start = time.perf_counter()
+        words = list(islice(enumerate_codeword_entries(C, budget=2**3000).projective(), 10))
+        assert time.perf_counter() - start < 1, C
+        if field is F2:
+            # b_i is bit i, so walk i counts up from 2^i
+            assert words == list(range(1, 11))
+        else:
+            # b_i is entry i; walk i adds each F_2-combination of b_j, alpha b_j (j < i)
+            heads = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0),
+                     (0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1), (0, 1, 1)]  # fmt: skip
+            assert [w[:3] for w in words] == heads and not any(any(w[3:]) for w in words)
+    # a span over more moves than the recursion limit, as a late walk's starts
+    sums = list(accumulate((1 << i for i in range(sys.getrecursionlimit() + 200)), xor))
+    assert list(islice(qrank.delsarte._span(0, sums, xor, 2), 10)) == list(range(10))
+
+
+def _refuse_walk(*args):
+    raise AssertionError("a word was walked")
+
+
+def test_a_ranking_above_the_work_limit_is_refused_before_any_word_is_walked(monkeypatch):
+    # random Mat(40 x 40, F_3) k = 15: its 3^15 words fit the budget, but
+    # one elimination of 64000 entry operations per projective word would
+    # run for hours
+    C = random_code(40, 40, F3, 15, random.Random(1))
+    monkeypatch.setattr(qrank.delsarte._Codewords, "_walk", _refuse_walk)
+    monkeypatch.setattr(qrank.identities, "from_code", _refuse_walk)
+    message = (r"ranking the 7174453 projective words of C takes 459164992000 elimination steps, "
+               r"above the rank work limit RANK_WORK_LIMIT = 536870912")  # fmt: skip
+    for call in (rank_distribution, min_rank_distance, check_all):
+        with pytest.raises(BudgetExceeded, match=message):
+            call(C)
+    # C^perp of Mat(6 x 6, F_3) codes under budgets that admit its words,
+    # refused before it is solved: 3^15 words of a k = 21 code, and 3^26 of
+    # a k = 10 code that check_all would rank
+    monkeypatch.setattr(qrank.identities, "dual_code", _refuse_walk)
+    with pytest.raises(BudgetExceeded, match=r"words of C\^perp takes 1549681848 elimination steps"):
+        CodeAnalysis(random_code(6, 6, F3, 21, random.Random(2)), budget=3**21).dual_distribution
+    with pytest.raises(BudgetExceeded, match=r"words of C\^perp takes \d+ elimination steps"):
+        check_all(random_code(6, 6, F3, 10, random.Random(3)), budget=3**26)
+
+
+def test_the_work_limit_admits_what_the_suite_ci_and_benchmark_rank():
+    # (q, n, m, k) of the largest rankings: CI's Mat(6 x 6, F_2) k = 18
+    # eliminated, its folded codes and the benchmark's enumeration shapes
+    ranked = [(2, 6, 6, 18), (2, 5, 5, 20), (2, 4, 5, 18), (3, 3, 4, 12), (5, 2, 4, 8), (2, 2, 20, 16),
+              (3, 4, 4, 10), (4, 3, 3, 9), (8, 3, 3, 5), (2, 4, 5, 16), (3, 3, 4, 9), (4, 3, 3, 7)]  # fmt: skip
+    assert all(_rank_work(*shape)[2] <= RANK_WORK_LIMIT for shape in ranked)
+    # one elimination per word: Mat(6 x 6, F_3) is admitted up to k = 14,
+    # about a minute, and over F_2 a packed XOR counts once
+    assert _rank_work(3, 6, 6, 14)[2] <= RANK_WORK_LIMIT < _rank_work(3, 6, 6, 15)[2]
+    assert _rank_work(2, 6, 6, 23) == (0, 2**23 - 1, (2**23 - 1) * 36)
 
 
 class _NoDraws(random.Random):
