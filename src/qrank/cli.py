@@ -20,14 +20,12 @@ from .delsarte import (
     rank_distribution,
     restrict,
 )
-from .errors import BudgetExceeded, MalformedCode, QrankError
+from .errors import MalformedCode, QrankError, check_limit
 from .gf import FieldContext
 from .identities import IDENTITY_CHECKS, CodeAnalysis, check_all
 from .qpolymatroid import from_code, rank_generating_function
 from .qseries import HomogeneousPoly, galois_number, gaussian_binomial
-from .subspaces import (
-    Subspace, check_subspace_count, enumerate_subspaces, size_text, subspace_count_exponent
-)
+from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subspace_count_exponent
 
 
 def _load_code(path: str) -> RankMetricCode:
@@ -115,41 +113,9 @@ def _field_from_args(args) -> FieldContext:
     raise QrankError("specify --q (prime) or --p/--e")
 
 
-def _printable_subspace_count(n: int, q: int, dim: int | None) -> int:
-    """The number of subspaces of F_q^n (of dimension dim, if given);
-    BudgetExceeded when it has more decimal digits than str() prints.
-    A count that is too long is refused from its lower bound q^e before it
-    is formed."""
-    # CPython refuses str() of a longer int (since 3.11 and 3.10.7); 0 means no limit
-    digits = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
-    top = 10**digits
-    e = subspace_count_exponent(n, dim)
-    # q^e >= 2^e >= top once e reaches top's bit length, so q^e is formed only below it
-    if e < top.bit_length() and q**e < top:
-        count = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
-        if count < top:
-            return count
-    of_dim = "" if dim is None else f" of dimension {dim}"
-    raise BudgetExceeded(f"the number of subspaces of F_{q}^{n}{of_dim} has more than {digits} digits")
-
-
 # the most subspace-key entries one `qrank lattice` listing writes; F_2^8
 # (13350368) fits, a single key of F_2^4100 does not
 LISTING_LIMIT = 2**24
-
-
-def _check_listing_entries(n: int, q: int, dim: int | None):
-    """Refuse a listing whose keys hold more than LISTING_LIMIT entries in
-    all: [n, d]_q keys of d x n entries for each listed dimension d.  The
-    counts are formed only once the subspace budget has admitted them."""
-    entries = sum(gaussian_binomial(n, d, q) * d * n for d in (range(n + 1) if dim is None else [dim]))
-    if entries > LISTING_LIMIT:
-        of_dim = "" if dim is None else f" of dimension {dim}"
-        raise BudgetExceeded(
-            f"the listing of the subspaces of F_{q}^{n}{of_dim} writes "
-            f"{size_text(entries, subspace_count_exponent(n, dim))} key entries, "
-            f"above the listing limit of {LISTING_LIMIT}"
-        )
 
 
 def _run(args) -> int:
@@ -220,12 +186,25 @@ def _run(args) -> int:
 
     if args.command == "lattice":
         field = _field_from_args(args)
+        n, q, dim = args.n, field.q, args.dim
+        e = subspace_count_exponent(n, dim)
+        fields = {"q": q, "n": n, "of_dim": "" if dim is None else f" of dimension {dim}"}
         if args.count_only:
-            sys.stdout.write(f"{_printable_subspace_count(args.n, field.q, args.dim)}\n")
+            # CPython refuses str() of a longer int (since 3.11 and 3.10.7); 0 means no limit
+            digits = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
+            count = lambda: galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
+            template = "the number of subspaces of F_{q}^{n}{of_dim} has more than {digits} digits"
+            sys.stdout.write(f"{check_limit(count, 10**digits - 1, template, e, dict(fields, digits=digits))}\n")
             return 0
-        check_subspace_count(args.n, field.q, budget, "the budget", args.dim)
-        _check_listing_entries(args.n, field.q, args.dim)
-        for S in enumerate_subspaces(args.n, field, args.dim):
+        check_subspace_count(n, q, budget, "the budget", dim)
+        # [n, d]_q keys of d x n entries for each listed dimension d, formed once the budget admits the count
+        entries = sum(gaussian_binomial(n, d, q) * d * n for d in (range(n + 1) if dim is None else [dim]))
+        template = (
+            "the listing of the subspaces of F_{q}^{n}{of_dim} writes {size} key entries, "
+            "above the listing limit of {limit}"
+        )
+        check_limit(entries, LISTING_LIMIT, template, e, fields)
+        for S in enumerate_subspaces(n, field, dim):
             sys.stdout.write(f"{S.canonical_key() or '0'}\n")
         return 0
 

@@ -63,11 +63,11 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import getitem, itemgetter, mul, xor
 
-from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode
+from .errors import AmbientMismatch, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode, check_limit
 from .gf import FieldContext, _is_int
 from .matspace import kernel_basis
 from .qseries import HomogeneousPoly, galois_number
-from .subspaces import Subspace, more_than, size_text
+from .subspaces import Subspace
 
 DEFAULT_BUDGET = 2**24
 # the most entries, rows times nm, of the C^perp basis `dual_code` builds
@@ -76,6 +76,7 @@ DEFAULT_BUDGET = 2**24
 # the limit, takes 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s
 # and 446 MiB
 BASIS_LIMIT = 2**20
+_HOLDS_ENTRIES = "{what} holds {size} entries, above the basis limit BASIS_LIMIT = {limit}"
 # the most keys, q^(g L), and the most entries, galois_number(L, q)
 # q^(g L), of a rank table `rank_distribution` folds words through, g
 # vectors of F_q^L per key (see `_fold_width`).  Mat(4 x 4, F_3), at 17172
@@ -190,38 +191,29 @@ def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
     return RankMetricCode(Subspace.span([M.entries for M in mats], n * m, field), n, m)
 
 
-def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bool = False):
-    """Refuse with BudgetExceeded the enumeration of C (of C^perp, of
-    dimension nm - k, if `dual`) when its q^k words are above the budget,
-    before C^perp is solved.  q^k >= 2^k is above the budget once k
-    reaches the budget's bit length, so q^k is formed only below it."""
-    if budget is None:
-        budget = DEFAULT_BUDGET
+def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bool = False) -> int:
+    """The q^k words of C (of C^perp, of dimension nm - k, if `dual`) under
+    the budget (`errors.check_limit`), checked before C^perp is solved."""
     q, k = C.field.q, C.n * C.m - C.k if dual else C.k
-    if k >= budget.bit_length() or q**k > budget:
-        # q^k, not its value: str() refuses an int of more than 4300 digits
-        try:
-            size = f"{q}^{k}"
-        except ValueError:  # k as well, when n and m are that long
-            size = f"{q}^({more_than(k.bit_length() - 1)})"
-        raise BudgetExceeded(f"|C{'^perp' if dual else ''}| = {size} exceeds budget {budget}")
+    budget, template = DEFAULT_BUDGET if budget is None else budget, "|C{perp}| = {q}^{k} exceeds budget {limit}"
+    return check_limit(lambda: q**k, budget, template, k, {"perp": "^perp" if dual else "", "q": q, "k": k})
 
 
 def check_rank_work(C: RankMetricCode, budget: int | None = None, dual: bool = False) -> int:
     """The fold width g, 0 to eliminate each word, with which
     `rank_distribution` ranks C (C^perp if `dual`), once its words pass
-    `check_codeword_budget`; BudgetExceeded, naming RANK_WORK_LIMIT and
-    the work, when that ranking's work (`_rank_work`) is above it."""
+    `check_codeword_budget`, once that ranking's work (`_rank_work`) is
+    under RANK_WORK_LIMIT (`errors.check_limit`)."""
     check_codeword_budget(C, budget, dual)
     n, m = C.n, C.m
     k = n * m - C.k if dual else C.k
     g, words, work = _rank_work(C.field.q, n, m, k)
-    if work > RANK_WORK_LIMIT:
-        raise BudgetExceeded(
-            f"ranking the {size_text(words, k - 1)} projective words of C{'^perp' if dual else ''} takes "
-            f"{size_text(work, k - 1)} {'table reads' if g else 'elimination steps'}, "
-            f"above the rank work limit RANK_WORK_LIMIT = {RANK_WORK_LIMIT}"
-        )
+    template = (
+        "ranking the {words} projective words of C{perp} takes {size} {steps}, "
+        "above the rank work limit RANK_WORK_LIMIT = {limit}"
+    )
+    fields = {"words": words, "perp": "^perp" if dual else "", "steps": "table reads" if g else "elimination steps"}
+    check_limit(work, RANK_WORK_LIMIT, template, k - 1, fields)
     return g
 
 
@@ -412,17 +404,9 @@ def dual_code(C: RankMetricCode) -> RankMetricCode:
     """Trace-product dual: the orthogonal complement of C in F_q^{nm}.
     BudgetExceeded, before it is built, when its basis of nm - k vectors
     holds more than BASIS_LIMIT entries."""
-    _check_entries("the basis of C^perp", (C.n * C.m - C.k) * C.n * C.m)
+    entries = (C.n * C.m - C.k) * C.n * C.m
+    check_limit(entries, BASIS_LIMIT, _HOLDS_ENTRIES, entries.bit_length() - 1, {"what": "the basis of C^perp"})
     return RankMetricCode(C.space.perp(), C.n, C.m)
-
-
-def _check_entries(what: str, entries: int):
-    """BudgetExceeded, naming `what` and its size, above BASIS_LIMIT entries."""
-    if entries > BASIS_LIMIT:
-        raise BudgetExceeded(
-            f"{what} holds {size_text(entries, entries.bit_length() - 1)} entries, "
-            f"above the basis limit BASIS_LIMIT = {BASIS_LIMIT}"
-        )
 
 
 def _rank_of_entries(entries, length: int, field) -> int:
@@ -661,7 +645,8 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
     # a code without generators loads at any n
-    _check_entries("the rank distribution (A_0, ..., A_n)", n + 1)
+    what = "the rank distribution (A_0, ..., A_n)"
+    check_limit(n + 1, BASIS_LIMIT, _HOLDS_ENTRIES, n.bit_length() - 1, {"what": what})
     words = enumerate_codeword_entries(C, budget)
     if not C.k:  # no word to walk, and a walk would hold a zero word of nm entries
         return (1,) + (0,) * n
@@ -717,7 +702,12 @@ def random_code(n: int, m: int, field: FieldContext, dim: int, rng: random.Rando
         raise InvalidValue(f"n and m must be >= 1, got n={n}, m={m}")
     if not 0 <= dim <= n * m:  # n m may be too long for str()
         raise InvalidValue(f"dimension {dim} out of range [0, n m] for n = {n}, m = {m}")
-    _check_entries(f"the basis of a random code of dimension {dim} in Mat({n} x {m})", dim * n * m)
+    entries = dim * n * m
+    template = (
+        "the basis of a random code of dimension {dim} in Mat({n} x {m}) holds {size} entries, "
+        "above the basis limit BASIS_LIMIT = {limit}"
+    )
+    check_limit(entries, BASIS_LIMIT, template, entries.bit_length() - 1, {"dim": dim, "n": n, "m": m})
     while True:
         vectors = [[rng.randrange(field.q) for _ in range(n * m)] for _ in range(dim)]
         S = Subspace.span(vectors, n * m, field)

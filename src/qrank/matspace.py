@@ -140,9 +140,6 @@ class MatrixFq:
         mul = self.field.mul
         return MatrixFq(self.field, self.rows, self.cols, tuple(mul(c, a) for a in self.entries))
 
-    def is_zero(self):
-        return all(v == 0 for v in self.entries)
-
     def _check_shape(self, other):
         if (
             not isinstance(other, MatrixFq)

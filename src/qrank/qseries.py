@@ -39,8 +39,12 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
 
 
 def galois_number(n: int, q: int) -> int:
-    """Total number of subspaces of F_q^n."""
-    return sum(gaussian_binomial(n, d, q) for d in range(n + 1))
+    """Total number of subspaces of F_q^n, 0 for n < 0: by the recurrence
+    G_{i+1} = 2 G_i + (q^i - 1) G_{i-1}, n steps and not n^2."""
+    last, count, power = 0, int(n >= 0), 1
+    for _ in range(n):
+        last, count, power = count, 2 * count + (power - 1) * last, power * q
+    return count
 
 
 def moebius_coefficient(k: int, q: int) -> int:
@@ -139,11 +143,6 @@ def y_poly() -> HomogeneousMPoly:
 
 def x_minus_y() -> HomogeneousMPoly:
     return HomogeneousMPoly.constant((1, -1))
-
-
-def qm_y(q: int) -> HomogeneousMPoly:
-    """The polynomial q^m y, coefficient a function of m."""
-    return HomogeneousMPoly(1, lambda m: (0, qpow(q, m)))
 
 
 def x_plus_qm_minus_1_y(q: int) -> HomogeneousMPoly:
@@ -263,9 +262,6 @@ class MultiPoly:
         for e, c in other.terms.items():
             out.add_term(e, -c)
         return out
-
-    def is_zero(self):
-        return not self.terms
 
     def sorted_terms(self):
         return sorted(self.terms.items())

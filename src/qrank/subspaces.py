@@ -12,7 +12,7 @@ import heapq
 from functools import cached_property
 from itertools import combinations, product
 
-from .errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
+from .errors import AmbientMismatch, InvalidValue, LengthMismatch, check_limit
 from .gf import FieldContext
 from .matspace import kernel_basis, rref_rows
 from .qseries import galois_number, gaussian_binomial
@@ -84,9 +84,6 @@ class Subspace:
         if not all(0 <= v < field.q for row in rows for v in row):
             raise InvalidValue(f"subspace key entries must lie in [0, {field.q})")
         return cls.span(rows, n, field)
-
-    def sort_key(self):
-        return (self.dim, self.basis)
 
     def __eq__(self, other):
         return (
@@ -179,7 +176,6 @@ class SubspaceLattice:
         self.dims = [S.dim for S in self.subspaces]
         self.perp = self._perps()
         self.full_index = len(self) - 1  # enumeration ends with F_q^n
-        self.zero_index = 0
 
     def __len__(self):
         return len(self.subspaces)
@@ -265,11 +261,11 @@ class SubspaceLattice:
     def _tables(self):
         # A ^ B is the subspace whose point set is the AND of theirs;
         # A + B = (A^perp ^ B^perp)^perp, and B <= A iff A ^ B = B
-        if len(self) > TABLE_LIMIT:
-            raise BudgetExceeded(
-                f"the join, meet and containment tables of F_{self.field.q}^{self.n} "
-                f"would hold {len(self)}^2 entries each, above the table limit of {TABLE_LIMIT} subspaces"
-            )
+        template = (
+            "the join, meet and containment tables of F_{q}^{n} would hold {size}^2 entries each, "
+            "above the table limit of {limit} subspaces"
+        )
+        check_limit(len(self), TABLE_LIMIT, template, 0, {"q": self.field.q, "n": self.n})
         masks, by_mask, perp = self.point_masks, self.mask_index, self.perp
         meet = [[by_mask[a & b] for b in masks] for a in masks]
         join = [[perp[row[pj]] for pj in perp] for row in (meet[pi] for pi in perp)]
@@ -309,66 +305,25 @@ def subspace_count_exponent(n: int, dim: int | None = None) -> int:
     return d * (n - d) if 0 < d < n else 0
 
 
-def size_text(size: int, e: int) -> str:
-    """size in decimal, or `more_than(e)` for a size known to exceed 2^e,
-    when str() refuses an int that long (more than 4300 digits by default)."""
-    try:
-        return str(size)
-    except ValueError:
-        return more_than(e)
-
-
-def more_than(e: int) -> str:
-    """"more than 2^e", or, when e itself is too long for str(), "more than
-    2^(2^b)" with 2^b <= e."""
-    try:
-        return f"more than 2^{e}"
-    except ValueError:
-        return f"more than 2^(2^{e.bit_length() - 1})"
-
-
 def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int | None = None) -> int:
-    """The number of subspaces of F_q^n, of dimension `dim` if given.
-
-    Raises BudgetExceeded, naming `limit_name`, `limit` and the size, when
-    it is above `limit`.  A count far above the limit is never formed: it
-    is refused from its lower bound 2^e once 2^e reaches limit^2.  A count
-    formed but too long to print is named by the same bound.
-    """
-    e = subspace_count_exponent(n, dim)
-    if e >= 2 * limit.bit_length():
-        size = more_than(e)
-    else:
-        size = galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
-        if size <= limit:
-            return size
-        size = size_text(size, e)
-    of_dim = "" if dim is None else f" of dimension {dim}"
-    raise BudgetExceeded(
-        f"the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"
-    )
+    """The number of subspaces of F_q^n, of dimension `dim` if given, at
+    most `limit` (`errors.check_limit`, naming `limit_name`).  InvalidValue
+    for n < 0."""
+    count = lambda: galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
+    template = "the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"
+    fields = {"q": q, "n": n, "of_dim": "" if dim is None else f" of dimension {dim}", "limit_name": limit_name}
+    return check_limit(count, limit, template, subspace_count_exponent(n, dim), fields)
 
 
 def check_lattice_work(n: int, q: int) -> int:
     """|L| * [n, 1]_q, the mask ANDs that finding the covers of the
-    subspace lattice L of F_q^n takes.
-
-    Raises BudgetExceeded, naming LATTICE_LIMIT and the work, when it is
-    above the limit.  Work far above the limit is refused from its lower
-    bound 2^e (|L| > 2^d(n-d), [n, 1]_q >= 2^(n-1)) without being formed.
-    """
-    e = subspace_count_exponent(n) + n - 1
-    if e >= 2 * LATTICE_LIMIT.bit_length():
-        work = more_than(e)
-    else:
-        size, points = galois_number(n, q), gaussian_binomial(n, 1, q)
-        if size * points <= LATTICE_LIMIT:
-            return size * points
-        work = f"{size * points} ({size} subspaces x {points} hyperplanes)"
-    raise BudgetExceeded(
-        f"the covers of the subspace lattice of F_{q}^{n} take {work} mask ANDs, "
-        f"above the lattice limit of {LATTICE_LIMIT}"
+    subspace lattice L of F_q^n takes, at most LATTICE_LIMIT
+    (`errors.check_limit`); |L| > 2^d(n-d) and [n, 1]_q >= 2^(n-1)."""
+    template = (
+        "the covers of the subspace lattice of F_{q}^{n} take {size} mask ANDs, above the lattice limit of {limit}"
     )
+    work = lambda: galois_number(n, q) * gaussian_binomial(n, 1, q)
+    return check_limit(work, LATTICE_LIMIT, template, subspace_count_exponent(n) + n - 1, {"q": q, "n": n})
 
 
 _LATTICE_CACHE: dict = {}

@@ -12,7 +12,7 @@ from itertools import product
 
 from qrank.delsarte import RankMetricCode
 from qrank.matspace import rref_rows
-from qrank.qseries import MultiPoly, g_poly
+from qrank.qseries import HomogeneousMPoly, MultiPoly, g_poly, qpow
 from qrank.subspaces import Subspace, enumerate_subspaces
 
 
@@ -199,6 +199,11 @@ def poly_add(a: dict, b: dict) -> dict:
         if not out[e]:
             del out[e]
     return out
+
+
+def qm_y(q: int) -> HomogeneousMPoly:
+    """The polynomial q^m y, coefficient a function of m."""
+    return HomogeneousMPoly(1, lambda m: (0, qpow(q, m)))
 
 
 def oracle_g_poly(q: int, l: int) -> dict:

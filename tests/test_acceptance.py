@@ -28,7 +28,7 @@ from qrank.delsarte import restrict
 from qrank.qseries import MultiPoly, gaussian_binomial, qpow, x_minus_y, x_plus_qm_minus_1_y
 from qrank.subspaces import enumerate_subspaces, lattice
 
-from oracles import oracle_code_rgf, oracle_rank_distribution
+from oracles import oracle_code_rgf, oracle_rank_distribution, qm_y
 
 
 def _report(capsys, number, description, passed):
@@ -152,8 +152,6 @@ def test_criterion_5_q_calculus_suite(capsys):
                 if comb(a + b, 2) != comb(a, 2) + a * b + comb(b, 2):
                     ok = False
     # q-product lemma (1) and (2), n <= 5, m <= 4
-    from qrank.qseries import qm_y
-
     for q in (2, 3):
         for n in range(6):
             for m in range(1, 5):

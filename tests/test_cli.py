@@ -207,7 +207,7 @@ def test_lattice_above_limit_exit_2(command, tmp_path, capsys):
     start = time.perf_counter()
     err = _assert_error_exit_2(command + [str(path)], capsys)
     assert time.perf_counter() - start < 1
-    assert "F_2^8 take 106385745 (417199 subspaces x 255 hyperplanes) mask ANDs" in err
+    assert "F_2^8 take 106385745 mask ANDs, above the lattice limit of 4194304" in err
     assert "above the lattice limit of 4194304" in err
 
 

@@ -31,6 +31,7 @@ from qrank import (
 from qrank.errors import BudgetExceeded, NonIntegralResult
 from qrank.identities import (
     IDENTITY_CHECKS,
+    IdentityReport,
     _axiom_report,
     _formula_kernel,
     _macwilliams,
@@ -46,6 +47,19 @@ from test_delsarte import PROPERTY_FIELDS, SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
+
+
+def test_identity_report_repr_equality_and_unhashability():
+    report = IdentityReport("greene", {"q": 2}, "x", "x", True)
+    assert repr(report) == (
+        "IdentityReport(name='greene', params={'q': 2}, lhs='x', rhs='x', passed=True, witness=None)"
+    )
+    assert report == IdentityReport("greene", {"q": 2}, "x", "x", True, None)
+    assert report != IdentityReport("greene", {"q": 2}, "x", "y", False, "x^0")
+    fields = ("greene", {"q": 2}, "x", "x", True, None)
+    assert report.__eq__(fields) is NotImplemented and report != fields
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (2, 3), (3, 2)])

@@ -69,7 +69,7 @@ def test_verify_axioms_free():
 def test_verify_axioms_r1_violation():
     lat = lattice(2, F2)
     ranks = [0] * len(lat)
-    ranks[lat.zero_index] = 1
+    ranks[0] = 1  # S_0 is the zero subspace
     report = verify_axioms(QPolymatroid(lat, 1, ranks))
     assert report[0] == "R1 violated at 0: rho=1 not in [0, 0]"
 
@@ -100,7 +100,7 @@ def test_a_passing_axiom_check_builds_no_keys():
     assert verify_axioms(QPolymatroid(lat, 2, from_code(C).ranks)) == []
     assert "keys" not in lat.__dict__
     ranks = [0] * len(lat)
-    ranks[lat.zero_index] = 1
+    ranks[0] = 1  # S_0 is the zero subspace
     assert verify_axioms(QPolymatroid(lat, 2, ranks))[0] == "R1 violated at 0: rho=1 not in [0, 0]"
     assert "keys" in lat.__dict__
 
@@ -220,7 +220,7 @@ def test_rank_generating_function_matches_the_per_subspace_oracle(C, data):
     X = P.dual() if data.draw(st.booleans(), label="dual") else P
     moves = data.draw(st.lists(st.tuples(st.integers(0, len(lat) - 1), st.sampled_from([-2, -1, 1, 2])), max_size=3))
     ranks = list(X.ranks)
-    for i, delta in [(lat.zero_index, data.draw(st.sampled_from([0, 1, -1]), label="rho(0)"))] + moves:
+    for i, delta in [(0, data.draw(st.sampled_from([0, 1, -1]), label="rho(0)"))] + moves:
         ranks[i] += delta
     for Y in (P, P.dual(), QPolymatroid(lat, X.r, ranks)):
         for hatted in (False, True):

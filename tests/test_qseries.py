@@ -15,9 +15,9 @@ from qrank import (
     q_transform,
 )
 from qrank.errors import NegativeExponent
-from qrank.qseries import g_poly, qm_y, qpow, x_minus_y, x_plus_qm_minus_1_y, x_poly, y_poly
+from qrank.qseries import g_poly, qpow, x_minus_y, x_plus_qm_minus_1_y, x_poly, y_poly
 
-from oracles import oracle_g_poly
+from oracles import oracle_g_poly, qm_y
 
 
 def test_gaussian_binomial_values():
@@ -187,7 +187,7 @@ def test_multipoly_basics():
     p.add_term((0, 0, 1, 1), -1)
     q = MultiPoly(p.terms)
     assert p == q
-    assert (p - q).is_zero()
+    assert not (p - q).terms
     assert p.to_records() == [[0, 0, 1, 1, -1], [1, 0, 0, 0, 2]]
     assert str(p) == "-X3*X4 + 2*X1"
     assert p.swap_x1_x2().to_records() == [[0, 0, 1, 1, -1], [0, 1, 0, 0, 2]]

@@ -87,7 +87,7 @@ def test_enumeration_matches_gaussian_binomials(field, n):
 
 def test_enumeration_order_and_uniqueness():
     subs = list(enumerate_subspaces(3, F2))
-    keys = [S.sort_key() for S in subs]
+    keys = [(S.dim, S.basis) for S in subs]
     assert keys == sorted(keys)
     assert len(set(S.basis for S in subs)) == len(subs)
 
@@ -194,11 +194,7 @@ def test_lattice_limit():
     assert check_lattice_work(3, 37) == 2816 * 1407 == 3962112 <= LATTICE_LIMIT
     assert len(lattice(5, gf_new(2, 2))) == 12278
     start = time.perf_counter()
-    for n, q, work in [
-        (8, 2, "106385745 (417199 subspaces x 255 hyperplanes)"),
-        (6, 3, "20614048 (56632 subspaces x 364 hyperplanes)"),
-        (3, 41, "5940904 (3448 subspaces x 1723 hyperplanes)"),
-    ]:
+    for n, q, work in [(8, 2, 417199 * 255), (6, 3, 56632 * 364), (3, 41, 3448 * 1723)]:
         message = f"F_{q}^{n} take {work} mask ANDs, above the lattice limit of {LATTICE_LIMIT}"
         with pytest.raises(BudgetExceeded, match=re.escape(message)):
             lattice(n, gf_new(q))
