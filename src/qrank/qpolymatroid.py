@@ -190,6 +190,14 @@ def verify_axioms(P: QPolymatroid) -> list:
     of A and B to A ^ B.  Any two of the q + 1 subspaces strictly inside
     such an interval meet in X and join to Y, so R3 there reads
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
+
+    Those are regrouped per Y from the covers A < Y with rho(A) < rho(Y)
+    only.  Let A, B be the two smallest, rho(A) <= rho(B).  If rho(B) >=
+    rho(Y), R2 on X < A gives rho(A) + rho(B) >= rho(X) + rho(Y); so an X
+    with fewer than two rank-dropping covers below Y fails R3 only where
+    R2 fails under a cover of Y, and every cover is taken for such a Y.
+    The dropping covers come first in ascending rank, so the lines and
+    their order are those of the regroup over all covers.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
     covers = lat.covers
@@ -202,9 +210,11 @@ def verify_axioms(P: QPolymatroid) -> list:
     for i in range(len(lat)):
         if not 0 <= ranks[i] <= r * dims[i]:
             report.append(f"R1 violated at {key(i)}: rho={ranks[i]} not in [0, {r * dims[i]}]")
+    above_r2 = set()  # the b of every cover a < b with rho(a) > rho(b)
     for b, lower in enumerate(covers):
         for a in lower:
             if ranks[a] > ranks[b]:
+                above_r2.add(b)
                 report.append(
                     f"R2 violated at {key(a)} <= {key(b)}: "
                     f"rho({key(a)})={ranks[a]} > rho({key(b)})={ranks[b]}"
@@ -215,19 +225,27 @@ def verify_axioms(P: QPolymatroid) -> list:
                     f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}"
                 )
     for y, lower in enumerate(covers):
-        if dims[y] < 2:
-            continue
+        rho_y = ranks[y]
+        if above_r2 and not above_r2.isdisjoint(lower):
+            meet = lower
+        else:
+            meet = [a for a in lower if ranks[a] < rho_y]
+            if len(meet) < 2:
+                continue
         # the intermediates of each [X, Y], met in ascending rank, so the
         # first two are the two smallest
         inside = {}
-        for a in sorted(lower, key=ranks.__getitem__):
+        for a in sorted(meet, key=ranks.__getitem__):
             for x in covers[a]:
                 inside.setdefault(x, []).append(a)
-        for x, (a, b, *_) in inside.items():
-            if ranks[x] + ranks[y] > ranks[a] + ranks[b]:
+        for x, group in inside.items():
+            if len(group) < 2:
+                continue
+            a, b = group[0], group[1]
+            if ranks[x] + rho_y > ranks[a] + ranks[b]:
                 report.append(
                     f"R3 violated at {key(x)} < {key(a)}, {key(b)} < {key(y)}: "
-                    f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
+                    f"rho(X)+rho(Y)={ranks[x] + rho_y} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
                 )
     return report
 

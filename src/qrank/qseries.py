@@ -28,13 +28,11 @@ def gaussian_binomial(a: int, b: int, q: int) -> int:
     if b < 0 or b > a:
         return 0
     b = min(b, a - b)  # [a, b]_q = [a, a - b]_q
-    num, out = 1, 1
-    # product formula with exact integer division at each step
+    num = 1
+    # product formula; after step i, num is [a, i + 1]_q, an integer, so
+    # each floor division is exact
     for i in range(b):
-        num = num * (q ** (a - i) - 1)
-        den = q ** (i + 1) - 1
-        assert num % den == 0
-        num //= den
+        num = num * (q ** (a - i) - 1) // (q ** (i + 1) - 1)
     return num
 
 
@@ -54,18 +52,28 @@ def moebius_coefficient(k: int, q: int) -> int:
     return (-1) ** k * q ** (k * (k - 1) // 2)
 
 
-def _poly_str(terms) -> str:
-    """Signed text of (coefficient, ((variable, exponent), ...)) terms:
-    zero terms and zero exponents drop out, a unit coefficient shows only
-    on a constant, and an exponent shows only above 1 or below 0."""
+@lru_cache(maxsize=4096)
+def _monomial(names, exps) -> str:
+    """`X1^2*X3`: the factors of nonzero exponents, an exponent shown only
+    above 1 or below 0; "" for the constant monomial.  Cached: codes of one
+    shape print polynomials over the same few hundred monomials, and the
+    bound keeps a process that prints many shapes from growing it."""
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+
+
+def _poly_str(names, terms) -> str:
+    """Signed text of (exponents, coefficient) terms in the variables
+    `names`: zero terms drop out, and a unit coefficient shows only on a
+    constant."""
     out = []
-    for c, powers in terms:
+    for exps, c in terms:
         if c == 0:
             continue
-        factors = [v if e == 1 else f"{v}^{e}" for v, e in powers if e != 0]
-        if abs(c) != 1 or not factors:
-            factors.insert(0, str(abs(c)))
-        body = "*".join(factors)
+        body = _monomial(names, exps)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
         if out:
             out.append(f"- {body}" if c < 0 else f"+ {body}")
         else:
@@ -105,7 +113,7 @@ class HomogeneousPoly:
 
     def __str__(self):
         r = self.degree
-        return _poly_str((c, (("x", r - i), ("y", i))) for i, c in enumerate(self.coeffs))
+        return _poly_str(("x", "y"), (((r - i, i), c) for i, c in enumerate(self.coeffs)))
 
     def __repr__(self):
         return f"HomogeneousPoly({self})"
@@ -282,7 +290,7 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):
-        return _poly_str((c, tuple(zip(self.VARS, exps))) for exps, c in self.sorted_terms())
+        return _poly_str(self.VARS, self.sorted_terms())
 
     def __repr__(self):
         return f"MultiPoly({self})"

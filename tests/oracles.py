@@ -201,6 +201,27 @@ def poly_add(a: dict, b: dict) -> dict:
     return out
 
 
+def oracle_poly_str(terms) -> str:
+    """Signed text of (coefficient, ((variable, exponent), ...)) terms,
+    factor lists built term by term: zero terms and zero exponents drop
+    out, a unit coefficient shows only on a constant, and an exponent
+    shows only above 1 or below 0.  The reference for the cached printer
+    behind str() of `HomogeneousPoly` and `MultiPoly`."""
+    out = []
+    for c, powers in terms:
+        if c == 0:
+            continue
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in powers if e != 0]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if out:
+            out.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
+    return " ".join(out) or "0"
+
+
 def qm_y(q: int) -> HomogeneousMPoly:
     """The polynomial q^m y, coefficient a function of m."""
     return HomogeneousMPoly(1, lambda m: (0, qpow(q, m)))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from qrank.qseries import MultiPoly
 from qrank.subspaces import SubspaceLattice, lattice
 
 from oracles import oracle_axioms, oracle_code_rgf, oracle_restriction_dims, oracle_rgf, oracle_rho
-from test_delsarte import SHAPES, _codes
+from test_delsarte import PROPERTY_FIELDS, SHAPES, _codes
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -134,6 +135,98 @@ def test_local_axioms_match_the_exhaustive_oracle_on_perturbed_tables(q, n):
         seen.append(violated)
     assert set().union(*seen) == {"R1", "R2", "rank-difference", "R3"}
     assert set() in seen
+
+
+def _r3_over_one_dropping_cover(P):
+    """(ranks, x, y): P's ranks with rho(X) raised so that R3 fails on a
+    length-2 interval [X, Y] where at most one intermediate has rank below
+    rho(Y) while two or more covers of Y do; None if P has no such
+    interval.  P must satisfy R2, so the raise also breaks R2 under a cover
+    of Y, the one case where the R3 pass must regroup every cover."""
+    covers, ranks = P.lattice.covers, P.ranks
+    for y, lower in enumerate(covers):
+        dropping = {a for a in lower if ranks[a] < ranks[y]}
+        if len(dropping) < 2:
+            continue
+        inside = {}
+        for a in lower:
+            for x in covers[a]:
+                inside.setdefault(x, []).append(a)
+        for x, group in inside.items():
+            low = dropping.intersection(group)
+            if len(low) <= 1:
+                out = list(ranks)
+                # R2 makes the other intermediates rank rho(Y), so the two
+                # smallest sum to at most 2 rho(Y) - 1 with one dropping, 2 rho(Y)
+                # with none: both below rho(X) + rho(Y)
+                out[x] = ranks[y] + (not low)
+                return out, x, y
+    return None
+
+
+def _perturbed_tables(field, n, m):
+    """Seeded rank tables on the lattice of F_q^n with r = m: P_C or P_C^*
+    of random codes, 12 with 0-3 ranks moved by 1 or 2, then 3 with R3
+    broken over at most one rank-dropping cover
+    (`_r3_over_one_dropping_cover`).  Yields (QPolymatroid, (x, y) of the
+    broken interval or None)."""
+    rng = random.Random(f"perturbed/{field.q}/{n}/{m}")
+    lat = lattice(n, field)
+
+    def draw():
+        P = from_code(random_code(n, m, field, rng.randrange(n * m + 1), rng))
+        return P.dual() if rng.random() < 0.5 else P
+
+    for _ in range(12):
+        ranks = list(draw().ranks)
+        for _ in range(rng.randint(0, 3)):
+            ranks[rng.randrange(len(ranks))] += rng.choice([-2, -1, 1, 2])
+        yield QPolymatroid(lat, m, ranks), None
+    broken = 0
+    while broken < 3:
+        forced = _r3_over_one_dropping_cover(draw())
+        if forced:
+            broken += 1
+            yield QPolymatroid(lat, m, forced[0]), forced[1:]
+
+
+# sha256 of the verify_axioms lines of each shape's `_perturbed_tables`,
+# one table's lines joined by "\n" and the tables by "\n\n", recorded
+# before the R3 pass regrouped only rank-dropping covers
+PERTURBED_LINES = {
+    (2, 4, 3): "c0be63e0abda659f78110708b9d4da3b4bbabed6140d484e33d0cc9504070e08",
+    (2, 4, 5): "2d609b74d5999b1da6ad3f50a4038e65f8a7ad7b0d261de0fa937ea274e55c8c",
+    (3, 4, 3): "8c252a28447fa35a9bb1560c14519f87dd52a363d08563a99bffc2c56f2abd9a",
+    (3, 4, 5): "d0eaa7e35f90e253a4f5a472f46f1e8e1272511539563373004a091559822c64",
+    (4, 4, 3): "16810b613560d730ed002cf9a62a6bb85637940f11ee5e005072ac65e4e6fa81",
+    (4, 4, 5): "9486148dcd29e75ddeeb07ee853e445ab4b92a9d8bb252dac9d993a3ed58b052",
+    (5, 3, 2): "0f2480f8c54f865e6c2823077007c8c1b2cdfdc04e0c187d1141b68f2fd9c379",
+    (5, 3, 4): "797168604af63a1849c04c0fb59f7b0b940b85f02ddbf8a62db8d0525f8d47b8",
+    (7, 3, 2): "f8e62d27d89e00d2d8e616797c94144a9c38100a90dff4a065daef39d138da0b",
+    (7, 3, 4): "c7fb43972e8be47e054245edec9d015e4f52c6d70a529ee892d14b132deafa4a",
+    (8, 3, 2): "2757f11e2d9349a7806e8e734225bb6ec333163305f13e92c3c47e6ee8554683",
+    (8, 3, 4): "89a702373c2ad2e738ff70ed7f020e866105ad32a70c09c3ca6d9ce73d9af316",
+    (9, 3, 2): "6aec2217564bbc8da5fdafde89361effb6c3e9453c319461f44e261d5f282a49",
+    (9, 3, 4): "50e78fb5fa488ddd11bbf72b4241d39cd593f5e8788800952e7f383311fcad31",
+}
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=lambda field: f"q{field.q}")
+@pytest.mark.parametrize("above", [False, True], ids=["n<m", "n>m"])
+def test_local_axioms_give_pinned_lines_on_perturbed_tables(field, above):
+    n = 4 if field.q <= 4 else 3
+    m = n - 1 if above else n + 1
+    reports = []
+    for Q, interval in _perturbed_tables(field, n, m):
+        report = verify_axioms(Q)
+        reports.append("\n".join(report))
+        if len(Q.lattice) <= 250:
+            assert _violated(report) == _violated(oracle_axioms(Q)), Q.ranks
+        if interval:
+            x, y = (Q.lattice.keys[i] or "0" for i in interval)
+            assert any(line.startswith(f"R3 violated at {x} < ") and f" < {y}: " in line for line in report)
+    digest = hashlib.sha256("\n\n".join(reports).encode()).hexdigest()
+    assert digest == PERTURBED_LINES[field.q, n, m]
 
 
 def test_all_codes_give_polymatroids(corpus_2x2_f2):

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qrank import (
     HomogeneousMPoly,
@@ -17,7 +18,7 @@ from qrank import (
 from qrank.errors import NegativeExponent
 from qrank.qseries import g_poly, qpow, x_minus_y, x_plus_qm_minus_1_y, x_poly, y_poly
 
-from oracles import oracle_g_poly, qm_y
+from oracles import oracle_g_poly, oracle_poly_str, qm_y
 
 
 def test_gaussian_binomial_values():
@@ -26,6 +27,15 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(3, 5, 2) == 0
     assert gaussian_binomial(3, -1, 2) == 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_gaussian_binomial_follows_the_q_pascal_recurrence(q):
+    # [a, b]_q = [a - 1, b - 1]_q + q^b [a - 1, b]_q, from [0, 0]_q = 1
+    row = [1]
+    for a in range(11):
+        assert [gaussian_binomial(a, b, q) for b in range(-1, a + 2)] == [0, *row, 0]
+        row = [1] + [row[b - 1] + q**b * row[b] for b in range(1, a + 1)] + [1]
 
 
 def test_moebius_coefficient():
@@ -191,3 +201,27 @@ def test_multipoly_basics():
     assert p.to_records() == [[0, 0, 1, 1, -1], [1, 0, 0, 0, 2]]
     assert str(p) == "-X3*X4 + 2*X1"
     assert p.swap_x1_x2().to_records() == [[0, 0, 1, 1, -1], [0, 1, 0, 0, 2]]
+
+
+_COEFFS = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**30), 10**30))
+
+
+@given(st.lists(_COEFFS, min_size=1, max_size=7))
+@example([0])
+@example([-1])
+@example([0, 1, 0, -1])
+def test_homogeneous_poly_str_matches_the_reference_printer(coeffs):
+    r = len(coeffs) - 1
+    expected = oracle_poly_str((c, (("x", r - i), ("y", i))) for i, c in enumerate(coeffs))
+    assert str(HomogeneousPoly(r, coeffs)) == expected
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(-3, 3)] * 4), _COEFFS, max_size=12))
+@example({})
+@example({(0, 0, 0, 0): -1})
+@example({(0, 0, 0, 0): 5, (1, -1, 0, 2): 1, (0, 0, -2, 1): -1})
+def test_multipoly_str_matches_the_reference_printer(terms):
+    p = MultiPoly()
+    p.terms = dict(terms)  # zero coefficients included, which the printer drops
+    expected = oracle_poly_str((c, tuple(zip(MultiPoly.VARS, e))) for e, c in sorted(terms.items()))
+    assert str(p) == expected

@@ -1,0 +1,18 @@
+"""The CI workflow parses as YAML and keeps its console-script and tier-1
+steps: a workflow file that does not parse runs nothing, and nothing
+else in the suite reads it."""
+
+from pathlib import Path
+
+import pytest
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_the_workflow_parses_and_keeps_its_tier_1_steps():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load(WORKFLOW.read_text())
+    steps = {step.get("name", ""): step.get("run", "") for step in workflow["jobs"]["tier-1"]["steps"]}
+    console = [run for name, run in steps.items() if name.startswith("Console script")]
+    assert len(console) == 1 and "qrank check all" in console[0]
+    assert "python -m pytest" in steps["Tier-1 tests"]
