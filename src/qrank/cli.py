@@ -194,7 +194,9 @@ def _run(args) -> int:
             digits = min(getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300, 4300)
             count = lambda: galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
             template = "the number of subspaces of F_{q}^{n}{of_dim} has more than {digits} digits"
-            sys.stdout.write(f"{check_limit(count, 10**digits - 1, template, e, dict(fields, digits=digits))}\n")
+            # at least q^e >= 2^(e (q.bit_length() - 1)) subspaces: a count far above the limit is never formed
+            e, fields = e * (q.bit_length() - 1), dict(fields, digits=digits)
+            sys.stdout.write(f"{check_limit(count, 10**digits - 1, template, e, fields)}\n")
             return 0
         check_subspace_count(n, q, budget, "the budget", dim)
         # [n, d]_q keys of d x n entries for each listed dimension d, formed once the budget admits the count

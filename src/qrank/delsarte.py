@@ -20,8 +20,8 @@ rank distribution is the plain tuple (A_0, ..., A_n), and the rank
 weight enumerator is the `HomogeneousPoly` with those coefficients.  Rank
 is invariant under nonzero scalars, so `rank_distribution` ranks one word
 per projective point, (q^k - 1)/(q - 1) words, and counts each rank q - 1
-times; the zero word adds to A_0.  Before any word is walked, the work of
-the ranking is checked against RANK_WORK_LIMIT (`check_rank_work`).  The
+times; the zero word adds to A_0.  Before a word is walked, the budget
+is checked once, then RANK_WORK_LIMIT once (`check_rank_work`).  The
 projective walk streams those words in memory bounded by the basis and
 not by the number of words: each walk spans an F_p-basis alpha^l b_i of
 basis rows with its F_p-digits counting up (`_span`), in blocks of at
@@ -199,12 +199,11 @@ def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bo
     return check_limit(lambda: q**k, budget, template, k, {"perp": "^perp" if dual else "", "q": q, "k": k})
 
 
-def check_rank_work(C: RankMetricCode, budget: int | None = None, dual: bool = False) -> int:
+def check_rank_work(C: RankMetricCode, dual: bool = False) -> int:
     """The fold width g, 0 to eliminate each word, with which
-    `rank_distribution` ranks C (C^perp if `dual`), once its words pass
-    `check_codeword_budget`, once that ranking's work (`_rank_work`) is
-    under RANK_WORK_LIMIT (`errors.check_limit`)."""
-    check_codeword_budget(C, budget, dual)
+    `rank_distribution` ranks C (C^perp, of dimension nm - k, if `dual`),
+    once that ranking's work (`_rank_work`) is under RANK_WORK_LIMIT
+    (`errors.check_limit`).  The codeword budget is its caller's check."""
     n, m = C.n, C.m
     k = n * m - C.k if dual else C.k
     g, words, work = _rank_work(C.field.q, n, m, k)
@@ -640,8 +639,8 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     Each projective word is ranked by `_fold_ranks` when `_fold_width`
     admits a table for the code's shape, and otherwise by one elimination,
     of a packed int over F_2.  BudgetExceeded when the tuple would hold
-    more than BASIS_LIMIT counts, and, before any word is walked, when the
-    ranking's work is above RANK_WORK_LIMIT (`check_rank_work`)."""
+    more than BASIS_LIMIT counts, and, before any word is walked, once
+    each, when the words exceed the budget or the work RANK_WORK_LIMIT."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)
     # a code without generators loads at any n
@@ -650,7 +649,7 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     words = enumerate_codeword_entries(C, budget)
     if not C.k:  # no word to walk, and a walk would hold a zero word of nm entries
         return (1,) + (0,) * n
-    g = check_rank_work(C, budget)
+    g = check_rank_work(C)
     if g:
         counts = _fold_ranks(words, g)
     else:

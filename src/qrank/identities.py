@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .delsarte import RankMetricCode, check_rank_work, dual_code, rank_distribution
+from .delsarte import RankMetricCode, check_codeword_budget, check_rank_work, dual_code, rank_distribution
 from .errors import NonIntegralResult
 from .qpolymatroid import from_code, rank_generating_function, verify_axioms
 from .qseries import (
@@ -32,13 +32,14 @@ from .qseries import (
 
 class IdentityReport:
     """One identity's outcome on one code: its two sides as text, whether
-    they are equal and, if not, a witness.  Equal by value, unhashable."""
+    they are equal and, if not, a witness.  Equal by value, unhashable;
+    each report holds its own copy of `params`."""
 
     __slots__ = ("name", "params", "lhs", "rhs", "passed", "witness")
     __hash__ = None
 
     def __init__(self, name: str, params: dict, lhs: str, rhs: str, passed: bool, witness: str | None = None):
-        self.name, self.params, self.lhs, self.rhs = name, params, lhs, rhs
+        self.name, self.params, self.lhs, self.rhs = name, dict(params), lhs, rhs
         self.passed, self.witness = passed, witness
 
     def _fields(self):
@@ -85,6 +86,16 @@ class CodeAnalysis:
     def __init__(self, C: RankMetricCode, budget: int | None = None):
         self.code = C
         self.budget = budget
+        self._params = {"q": C.field.q, "n": C.n, "m": C.m, "k": C.k}
+        self._admitted = set()
+
+    def _admit(self, dual: bool = False):
+        """Refuse C, or C^perp by its shape if `dual`, for its words over the
+        budget, then for its rank work (`check_rank_work`); once per side."""
+        if dual not in self._admitted:
+            check_codeword_budget(self.code, self.budget, dual)
+            check_rank_work(self.code, dual)
+            self._admitted.add(dual)
 
     @cached_property
     def dual(self) -> RankMetricCode:
@@ -112,26 +123,22 @@ class CodeAnalysis:
 
     @cached_property
     def dual_distribution(self):
-        """Rank distribution of C^perp by brute-force enumeration, refused
-        by the budget or the rank work limit before C^perp is solved."""
-        check_rank_work(self.code, self.budget, dual=True)
+        """Rank distribution of C^perp by brute-force enumeration, C^perp
+        admitted (`_admit`) before it is solved."""
+        self._admit(dual=True)
         return rank_distribution(self.dual, self.budget)
 
 
-def _code_params(C: RankMetricCode) -> dict:
-    return {"q": C.field.q, "n": C.n, "m": C.m, "k": C.k}
-
-
-def _poly_report(name, C, lhs: HomogeneousPoly, rhs: HomogeneousPoly, text=None):
+def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, rhs: HomogeneousPoly, text=None):
     """The report of lhs = rhs, `text` being str(lhs) if given: equal
     integer coefficients print equal text, so a pass prints it for both."""
     text, passed = str(lhs) if text is None else text, lhs == rhs
     witness = None if passed else next(
-        f"coefficient of x^{lhs.degree - i}*y^{i}: lhs {a}, rhs {b}"
-        for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs))
-        if a != b
+        f"coefficient of x^{lhs.degree - i}*y^{i}: lhs {x}, rhs {y}"
+        for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs))
+        if x != y
     )
-    return IdentityReport(name, _code_params(C), text, text if passed else str(rhs), passed, witness)
+    return IdentityReport(name, a._params, text, text if passed else str(rhs), passed, witness)
 
 
 def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
@@ -164,8 +171,8 @@ def greene_check(a: CodeAnalysis) -> IdentityReport:
     try:
         rhs = greene_rhs(a)
     except NonIntegralResult as exc:
-        return IdentityReport("greene", _code_params(C), str(lhs), "-", False, str(exc))
-    return _poly_report("greene", C, lhs, rhs)
+        return IdentityReport("greene", a._params, str(lhs), "-", False, str(exc))
+    return _poly_report("greene", a, lhs, rhs)
 
 
 def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
@@ -174,7 +181,7 @@ def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
     rhs = rank_generating_function(a.polymatroid, hatted=True).swap_x1_x2()
     text, passed = str(lhs), lhs == rhs
     witness = None if passed else "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
-    return IdentityReport("rgf-duality", _code_params(a.code), text, text if passed else str(rhs), passed, witness)
+    return IdentityReport("rgf-duality", a._params, text, text if passed else str(rhs), passed, witness)
 
 
 def dual_polymatroid_check(a: CodeAnalysis) -> IdentityReport:
@@ -186,7 +193,7 @@ def dual_polymatroid_check(a: CodeAnalysis) -> IdentityReport:
         f'subspace "{key}": {x} vs {y}' for key, x, y in zip(lhs.lattice.keys, lhs.ranks, rhs.ranks) if x != y
     )
     rhs_text = text if passed else "; ".join(rhs.rank_table_lines())
-    return IdentityReport("dual-polymatroid", _code_params(a.code), text, rhs_text, passed, witness)
+    return IdentityReport("dual-polymatroid", a._params, text, rhs_text, passed, witness)
 
 
 def exact_sequence_check(a: CodeAnalysis) -> IdentityReport:
@@ -204,15 +211,8 @@ def exact_sequence_check(a: CodeAnalysis) -> IdentityReport:
         if lhs != rhs:
             witness = f'subspace "{lat.keys[i]}": {lhs} != {rhs}'
             break
-    passed = witness is None
-    return IdentityReport(
-        "exact-sequence",
-        _code_params(C),
-        "dim C^perp(R) + dim C",
-        "m dim R + dim C(R^perp)",
-        passed,
-        witness,
-    )
+    texts = "dim C^perp(R) + dim C", "m dim R + dim C(R^perp)"
+    return IdentityReport("exact-sequence", a._params, *texts, witness is None, witness)
 
 
 def lattice_rank_distribution(a: CodeAnalysis):
@@ -280,15 +280,15 @@ def macwilliams_checks(a: CodeAnalysis):
     transform = macwilliams_transform(a)
     text = str(brute)
     return [
-        _poly_report("macwilliams-formula", C, brute, formula, text),
-        _poly_report("macwilliams-transform", C, brute, transform, text),
+        _poly_report("macwilliams-formula", a, brute, formula, text),
+        _poly_report("macwilliams-transform", a, brute, transform, text),
     ]
 
 
-def _axiom_report(name, C, P) -> IdentityReport:
+def _axiom_report(name, a: CodeAnalysis, P) -> IdentityReport:
     lines = verify_axioms(P)
     rhs = "\n".join(lines) or "all axioms hold"
-    return IdentityReport(name, _code_params(C), "axioms", rhs, not lines, lines[0] if lines else None)
+    return IdentityReport(name, a._params, "axioms", rhs, not lines, lines[0] if lines else None)
 
 
 def _axiom_checks(a: CodeAnalysis):
@@ -302,11 +302,11 @@ def _axiom_checks(a: CodeAnalysis):
     [X, Y] is R3 of P on [Y^perp, X^perp], the r dim terms cancelling.  R1
     of P* at S is R2 and the bound of P on S^perp <= E, which telescope
     from the covers.  So when P passes, P* passes: no second pass."""
-    primal = _axiom_report("axioms-primal", a.code, a.polymatroid)
+    primal = _axiom_report("axioms-primal", a, a.polymatroid)
     if primal.passed:
-        dual = IdentityReport("axioms-dual", _code_params(a.code), "axioms", primal.rhs, True)
+        dual = IdentityReport("axioms-dual", a._params, "axioms", primal.rhs, True)
     else:
-        dual = _axiom_report("axioms-dual", a.code, a.dual_polymatroid)
+        dual = _axiom_report("axioms-dual", a, a.dual_polymatroid)
     return [primal, dual]
 
 
@@ -326,8 +326,8 @@ def check_all(C: RankMetricCode, budget=None):
     """Every identity for one code, from one analysis; deterministic
     report order.  Refused before any work when C or C^perp has more
     codewords than the budget, or takes more work to rank than
-    RANK_WORK_LIMIT."""
-    check_rank_work(C, budget)
-    check_rank_work(C, budget, dual=True)
+    RANK_WORK_LIMIT, C admitted before C^perp."""
     a = CodeAnalysis(C, budget)
+    a._admit()
+    a._admit(dual=True)
     return [report for run in IDENTITY_CHECKS.values() for report in run(a)]

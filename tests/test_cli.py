@@ -326,6 +326,52 @@ def test_dual_enumeration_refused_before_the_dual_is_solved(identity, code, size
     assert solved == []
 
 
+_WORK = "elimination steps, above the rank work limit RANK_WORK_LIMIT = 536870912"
+# (random code, --budget, identity, stderr): `check all` admits C, then
+# C^perp; `check macwilliams` reads C^perp first, so it names C^perp first
+REFUSAL_ORDER = [
+    ((2, 5, 10, 25), 2**24, "all", "|C| = 2^25 exceeds budget 16777216"),
+    ((2, 5, 10, 25), 2**24, "macwilliams", "|C^perp| = 2^25 exceeds budget 16777216"),
+    ((2, 5, 10, 2), 2**24, "all", "|C^perp| = 2^48 exceeds budget 16777216"),
+    ((3, 40, 40, 15), 2**24, "all", f"ranking the 7174453 projective words of C takes 459164992000 {_WORK}"),
+    ((3, 40, 40, 15), 2**24, "macwilliams", "|C^perp| = 3^1585 exceeds budget 16777216"),
+    ((3, 6, 6, 21), 3**21, "all", f"ranking the 5230176601 projective words of C takes 1129718145816 {_WORK}"),
+    ((3, 6, 6, 21), 3**21, "macwilliams", f"ranking the 7174453 projective words of C^perp takes 1549681848 {_WORK}"),
+    ((3, 6, 6, 10), 3**26, "all",
+     f"ranking the 1270932914164 projective words of C^perp takes 274521509459424 {_WORK}"),  # fmt: skip
+]
+
+
+@pytest.mark.parametrize(
+    "shape,budget,identity,message", REFUSAL_ORDER, ids=[f"{row[0]}-{row[2]}" for row in REFUSAL_ORDER]
+)
+def test_which_refusal_fires_first(shape, budget, identity, message, tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "c.json")
+    flags = [f"--{name}={value}" for name, value in zip(("q", "n", "m", "dim"), shape)]
+    assert main(["random-code", *flags, "--seed", "1", "-o", path]) == 0
+    # refused before either side is swept, C^perp is solved or a word is walked
+    for owner, name in [(qrank.identities, "from_code"), (qrank.identities, "dual_code"),
+                        (qrank.delsarte._Codewords, "_walk")]:  # fmt: skip
+        monkeypatch.setattr(owner, name, lambda *args: pytest.fail(f"{name} ran"))
+    assert main(["--budget", str(budget), "check", identity, path]) == 2
+    assert capsys.readouterr().err == f"qrank: error: {message}\n"
+
+
+def test_count_only_refuses_a_long_count_without_forming_it(monkeypatch, capsys):
+    # [338, 169]_256 >= 256^(169 * 169) = 2^228488, a bound far above 10^4300
+    for name in ("galois_number", "gaussian_binomial"):
+        monkeypatch.setattr(qrank.cli, name, lambda *args: pytest.fail("the count was formed"))
+    for dim in (["--dim", "169"], []):
+        start = time.perf_counter()
+        err = _assert_error_exit_2(["lattice", "--p", "2", "--e", "8", "--n", "338", *dim, "--count-only"], capsys)
+        assert time.perf_counter() - start < 1
+        of_dim = " of dimension 169" if dim else ""
+        assert err == f"qrank: error: the number of subspaces of F_256^338{of_dim} has more than 4300 digits\n"
+    monkeypatch.undo()
+    assert main(["lattice", "--p", "2", "--e", "8", "--n", "4", "--count-only"]) == 0
+    assert capsys.readouterr().out == "4345561861\n"
+
+
 ZERO_1X3000 = {"field": {"q": 2}, "n": 1, "m": 3000, "generators": []}
 
 

@@ -1,12 +1,16 @@
+import collections
 import random
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qrank.cli
 import qrank.delsarte
+import qrank.errors
 import qrank.identities
 import qrank.qseries
+import qrank.subspaces
 from qrank import (
     CodeAnalysis,
     MatrixFq,
@@ -305,8 +309,8 @@ def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f
 def _axioms_by_two_passes(a):
     """The axiom reports with a verify_axioms pass for P_C and one for P_C^*."""
     return [
-        _axiom_report("axioms-primal", a.code, a.polymatroid),
-        _axiom_report("axioms-dual", a.code, a.dual_polymatroid),
+        _axiom_report("axioms-primal", a, a.polymatroid),
+        _axiom_report("axioms-dual", a, a.dual_polymatroid),
     ]
 
 
@@ -400,17 +404,45 @@ def test_check_all_sweeps_and_enumerates_each_code_once(monkeypatch):
     assert enumerated == [C, D]
 
 
+LIMITS = {"exceeds budget": "budget", "RANK_WORK_LIMIT": "work", "BASIS_LIMIT": "basis"}
+
+
+def test_check_all_admits_each_side_once(monkeypatch):
+    # every errors.check_limit call, by the limit its template names: C and
+    # C^perp are admitted once each, then ranked on the public path, which
+    # checks its counts, its budget and its work once each
+    C = list(all_codes(3, 2, F2))[1234]
+    check_all(C)  # a warm lattice makes no lattice check
+    calls = collections.Counter()
+    check_limit = qrank.errors.check_limit
+
+    def counting_check_limit(size, limit, template, e, fields):
+        calls[next((kind for text, kind in LIMITS.items() if text in template), template)] += 1
+        return check_limit(size, limit, template, e, fields)
+
+    for module in (qrank.delsarte, qrank.subspaces, qrank.cli):
+        monkeypatch.setattr(module, "check_limit", counting_check_limit)
+    reports = check_all(C)
+    assert all(r.passed for r in reports)
+    assert calls == {"budget": 4, "work": 4, "basis": 3}
+    # no two reports share one mutable params dict
+    assert len({id(r.params) for r in reports}) == len(reports) == 8
+    calls.clear()
+    rank_distribution(C)
+    assert calls == {"budget": 1, "work": 1, "basis": 1}
+
+
 def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):
     lhs = rank_weight_enumerator(full_2x2_f2)
     rhs = rank_weight_enumerator(e11_2x2_f2)
-    rep = _poly_report("synthetic", full_2x2_f2, lhs, rhs)
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rhs)
     assert not rep.passed
     assert rep.witness is not None and "coefficient" in rep.witness
     assert (rep.lhs, rep.rhs) == (str(lhs), str(rhs)) and rep.lhs != rep.rhs
     # a given lhs text stands for both sides of a pass, never for a failing rhs
-    rep = _poly_report("synthetic", full_2x2_f2, lhs, rhs, "LHS")
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rhs, "LHS")
     assert (rep.passed, rep.lhs, rep.rhs) == (False, "LHS", str(rhs))
-    rep = _poly_report("synthetic", full_2x2_f2, lhs, rank_weight_enumerator(full_2x2_f2), "LHS")
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rank_weight_enumerator(full_2x2_f2), "LHS")
     assert (rep.passed, rep.lhs, rep.rhs, rep.witness) == (True, "LHS", "LHS", None)
 
 
