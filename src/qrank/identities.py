@@ -11,15 +11,17 @@ polynomial whose z-exponents are multiples of m.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
 from .delsarte import RankMetricCode, check_codeword_budget, check_rank_work, dual_code, rank_distribution
 from .errors import NonIntegralResult
-from .qpolymatroid import from_code, rank_generating_function, verify_axioms
+from .qpolymatroid import from_code, rgf_counts, rgf_poly, verify_axioms
 from .qseries import (
     HomogeneousPoly,
+    g_poly,
     gaussian_binomial,
     moebius_coefficient,
     p_j_coeff,
@@ -143,24 +145,30 @@ def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, rhs: HomogeneousPo
 
 def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
     """Assemble y^{n - dim C / m} R_{P_C}(q y^{1/m}, y^{-1/m}, x, y) as a
-    degree-n homogeneous polynomial in (x, y), via y = z^m."""
+    degree-n homogeneous polynomial in (x, y), via y = z^m, from the count
+    table of R_{P_C}.
+
+    The term X1^e1 X2^e2 X3^{l-u} X4^u becomes q^e1 x^{l-u} z^ze with ze =
+    e1 - e2 + m u + (mn - k), of degree l - u + ze / m in (x, y): every
+    term of a triple shares ze mod m, the degree and e1, and u = 0 has the
+    least ze.  So a triple's u = 0 term fails first if any does, and the
+    triples are met in the order of R's terms."""
     C = a.code
-    R = rank_generating_function(a.polymatroid)
     q, m, n, k = C.field.q, C.m, C.n, C.k
     shift = m * n - k
     coeffs = [0] * (n + 1)
-    for (e1, e2, e3, e4), c in R.terms.items():
-        ze = e1 - e2 + m * e4 + shift
+    for (e1, e2, l), count in rgf_counts(a.polymatroid).items():
+        ze = e1 - e2 + shift
         if ze < 0 or ze % m != 0:
-            raise NonIntegralResult(
-                f"residual z-exponent {ze} in Greene assembly (term {(e1, e2, e3, e4)})"
-            )
+            raise NonIntegralResult(f"residual z-exponent {ze} in Greene assembly (term {(e1, e2, l, 0)})")
         i = ze // m
-        if e3 + i != n:
-            raise NonIntegralResult(f"non-homogeneous Greene term x^{e3} y^{i}")
+        if l + i != n:
+            raise NonIntegralResult(f"non-homogeneous Greene term x^{l} y^{i}")
         if e1 < 0:
-            raise NonIntegralResult(f"negative power q^{e1} in Greene assembly (term {(e1, e2, e3, e4)})")
-        coeffs[i] += c * q**e1
+            raise NonIntegralResult(f"negative power q^{e1} in Greene assembly (term {(e1, e2, l, 0)})")
+        w = count * q**e1
+        for u, c in enumerate(g_poly(q, l)):
+            coeffs[i + u] += w * c
     return HomogeneousPoly(n, coeffs)
 
 
@@ -175,13 +183,70 @@ def greene_check(a: CodeAnalysis) -> IdentityReport:
     return _poly_report("greene", a, lhs, rhs)
 
 
+class _RgfTexts:
+    """The text of R = rgf_poly(q, table) by (q, table), least recently
+    used first: at most `entries` texts, of total size at most `size`.
+
+    A table holds at most |L| triples, and a triple of degree l prints
+    l + 1 terms, so one text of F_2^7 (29212 subspaces) can run to
+    megabytes and an entry cap alone bounds nothing.  An entry's size is
+    its text's length, KEY_BYTES per triple of its table and ENTRY_BYTES
+    for the rest; a text larger than `size` is printed and not kept."""
+
+    # from sys.getsizeof: a key triple holds its (triple, count) pair, the
+    # triple, up to four ints and up to 64 bytes of frozenset table; an
+    # entry holds its key pair, a frozenset and a str header, and a node
+    # and a slot of the OrderedDict
+    KEY_BYTES = 320
+    ENTRY_BYTES = 640
+
+    def __init__(self, entries: int, size: int):
+        self.entries, self.size = entries, size
+        self.texts = OrderedDict()  # (q, frozenset of table items) -> text
+        self.used = 0
+
+    def _size(self, key, text) -> int:
+        return len(text) + self.KEY_BYTES * len(key[1]) + self.ENTRY_BYTES
+
+    def text(self, q: int, counts: dict) -> str:
+        key = q, frozenset(counts.items())
+        text = self.texts.get(key)
+        if text is not None:
+            self.texts.move_to_end(key)
+            return text
+        text = str(rgf_poly(q, counts))
+        size = self._size(key, text)
+        if size <= self.size:
+            while len(self.texts) >= self.entries or self.used + size > self.size:
+                self.used -= self._size(*self.texts.popitem(last=False))
+            self.texts[key] = text
+            self.used += size
+        return text
+
+    def cache_clear(self):
+        self.texts.clear()
+        self.used = 0
+
+
+# codes of one shape share a few dozen R_{P*} texts: the 3304 codes of
+# perfbench's corpus print 90
+_RGF_TEXTS = _RgfTexts(entries=1024, size=2**24)
+
+
 def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
-    """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly."""
-    lhs = rank_generating_function(a.dual_polymatroid)
-    rhs = rank_generating_function(a.polymatroid, hatted=True).swap_x1_x2()
-    text, passed = str(lhs), lhs == rhs
-    witness = None if passed else "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
-    return IdentityReport("rgf-duality", a._params, text, text if passed else str(rhs), passed, witness)
+    """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly: R_{P*}'s count
+    table against R-hat_P's with e1 and e2 swapped, which are equal iff
+    the polynomials are (`rgf_poly`).  The polynomials and the witness
+    are built only when they differ."""
+    q = a.code.field.q
+    lhs = rgf_counts(a.dual_polymatroid)
+    rhs = {(e2, e1, l): count for (e1, e2, l), count in rgf_counts(a.polymatroid, hatted=True).items()}
+    text = _RGF_TEXTS.text(q, lhs)
+    if lhs == rhs:
+        return IdentityReport("rgf-duality", a._params, text, text, True)
+    lhs, rhs = rgf_poly(q, lhs), rgf_poly(q, rhs)
+    witness = "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
+    return IdentityReport("rgf-duality", a._params, text, str(rhs), False, witness)
 
 
 def dual_polymatroid_check(a: CodeAnalysis) -> IdentityReport:

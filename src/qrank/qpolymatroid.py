@@ -250,21 +250,38 @@ def verify_axioms(P: QPolymatroid) -> list:
     return report
 
 
+def rgf_counts(P: QPolymatroid, hatted: bool = False) -> dict:
+    """The count table of R_P (or of its hatted variant): N(e1, e2, l),
+    the number of subspaces D with e1 = rho(E) - rho(D), e2 = r dim D -
+    rho(D) and l = dim D (plain) or dim D^perp (hatted), keyed in the
+    lattice order of each triple's first subspace.  R_P depends on P only
+    through this table (`rgf_poly`)."""
+    lat, r, ranks = P.lattice, P.r, P.ranks
+    top = P.rho_full()
+    counts = {}
+    for rank, d, l in zip(ranks, lat.dims, lat.perp_dims if hatted else lat.dims):
+        triple = top - rank, r * d - rank, l
+        counts[triple] = counts.get(triple, 0) + 1
+    return counts
+
+
+def rgf_poly(q: int, counts: dict) -> MultiPoly:
+    """sum N X1^e1 X2^e2 g^l(X3, X4) over a count table {(e1, e2, l): N}.
+
+    Terms of distinct triples never meet, as l = e3 + e4, and no
+    coefficient c_u = (-1)^u q^C(u,2) [l, u]_q of g^l is zero; so each
+    triple's l + 1 terms are its own, and two tables give the same
+    polynomial iff they are equal."""
+    out = MultiPoly()
+    for (e1, e2, l), count in counts.items():
+        for u, c in enumerate(g_poly(q, l)):
+            out.terms[e1, e2, l - u, u] = count * c
+    return out
+
+
 def rank_generating_function(P: QPolymatroid, hatted: bool = False) -> MultiPoly:
     """R_P (or the hatted variant) as an exact 4-variable polynomial:
     sum over D of X1^{rho(E)-rho(D)} X2^{r dim D - rho(D)} g^l(X3, X4)
-    with l = dim D (plain) or dim D^perp (hatted).  The subspaces are
-    counted per (e1, e2, l) and each g^l expanded once per triple; terms
-    of distinct triples never meet, as l = e3 + e4."""
-    lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
-    top = P.rho_full()
-    counts = {}
-    for rank, d, p in zip(ranks, dims, lat.perp):
-        triple = top - rank, r * d - rank, dims[p] if hatted else d
-        counts[triple] = counts.get(triple, 0) + 1
-    out, q = MultiPoly(), P.field.q
-    for (e1, e2, l), count in counts.items():
-        for u, c in enumerate(g_poly(q, l)):
-            if c:
-                out.terms[e1, e2, l - u, u] = count * c
-    return out
+    with l = dim D (plain) or dim D^perp (hatted), expanded from its
+    count table (`rgf_counts`)."""
+    return rgf_poly(P.field.q, rgf_counts(P, hatted))

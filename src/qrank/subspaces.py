@@ -181,7 +181,15 @@ class SubspaceLattice:
         return len(self.subspaces)
 
     def index_of(self, S: Subspace) -> int:
+        """The index of S; AmbientMismatch unless S lies in this lattice's
+        F_q^n."""
+        self.subspaces[0]._check_ambient(S)
         return self.index[S.basis]
+
+    @cached_property
+    def perp_dims(self):
+        """perp_dims[i]: dim S_i^perp = n - dim S_i."""
+        return [self.n - d for d in self.dims]
 
     @cached_property
     def keys(self):

@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import product
 
 from qrank.delsarte import RankMetricCode
+from qrank.identities import IdentityReport
 from qrank.matspace import rref_rows
 from qrank.qseries import HomogeneousMPoly, MultiPoly, g_poly, qpow
 from qrank.subspaces import Subspace, enumerate_subspaces
@@ -263,3 +264,14 @@ def oracle_rgf(P, hatted=False) -> MultiPoly:
         for u, c in enumerate(g_poly(P.field.q, l)):
             out.add_term((top - ranks[i], r * d - ranks[i], l - u, u), c)
     return out
+
+
+def oracle_rgf_duality(a) -> IdentityReport:
+    """The rgf-duality report of a `CodeAnalysis` by polynomial comparison:
+    R_{P*} against R-hat_P with X1 and X2 swapped, each expanded term by
+    term (`oracle_rgf`), compared, printed and witnessed as MultiPolys."""
+    lhs = oracle_rgf(a.dual_polymatroid)
+    rhs = oracle_rgf(a.polymatroid, hatted=True).swap_x1_x2()
+    text, passed = str(lhs), lhs == rhs
+    witness = None if passed else "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
+    return IdentityReport("rgf-duality", a._params, text, text if passed else str(rhs), passed, witness)

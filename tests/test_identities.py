@@ -1,6 +1,7 @@
 import collections
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +37,8 @@ from qrank.errors import BudgetExceeded, NonIntegralResult
 from qrank.identities import (
     IDENTITY_CHECKS,
     IdentityReport,
+    _RGF_TEXTS,
+    _RgfTexts,
     _axiom_report,
     _formula_kernel,
     _macwilliams,
@@ -47,6 +50,7 @@ from qrank.identities import (
 )
 from qrank.qseries import HomogeneousPoly, MultiPoly, g_poly, gaussian_binomial
 
+from oracles import oracle_rgf_duality
 from test_delsarte import PROPERTY_FIELDS, SHAPES
 
 F2 = gf_new(2)
@@ -304,6 +308,79 @@ def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f
         "R3 violated at 0 < 0,1, 1,0 < 1,0;0,1: rho(X)+rho(Y)=5 > rho(A)+rho(B)=4"
     )
     assert primal.witness == "R1 violated at 0: rho=1 not in [0, 0]"
+
+
+@pytest.mark.parametrize("n,m,field", SHAPES, ids=[f"{n}x{m}F{f.q}" for n, m, f in SHAPES])
+def test_rgf_duality_reports_as_the_polynomial_comparison_on_perturbed_tables(n, m, field):
+    # P_C of seeded codes with 0-3 ranks moved, rho(0) among them half the
+    # time: a moved rho(0) breaks the duality, any other move keeps it
+    rng = random.Random(f"rgf-duality/{n}x{m}F{field.q}")
+    verdicts = set()
+    for _ in range(16):
+        a = CodeAnalysis(random_code(n, m, field, rng.randrange(n * m + 1), rng))
+        P = a.polymatroid
+        ranks = list(P.ranks)
+        for _ in range(rng.randint(0, 3)):
+            ranks[rng.choice([0, rng.randrange(len(ranks))])] += rng.choice([-2, -1, 1, 2])
+        a.polymatroid = QPolymatroid(P.lattice, P.r, ranks)
+        report = rgf_duality_check(a)
+        assert report == oracle_rgf_duality(a), ranks
+        verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+def test_a_cached_rgf_text_equals_a_fresh_print(corpus_2x2_f3):
+    def texts():
+        return [rgf_duality_check(CodeAnalysis(C)).lhs for C in corpus_2x2_f3]
+
+    _RGF_TEXTS.cache_clear()
+    printed = texts()
+    entries = dict(_RGF_TEXTS.texts)
+    assert len(entries) < len(corpus_2x2_f3)
+    assert texts() == printed and _RGF_TEXTS.texts == entries  # every text a hit
+    _RGF_TEXTS.cache_clear()
+    assert texts() == printed == [str(rank_generating_function(from_code(C).dual())) for C in corpus_2x2_f3]
+
+
+def _deep_size(key, text) -> int:
+    """sys.getsizeof over a cache entry's key, its table's pairs, triples
+    and ints, and its text, each object once."""
+    objects = {id(o): o for o in (key, key[0], key[1], text)}
+    for pair in key[1]:
+        objects.update((id(o), o) for o in (pair, *pair, *pair[0]))
+    return sum(map(sys.getsizeof, objects.values()))
+
+
+def test_the_rgf_text_cache_is_capped_by_entries_and_size():
+    assert (_RGF_TEXTS.entries, _RGF_TEXTS.size) == (1024, 2**24)
+    # the texts X1^2, ..., X1^5: entries of one size
+    tables = [{(e, 0, 0): 1} for e in range(2, 6)]
+    cache = _RgfTexts(entries=2, size=2**20)
+    for i in (0, 1, 0, 2):  # reading table 0 again makes table 1 the least recent
+        cache.text(2, tables[i])
+    assert [dict(table) for _, table in cache.texts] == [tables[0], tables[2]]
+    size = cache._size((2, frozenset(tables[0].items())), "X1^2")
+    cache = _RgfTexts(entries=10, size=2 * size + 1)
+    for i in range(3):
+        cache.text(2, tables[i])
+    assert [dict(table) for _, table in cache.texts] == [tables[1], tables[2]]
+    assert cache.used == sum(cache._size(*entry) for entry in cache.texts.items()) <= cache.size
+    # a text larger than the whole cache is printed but not kept
+    cache = _RgfTexts(entries=10, size=size - 1)
+    assert cache.text(2, tables[0]) == "X1^2" and not cache.texts
+
+
+@pytest.mark.parametrize("triples", [1, 3, 12, 87, 700])
+def test_an_rgf_text_entry_holds_no_more_than_its_size(triples):
+    # random tables with ints above the small-int cache: every object is the entry's own
+    rng, big = random.Random(triples), 10**9
+    cache = _RgfTexts(entries=8, size=2**30)
+    for _ in range(4):
+        keys = rng.sample(range(10**6), triples)
+        cache.text(2, {(big + x, big + x // 2, x % 8): big + rng.randrange(10**4) for x in keys})
+    per_entry = sys.getsizeof(cache.texts) / len(cache.texts)  # its node and slot of the OrderedDict
+    for key, text in cache.texts.items():
+        assert _deep_size(key, text) + per_entry <= cache._size(key, text)
 
 
 def _axioms_by_two_passes(a):

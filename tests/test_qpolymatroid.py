@@ -17,7 +17,8 @@ from qrank import (
     verify_axioms,
 )
 import qrank.qpolymatroid
-from qrank.qpolymatroid import restriction_dims
+from qrank.errors import AmbientMismatch
+from qrank.qpolymatroid import restriction_dims, rgf_counts, rgf_poly
 from qrank.qseries import MultiPoly
 from qrank.subspaces import SubspaceLattice, lattice
 
@@ -257,6 +258,17 @@ def test_dual_closed_form(corpus_2x2_f2):
             assert Pd.rho(S) == C.m * S.dim - restrict(C, S).k
 
 
+@pytest.mark.parametrize(
+    "S", [Subspace.span([(1, 0, 0)], 3, F3), Subspace.span([(1, 0, 0, 0)], 4, F2)], ids=["F3^3", "F2^4"]
+)
+def test_rho_refuses_a_subspace_of_another_ambient_space(S):
+    # <(1, 0, 0)> over F_3 has the basis tuple of a subspace of F_2^3
+    P = from_code(random_code(3, 2, F2, 3, random.Random(1)))
+    for lookup in (P.rho, P.lattice.index_of):
+        with pytest.raises(AmbientMismatch, match="different ambient spaces"):
+            lookup(S)
+
+
 def test_rgf_zero_polymatroid_n1():
     P = zero_polymatroid(1, 1, F2)
     R = rank_generating_function(P)
@@ -317,7 +329,11 @@ def test_rank_generating_function_matches_the_per_subspace_oracle(C, data):
         ranks[i] += delta
     for Y in (P, P.dual(), QPolymatroid(lat, X.r, ranks)):
         for hatted in (False, True):
-            assert rank_generating_function(Y, hatted) == oracle_rgf(Y, hatted), (C, Y.ranks, hatted)
+            # the count table, one count per subspace, expands to R
+            counts = rgf_counts(Y, hatted)
+            assert sum(counts.values()) == len(lat), (C, Y.ranks, hatted)
+            R = oracle_rgf(Y, hatted)
+            assert rgf_poly(C.field.q, counts) == R == rank_generating_function(Y, hatted), (C, Y.ranks, hatted)
 
 
 def test_f_and_g_structure(full_2x2_f2):

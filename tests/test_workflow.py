@@ -1,6 +1,6 @@
-"""The CI workflow parses as YAML and keeps its console-script and tier-1
-steps: a workflow file that does not parse runs nothing, and nothing
-else in the suite reads it."""
+"""The CI workflow parses as YAML and keeps its console-script,
+whole-shape sweep and tier-1 steps: a workflow file that does not parse
+runs nothing, and nothing else in the suite reads it."""
 
 from pathlib import Path
 
@@ -16,3 +16,6 @@ def test_the_workflow_parses_and_keeps_its_tier_1_steps():
     console = [run for name, run in steps.items() if name.startswith("Console script")]
     assert len(console) == 1 and "qrank check all" in console[0]
     assert "python -m pytest" in steps["Tier-1 tests"]
+    # one whole-shape sweep with n < m: every code of Mat(2x3, F_3) through check_all
+    sweeps = [run for run in steps.values() if "all_codes(2, 3, gf_new(3))" in run]
+    assert len(sweeps) == 1 and "check_all(C)" in sweeps[0] and "56632" in sweeps[0]
