@@ -22,33 +22,15 @@ is invariant under nonzero scalars, so `rank_distribution` ranks one word
 per projective point, (q^k - 1)/(q - 1) words, and counts each rank q - 1
 times; the zero word adds to A_0.  Before a word is walked, the budget
 is checked once, then RANK_WORK_LIMIT once (`check_rank_work`).  The
-projective walk streams those words in memory bounded by the basis and
-not by the number of words: each walk spans an F_p-basis alpha^l b_i of
-basis rows with its F_p-digits counting up (`_span`), in blocks of at
-most 256 words and BLOCK_ENTRIES entries, each word the block's start
-plus one of the walk's offsets.  A word is vector-major: its L-long
-vectors, L = min(n, m), are its columns when n <= m and its rows
-otherwise.  Over F_2 it is one int, a bit per entry, added by XOR; over
-every other field it is a tuple of keys, each the base-q number of a run
-of its entries, added by the rows of a `_KeyRows`.  Its rank is the
-dimension of the span of its vectors.  The echelon-transition table of
-F_q^L has one state per subspace S, named by its fully reduced echelon
-basis, and maps S and a vector v to S + <v> by one elimination on the
-field's flat tables (`_transitions`).  When the code's shape admits a
-table (`_fold_width`), the table is read into flat int lists, g vectors
-per key: entry s K + x is the state that the g vectors of key x lead to
-from state s, so a word folds from the zero state in ceil(max(n, m) / g)
-list reads, and the last read gives the rank.  F_q^L maps to itself, so
-no read tests for it, and a block whose words all reach it reads no
-further.  The lists are cached per (field, L, g), so C, C^perp and every
-later code of the shape share them.  A block folds a key column at a
-time, its keys being its start's key plus the offsets' keys.  Without a
-table, each word gets its own elimination, of one-entry keys, or over
-F_2 of the packed int.
+projective walk (`_Codewords`) streams those words in memory bounded by
+the basis.  A word is vector-major: its L-long vectors, L = min(n, m),
+are its columns when n <= m and its rows otherwise; its rank, the
+dimension of their span, is folded through the echelon-transition table
+of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
-the sweep's echelon extension: its table does its own elimination, so it
-stays an independent check of the restriction sweep.
+the sweep's echelon extension: its table and its basis come from its own
+elimination, so it stays an independent check of the restriction sweep.
 
 `dual_code` solves for C^perp, a basis of nm - k vectors of F_q^{nm},
 and refuses one whose entries exceed `BASIS_LIMIT` before building it.
@@ -59,7 +41,7 @@ entries, as many as the basis of C itself.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from operator import getitem, itemgetter, mul, xor
 
@@ -252,13 +234,13 @@ class _Codewords:
     def projective(self):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
         all, as ints over F_2 and as vector-major entry tuples otherwise:
-        for each i, b_i plus every F_p-combination of the steps of b_0, ...,
-        b_{i-1}, q^i words.
+        for each row b_i of the walk's basis, b_i plus every F_p-combination
+        of the steps of b_{i+1}, ..., b_{k-1}, q^(k-1-i) words.
 
-        These are the words u whose last nonzero coefficient is 1.  Each
-        nonzero word w has a last nonzero coefficient c, at some b_i, and
+        These are the words u whose first nonzero coefficient is 1.  Each
+        nonzero word w has a first nonzero coefficient c, at some b_i, and
         w = c u with u = w / c; if c u = c' u' for two such u, u', their
-        coefficients agree past i and at b_i, so c = c' and u = u'.  So
+        coefficients agree before i and at b_i, so c = c' and u = u'.  So
         {c u : c != 0} lists each nonzero codeword exactly once, and
         rank(c u) = rank(u) since c is invertible."""
         offsets, blocks, add = self._walk(1, _KeyRows(self.code.field, 1))
@@ -268,18 +250,25 @@ class _Codewords:
     def _walk(self, span: int, rows):
         """(offsets, blocks, add) of the projective walk, words over q > 2
         being tuples of keys of `span` entries, which add adds by `rows`.
-        offsets is the `_span` of the first `depth` steps, so offsets[:p^l]
-        spans the first l.  Walk i is the blocks (start, p^min(depth, i e)),
-        start running over the `_span` of b_i over steps depth to i e; a
-        block's words are start + offsets[t], t < its size."""
+        Its basis is C's RREF rows, in echelon form in vector-major order if
+        the vectors are rows (n > m or n = 1), else re-echeloned in that
+        order by `_join_entries` where a key can be shared (below).  Its
+        steps run from b_{k-1} back to b_0; offsets, the `_span` of the first
+        `depth`, has offsets[:p^l] span the first l, in echelon form zero
+        before their rows' pivots.  Walk i is the blocks (start, p^min(depth,
+        i e)), start over the `_span` of b_{k-1-i} over steps depth to i e;
+        a block's words are start + offsets[t], t < its size."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e = field.q, field.p, field.e
-        steps = C.space.basis
+        depth = min(_block_depth(p, n * m), max(k - 1, 0) * e)
+        vectors, steps = _vector_major(n, m), C.space.basis[::-1]
+        # row i's pivot is at entry i or later, most often at i: offsets skip a key if k - ceil(depth / e) >= span
+        if 1 < n <= m and k + (-depth // e) >= span:
+            steps, vectors = reduce(lambda rows, v: _join_entries(rows, v, field), map(vectors, steps), ())[::-1], tuple
         if e > 1:
             times = field.tables[1]
             steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
-        vectors = _vector_major(n, m)
         if q == 2:
             steps, zero, add = [_pack(vectors(s)) for s in steps], 0, xor
             plus, sums = xor, lambda moves: list(accumulate(moves, xor))
@@ -290,8 +279,7 @@ class _Codewords:
             plus = lambda r, b: tuple(map(getitem, r, b))
             add = lambda a, b: plus(map(rows.__getitem__, a), b)
             sums = lambda moves: [tuple(map(rows.__getitem__, s)) for s in accumulate(moves, add)]
-        depth = min(_block_depth(p, n * m), max(k - 1, 0) * e)
-        # a walk with i e <= depth is one block from b_i: no `_span` for it
+        # a walk with i e <= depth is one block from its row: no `_span` for it
         short = min(k, depth // e + 1)
         blocks = chain(
             zip(steps[: short * e : e], [p ** (i * e) for i in range(short)]),
@@ -594,10 +582,13 @@ def _fold_width(q: int, length: int, width: int) -> int:
 def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from
     the zero state through `_fold_table` one key at a time, g vectors per
-    key, the last key read in `last`.  Key i of a block's word, its bits i
-    span to (i + 1) span over F_2 and its entry i otherwise, is the start's
-    key i plus the offset's, one read of the start's row of `rows`.  F_q^L
-    maps to itself, so a block whose words all reach it reads no further."""
+    key.  Key i of a word is its bits i span to (i + 1) span over F_2 and
+    its entry i otherwise.  A block reads the first `shared` keys, where
+    every offset is zero, once from its start, and each other key as the
+    start's plus the offset's, one read of the start's row of `rows`.
+    F_q^L maps to itself, so a block whose words all reach it reads no
+    further.  Ranks of words of several keys, each at most L <= 8, are
+    counted as bytes, BLOCK_ENTRIES at a time at most."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
@@ -605,8 +596,7 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
     chunks, span = -(-width // g), g * length
     offsets, blocks, _ = words._walk(span, rows)
     if q == 2:
-        mask = 2**span - 1
-        key = lambda word, i: word >> i * span & mask
+        mask, key = 2**span - 1, lambda word, i: word >> i * span & mask
         columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
     else:
         key, columns = getitem, list(zip(*offsets))
@@ -617,29 +607,39 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
         for r in range(length + 1):
             counts[r] = ranks.count(r)
         return counts
-    tables = [flat] * (chunks - 1) + [last]
+    shared = next((i for i, column in enumerate(columns[:-1]) if any(column)), chunks - 1)
+    tables, seen, heads, tails = [flat] * (chunks - 1) + [last], bytearray(), range(shared), range(shared, chunks)
     for start, block in blocks:
-        ranks = repeat(0, block)
-        for i, (column, table) in enumerate(zip(columns, tables)):
-            row = rows[key(start, i)]
-            ranks = [table[s + row[o]] for s, o in zip(ranks, column)]
+        state = 0
+        for i in heads:
+            state = flat[state + key(start, i)]
+        if state == full:
+            counts[length] += block
+            continue
+        ranks = repeat(state, block)
+        for i in tails:
+            row, table = rows[key(start, i)], tables[i]
+            ranks = [table[s + row[o]] for s, o in zip(ranks, columns[i])]
             # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
-            if (i + 1) * g >= length and i + 1 < chunks and ranks.count(full) == block:
+            if (i + 1) * g >= length and i + 1 < chunks and ranks[0] == full and ranks.count(full) == block:
                 counts[length] += block
                 break
         else:
-            for r in range(length + 1):
-                counts[r] += ranks.count(r)
+            seen.extend(ranks)
+            if len(seen) >= BLOCK_ENTRIES:
+                counts[: length + 1] = map(int.__add__, counts, map(seen.count, range(length + 1)))
+                seen.clear()
+    counts[: length + 1] = map(int.__add__, counts, map(seen.count, range(length + 1)))
     return counts
 
 
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
-    Each projective word is ranked by `_fold_ranks` when `_fold_width`
-    admits a table for the code's shape, and otherwise by one elimination,
-    of a packed int over F_2.  BudgetExceeded when the tuple would hold
-    more than BASIS_LIMIT counts, and, before any word is walked, once
+    Each word of the echelon walk (`_Codewords`) is ranked by `_fold_ranks`,
+    a block's shared keys once, when `_fold_width` admits a table for the
+    shape, else by one elimination.  BudgetExceeded when the tuple would
+    hold more than BASIS_LIMIT counts, and, before any word is walked, once
     each, when the words exceed the budget or the work RANK_WORK_LIMIT."""
     n, m, field = C.n, C.m, C.field
     q, length = field.q, min(n, m)

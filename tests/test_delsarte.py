@@ -37,6 +37,7 @@ from qrank.delsarte import (
     RANK_TABLE_LIMIT,
     RANK_WORK_LIMIT,
     _KeyRows,
+    _block_depth,
     _fold_ranks,
     _fold_table,
     _fold_width,
@@ -98,6 +99,12 @@ def _vector_major(entries, n, m):
     return tuple(entries[i * m + j] for j in range(m) for i in range(n)) if n <= m else tuple(entries)
 
 
+def _from_vector_major(entries, n, m):
+    """The row-major entries of the n x m matrix whose vector-major entries
+    these are: the inverse of `_vector_major`."""
+    return tuple(entries[j * n + i] for i in range(n) for j in range(m)) if n <= m else tuple(entries)
+
+
 def _all_words(C):
     """The q^k codewords of C as entry tuples: the zero word and the q - 1
     nonzero multiples of each word of the projective walk."""
@@ -106,11 +113,28 @@ def _all_words(C):
     return [(0,) * (C.n * C.m)] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, field.q)]
 
 
+def _walk_rows(C):
+    """The basis rows of C's projective walk, as row-major entry tuples, in
+    the order it takes them: its echelon basis in vector-major order, last
+    row first.  That basis is C's RREF rows, or, when the vectors are
+    columns (1 < n <= m) and the offsets, of the last ceil(depth / e) rows,
+    can skip a key column of one entry (k - ceil(depth / e) >= 1), C's RREF
+    rows in column-major order."""
+    field, n, m, k = C.field, C.n, C.m, C.k
+    rows = C.space.basis
+    depth = min(_block_depth(field.p, n * m), max(k - 1, 0) * field.e)
+    if 1 < n <= m and k - -(-depth // field.e) >= 1:
+        columns = Subspace.span([_vector_major(b, n, m) for b in rows], n * m, field).basis
+        rows = [_from_vector_major(v, n, m) for v in columns]
+    return rows[::-1]
+
+
 def _steps(C):
-    """The F_p-steps alpha^l b_i of C's walk, l < e, as row-major entry
-    tuples, alpha^l being the field element encoded p^l."""
+    """The F_p-steps alpha^l b of C's walk, l < e, b over `_walk_rows(C)`,
+    as row-major entry tuples, alpha^l being the field element encoded
+    p^l."""
     field = C.field
-    return [tuple(field.mul(field.p**l, x) for x in b) for b in C.space.basis for l in range(field.e)]
+    return [tuple(field.mul(field.p**l, x) for x in b) for b in _walk_rows(C) for l in range(field.e)]
 
 
 def _combinations(word, steps, field):
@@ -126,10 +150,12 @@ def _combinations(word, steps, field):
 
 
 def _counting_walk(C):
-    """The projective walk by its definition: for each i, b_i plus every
-    F_p-combination of the first i e steps, in counting order."""
+    """The projective walk by its definition: for each row b of
+    `_walk_rows(C)`, b plus every F_p-combination of the steps of the rows
+    before it in that order, after it in the echelon basis, in counting
+    order."""
     e, steps = C.field.e, _steps(C)
-    return [w for i, b in enumerate(C.space.basis) for w in _combinations(b, steps[: i * e], C.field)]
+    return [w for i, b in enumerate(_walk_rows(C)) for w in _combinations(b, steps[: i * e], C.field)]
 
 
 def test_enumerate_codewords_counts(zero_2x2_f2, e11_2x2_f2, full_2x2_f2):
@@ -751,6 +777,77 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                     assert list(rank_distribution(C)) == everything, C
 
 
+def _pivot_code(n, m, field, pivots, rng, head=()):
+    """The code whose echelon basis in vector-major order has these pivots:
+    row t is 1 at pivots[t], 0 before it and at the other pivots, random
+    elsewhere, and row 0 begins with the entries `head`.  Its rows are
+    also the code's RREF rows when n > m or n = 1, and when n < m and every
+    pivot is in the matrix's first row, a multiple of n."""
+    rows = []
+    for p in pivots:
+        row = [0] * p + [1] + [0 if u in pivots else rng.randrange(field.q) for u in range(p + 1, n * m)]
+        rows.append(_from_vector_major(row, n, m))
+    rows[0] = _from_vector_major(tuple(head) + _vector_major(rows[0], n, m)[len(head) :], n, m)
+    return RankMetricCode(Subspace.span(rows, n * m, field), n, m)
+
+
+def test_every_shared_key_depth_folds_to_the_oracle():
+    # codes of chosen vector-major pivots: a block's offsets span the steps
+    # of the walk's last d = ceil(depth / e) rows, so they are zero on the
+    # first pivot[k - d] // span key columns, and `_fold_ranks` reads the
+    # first min(chunks - 1, that) keys once per block.  Each shape takes
+    # every such depth; n < m puts its pivots in the first matrix row, so
+    # that its RREF rows are in echelon form in vector-major order too,
+    # except F_7, whose walk re-echelons its basis
+    rng = random.Random(29)
+    F4, F7 = gf_new(2, 2), gf_new(7)
+    # a row 0 whose first two vectors are independent: with the offsets zero
+    # on them, a block of its walk starts at F_q^2 and reads no further
+    head = (1, 0, 0, 1)
+    # (n, m, field): [(pivots, head)]; the codes of k = 10 over F_2, 7 over
+    # F_3 and 6 over F_4 walk full blocks of p^depth words after their
+    # tail blocks, where fewer than d rows follow the leading row
+    cases = {
+        (2, 9, F2): [([0, 2, 4, 6], ()), ([0, 6, 10, 14], ()), ([0, 12, 14, 16], ())],
+        (9, 2, F2): [([0, 1, 2, 3], ()), ([0, 6, 9, 13], head), ([0, 12, 14, 17], ()),
+                     ([0, 1, 6, 7, 8, 9, 10, 11, 12, 13], head)],  # fmt: skip
+        (1, 20, F2): [([0, 1, 2, 3, 4], ()), ([0, 7, 9, 12, 15], ()), ([0, 14, 15, 17, 19], ()),
+                      ([0, 1, 7, 8, 10, 11, 12, 14, 16, 18], ())],  # fmt: skip
+        (2, 6, F3): [([0, 2, 4], ()), ([0, 4, 6], ()), ([0, 8, 10], ())],
+        (6, 2, F3): [([0, 1, 2, 3], ()), ([0, 4, 5, 6], head), ([0, 8, 9, 10], ()),
+                     ([0, 1, 4, 5, 6, 7, 8], head)],  # fmt: skip
+        (1, 12, F3): [([0, 1, 2, 3], ()), ([0, 4, 6, 7], ()), ([0, 8, 9, 10], ()), ([0, 1, 4, 5, 6, 8, 10], ())],
+        (2, 6, F4): [([0, 2, 4], ()), ([0, 4, 6], ()), ([0, 8, 10], ())],
+        (6, 2, F4): [([0, 1, 2], ()), ([0, 4, 6], head), ([0, 8, 10], head), ([0, 1, 4, 5, 6, 7], head)],
+        (1, 9, F4): [([0, 1, 2], ()), ([0, 3, 5], ()), ([0, 6, 7], ()), ([0, 1, 3, 4, 5, 6], ())],
+        (2, 3, F7): [([0, 1, 2, 4], ()), ([0, 1, 4, 5], ())],
+    }
+    for (n, m, field), codes in cases.items():
+        q, p, e, length = field.q, field.p, field.e, min(n, m)
+        g = _fold_width(q, length, max(n, m))
+        chunks, span = -(-max(n, m) // g), g * length
+        depths = set()
+        for pivots, first in codes:
+            C = _pivot_code(n, m, field, pivots, rng, first)
+            k = C.k
+            assert k == len(pivots), (C, pivots)
+            depth = min(_block_depth(p, n * m), (k - 1) * e)
+            offsets = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2])[0]
+            if q == 2:
+                columns = [[o >> i * span & 2**span - 1 for o in offsets] for i in range(chunks)]
+            else:
+                columns = list(zip(*offsets))
+            shared = next((i for i, column in enumerate(columns[:-1]) if any(column)), chunks - 1)
+            assert shared == min(chunks - 1, pivots[k + (-depth // e)] // span), (C, pivots)
+            depths.add(shared)
+            if first:
+                entries = _vector_major(C.space.basis[0], n, m)
+                vectors = [entries[i : i + length] for i in range(0, shared * span, length)]
+                assert oracle_rank_matrix(vectors, field) == length, (C, pivots)
+            assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field), (C, pivots)
+        assert depths == set(range(field is F7, chunks)), (n, m, field, depths)
+
+
 def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
     rng = random.Random(20)
     for field in PROPERTY_FIELDS:
@@ -812,13 +909,15 @@ def test_the_walk_does_not_recurse():
         words = list(islice(enumerate_codeword_entries(C, budget=2**3000).projective(), 10))
         assert time.perf_counter() - start < 1, C
         if field is F2:
-            # b_i is bit i, so walk i counts up from 2^i
-            assert words == list(range(1, 11))
+            # b_i is bit i and the walks start from the last row, so the
+            # words count up in the bits read from the top down
+            assert words == [int(format(x, f"0{m}b")[::-1], 2) for x in range(1, 11)]
         else:
-            # b_i is entry i; walk i adds each F_2-combination of b_j, alpha b_j (j < i)
-            heads = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0),
-                     (0, 0, 1), (1, 0, 1), (2, 0, 1), (3, 0, 1), (0, 1, 1)]  # fmt: skip
-            assert [w[:3] for w in words] == heads and not any(any(w[3:]) for w in words)
+            # b_i is entry i; the walk of b_i adds each F_2-combination of
+            # b_j, alpha b_j (j > i), from b_{m-1} down
+            tails = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 1, 3),
+                     (1, 0, 0), (1, 0, 1), (1, 0, 2), (1, 0, 3), (1, 1, 0)]  # fmt: skip
+            assert [w[-3:] for w in words] == tails and not any(any(w[:-3]) for w in words)
     # a span over more moves than the recursion limit, as a late walk's starts
     sums = list(accumulate((1 << i for i in range(sys.getrecursionlimit() + 200)), xor))
     assert list(islice(qrank.delsarte._span(0, sums, xor, 2), 10)) == list(range(10))

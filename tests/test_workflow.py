@@ -2,6 +2,7 @@
 whole-shape sweep and tier-1 steps: a workflow file that does not parse
 runs nothing, and nothing else in the suite reads it."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,11 @@ def test_the_workflow_parses_and_keeps_its_tier_1_steps():
     steps = {step.get("name", ""): step.get("run", "") for step in workflow["jobs"]["tier-1"]["steps"]}
     console = [run for name, run in steps.items() if name.startswith("Console script")]
     assert len(console) == 1 and "qrank check all" in console[0]
+    # six large folded codes are checked against the lattice route, which
+    # exits 1 on a wrong count; `qrank wd` exits 0 whatever it prints
+    for code in ("c18", "c20", "c12f3", "c33f4", "c44f3", "c220"):
+        assert re.search(rf"^ *timeout \d+ qrank check greene {code}\.json$", console[0], re.M), code
+        assert not re.search(rf"^ *timeout \d+ qrank wd {code}\.json$", console[0], re.M), code
     assert "python -m pytest" in steps["Tier-1 tests"]
     # one whole-shape sweep with n < m: every code of Mat(2x3, F_3) through check_all
     sweeps = [run for run in steps.values() if "all_codes(2, 3, gf_new(3))" in run]
