@@ -474,10 +474,7 @@ def _join_entries(rows, v, field):
     return tuple(sorted(out, reverse=True))
 
 
-# (field.key, L) -> transitions, (field.key, L, g) -> fold table
-_RANK_TABLE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _transitions(field: FieldContext, length: int):
     """(targets, bases) of the echelon-transition table of F_q^length,
     cached per field and length.  A breadth-first walk from the zero
@@ -486,29 +483,24 @@ def _transitions(field: FieldContext, length: int):
     len(bases[s]); targets[s][x] is the number of S + <v>, v the vector of
     key x = sum_j v_j q^j.  Every transition is one `_join_entries`, whose
     state is also that of the q - 1 nonzero multiples of v."""
-    cache_key = (field.key, length)
-    if cache_key not in _RANK_TABLE_CACHE:
-        q, mul = field.q, field.tables[1]
-        size = q**length
-        vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
-        weights = [q**j for j in range(length)]
-        multiples = [
-            {sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors
-        ]
-        numbers, bases, targets = {(): 0}, [()], []
-        for rows in bases:  # grows as new subspaces are reached
-            row = [None] * size
-            for x, v in enumerate(vectors):
-                if row[x] is None:
-                    joined = _join_entries(rows, v, field)
-                    t = numbers.setdefault(joined, len(bases))
-                    if t == len(bases):
-                        bases.append(joined)
-                    for y in multiples[x]:
-                        row[y] = t
-            targets.append(row)
-        _RANK_TABLE_CACHE[cache_key] = targets, bases
-    return _RANK_TABLE_CACHE[cache_key]
+    q, mul = field.q, field.tables[1]
+    size = q**length
+    vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
+    weights = [q**j for j in range(length)]
+    multiples = [{sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors]
+    numbers, bases, targets = {(): 0}, [()], []
+    for rows in bases:  # grows as new subspaces are reached
+        row = [None] * size
+        for x, v in enumerate(vectors):
+            if row[x] is None:
+                joined = _join_entries(rows, v, field)
+                t = numbers.setdefault(joined, len(bases))
+                if t == len(bases):
+                    bases.append(joined)
+                for y in multiples[x]:
+                    row[y] = t
+        targets.append(row)
+    return targets, bases
 
 
 class _KeyRows(dict):
@@ -532,6 +524,7 @@ class _KeyRows(dict):
         return row
 
 
+@lru_cache(maxsize=None)
 def _fold_table(field: FieldContext, length: int, g: int):
     """(flat, last, rows, full) folding g vectors of F_q^length per read,
     cached per field, length and g.  The key of g vectors v_0, ..., v_{g-1}
@@ -541,23 +534,20 @@ def _fold_table(field: FieldContext, length: int, g: int):
     every state where it is, so a word's last, shorter key reads the same
     lists.  `rows` holds the `_KeyRows` of these keys, and `full` is f K,
     f the state of F_q^length."""
-    cache_key = (field.key, length, g)
-    if cache_key not in _RANK_TABLE_CACHE:
-        targets, bases = _transitions(field, length)
-        dims = [len(rows) for rows in bases]
-        reached = targets
-        for _ in range(g - 1):
-            # one more vector, as the top digits of the key
-            reached = [[targets[t][v] for v in range(len(targets[0])) for t in row] for row in reached]
-        keys = len(reached[0])
-        scaled = [s * keys for s in range(len(dims))]
-        _RANK_TABLE_CACHE[cache_key] = (
-            [scaled[t] for row in reached for t in row],
-            [dims[t] for row in reached for t in row],
-            _KeyRows(field, g * length),
-            scaled[dims.index(length)],
-        )
-    return _RANK_TABLE_CACHE[cache_key]
+    targets, bases = _transitions(field, length)
+    dims = [len(rows) for rows in bases]
+    reached = targets
+    for _ in range(g - 1):
+        # one more vector, as the top digits of the key
+        reached = [[targets[t][v] for v in range(len(targets[0])) for t in row] for row in reached]
+    keys = len(reached[0])
+    scaled = [s * keys for s in range(len(dims))]
+    return (
+        [scaled[t] for row in reached for t in row],
+        [dims[t] for row in reached for t in row],
+        _KeyRows(field, g * length),
+        scaled[dims.index(length)],
+    )
 
 
 @lru_cache(maxsize=1024)

@@ -1,7 +1,9 @@
 """End-to-end identity checks, each computed by at least two independent
-routes and compared as exact polynomial (or table) equalities.  A report
-whose sides are equal prints one text for both, and the axioms of P_C^*
-get a pass of their own only when P_C fails one (`_axiom_checks`).
+routes and compared as exact polynomial (or table) equalities: RGF
+duality, for one, reads R_{P*} off the sweep of C^perp (P_C^* =
+P_{C^perp}) and R-hat_P off the sweep of C.  A report whose sides are
+equal prints one text for both, and the axioms of P_C^* get a pass of
+their own only when P_C fails one (`_axiom_checks`).
 
 The Greene-type substitution works in an auxiliary variable z with
 y = z^m, which keeps every intermediate value an exact Laurent
@@ -11,7 +13,6 @@ polynomial whose z-exponents are multiples of m.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -174,8 +175,7 @@ def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
 
 def greene_check(a: CodeAnalysis) -> IdentityReport:
     """Greene-type identity: brute-force enumerator vs the R_P route."""
-    C = a.code
-    lhs = HomogeneousPoly(C.n, a.distribution)
+    lhs = HomogeneousPoly(a.code.n, a.distribution)
     try:
         rhs = greene_rhs(a)
     except NonIntegralResult as exc:
@@ -183,65 +183,30 @@ def greene_check(a: CodeAnalysis) -> IdentityReport:
     return _poly_report("greene", a, lhs, rhs)
 
 
-class _RgfTexts:
-    """The text of R = rgf_poly(q, table) by (q, table), least recently
-    used first: at most `entries` texts, of total size at most `size`.
-
-    A table holds at most |L| triples, and a triple of degree l prints
-    l + 1 terms, so one text of F_2^7 (29212 subspaces) can run to
-    megabytes and an entry cap alone bounds nothing.  An entry's size is
-    its text's length, KEY_BYTES per triple of its table and ENTRY_BYTES
-    for the rest; a text larger than `size` is printed and not kept."""
-
-    # from sys.getsizeof: a key triple holds its (triple, count) pair, the
-    # triple, up to four ints and up to 64 bytes of frozenset table; an
-    # entry holds its key pair, a frozenset and a str header, and a node
-    # and a slot of the OrderedDict
-    KEY_BYTES = 320
-    ENTRY_BYTES = 640
-
-    def __init__(self, entries: int, size: int):
-        self.entries, self.size = entries, size
-        self.texts = OrderedDict()  # (q, frozenset of table items) -> text
-        self.used = 0
-
-    def _size(self, key, text) -> int:
-        return len(text) + self.KEY_BYTES * len(key[1]) + self.ENTRY_BYTES
-
-    def text(self, q: int, counts: dict) -> str:
-        key = q, frozenset(counts.items())
-        text = self.texts.get(key)
-        if text is not None:
-            self.texts.move_to_end(key)
-            return text
-        text = str(rgf_poly(q, counts))
-        size = self._size(key, text)
-        if size <= self.size:
-            while len(self.texts) >= self.entries or self.used + size > self.size:
-                self.used -= self._size(*self.texts.popitem(last=False))
-            self.texts[key] = text
-            self.used += size
-        return text
-
-    def cache_clear(self):
-        self.texts.clear()
-        self.used = 0
+# perfbench's corpus pool prints 110 distinct R_{P*} tables of at most 8 triples
+_RGF_TEXT_CAP = 128
 
 
-# codes of one shape share a few dozen R_{P*} texts: the 3304 codes of
-# perfbench's corpus print 90
-_RGF_TEXTS = _RgfTexts(entries=1024, size=2**24)
+@lru_cache(maxsize=_RGF_TEXT_CAP)
+def _rgf_text(q: int, items: frozenset) -> str:
+    """str(rgf_poly(q, table)) by q and the table's items, which the print
+    sorts.  `rgf_duality_check` prints a table of more than _RGF_TEXT_CAP
+    triples without it, and a triple of degree l <= n prints l + 1 terms,
+    so the cache holds at most _RGF_TEXT_CAP entries x _RGF_TEXT_CAP
+    triples x (n + 1) terms."""
+    return str(rgf_poly(q, dict(items)))
 
 
 def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
-    """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly: R_{P*}'s count
-    table against R-hat_P's with e1 and e2 swapped, which are equal iff
-    the polynomials are (`rgf_poly`).  The polynomials and the witness
-    are built only when they differ."""
+    """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly, with P* =
+    P_{C^perp} from its own sweep: R_{P_{C^perp}}'s count table against
+    R-hat_{P_C}'s with e1 and e2 swapped, which are equal iff the
+    polynomials are (`rgf_poly`).  The polynomials and the witness are
+    built only when they differ."""
     q = a.code.field.q
-    lhs = rgf_counts(a.dual_polymatroid)
+    lhs = rgf_counts(a.polymatroid_of_dual)
     rhs = {(e2, e1, l): count for (e1, e2, l), count in rgf_counts(a.polymatroid, hatted=True).items()}
-    text = _RGF_TEXTS.text(q, lhs)
+    text = _rgf_text(q, frozenset(lhs.items())) if len(lhs) <= _RGF_TEXT_CAP else str(rgf_poly(q, lhs))
     if lhs == rhs:
         return IdentityReport("rgf-duality", a._params, text, text, True)
     lhs, rhs = rgf_poly(q, lhs), rgf_poly(q, rhs)
@@ -339,14 +304,11 @@ def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:
 
 def macwilliams_checks(a: CodeAnalysis):
     """Both MacWilliams routes against brute-force dual enumeration."""
-    C = a.code
-    brute = HomogeneousPoly(C.n, a.dual_distribution)
-    formula = macwilliams_dual_enumerator(a)
-    transform = macwilliams_transform(a)
+    brute = HomogeneousPoly(a.code.n, a.dual_distribution)
     text = str(brute)
     return [
-        _poly_report("macwilliams-formula", a, brute, formula, text),
-        _poly_report("macwilliams-transform", a, brute, transform, text),
+        _poly_report("macwilliams-formula", a, brute, macwilliams_dual_enumerator(a), text),
+        _poly_report("macwilliams-transform", a, brute, macwilliams_transform(a), text),
     ]
 
 

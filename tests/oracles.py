@@ -268,9 +268,10 @@ def oracle_rgf(P, hatted=False) -> MultiPoly:
 
 def oracle_rgf_duality(a) -> IdentityReport:
     """The rgf-duality report of a `CodeAnalysis` by polynomial comparison:
-    R_{P*} against R-hat_P with X1 and X2 swapped, each expanded term by
-    term (`oracle_rgf`), compared, printed and witnessed as MultiPolys."""
-    lhs = oracle_rgf(a.dual_polymatroid)
+    R_{P*}, P* = P_{C^perp} from its own sweep, against R-hat_{P_C} with X1
+    and X2 swapped, each expanded term by term (`oracle_rgf`), compared,
+    printed and witnessed as MultiPolys."""
+    lhs = oracle_rgf(a.polymatroid_of_dual)
     rhs = oracle_rgf(a.polymatroid, hatted=True).swap_x1_x2()
     text, passed = str(lhs), lhs == rhs
     witness = None if passed else "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])

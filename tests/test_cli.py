@@ -376,13 +376,15 @@ ZERO_1X3000 = {"field": {"q": 2}, "n": 1, "m": 3000, "generators": []}
 
 
 def test_basis_above_the_limit_is_refused_before_it_is_built_exit_2(tmp_path, capsys):
-    # C^perp of the zero Mat(1x3000, F_2) code has 3000 rows of 3000 entries
+    # C^perp of the zero Mat(1x3000, F_2) code has 3000 rows of 3000 entries;
+    # rgf-duality reads R_{P*} off the sweep of C^perp, so it is refused too
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(ZERO_1X3000))
-    start = time.perf_counter()
-    err = _assert_error_exit_2(["dual", str(path)], capsys)
-    assert time.perf_counter() - start < 1
-    assert "the basis of C^perp holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+    for args in (["dual"], ["check", "rgf-duality"], ["check", "dual-polymatroid"]):
+        start = time.perf_counter()
+        err = _assert_error_exit_2([*args, str(path)], capsys)
+        assert time.perf_counter() - start < 1
+        assert "the basis of C^perp holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err, args
 
 
 @pytest.mark.parametrize("key", ["0", "1"], ids=["restrict-to-zero", "restrict"])

@@ -576,10 +576,16 @@ def test_rank_distribution_matches_span_oracle_property(field, data):
     taken = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qrank.delsarte, "_fold_ranks", lambda words, g: taken.append(g) or _fold_ranks(words, g))
-        qrank.delsarte._RANK_TABLE_CACHE.clear()
+        _clear_rank_tables()
         assert list(rank_distribution(C)) == oracle, C
         assert list(rank_distribution(C)) == oracle, C
     assert taken == ([g, g] if g and k else []), (C, g)
+
+
+def _clear_rank_tables():
+    """Empty the transition and fold-table caches, so the next ranking fills them."""
+    _transitions.cache_clear()
+    _fold_table.cache_clear()
 
 
 def _refuse(*args, **kwargs):
@@ -607,12 +613,13 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
         for name in ("rref_rows", "kernel_basis", "lattice", "_extend", "_extend_packed"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    # cleared under the patch, so a warm table cannot hide a fill that eliminates
+    _clear_rank_tables()
     for C, dist in zip(codes, expected):
         assert list(rank_distribution(C)) == dist, C
 
 
-def test_fold_width_depends_on_the_shape_alone(monkeypatch):
+def test_fold_width_depends_on_the_shape_alone():
     # (q, L, width) -> g for Mat(L x width, F_q): g is the widest width of at
     # most 2^8 keys, q^(g L), and 2^15 entries, galois_number(L, q) q^(g L),
     # narrowed to the fewest that read a word in as few keys
@@ -640,16 +647,20 @@ def test_fold_width_depends_on_the_shape_alone(monkeypatch):
     }
     assert {key: _fold_width(*key) for key in widths} == widths
     # a one-word code fills the transitions and one fold table, and no more
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    _clear_rank_tables()
     rank_distribution(random_code(3, 3, F2, 1, random.Random(23)))
-    assert set(qrank.delsarte._RANK_TABLE_CACHE) == {(F2.key, 3), (F2.key, 3, 2)}
+    filled = [_transitions.cache_info(), _fold_table.cache_info()]
+    assert [info.currsize for info in filled] == [1, 1]
+    # F_2^3's transitions and its table at g = 2: reading them again fills nothing
+    _transitions(F2, 3), _fold_table(F2, 3, 2)
+    assert [_transitions.cache_info().misses, _fold_table.cache_info().misses] == [info.misses for info in filled]
 
 
-def test_rank_table_states_are_exactly_the_subspaces(monkeypatch):
+def test_rank_table_states_are_exactly_the_subspaces():
     # every transition of F_2^4, F_3^3, F_4^3 and F_5^3, filled from cold:
     # one state per subspace, named by entry tuples, and each state's
     # dimension is its rank
-    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+    _clear_rank_tables()
     rng = random.Random(22)
     for field, length in [(F2, 4), (F3, 3), (gf_new(2, 2), 3), (gf_new(5), 3)]:
         q = field.q
@@ -681,13 +692,13 @@ def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
     assert dist[0] == 1 and sum(dist) == 2
 
 
-def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
+def test_rank_table_memory_at_the_largest_admitted_table():
     # Mat(3 x 3, F_5), 64 states of 125 transitions each, and Mat(4 x 4, F_3),
     # the largest admitted table at 212 states of 81: each built from cold by
     # a 5^7- and a 3^10-word code, held under the bound of the test above
     rng = random.Random(18)
     for n, m, field, k, states in [(3, 3, gf_new(5), 7, 64), (4, 4, F3, 10, 212)]:
-        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+        _clear_rank_tables()
         C = random_code(n, m, field, k, rng)
         tracemalloc.start()
         try:
@@ -697,13 +708,13 @@ def test_rank_table_memory_at_the_largest_admitted_table(monkeypatch):
             tracemalloc.stop()
         assert sum(dist) == C.size()
         # the measured call filled the table: the cache was empty before it
-        assert (C.field.key, min(n, m)) in qrank.delsarte._RANK_TABLE_CACHE, C
+        assert _transitions.cache_info().misses == 1, C
         targets, bases = _transitions(C.field, min(n, m))
         assert len(targets) == len(bases) == states
         assert peak < 2**20, (C, peak)
 
 
-def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
+def test_a_wide_code_walks_in_memory_bounded_by_its_basis():
     # Mat(2 x 5000, F_3) k = 5 and Mat(2 x 5000, F_5) k = 3 take the table
     # at g = 2 and 1, and Mat(2 x 5000, F_17) k = 2 is refused one, 17^2
     # keys: offsets for blocks of 81, 25 and 17 words of 10^4 entries would
@@ -711,7 +722,7 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis(monkeypatch):
     # basis steps and their add-rows take under 1 MiB
     rng = random.Random(21)
     for field, k in [(F3, 5), (gf_new(5), 3), (gf_new(17), 2)]:
-        monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+        _clear_rank_tables()
         C = random_code(2, 5000, field, k, rng)
         assert bool(_fold_width(field.q, 2, 5000)) == (field.q != 17), C
         tracemalloc.start()
@@ -766,11 +777,11 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                 everything[0] += 1
                 assert everything == oracle_rank_distribution(C.space.basis, n, m, field), C
                 for g in _fold_widths(q, length):
-                    monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+                    _clear_rank_tables()
                     assert _fold_ranks(words, g) == per_word, (C, g)
                     assert _fold_ranks(words, g) == per_word, (C, g)
                 # every code of these shapes folds from cold, however few its words
-                monkeypatch.setattr(qrank.delsarte, "_RANK_TABLE_CACHE", {})
+                _clear_rank_tables()
                 with monkeypatch.context() as patch:
                     patch.setattr(qrank.delsarte, "_rank_of_entries", _eliminate)
                     patch.setattr(qrank.delsarte, "_rank_of_packed", _eliminate)

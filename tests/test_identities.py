@@ -1,7 +1,6 @@
 import collections
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,17 +36,18 @@ from qrank.errors import BudgetExceeded, NonIntegralResult
 from qrank.identities import (
     IDENTITY_CHECKS,
     IdentityReport,
-    _RGF_TEXTS,
-    _RgfTexts,
+    _RGF_TEXT_CAP,
     _axiom_report,
     _formula_kernel,
     _macwilliams,
     _poly_report,
+    _rgf_text,
     _transform_kernel,
     greene_rhs,
     lattice_rank_distribution,
     macwilliams_checks,
 )
+from qrank.qpolymatroid import rgf_counts
 from qrank.qseries import HomogeneousPoly, MultiPoly, g_poly, gaussian_binomial
 
 from oracles import oracle_rgf_duality
@@ -119,6 +119,17 @@ def test_rgf_duality_full_code(full_2x2_f2):
         }
     )
     assert rank_generating_function(from_code(full_2x2_f2).dual()) == expected
+
+
+def test_rgf_duality_reads_no_dual_of_p_c(monkeypatch, corpus_2x2_f2, corpus_2x2_f3):
+    # R_{P*} comes from the sweep of C^perp, so a P_C^* = P_C.dual() that
+    # cannot be computed leaves the check passing
+    def refuse(P):
+        raise AssertionError("rgf-duality computed P_C^* from P_C")
+
+    monkeypatch.setattr(QPolymatroid, "dual", refuse)
+    for C in corpus_2x2_f2 + corpus_2x2_f3:
+        assert rgf_duality_check(CodeAnalysis(C)).passed, C
 
 
 def test_dual_polymatroid_examples(zero_2x2_f2, e11_2x2_f2):
@@ -284,7 +295,10 @@ def test_an_interior_rank_off_by_one_fails_greene_at_a_coefficient_and_the_axiom
     report = greene_check(a)
     assert (report.lhs, report.rhs) == ("x^2 + 9*x*y + 6*y^2", "x^2 + 7*x*y + 8*y^2")
     assert report.witness == "coefficient of x^1*y^1: lhs 9, rhs 7"
-    assert rgf_duality_check(a).passed
+    # R_{P*} comes from the unmoved sweep of C^perp, so R-hat_P's moved triple shows
+    report = rgf_duality_check(a)
+    assert report == oracle_rgf_duality(a)
+    assert report.witness == "exponents (-1, 1, 0, 1): coefficient differs by 1"
     primal, dual = IDENTITY_CHECKS["axioms"](a)
     assert str(primal) == (
         f"[FAIL] axioms-primal {FULL_2X2_PARAMS}\n  lhs: axioms\n"
@@ -299,7 +313,7 @@ def test_an_interior_rank_off_by_one_fails_greene_at_a_coefficient_and_the_axiom
 def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f2):
     a = _with_rank(full_2x2_f2, 0, 1)
     report = rgf_duality_check(a)
-    assert not report.passed
+    assert report == oracle_rgf_duality(a) and not report.passed
     assert report.witness == "exponents (-1, 3, 0, 2): coefficient differs by -2"
     primal, _ = IDENTITY_CHECKS["axioms"](a)
     assert not primal.passed
@@ -313,7 +327,8 @@ def test_a_nonzero_rank_of_the_zero_subspace_fails_rgf_duality_and_r1(full_2x2_f
 @pytest.mark.parametrize("n,m,field", SHAPES, ids=[f"{n}x{m}F{f.q}" for n, m, f in SHAPES])
 def test_rgf_duality_reports_as_the_polynomial_comparison_on_perturbed_tables(n, m, field):
     # P_C of seeded codes with 0-3 ranks moved, rho(0) among them half the
-    # time: a moved rho(0) breaks the duality, any other move keeps it
+    # time, against R_{P*} from the unmoved sweep of C^perp: the moves break
+    # the duality unless they cancel
     rng = random.Random(f"rgf-duality/{n}x{m}F{field.q}")
     verdicts = set()
     for _ in range(16):
@@ -333,54 +348,32 @@ def test_a_cached_rgf_text_equals_a_fresh_print(corpus_2x2_f3):
     def texts():
         return [rgf_duality_check(CodeAnalysis(C)).lhs for C in corpus_2x2_f3]
 
-    _RGF_TEXTS.cache_clear()
+    _rgf_text.cache_clear()
     printed = texts()
-    entries = dict(_RGF_TEXTS.texts)
-    assert len(entries) < len(corpus_2x2_f3)
-    assert texts() == printed and _RGF_TEXTS.texts == entries  # every text a hit
-    _RGF_TEXTS.cache_clear()
+    info = _rgf_text.cache_info()
+    assert info.misses == info.currsize < len(corpus_2x2_f3)  # fewer prints than codes
+    assert texts() == printed
+    assert _rgf_text.cache_info() == info._replace(hits=info.hits + len(corpus_2x2_f3))  # every text a hit
+    _rgf_text.cache_clear()
     assert texts() == printed == [str(rank_generating_function(from_code(C).dual())) for C in corpus_2x2_f3]
 
 
-def _deep_size(key, text) -> int:
-    """sys.getsizeof over a cache entry's key, its table's pairs, triples
-    and ints, and its text, each object once."""
-    objects = {id(o): o for o in (key, key[0], key[1], text)}
-    for pair in key[1]:
-        objects.update((id(o), o) for o in (pair, *pair, *pair[0]))
-    return sum(map(sys.getsizeof, objects.values()))
-
-
-def test_the_rgf_text_cache_is_capped_by_entries_and_size():
-    assert (_RGF_TEXTS.entries, _RGF_TEXTS.size) == (1024, 2**24)
-    # the texts X1^2, ..., X1^5: entries of one size
-    tables = [{(e, 0, 0): 1} for e in range(2, 6)]
-    cache = _RgfTexts(entries=2, size=2**20)
-    for i in (0, 1, 0, 2):  # reading table 0 again makes table 1 the least recent
-        cache.text(2, tables[i])
-    assert [dict(table) for _, table in cache.texts] == [tables[0], tables[2]]
-    size = cache._size((2, frozenset(tables[0].items())), "X1^2")
-    cache = _RgfTexts(entries=10, size=2 * size + 1)
-    for i in range(3):
-        cache.text(2, tables[i])
-    assert [dict(table) for _, table in cache.texts] == [tables[1], tables[2]]
-    assert cache.used == sum(cache._size(*entry) for entry in cache.texts.items()) <= cache.size
-    # a text larger than the whole cache is printed but not kept
-    cache = _RgfTexts(entries=10, size=size - 1)
-    assert cache.text(2, tables[0]) == "X1^2" and not cache.texts
-
-
-@pytest.mark.parametrize("triples", [1, 3, 12, 87, 700])
-def test_an_rgf_text_entry_holds_no_more_than_its_size(triples):
-    # random tables with ints above the small-int cache: every object is the entry's own
-    rng, big = random.Random(triples), 10**9
-    cache = _RgfTexts(entries=8, size=2**30)
-    for _ in range(4):
-        keys = rng.sample(range(10**6), triples)
-        cache.text(2, {(big + x, big + x // 2, x % 8): big + rng.randrange(10**4) for x in keys})
-    per_entry = sys.getsizeof(cache.texts) / len(cache.texts)  # its node and slot of the OrderedDict
-    for key, text in cache.texts.items():
-        assert _deep_size(key, text) + per_entry <= cache._size(key, text)
+def test_a_table_above_the_triple_cap_is_printed_and_not_cached():
+    # P_{C^perp} replaced by random ranks on the 374 subspaces of F_2^5: a
+    # table of more triples than the cap, printed past the cache
+    rng = random.Random(24)
+    a = CodeAnalysis(random_code(5, 2, F2, 4, rng))
+    lat = a.polymatroid.lattice
+    P = QPolymatroid(lat, 2, [rng.randrange(1000) for _ in lat.dims])
+    a.polymatroid_of_dual = P
+    # one cap on the entries and on the triples of each, above the 110
+    # distinct tables of perfbench's corpus pool
+    assert _rgf_text.cache_info().maxsize == _RGF_TEXT_CAP == 128
+    assert len(rgf_counts(P)) > _RGF_TEXT_CAP
+    info = _rgf_text.cache_info()
+    report = rgf_duality_check(a)
+    assert report.lhs == str(rank_generating_function(P)) and not report.passed
+    assert _rgf_text.cache_info() == info  # neither read nor kept: currsize unchanged
 
 
 def _axioms_by_two_passes(a):
@@ -527,7 +520,7 @@ def test_failing_reports_print_their_own_rhs(full_2x2_f2):
     # rgf-duality: rho(0) = 1 breaks R_{P*} = R-hat_P swapped
     a = _with_rank(full_2x2_f2, 0, 1)
     report = rgf_duality_check(a)
-    lhs = rank_generating_function(a.dual_polymatroid)
+    lhs = rank_generating_function(a.polymatroid_of_dual)
     rhs = rank_generating_function(a.polymatroid, hatted=True).swap_x1_x2()
     assert not report.passed
     assert (report.lhs, report.rhs) == (str(lhs), str(rhs)) and report.lhs != report.rhs
