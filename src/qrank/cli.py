@@ -198,7 +198,7 @@ def _run(args) -> int:
             e, fields = e * (q.bit_length() - 1), dict(fields, digits=digits)
             sys.stdout.write(f"{check_limit(count, 10**digits - 1, template, e, fields)}\n")
             return 0
-        check_subspace_count(n, q, budget, "the budget", dim)
+        check_subspace_count(n, q, budget, dim)
         # [n, d]_q keys of d x n entries for each listed dimension d, formed once the budget admits the count
         entries = sum(gaussian_binomial(n, d, q) * d * n for d in (range(n + 1) if dim is None else [dim]))
         template = (

@@ -550,7 +550,6 @@ def _fold_table(field: FieldContext, length: int, g: int):
     )
 
 
-@lru_cache(maxsize=1024)
 def _fold_width(q: int, length: int, width: int) -> int:
     """The fold width g of the table `rank_distribution` folds words of
     `width` vectors of F_q^length through; 0 when no table fits.  The

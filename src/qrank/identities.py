@@ -110,6 +110,11 @@ class CodeAnalysis:
         return from_code(self.code)
 
     @cached_property
+    def counts(self) -> dict:
+        """P_C's count table: Greene, RGF duality and the Moebius route read P_C off it."""
+        return rgf_counts(self.polymatroid)
+
+    @cached_property
     def dual_polymatroid(self):
         """P_C^*, the dual of P_C."""
         return self.polymatroid.dual()
@@ -132,10 +137,16 @@ class CodeAnalysis:
         return rank_distribution(self.dual, self.budget)
 
 
-def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, rhs: HomogeneousPoly, text=None):
-    """The report of lhs = rhs, `text` being str(lhs) if given: equal
-    integer coefficients print equal text, so a pass prints it for both."""
-    text, passed = str(lhs) if text is None else text, lhs == rhs
+def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, route, text=None):
+    """The report of lhs = route(a), `text` being str(lhs) if given: equal
+    integer coefficients print equal text, so a pass prints it for both;
+    a non-integral route fails with rhs "-", its message the witness."""
+    text = str(lhs) if text is None else text
+    try:
+        rhs = route(a)
+    except NonIntegralResult as exc:
+        return IdentityReport(name, a._params, text, "-", False, str(exc))
+    passed = lhs == rhs
     witness = None if passed else next(
         f"coefficient of x^{lhs.degree - i}*y^{i}: lhs {x}, rhs {y}"
         for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs))
@@ -144,21 +155,20 @@ def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, rhs: HomogeneousPo
     return IdentityReport(name, a._params, text, text if passed else str(rhs), passed, witness)
 
 
-def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
-    """Assemble y^{n - dim C / m} R_{P_C}(q y^{1/m}, y^{-1/m}, x, y) as a
-    degree-n homogeneous polynomial in (x, y), via y = z^m, from the count
-    table of R_{P_C}.
+def greene_rhs(q: int, m: int, n: int, k: int, table: dict) -> HomogeneousPoly:
+    """Assemble y^{n - k / m} R(q y^{1/m}, y^{-1/m}, x, y) as a degree-n
+    homogeneous polynomial in (x, y), via y = z^m, from the count table
+    {(e1, e2, l): N} of R (`rgf_counts`); R = R_{P_C} and k = dim C give
+    W_C.
 
     The term X1^e1 X2^e2 X3^{l-u} X4^u becomes q^e1 x^{l-u} z^ze with ze =
     e1 - e2 + m u + (mn - k), of degree l - u + ze / m in (x, y): every
     term of a triple shares ze mod m, the degree and e1, and u = 0 has the
     least ze.  So a triple's u = 0 term fails first if any does, and the
     triples are met in the order of R's terms."""
-    C = a.code
-    q, m, n, k = C.field.q, C.m, C.n, C.k
     shift = m * n - k
     coeffs = [0] * (n + 1)
-    for (e1, e2, l), count in rgf_counts(a.polymatroid).items():
+    for (e1, e2, l), count in table.items():
         ze = e1 - e2 + shift
         if ze < 0 or ze % m != 0:
             raise NonIntegralResult(f"residual z-exponent {ze} in Greene assembly (term {(e1, e2, l, 0)})")
@@ -175,12 +185,9 @@ def greene_rhs(a: CodeAnalysis) -> HomogeneousPoly:
 
 def greene_check(a: CodeAnalysis) -> IdentityReport:
     """Greene-type identity: brute-force enumerator vs the R_P route."""
-    lhs = HomogeneousPoly(a.code.n, a.distribution)
-    try:
-        rhs = greene_rhs(a)
-    except NonIntegralResult as exc:
-        return IdentityReport("greene", a._params, str(lhs), "-", False, str(exc))
-    return _poly_report("greene", a, lhs, rhs)
+    C = a.code
+    route = lambda a: greene_rhs(C.field.q, C.m, C.n, C.k, a.counts)
+    return _poly_report("greene", a, HomogeneousPoly(C.n, a.distribution), route)
 
 
 # perfbench's corpus pool prints 110 distinct R_{P*} tables of at most 8 triples
@@ -200,12 +207,12 @@ def _rgf_text(q: int, items: frozenset) -> str:
 def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
     """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly, with P* =
     P_{C^perp} from its own sweep: R_{P_{C^perp}}'s count table against
-    R-hat_{P_C}'s with e1 and e2 swapped, which are equal iff the
-    polynomials are (`rgf_poly`).  The polynomials and the witness are
-    built only when they differ."""
-    q = a.code.field.q
+    R-hat_{P_C}'s (P_C's, l read as n - l) with e1 and e2 swapped, equal
+    iff the polynomials are (`rgf_poly`).  The polynomials and the
+    witness are built only when they differ."""
+    q, n = a.code.field.q, a.code.n
     lhs = rgf_counts(a.polymatroid_of_dual)
-    rhs = {(e2, e1, l): count for (e1, e2, l), count in rgf_counts(a.polymatroid, hatted=True).items()}
+    rhs = {(e2, e1, n - l): count for (e1, e2, l), count in a.counts.items()}
     text = _rgf_text(q, frozenset(lhs.items())) if len(lhs) <= _RGF_TEXT_CAP else str(rgf_poly(q, lhs))
     if lhs == rhs:
         return IdentityReport("rgf-duality", a._params, text, text, True)
@@ -249,13 +256,18 @@ def lattice_rank_distribution(a: CodeAnalysis):
     """a_d = #{M in C : rank M = d}, d = 0..n, from P_C alone: Moebius
     inversion on the subspace lattice, summed by dimension,
     a_d = sum_t b_t [n-t, d-t]_q (-1)^{d-t} q^{C(d-t,2)}, with binomial
-    moments b_t = sum_{dim T = t} q^{dim C(T)}, dim C(T) = k - rho_C(T^perp)."""
+    moments b_t = sum_{dim T = t} q^{dim C(T)}, dim C(T) = k - rho_C(T^perp):
+    with D = T^perp, triple (e1, e2, l) of P_C's count table adds
+    N q^{k - rho(E) + e1} to b_{n-l}, a negative exponent NonIntegralResult."""
     C = a.code
     q, n, k = C.field.q, C.n, C.k
-    P = a.polymatroid
+    top = a.polymatroid.rho_full()
     b = [0] * (n + 1)
-    for t, p in zip(P.lattice.dims, P.lattice.perp):
-        b[t] += q ** (k - P.ranks[p])
+    for (e1, _, l), count in a.counts.items():
+        e = k - top + e1
+        if e < 0:
+            raise NonIntegralResult(f"negative power q^{e} in binomial moment b_{n - l}")
+        b[n - l] += count * q**e
     return [
         sum(b[t] * gaussian_binomial(n - t, d - t, q) * moebius_coefficient(d - t, q) for t in range(d + 1))
         for d in range(n + 1)
@@ -307,8 +319,8 @@ def macwilliams_checks(a: CodeAnalysis):
     brute = HomogeneousPoly(a.code.n, a.dual_distribution)
     text = str(brute)
     return [
-        _poly_report("macwilliams-formula", a, brute, macwilliams_dual_enumerator(a), text),
-        _poly_report("macwilliams-transform", a, brute, macwilliams_transform(a), text),
+        _poly_report("macwilliams-formula", a, brute, macwilliams_dual_enumerator, text),
+        _poly_report("macwilliams-transform", a, brute, macwilliams_transform, text),
     ]
 
 

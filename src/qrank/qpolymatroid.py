@@ -250,17 +250,17 @@ def verify_axioms(P: QPolymatroid) -> list:
     return report
 
 
-def rgf_counts(P: QPolymatroid, hatted: bool = False) -> dict:
-    """The count table of R_P (or of its hatted variant): N(e1, e2, l),
-    the number of subspaces D with e1 = rho(E) - rho(D), e2 = r dim D -
-    rho(D) and l = dim D (plain) or dim D^perp (hatted), keyed in the
-    lattice order of each triple's first subspace.  R_P depends on P only
-    through this table (`rgf_poly`)."""
-    lat, r, ranks = P.lattice, P.r, P.ranks
+def rgf_counts(P: QPolymatroid) -> dict:
+    """The count table of R_P: N(e1, e2, l), the number of subspaces D
+    with e1 = rho(E) - rho(D), e2 = r dim D - rho(D) and l = dim D, keyed
+    in the lattice order of each triple's first subspace.  R_P depends on
+    P only through this table (`rgf_poly`), and the hatted R-hat_P's is
+    the same table with l read as dim D^perp = n - l."""
+    r, ranks = P.r, P.ranks
     top = P.rho_full()
     counts = {}
-    for rank, d, l in zip(ranks, lat.dims, lat.perp_dims if hatted else lat.dims):
-        triple = top - rank, r * d - rank, l
+    for rank, d in zip(ranks, P.lattice.dims):
+        triple = top - rank, r * d - rank, d
         counts[triple] = counts.get(triple, 0) + 1
     return counts
 
@@ -283,5 +283,8 @@ def rank_generating_function(P: QPolymatroid, hatted: bool = False) -> MultiPoly
     """R_P (or the hatted variant) as an exact 4-variable polynomial:
     sum over D of X1^{rho(E)-rho(D)} X2^{r dim D - rho(D)} g^l(X3, X4)
     with l = dim D (plain) or dim D^perp (hatted), expanded from its
-    count table (`rgf_counts`)."""
-    return rgf_poly(P.field.q, rgf_counts(P, hatted))
+    count table (`rgf_counts`), relabeled l -> n - l if hatted."""
+    counts = rgf_counts(P)
+    if hatted:
+        counts = {(e1, e2, P.n - l): count for (e1, e2, l), count in counts.items()}
+    return rgf_poly(P.field.q, counts)

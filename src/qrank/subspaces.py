@@ -187,11 +187,6 @@ class SubspaceLattice:
         return self.index[S.basis]
 
     @cached_property
-    def perp_dims(self):
-        """perp_dims[i]: dim S_i^perp = n - dim S_i."""
-        return [self.n - d for d in self.dims]
-
-    @cached_property
     def keys(self):
         """keys[i]: the canonical key of S_i."""
         return [S.canonical_key() for S in self.subspaces]
@@ -313,13 +308,12 @@ def subspace_count_exponent(n: int, dim: int | None = None) -> int:
     return d * (n - d) if 0 < d < n else 0
 
 
-def check_subspace_count(n: int, q: int, limit: int, limit_name: str, dim: int | None = None) -> int:
+def check_subspace_count(n: int, q: int, limit: int, dim: int | None = None) -> int:
     """The number of subspaces of F_q^n, of dimension `dim` if given, at
-    most `limit` (`errors.check_limit`, naming `limit_name`).  InvalidValue
-    for n < 0."""
+    most the budget `limit` (`errors.check_limit`); InvalidValue for n < 0."""
     count = lambda: galois_number(n, q) if dim is None else gaussian_binomial(n, dim, q)
-    template = "the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above {limit_name} of {limit}"
-    fields = {"q": q, "n": n, "of_dim": "" if dim is None else f" of dimension {dim}", "limit_name": limit_name}
+    template = "the subspace lattice of F_{q}^{n} has {size} subspaces{of_dim}, above the budget of {limit}"
+    fields = {"q": q, "n": n, "of_dim": "" if dim is None else f" of dimension {dim}"}
     return check_limit(count, limit, template, subspace_count_exponent(n, dim), fields)
 
 

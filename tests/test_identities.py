@@ -83,7 +83,7 @@ def test_greene_full_code(full_2x2_f2):
     assert rep.passed
     assert rep.lhs == "x^2 + 9*x*y + 6*y^2"
     # hand-expanded RHS: 16y^2 + 12y(x-y) + (x-y)(x-2y)
-    assert str(greene_rhs(CodeAnalysis(full_2x2_f2))) == "x^2 + 9*x*y + 6*y^2"
+    assert str(greene_rhs(2, 2, 2, 4, CodeAnalysis(full_2x2_f2).counts)) == "x^2 + 9*x*y + 6*y^2"
 
 
 def test_greene_sample_3x2(corpus_3x2_f2):
@@ -182,6 +182,25 @@ def test_macwilliams_routes_match_dual_enumeration_property(field, shape, data):
     assert macwilliams_transform(CodeAnalysis(C)) == brute
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_FIELDS),
+    st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)]),
+    st.data(),
+)
+def test_greene_on_the_swapped_hatted_table_of_p_c_is_the_dual_enumerator_property(field, shape, data):
+    # the paper's MacWilliams route: R_{P_{C^perp}} = R-hat_{P_C} with X1 and
+    # X2 swapped, so the Greene substitution at k^perp = nm - k on P_C's
+    # table, relabeled (e1, e2, l) -> (e2, e1, n - l), is W_{C^perp}
+    n, m = shape
+    q = field.q
+    # C^perp is enumerated: at most 2^10 words
+    k = data.draw(st.sampled_from([k for k in range(n * m + 1) if q ** (n * m - k) <= 2**10]), label="k")
+    C = random_code(n, m, field, k, random.Random(data.draw(st.integers(0, 2**30), label="seed")))
+    table = {(e2, e1, n - l): N for (e1, e2, l), N in CodeAnalysis(C).counts.items()}
+    assert greene_rhs(q, m, n, n * m - k, table) == HomogeneousPoly(n, rank_distribution(dual_code(C))), C
+
+
 def test_macwilliams_kernels_are_built_once_per_shape_and_stay_apart(monkeypatch):
     qrank.identities._formula_kernel.cache_clear()
     qrank.identities._transform_kernel.cache_clear()
@@ -260,7 +279,7 @@ def test_greene_reports_a_top_rank_off_by_one_as_a_residual_z_exponent(full_2x2_
     a = _with_rank(full_2x2_f2, -1, 1)
     witness = "residual z-exponent 5 in Greene assembly (term (5, 0, 0, 0))"
     with pytest.raises(NonIntegralResult, match=re.escape(witness)):
-        greene_rhs(a)
+        greene_rhs(2, 2, 2, 4, a.counts)
     assert str(greene_check(a)) == (
         f"[FAIL] greene {FULL_2X2_PARAMS}\n  lhs: x^2 + 9*x*y + 6*y^2\n  rhs: -\n  witness: {witness}"
     )
@@ -271,7 +290,7 @@ def test_greene_reports_a_top_rank_off_by_m_as_non_homogeneous(full_2x2_f2):
     a = _with_rank(full_2x2_f2, -1, 2)
     witness = "non-homogeneous Greene term x^0 y^3"
     with pytest.raises(NonIntegralResult, match=re.escape(witness)):
-        greene_rhs(a)
+        greene_rhs(2, 2, 2, 4, a.counts)
     report = greene_check(a)
     assert (report.passed, report.rhs, report.witness) == (False, "-", witness)
 
@@ -282,7 +301,7 @@ def test_greene_reports_a_rank_above_the_top_rank_as_a_negative_power_of_q(i2_2x
     assert a.polymatroid.lattice.keys[1] == "0,1" and a.polymatroid.rho_full() == 1
     witness = "negative power q^-1 in Greene assembly (term (-1, 0, 1, 0))"
     with pytest.raises(NonIntegralResult, match=re.escape(witness)):
-        greene_rhs(a)
+        greene_rhs(2, 2, 2, 1, a.counts)
     assert str(greene_check(a)) == (
         "[FAIL] greene {'q': 2, 'n': 2, 'm': 2, 'k': 1}\n  lhs: x^2 + y^2\n  rhs: -\n"
         f"  witness: {witness}"
@@ -474,6 +493,22 @@ def test_check_all_sweeps_and_enumerates_each_code_once(monkeypatch):
     assert enumerated == [C, D]
 
 
+def test_check_all_counts_each_polymatroid_once(monkeypatch):
+    # P_C's count table is the one input of Greene, RGF duality and the
+    # Moebius route; P_{C^perp}'s is RGF duality's other side
+    C = list(all_codes(3, 2, F2))[1234]
+    counted = []
+    rgf_counts = qrank.identities.rgf_counts
+
+    def spy(P, *args, **kwargs):
+        counted.append(P)
+        return rgf_counts(P, *args, **kwargs)
+
+    monkeypatch.setattr(qrank.identities, "rgf_counts", spy)
+    assert all(r.passed for r in check_all(C))
+    assert counted == [from_code(C), from_code(dual_code(C))] and counted[0] != counted[1]
+
+
 LIMITS = {"exceeds budget": "budget", "RANK_WORK_LIMIT": "work", "BASIS_LIMIT": "basis"}
 
 
@@ -505,14 +540,15 @@ def test_check_all_admits_each_side_once(monkeypatch):
 def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):
     lhs = rank_weight_enumerator(full_2x2_f2)
     rhs = rank_weight_enumerator(e11_2x2_f2)
-    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rhs)
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: rhs)
     assert not rep.passed
     assert rep.witness is not None and "coefficient" in rep.witness
     assert (rep.lhs, rep.rhs) == (str(lhs), str(rhs)) and rep.lhs != rep.rhs
     # a given lhs text stands for both sides of a pass, never for a failing rhs
-    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rhs, "LHS")
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: rhs, "LHS")
     assert (rep.passed, rep.lhs, rep.rhs) == (False, "LHS", str(rhs))
-    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, rank_weight_enumerator(full_2x2_f2), "LHS")
+    same = rank_weight_enumerator(full_2x2_f2)
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: same, "LHS")
     assert (rep.passed, rep.lhs, rep.rhs, rep.witness) == (True, "LHS", "LHS", None)
 
 
@@ -534,6 +570,37 @@ def test_failing_reports_print_their_own_rhs(full_2x2_f2):
     assert formula.lhs == transform.lhs == str(HomogeneousPoly(2, dist))
     assert formula.rhs == transform.rhs == str(macwilliams_dual_enumerator(a)) == str(macwilliams_transform(a))
     assert formula.lhs != formula.rhs
+
+
+def test_a_non_integral_macwilliams_route_fails_as_a_report(monkeypatch):
+    # rho(S_1) raised by 1: (1/|C|) A K of the Moebius route's A(C) is no
+    # integer, and check_all reports it as it reports Greene's coefficient
+    C = random_code(2, 2, F2, 3, random.Random(3))
+    a = _with_rank(C, 1, 1)
+    formula, transform = IDENTITY_CHECKS["macwilliams"](a)
+    expected = (
+        "[FAIL] macwilliams-formula {'q': 2, 'n': 2, 'm': 2, 'k': 3}\n  lhs: x^2 + x*y\n  rhs: -\n"
+        "  witness: expected integer, got 1/2"
+    )
+    assert str(formula) == expected
+    assert transform.passed  # the transform route reads the brute A(C)
+    assert greene_check(a).witness == "coefficient of x^1*y^1: lhs 5, rhs 4"
+    from_code = qrank.identities.from_code
+    monkeypatch.setattr(qrank.identities, "from_code", lambda code: a.polymatroid if code is C else from_code(code))
+    reports = {report.name: report for report in check_all(C)}
+    assert str(reports["macwilliams-formula"]) == expected and reports["macwilliams-transform"].passed
+
+
+def test_a_zero_subspace_rank_above_k_fails_the_moebius_route_as_a_report():
+    # rho(0) = 3 > k = 2: the binomial moment b_2 would take q^-1, which is
+    # no integer; the route never forms a float
+    a = _with_rank(random_code(2, 2, F2, 2, random.Random(1)), 0, 3)
+    witness = "negative power q^-1 in binomial moment b_2"
+    with pytest.raises(NonIntegralResult, match=re.escape(witness)):
+        lattice_rank_distribution(a)
+    formula, transform = IDENTITY_CHECKS["macwilliams"](a)
+    assert (formula.passed, formula.lhs, formula.rhs, formula.witness) == (False, "x^2 + 2*x*y + y^2", "-", witness)
+    assert transform.passed
 
 
 @pytest.mark.parametrize(

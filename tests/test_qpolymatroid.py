@@ -328,12 +328,14 @@ def test_rank_generating_function_matches_the_per_subspace_oracle(C, data):
     for i, delta in [(0, data.draw(st.sampled_from([0, 1, -1]), label="rho(0)"))] + moves:
         ranks[i] += delta
     for Y in (P, P.dual(), QPolymatroid(lat, X.r, ranks)):
-        for hatted in (False, True):
-            # the count table, one count per subspace, expands to R
-            counts = rgf_counts(Y, hatted)
-            assert sum(counts.values()) == len(lat), (C, Y.ranks, hatted)
+        # the count table, one count per subspace, expands to R, and read
+        # with l as n - l to R-hat
+        counts = rgf_counts(Y)
+        assert sum(counts.values()) == len(lat), (C, Y.ranks)
+        hatted_counts = {(e1, e2, C.n - l): count for (e1, e2, l), count in counts.items()}
+        for hatted, table in ((False, counts), (True, hatted_counts)):
             R = oracle_rgf(Y, hatted)
-            assert rgf_poly(C.field.q, counts) == R == rank_generating_function(Y, hatted), (C, Y.ranks, hatted)
+            assert rgf_poly(C.field.q, table) == R == rank_generating_function(Y, hatted), (C, Y.ranks, hatted)
 
 
 def test_f_and_g_structure(full_2x2_f2):

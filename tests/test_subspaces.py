@@ -206,7 +206,7 @@ def test_lattice_limit():
 def test_negative_ambient_dimension_is_invalid():
     for call in (
         lambda: subspace_count_exponent(-1),
-        lambda: check_subspace_count(-1, 2, 2**24, "the budget"),
+        lambda: check_subspace_count(-1, 2, 2**24),
         lambda: lattice(-1, F2),
     ):
         with pytest.raises(InvalidValue, match="the ambient dimension n must be >= 0, got -1"):
@@ -239,19 +239,19 @@ def test_enumerate_subspaces_matches_sorted_reference(p, e, n):
 
 
 def test_check_subspace_count():
-    assert check_subspace_count(4, 2, 67, "the budget") == 67
-    assert check_subspace_count(4, 2, 35, "the budget", dim=2) == 35
-    assert check_subspace_count(4, 2, 1, "the budget", dim=9) == 0
+    assert check_subspace_count(4, 2, 67) == 67
+    assert check_subspace_count(4, 2, 35, dim=2) == 35
+    assert check_subspace_count(4, 2, 1, dim=9) == 0
     with pytest.raises(BudgetExceeded, match="67 subspaces, above the budget of 66"):
-        check_subspace_count(4, 2, 66, "the budget")
+        check_subspace_count(4, 2, 66)
     with pytest.raises(BudgetExceeded, match="35 subspaces of dimension 2, above the budget of 34"):
-        check_subspace_count(4, 2, 34, "the budget", dim=2)
+        check_subspace_count(4, 2, 34, dim=2)
     start = time.perf_counter()
     # the counts are refused from their lower bounds, never formed
     with pytest.raises(BudgetExceeded, match=r"more than 2\^25000000 subspaces, above the budget"):
-        check_subspace_count(10**4, 2, 2**24, "the budget")
+        check_subspace_count(10**4, 2, 2**24)
     with pytest.raises(BudgetExceeded, match=r"more than 2\^25000000 subspaces of dimension 5000"):
-        check_subspace_count(10**4, 2, 2**24, "the budget", dim=5000)
+        check_subspace_count(10**4, 2, 2**24, dim=5000)
     assert time.perf_counter() - start < 1
 
 

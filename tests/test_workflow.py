@@ -22,8 +22,9 @@ def test_the_workflow_parses_and_keeps_its_tier_1_steps():
         assert re.search(rf"^ *timeout \d+ qrank check greene {code}\.json$", console[0], re.M), code
         assert not re.search(rf"^ *timeout \d+ qrank wd {code}\.json$", console[0], re.M), code
     assert "python -m pytest" in steps["Tier-1 tests"]
-    # two whole-shape sweeps, n < m and n > m: every code of Mat(2x3, F_3) and
-    # of Mat(3x2, F_3) through check_all
-    for shape in ("2, 3", "3, 2"):
-        sweeps = [run for run in steps.values() if f"all_codes({shape}, gf_new(3))" in run]
-        assert len(sweeps) == 1 and "check_all(C)" in sweeps[0] and "56632" in sweeps[0], shape
+    # four whole-shape sweeps, n < m and n > m over F_3 and F_2: every code of
+    # Mat(2x3, F_3), Mat(3x2, F_3), Mat(2x4, F_2) and Mat(4x2, F_2) through check_all
+    for shape, q, count in (("2, 3", 3, 56632), ("3, 2", 3, 56632), ("2, 4", 2, 417199), ("4, 2", 2, 417199)):
+        sweeps = [run for run in steps.values() if f"all_codes({shape}, gf_new({q}))" in run]
+        assert len(sweeps) == 1 and "check_all(C)" in sweeps[0], shape
+        assert re.search(r"^ *timeout \d+ python", sweeps[0], re.M) and f"count == {count}," in sweeps[0], shape
