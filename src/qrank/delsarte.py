@@ -26,7 +26,9 @@ projective walk (`_Codewords`) streams those words in memory bounded by
 the basis.  A word is vector-major: its L-long vectors, L = min(n, m),
 are its columns when n <= m and its rows otherwise; its rank, the
 dimension of their span, is folded through the echelon-transition table
-of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.
+of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.  A
+fold holds its states as bytes when the table has at most 256 (all but
+F_2^5's 374), so every step with one varying input is a `bytes.translate`.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table and its basis come from its own
@@ -65,17 +67,17 @@ _HOLDS_ENTRIES = "{what} holds {size} entries, above the basis limit BASIS_LIMIT
 # entries, and Mat(4 x 5, F_2) at g = 2, at 17152, fit; Mat(6 x 6, F_2),
 # at 180800, and Mat(3 x 3, F_8), at 512 keys, do not.  Filled from cold,
 # the table of Mat(4 x 4, F_3) costs about 0.07 s and under 1 MiB (2
-# cores, Python 3.11.7); a wider table is composed from the transitions
-# by list reads
+# cores, Python 3.11.7), its byte rows about 150 KiB with every key read;
+# F_2^4's at g = 2, composed from the transitions by list reads, 125 KiB
 FOLD_KEYS = 2**8
 RANK_TABLE_LIMIT = 2**15
 # the most entries, words times nm, of a walk's offsets: 256 words of up
 # to 64 entries, 2^14 / nm of a longer one, about 256 KiB as tuples
 BLOCK_ENTRIES = 2**14
 # the most work, table reads or elimination steps (see `_rank_work`), of
-# a rank distribution.  Warm, a unit takes 50-170 ns (2 cores, Python
-# 3.11.7), so Mat(6 x 6, F_3) k = 14, 5.2e8 steps at 131 ns, takes about a
-# minute, and Mat(40 x 40, F_3) k = 15, 4.6e11 steps, is refused
+# a rank distribution.  Warm, a table read takes 10-45 ns and a step
+# 50-330 ns (2 cores, Python 3.11.7), so Mat(6 x 6, F_3) k = 14, 5.2e8 steps
+# at 140 ns, takes over a minute, and Mat(40 x 40, F_3) k = 15 is refused
 RANK_WORK_LIMIT = 2**29
 
 
@@ -504,9 +506,10 @@ def _transitions(field: FieldContext, length: int):
 
 
 class _KeyRows(dict):
-    """The map x -> the key sums x + y over all keys y, for keys of
-    `digits` entries of F_q: a key is the base-q number of its entries,
-    added entry by entry.  A row is filled the first time it is read."""
+    """The map x -> the key sums x + y over all keys y < q^digits <= 256,
+    as `bytes` padded to 256 for `bytes.translate`: a key is the base-q
+    number of `digits` entries of F_q, added entry by entry.  A row is
+    filled the first time it is read."""
 
     __slots__ = ("field", "digits")
 
@@ -520,34 +523,30 @@ class _KeyRows(dict):
             # the sums over keys y < q^(i + 1), indexed y_i q^i + lower digits
             shift, weight = x // q**i % q * q, q**i
             row = [v + add[shift + d] * weight for d in range(q) for v in row]
-        self[x] = row
+        self[x] = row = bytes(row).ljust(256, b"\0")
         return row
 
 
 @lru_cache(maxsize=None)
 def _fold_table(field: FieldContext, length: int, g: int):
-    """(flat, last, rows, full) folding g vectors of F_q^length per read,
+    """(steps, lasts, rows, full) folding g vectors of F_q^length per read,
     cached per field, length and g.  The key of g vectors v_0, ..., v_{g-1}
-    is sum_t key(v_t) q^(t L), one of K = q^(g L); from state s, the key x
-    reaches the state t of `_transitions` that g steps reach, and entry
-    s K + x is t K in `flat` and dim t in `last`.  A zero vector leaves
-    every state where it is, so a word's last, shorter key reads the same
-    lists.  `rows` holds the `_KeyRows` of these keys, and `full` is f K,
-    f the state of F_q^length."""
+    is sum_t key(v_t) q^(t L), one of K = q^(g L); from state s the key x
+    reaches the state t of `_transitions` that g steps reach: steps[s][x]
+    is t, lasts[s][x] is dim t, and full is the state of F_q^length.  A zero
+    vector leaves every state where it is, so a word's last, shorter key
+    reads the same rows.  Rows of `lasts`, and of `steps` with at most 256
+    states, are `bytes` padded to 256, tables of `bytes.translate`; `rows`
+    holds the `_KeyRows` of these keys."""
     targets, bases = _transitions(field, length)
-    dims = [len(rows) for rows in bases]
     reached = targets
     for _ in range(g - 1):
         # one more vector, as the top digits of the key
         reached = [[targets[t][v] for v in range(len(targets[0])) for t in row] for row in reached]
-    keys = len(reached[0])
-    scaled = [s * keys for s in range(len(dims))]
-    return (
-        [scaled[t] for row in reached for t in row],
-        [dims[t] for row in reached for t in row],
-        _KeyRows(field, g * length),
-        scaled[dims.index(length)],
-    )
+    pad, dims = lambda row: bytes(row).ljust(256, b"\0"), [len(rows) for rows in bases]
+    steps = list(map(pad, reached)) if len(bases) <= 256 else reached
+    lasts = [pad([dims[t] for t in row]) for row in reached]
+    return steps, lasts, _KeyRows(field, g * length), dims.index(length)
 
 
 def _fold_width(q: int, length: int, width: int) -> int:
@@ -572,16 +571,20 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from
     the zero state through `_fold_table` one key at a time, g vectors per
     key.  Key i of a word is its bits i span to (i + 1) span over F_2 and
-    its entry i otherwise.  A block reads the first `shared` keys, where
-    every offset is zero, once from its start, and each other key as the
-    start's plus the offset's, one read of the start's row of `rows`.
-    F_q^L maps to itself, so a block whose words all reach it reads no
-    further.  Ranks of words of several keys, each at most L <= 8, are
+    its entry i otherwise; a block's words are its start plus the offsets,
+    so their key i is the offsets' key column translated by the start's
+    row of `rows`.  A block folds its first `shared` keys, where every
+    offset is zero, once from its start.  From that one state its next key
+    is one `bytes.translate` by the state's row of `steps` (`lasts` for a
+    word's last key; a comprehension for F_2^5's 374 states, held in
+    lists), each later key a list comprehension over the words' states,
+    the last reading `lasts`.  F_q^L maps to itself, so a block whose words
+    all reach it reads no further.  The ranks, each at most L <= 8, are
     counted as bytes, BLOCK_ENTRIES at a time at most."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
-    flat, last, rows, full = _fold_table(field, length, g)
+    steps, lasts, rows, full = _fold_table(field, length, g)
     chunks, span = -(-width // g), g * length
     offsets, blocks, _ = words._walk(span, rows)
     if q == 2:
@@ -592,23 +595,28 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
     counts = [0] * (n + 1)
     if chunks == 1:
         # a word is one key, so there are at most FOLD_KEYS words: one pass
-        ranks = [last[row[o]] for x, size in blocks for row in [rows[key(x, 0)]] for o in columns[0][:size]]
+        first = lasts[0]
+        ranks = [first[row[o]] for x, size in blocks for row in [rows[key(x, 0)]] for o in columns[0][:size]]
         for r in range(length + 1):
             counts[r] = ranks.count(r)
         return counts
+    columns, small = list(map(bytes, columns)), len(steps) <= 256
     shared = next((i for i, column in enumerate(columns[:-1]) if any(column)), chunks - 1)
-    tables, seen, heads, tails = [flat] * (chunks - 1) + [last], bytearray(), range(shared), range(shared, chunks)
+    tables, seen, heads, tails = [steps] * (chunks - 1) + [lasts], bytearray(), range(shared), range(shared, chunks)
     for start, block in blocks:
         state = 0
         for i in heads:
-            state = flat[state + key(start, i)]
+            state = steps[state][key(start, i)]
         if state == full:
             counts[length] += block
             continue
         ranks = repeat(state, block)
         for i in tails:
-            row, table = rows[key(start, i)], tables[i]
-            ranks = [table[s + row[o]] for s, o in zip(ranks, columns[i])]
+            moved, table = columns[i][:block].translate(rows[key(start, i)]), tables[i]
+            if small and i == shared:
+                ranks = moved.translate(table[state])
+            else:
+                ranks = [table[s][o] for s, o in zip(ranks, moved)]
             # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
             if (i + 1) * g >= length and i + 1 < chunks and ranks[0] == full and ranks.count(full) == block:
                 counts[length] += block

@@ -600,17 +600,18 @@ def test_rank_distribution_needs_no_engine_of_the_sweep(monkeypatch):
               (4, 4, F3, 4), (3, 3, gf_new(2, 2), 4), (3, 3, gf_new(5), 3), (2, 3, gf_new(3, 2), 3)]  # fmt: skip
     codes = [random_code(n, m, field, k, rng) for n, m, field, k in shapes]
     expected = [oracle_rank_distribution(C.space.basis, C.n, C.m, C.field) for C in codes]
-    # the three shapes of the benchmark's enumeration workload and an F_8
-    # shape, through the table, and Mat(3 x 3, F_8), 512 keys, without one;
-    # one elimination per codeword for these
+    # the three shapes of the benchmark's enumeration workload, an F_8 shape
+    # and Mat(5 x 5, F_2), whose 374 states fold as lists, through the table,
+    # and Mat(3 x 3, F_8), 512 keys, without one; one elimination per
+    # codeword for these
     for n, m, field, k in [(4, 5, F2, 16), (3, 4, F3, 9), (3, 3, gf_new(2, 2), 7), (2, 3, gf_new(2, 3), 5),
-                           (3, 3, gf_new(2, 3), 4)]:  # fmt: skip
+                           (5, 5, F2, 12), (3, 3, gf_new(2, 3), 4)]:  # fmt: skip
         C = random_code(n, m, field, k, rng)
         codes.append(C)
         expected.append(_table_kernel_counts(C))
     # every binding of each name, in every qrank module that imported it
     for module in [mod for name, mod in sys.modules.items() if name == "qrank" or name.startswith("qrank.")]:
-        for name in ("rref_rows", "kernel_basis", "lattice", "_extend", "_extend_packed"):
+        for name in ("rref_rows", "kernel_basis", "lattice", "_extend", "_extend_packed", "_column_images"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _refuse)
     # cleared under the patch, so a warm table cannot hide a fill that eliminates
@@ -711,6 +712,8 @@ def test_rank_table_memory_at_the_largest_admitted_table():
         assert _transitions.cache_info().misses == 1, C
         targets, bases = _transitions(C.field, min(n, m))
         assert len(targets) == len(bases) == states
+        # the call read its byte rows: the key-sum rows of its blocks are filled
+        assert len(_fold_table(C.field, min(n, m), 1)[2]) > 0, C
         assert peak < 2**20, (C, peak)
 
 
@@ -857,6 +860,18 @@ def test_every_shared_key_depth_folds_to_the_oracle():
                 assert oracle_rank_matrix(vectors, field) == length, (C, pivots)
             assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field), (C, pivots)
         assert depths == set(range(field is F7, chunks)), (n, m, field, depths)
+    # random codes from cold: Mat(4 x 4, F_3), 212 states, the largest table
+    # whose states fit a byte, and Mat(5 x 5, F_2), 374 states, held in
+    # lists, where no block reaches F_q^L before its last key; Mat(4 x 10,
+    # F_2) at g = 2 and Mat(5 x 10, F_2) at g = 1, where some blocks do
+    for n, m, field, k, states, rows_as in [(4, 4, F3, 6, 212, bytes), (5, 5, F2, 10, 374, list),
+                                            (4, 10, F2, 10, 67, bytes), (5, 10, F2, 10, 374, list)]:  # fmt: skip
+        C = random_code(n, m, field, k, rng)
+        _clear_rank_tables()
+        assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field), C
+        # the path follows the state count: byte rows up to 256 states, lists above
+        steps = _fold_table(field, min(n, m), _fold_width(field.q, min(n, m), max(n, m)))[0]
+        assert len(steps) == states and {type(row) for row in steps} == {rows_as}, C
 
 
 def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
@@ -869,18 +884,22 @@ def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
             full = dims.index(length)
             assert targets[full] == [full] * q**length and dims.count(length) == 1
             for g in _fold_widths(q, length):
-                flat, last, rows, full_key = _fold_table(field, length, g)
+                steps, lasts, rows, full_state = _fold_table(field, length, g)
                 keys = q ** (g * length)
-                assert len(flat) == len(last) == len(dims) * keys and full_key == full * keys
+                # byte rows padded to 256, the length `bytes.translate` reads
+                assert len(steps) == len(lasts) == len(dims) and full_state == full
+                assert {len(row) for row in steps + lasts} == {256}
                 # the full state maps to itself under every key: a word's
                 # fold needs no test for it
-                assert flat[full * keys : (full + 1) * keys] == [full * keys] * keys
-                assert last[full * keys : (full + 1) * keys] == [length] * keys
+                assert list(steps[full][:keys]) == [full] * keys and list(lasts[full][:keys]) == [length] * keys
                 for _ in range(20):
                     u = [rng.randrange(q) for _ in range(g * length)]
                     w = [rng.randrange(q) for _ in range(g * length)]
                     total = [field.add(a, b) for a, b in zip(u, w)]
                     assert rows[_key(u, q)][_key(w, q)] == _key(total, q), (field, u, w)
+                    # a state's rows step the key and read the target's dimension
+                    s, x = rng.randrange(len(dims)), _key(u, q)
+                    assert lasts[s][x] == dims[steps[s][x]], (field, s, x)
 
 
 def _point(word, field):
