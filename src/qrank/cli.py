@@ -210,8 +210,6 @@ def _run(args) -> int:
             sys.stdout.write(f"{S.canonical_key() or '0'}\n")
         return 0
 
-    raise QrankError(f"unknown command {args.command}")
-
 
 def main(argv=None) -> int:
     parser = _build_parser()

@@ -48,7 +48,7 @@ from itertools import accumulate, chain, repeat
 from operator import getitem, itemgetter, mul, xor
 
 from .errors import AmbientMismatch, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode, check_limit
-from .gf import FieldContext, _is_int
+from .gf import FieldContext, Value, _is_int
 from .matspace import kernel_basis
 from .qseries import HomogeneousPoly, galois_number
 from .subspaces import Subspace
@@ -81,7 +81,7 @@ BLOCK_ENTRIES = 2**14
 RANK_WORK_LIMIT = 2**29
 
 
-class RankMetricCode:
+class RankMetricCode(Value):
     """Canonical rank-metric code: its subspace of F_q^{nm}.  Immutable:
     equal and hashed by (space, n, m)."""
 
@@ -101,13 +101,8 @@ class RankMetricCode:
     def __reduce__(self):
         return RankMetricCode, (self.space, self.n, self.m)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.space, self.n, self.m) == (other.space, other.n, other.m)
-
-    def __hash__(self):
-        return hash((self.space, self.n, self.m))
+    def _key(self):
+        return (self.space, self.n, self.m)
 
     @property
     def field(self) -> FieldContext:

@@ -101,7 +101,23 @@ def _default_modulus(p: int, e: int):
     raise ReducibleModulus(f"no irreducible polynomial of degree {e} over F_{p}")
 
 
-class FieldContext:
+class Value:
+    """Base of qrank's value types: two values are equal iff they are of
+    the same class with equal `_key()` tuples, and a value hashes as its
+    key.  An unhashable subclass sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class FieldContext(Value):
     """Immutable arithmetic context for F_q, q = p^e."""
 
     def __init__(self, p: int, e: int = 1, modulus=None):
@@ -220,15 +236,10 @@ class FieldContext:
 
     # -- identity / serialization ------------------------------------------
 
-    @property
-    def key(self):
+    def _key(self):
         return (self.p, self.e, self.modulus)
 
-    def __eq__(self, other):
-        return isinstance(other, FieldContext) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
+    key = property(_key)
 
     def __repr__(self):
         if self.e == 1:

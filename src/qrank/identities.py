@@ -19,6 +19,7 @@ from operator import mul
 
 from .delsarte import RankMetricCode, check_codeword_budget, check_rank_work, dual_code, rank_distribution
 from .errors import NonIntegralResult
+from .gf import Value
 from .qpolymatroid import from_code, rgf_counts, rgf_poly, verify_axioms
 from .qseries import (
     HomogeneousPoly,
@@ -33,7 +34,7 @@ from .qseries import (
 )
 
 
-class IdentityReport:
+class IdentityReport(Value):
     """One identity's outcome on one code: its two sides as text, whether
     they are equal and, if not, a witness.  Equal by value, unhashable;
     each report holds its own copy of `params`."""
@@ -45,17 +46,12 @@ class IdentityReport:
         self.name, self.params, self.lhs, self.rhs = name, dict(params), lhs, rhs
         self.passed, self.witness = passed, witness
 
-    def _fields(self):
+    def _key(self):
         return self.name, self.params, self.lhs, self.rhs, self.passed, self.witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
 
     def __repr__(self):
         return "IdentityReport({})".format(
-            ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+            ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
         )
 
     def as_dict(self) -> dict:

@@ -8,7 +8,7 @@ through the field's flat tables (`FieldContext.tables`).
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .gf import FieldContext
+from .gf import FieldContext, Value
 
 
 def rref_rows(rows, width: int, field: FieldContext):
@@ -61,7 +61,7 @@ def kernel_basis(rows, width: int, field: FieldContext):
     return canon
 
 
-class MatrixFq:
+class MatrixFq(Value):
     """Immutable n x m matrix over F_q, entries row-major packed ints."""
 
     __slots__ = ("field", "rows", "cols", "entries")
@@ -149,17 +149,8 @@ class MatrixFq:
         ):
             raise ShapeMismatch("matrices must share shape and field")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFq)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.rows, self.cols, self.entries))
+    def _key(self):
+        return (self.field.key, self.rows, self.cols, self.entries)
 
     def __repr__(self):
         return f"MatrixFq({self.to_rows()} over F_{self.field.q})"

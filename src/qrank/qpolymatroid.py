@@ -5,15 +5,16 @@ functions (plain and hatted), counted per (e1, e2, l)."""
 from __future__ import annotations
 
 from .delsarte import RankMetricCode, _column_images
-from .gf import FieldContext
+from .gf import FieldContext, Value
 from .qseries import MultiPoly, g_poly
 from .subspaces import SubspaceLattice, lattice
 
 
-class QPolymatroid:
+class QPolymatroid(Value):
     """Rank function on the whole lattice of subspaces of F_q^n."""
 
     __slots__ = ("lattice", "r", "ranks")
+    __hash__ = None
 
     def __init__(self, lat: SubspaceLattice, r: int, ranks):
         ranks = tuple(ranks)
@@ -52,14 +53,8 @@ class QPolymatroid:
         ]
         return QPolymatroid(lat, r, ranks)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QPolymatroid)
-            and self.r == other.r
-            and self.lattice.n == other.lattice.n
-            and self.lattice.field == other.lattice.field
-            and self.ranks == other.ranks
-        )
+    def _key(self):
+        return (self.r, self.lattice.n, self.lattice.field, self.ranks)
 
     def __repr__(self):
         return f"QPolymatroid(n={self.n}, q={self.field.q}, r={self.r})"

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NegativeExponent, NonIntegralResult
+from .gf import Value
 
 
 def qpow(q: int, k: int):
@@ -81,15 +82,7 @@ def _poly_str(names, terms) -> str:
     return " ".join(out) or "0"
 
 
-def _as_int(v):
-    if isinstance(v, Fraction):
-        if v.denominator != 1:
-            raise NonIntegralResult(f"expected integer, got {v}")
-        return v.numerator
-    return v
-
-
-class HomogeneousPoly:
+class HomogeneousPoly(Value):
     """Homogeneous bivariate polynomial: coeffs[i] multiplies x^{r-i} y^i."""
 
     __slots__ = ("degree", "coeffs")
@@ -101,15 +94,8 @@ class HomogeneousPoly:
         self.degree = degree
         self.coeffs = coeffs
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, HomogeneousPoly)
-            and self.degree == other.degree
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.degree, self.coeffs))
+    def _key(self):
+        return (self.degree, self.coeffs)
 
     def __str__(self):
         r = self.degree
@@ -224,7 +210,9 @@ def p_j_coeff(i: int, j: int, m: int, n: int, q: int) -> int:
         for u in range(j - l):
             term *= qpow(q, m - l) - q**u
         total += term
-    return _as_int(total)
+    if total.denominator != 1:
+        raise NonIntegralResult(f"expected integer, got {total}")
+    return total.numerator
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +229,7 @@ def g_poly(q: int, l: int):
     return tuple(coeffs)
 
 
-class MultiPoly:
+class MultiPoly(Value):
     """Sparse exact-integer polynomial in up to four variables; exponent
     tuples may be negative internally (Laurent workspace)."""
 
@@ -283,11 +271,8 @@ class MultiPoly:
         out.terms = {(e2, e1, e3, e4): c for (e1, e2, e3, e4), c in self.terms.items()}
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, MultiPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    def _key(self):
+        return frozenset(self.terms.items())
 
     def __str__(self):
         return _poly_str(self.VARS, self.sorted_terms())

@@ -13,12 +13,12 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import AmbientMismatch, InvalidValue, LengthMismatch, check_limit
-from .gf import FieldContext
+from .gf import FieldContext, Value
 from .matspace import kernel_basis, rref_rows
 from .qseries import galois_number, gaussian_binomial
 
 
-class Subspace:
+class Subspace(Value):
     __slots__ = ("field", "n", "basis")
 
     def __init__(self, field: FieldContext, n: int, basis):
@@ -85,16 +85,8 @@ class Subspace:
             raise InvalidValue(f"subspace key entries must lie in [0, {field.q})")
         return cls.span(rows, n, field)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.n == other.n
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.field.key, self.n, self.basis))
+    def _key(self):
+        return (self.field.key, self.n, self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.n}, q={self.field.q}, [{self.canonical_key()}])"

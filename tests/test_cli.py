@@ -404,6 +404,14 @@ def test_lattice_negative_dimension_exit_2(count_only, capsys):
     assert capsys.readouterr() == ("", "qrank: error: the ambient dimension n must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize(
+    "command", [["random-code", "--n", "2", "--m", "2", "--dim", "1"], ["lattice", "--n", "2"]], ids=["random-code", "lattice"]
+)
+def test_a_command_without_a_field_exit_2(command, capsys):
+    assert main(command) == 2
+    assert capsys.readouterr() == ("", "qrank: error: specify --q (prime) or --p/--e\n")
+
+
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])
 def test_restrict_bad_subspace_key_exit_2(key, full_2x2_file, capsys):
     _assert_error_exit_2(["restrict", full_2x2_file, "--", key], capsys)

@@ -46,7 +46,7 @@ from qrank.delsarte import (
     _transitions,
     enumerate_codeword_entries,
 )
-from qrank.errors import BudgetExceeded, ShapeMismatch, ZeroCode
+from qrank.errors import AmbientMismatch, BudgetExceeded, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import galois_number
 from qrank.subspaces import enumerate_subspaces
@@ -81,6 +81,8 @@ def test_code_from_generators_examples(F2=F2):
 def test_code_from_generators_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         code_from_generators([MatrixFq.zeros(F2, 2, 2), MatrixFq.zeros(F2, 2, 3)])
+    with pytest.raises(ShapeMismatch, match="needs explicit field and shape"):
+        code_from_generators([])
 
 
 def _row_major(word, C):
@@ -177,6 +179,12 @@ def test_restrict_examples(full_2x2_f2):
     assert restrict(C, Subspace.full(2, F2)) == C
     J = Subspace.span([(1, 0)], 2, F2)
     assert restrict(C, J).k == 2
+
+
+@pytest.mark.parametrize("J", [Subspace.full(3, F2), Subspace.full(2, F3)], ids=["F_2^3", "F_3^2"])
+def test_restrict_to_a_subspace_of_another_ambient_space(J, full_2x2_f2):
+    with pytest.raises(AmbientMismatch):
+        restrict(full_2x2_f2, J)
 
 
 # (n, m, field): n < m and n > m, prime and extension fields

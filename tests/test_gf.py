@@ -1,5 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
+import qrank
 from qrank import gf_new
 from qrank.errors import (
     DivisionByZero,
@@ -8,7 +12,7 @@ from qrank.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
-from qrank.gf import FIELD_LIMIT
+from qrank.gf import FIELD_LIMIT, Value
 
 
 def test_characteristic_two():
@@ -63,6 +67,18 @@ def test_errors():
         gf_new(5).inv(0)
     with pytest.raises(InvalidValue):
         gf_new(2, 0)
+
+
+def test_a_modulus_of_the_wrong_degree_is_refused():
+    with pytest.raises(ReducibleModulus, match="modulus must be monic of degree 2"):
+        gf_new(2, 2, [1, 1])
+
+
+def test_a_negative_power_is_a_power_of_the_inverse():
+    F = gf_new(3)
+    assert F.pow(2, -1) == 2
+    with pytest.raises(DivisionByZero):
+        F.pow(0, -1)
 
 
 def test_field_limit():
@@ -189,3 +205,40 @@ def test_from_json_rejects_malformed_fields(obj):
 
     with pytest.raises(MalformedCode):
         FieldContext.from_json(obj)
+
+
+def _e11():
+    return qrank.MatrixFq.unit(gf_new(2), 2, 2, 0, 0)
+
+
+# one fresh value of each value type per call; the last two are unhashable
+VALUES = {
+    "FieldContext": lambda: gf_new(2, 2),
+    "Subspace": lambda: qrank.Subspace.span([(1, 2)], 2, gf_new(3)),
+    "MatrixFq": _e11,
+    "RankMetricCode": lambda: qrank.code_from_generators([_e11()]),
+    "HomogeneousPoly": lambda: qrank.HomogeneousPoly(2, (1, 9, 6)),
+    "MultiPoly": lambda: qrank.MultiPoly({(1, 0, 0, 0): 2, (0, 0, 1, 1): -1}),
+    "QPolymatroid": lambda: qrank.from_code(qrank.code_from_generators([_e11()])),
+    "IdentityReport": lambda: qrank.IdentityReport("greene", {"q": 2}, "x", "y", False, "x^1"),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_one_equality_rule_for_every_value_type(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name and isinstance(a, Value) and a is not b
+    # Value adds no __dict__ to a slotted class
+    assert hasattr(a, "__dict__") == ("__slots__" not in vars(type(a)))
+    assert a == b and not a != b
+    # a value is never its own key, nor a value of another class
+    assert a != a._key() and a._key() != a
+    assert all(a != make() for other, make in VALUES.items() if other != name)
+    if name in ("QPolymatroid", "IdentityReport"):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(a._key())
+    if name in ("RankMetricCode", "Subspace"):
+        for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert twin == a and hash(twin) == hash(a)

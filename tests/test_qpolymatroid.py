@@ -64,6 +64,11 @@ def test_from_code_matches_brute_rho(corpus_2x2_f2):
             assert P.rho(S) == oracle_rho(C, S)
 
 
+def test_a_rank_table_must_cover_the_lattice():
+    with pytest.raises(ValueError, match="cover the whole lattice"):
+        QPolymatroid(lattice(2, F2), 2, [0, 1])
+
+
 def test_verify_axioms_free():
     assert verify_axioms(free_polymatroid(2, 3, F2)) == []
 

@@ -189,6 +189,8 @@ def test_homogeneous_poly_str():
     assert str(HomogeneousPoly(2, (1, -3, 2))) == "x^2 - 3*x*y + 2*y^2"
     assert str(HomogeneousPoly(1, (0, 0))) == "0"
     assert str(HomogeneousPoly(0, (7,))) == "7"
+    with pytest.raises(ValueError, match=r"length degree\+1"):
+        HomogeneousPoly(2, (1, 0))
 
 
 def test_multipoly_basics():
@@ -198,6 +200,7 @@ def test_multipoly_basics():
     q = MultiPoly(p.terms)
     assert p == q
     assert not (p - q).terms
+    assert MultiPoly({(1, 0, 0, 0): 0}).terms == {}  # a zero coefficient adds no term
     assert p.to_records() == [[0, 0, 1, 1, -1], [1, 0, 0, 0, 2]]
     assert str(p) == "-X3*X4 + 2*X1"
     assert p.swap_x1_x2().to_records() == [[0, 0, 1, 1, -1], [0, 1, 0, 0, 2]]

@@ -73,6 +73,7 @@ def test_enumeration_counts_small():
     assert len(list(enumerate_subspaces(1, F2))) == 2
     assert len(list(enumerate_subspaces(2, F2))) == 5
     assert len(list(enumerate_subspaces(4, F2))) == 67
+    assert list(enumerate_subspaces(3, F2, 5)) == []  # no 5-dimensional subspace of F_2^3
 
 
 @pytest.mark.parametrize("field", [F2, F3])

@@ -24,7 +24,13 @@ def test_the_workflow_parses_and_keeps_its_tier_1_steps():
     assert "python -m pytest" in steps["Tier-1 tests"]
     # four whole-shape sweeps, n < m and n > m over F_3 and F_2: every code of
     # Mat(2x3, F_3), Mat(3x2, F_3), Mat(2x4, F_2) and Mat(4x2, F_2) through check_all
-    for shape, q, count in (("2, 3", 3, 56632), ("3, 2", 3, 56632), ("2, 4", 2, 417199), ("4, 2", 2, 417199)):
-        sweeps = [run for run in steps.values() if f"all_codes({shape}, gf_new({q}))" in run]
-        assert len(sweeps) == 1 and "check_all(C)" in sweeps[0], shape
-        assert re.search(r"^ *timeout \d+ python", sweeps[0], re.M) and f"count == {count}," in sweeps[0], shape
+    sweeps = [run for run in steps.values() if "check_every_code.py" in run]
+    assert sweeps == [
+        "timeout 300 python tests/check_every_code.py 2 3 3 56632",
+        "timeout 300 python tests/check_every_code.py 3 2 3 56632",
+        "timeout 400 python tests/check_every_code.py 2 4 2 417199",
+        "timeout 900 python tests/check_every_code.py 4 2 2 417199",
+    ]
+    script = (Path(__file__).parent / "check_every_code.py").read_text()
+    assert "for C in all_codes(n, m, gf_new(q)):" in script and "check_all(C)" in script
+    assert "assert count == expected" in script
