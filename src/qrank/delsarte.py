@@ -28,7 +28,8 @@ are its columns when n <= m and its rows otherwise; its rank, the
 dimension of their span, is folded through the echelon-transition table
 of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.  A
 fold holds its states as bytes when the table has at most 256 (all but
-F_2^5's 374), so every step with one varying input is a `bytes.translate`.
+F_2^5's 374) and walks a basis in reverse echelon form, so most of its
+steps are one `bytes.translate` per run of words in one state.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table and its basis come from its own
@@ -244,40 +245,46 @@ class _Codewords:
         for start, size in blocks:
             yield from map(add, offsets[:size], repeat(start, size))
 
-    def _walk(self, span: int, rows):
+    def _walk(self, span: int, rows, echelon: bool = False):
         """(offsets, blocks, add) of the projective walk, words over q > 2
-        being tuples of keys of `span` entries, which add adds by `rows`.
-        Its basis is C's RREF rows, in echelon form in vector-major order if
-        the vectors are rows (n > m or n = 1), else re-echeloned in that
-        order by `_join_entries` where a key can be shared (below).  Its
-        steps run from b_{k-1} back to b_0; offsets, the `_span` of the first
-        `depth`, has offsets[:p^l] span the first l, in echelon form zero
-        before their rows' pivots.  Walk i is the blocks (start, p^min(depth,
-        i e)), start over the `_span` of b_{k-1-i} over steps depth to i e;
-        a block's words are start + offsets[t], t < its size."""
+        being tuples of keys of `span` entries, which add adds by `rows`.  Its
+        basis is C's RREF rows or, if `echelon` and blocks of p^depth words
+        follow, the fully reduced one whose pivots are the rows' last nonzero
+        entries in vector-major order, b_0 holding the largest.  Its steps run
+        from b_{k-1} back to b_0; offsets, the `_span` of the first `depth`,
+        has offsets[:p^l] span the first l.  Walk i is the blocks (start,
+        p^min(depth, i e)), start over the `_span` of b_{k-1-i} over steps
+        depth to i e; a block's words are start + offsets[t], t < its size."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e = field.q, field.p, field.e
         depth = min(_block_depth(p, n * m), max(k - 1, 0) * e)
-        vectors, steps = _vector_major(n, m), C.space.basis[::-1]
-        # row i's pivot is at entry i or later, most often at i: offsets skip a key if k - ceil(depth / e) >= span
-        if 1 < n <= m and k + (-depth // e) >= span:
-            steps, vectors = reduce(lambda rows, v: _join_entries(rows, v, field), map(vectors, steps), ())[::-1], tuple
+        # a walk with i e <= depth is one block from its row: no `_span` for it
+        short = min(k, depth // e + 1)
+        steps = list(map(_pack if q == 2 else tuple, map(_vector_major(n, m), C.space.basis)))
+        if not echelon or short == k:  # the reverse echelon form pays off only with blocks of p^depth words
+            steps.reverse()
+        elif q == 2:  # a row's pivot is its top bit, and v ^ b < v iff v holds the top bit of b
+            basis = []
+            for v in steps:
+                for b in basis:
+                    v = v ^ b if v ^ b < v else v
+                basis = [b ^ v if b ^ v < b else b for b in basis] + [v]
+            steps = sorted(basis)
+        else:
+            steps = [v[::-1] for v in reduce(lambda rows, v: _join_entries(rows, v[::-1], field), steps, ())[::-1]]
         if e > 1:
             times = field.tables[1]
             steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
         if q == 2:
-            steps, zero, add = [_pack(vectors(s)) for s in steps], 0, xor
-            plus, sums = xor, lambda moves: list(accumulate(moves, xor))
+            zero, add, plus, sums = 0, xor, xor, lambda moves: list(accumulate(moves, xor))
         else:
             weights = [q**u for u in range(span)]
-            steps, zero = [_keys(vectors(s), weights) for s in steps], (0,) * -(-n * m // span)
+            steps, zero = [_keys(s, weights) for s in steps], (0,) * -(-n * m // span)
             # `_span` adds a running sum again and again, so it gets its keys' rows
             plus = lambda r, b: tuple(map(getitem, r, b))
             add = lambda a, b: plus(map(rows.__getitem__, a), b)
             sums = lambda moves: [tuple(map(rows.__getitem__, s)) for s in accumulate(moves, add)]
-        # a walk with i e <= depth is one block from its row: no `_span` for it
-        short = min(k, depth // e + 1)
         blocks = chain(
             zip(steps[: short * e : e], [p ** (i * e) for i in range(short)]),
             ((s, p**depth) for i in range(short, k) for s in _span(steps[i * e], sums(steps[depth : i * e]), plus, p)),
@@ -563,59 +570,52 @@ def _fold_width(q: int, length: int, width: int) -> int:
 
 
 def _fold_ranks(words: _Codewords, g: int) -> list:
-    """The number of projective words of each rank, each word folded from
-    the zero state through `_fold_table` one key at a time, g vectors per
-    key.  Key i of a word is its bits i span to (i + 1) span over F_2 and
-    its entry i otherwise; a block's words are its start plus the offsets,
-    so their key i is the offsets' key column translated by the start's
-    row of `rows`.  A block folds its first `shared` keys, where every
-    offset is zero, once from its start.  From that one state its next key
-    is one `bytes.translate` by the state's row of `steps` (`lasts` for a
-    word's last key; a comprehension for F_2^5's 374 states, held in
-    lists), each later key a list comprehension over the words' states,
-    the last reading `lasts`.  F_q^L maps to itself, so a block whose words
-    all reach it reads no further.  The ranks, each at most L <= 8, are
-    counted as bytes, BLOCK_ENTRIES at a time at most."""
+    """The number of projective words of each rank, each word folded from the
+    zero state through `_fold_table` one key at a time, g vectors per key.
+    Key i of a word is its bits i span to (i + 1) span over F_2 and its entry
+    i otherwise; a block's words are its start plus the offsets, so their key
+    i is the offsets' key column translated by the start's row of `rows`.  A
+    span is the same in any order, so the keys fold last first, key 0 through
+    `lasts`.  Key i > 0 of the offsets changes only at multiples of runs[i],
+    the first offset where it or a later key is nonzero: keys whose run
+    covers a block are its start's, folded once, and a block that reaches
+    F_q^L, which maps to itself, stops there.  Each later key is one
+    `bytes.translate` per run of one state, or a comprehension over runs of
+    under 4 words and F_2^5's 374 states, held in lists.  The ranks, each at
+    most L <= 8, are counted as bytes, BLOCK_ENTRIES at a time at most."""
     C = words.code
     field, n, m = C.field, C.n, C.m
     q, length, width = field.q, min(n, m), max(n, m)
     steps, lasts, rows, full = _fold_table(field, length, g)
     chunks, span = -(-width // g), g * length
-    offsets, blocks, _ = words._walk(span, rows)
-    if q == 2:
-        mask, key = 2**span - 1, lambda word, i: word >> i * span & mask
-        columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if chunks > 1 else [offsets]
-    else:
-        key, columns = getitem, list(zip(*offsets))
-    counts = [0] * (n + 1)
-    if chunks == 1:
-        # a word is one key, so there are at most FOLD_KEYS words: one pass
+    offsets, blocks, _ = words._walk(span, rows, chunks > 1)
+    mask, key = 2**span - 1, (lambda word, i: word >> i * span & mask) if q == 2 else getitem
+    packed = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if q == 2 and chunks > 1 else [offsets]
+    columns = packed if q == 2 else list(zip(*offsets))
+    if chunks == 1:  # a word is one key, so there are at most FOLD_KEYS words: one pass
         first = lasts[0]
         ranks = [first[row[o]] for x, size in blocks for row in [rows[key(x, 0)]] for o in columns[0][:size]]
-        for r in range(length + 1):
-            counts[r] = ranks.count(r)
-        return counts
-    columns, small = list(map(bytes, columns)), len(steps) <= 256
-    shared = next((i for i, column in enumerate(columns[:-1]) if any(column)), chunks - 1)
-    tables, seen, heads, tails = [steps] * (chunks - 1) + [lasts], bytearray(), range(shared), range(shared, chunks)
+        return [*map(ranks.count, range(length + 1))] + [0] * (n - length)
+    columns, tables, small = list(map(bytes, columns)), [lasts] + [steps] * (chunks - 1), len(steps) <= 256
+    counts, seen = [0] * (n + 1), bytearray()
+    runs = [0, *list(accumulate([len(c) - len(c.lstrip(b"\0")) for c in columns[:0:-1]], min))[::-1]]
     for start, block in blocks:
-        state = 0
-        for i in heads:
-            state = steps[state][key(start, i)]
-        if state == full:
-            counts[length] += block
-            continue
-        ranks = repeat(state, block)
-        for i in tails:
-            moved, table = columns[i][:block].translate(rows[key(start, i)]), tables[i]
-            if small and i == shared:
-                ranks = moved.translate(table[state])
-            else:
-                ranks = [table[s][o] for s, o in zip(ranks, moved)]
-            # i + 1 keys hold (i + 1) g vectors, fewer than L cannot span F_q^L
-            if (i + 1) * g >= length and i + 1 < chunks and ranks[0] == full and ranks.count(full) == block:
+        i, state = chunks - 1, 0
+        while runs[i] >= block:
+            state, i = steps[state][key(start, i)], i - 1
+        ranks, run = (state,), block
+        for i in range(i, -1, -1):
+            if ranks[0] == full and ranks.count(full) == len(ranks):
                 counts[length] += block
                 break
+            moved, table = columns[i][:block].translate(rows[key(start, i)]), tables[i]
+            if run == block:
+                ranks = moved.translate(table[state]) if small or not i else list(map(table[state].__getitem__, moved))
+            elif run > 3 and (small or not i):
+                ranks = b"".join([moved[t : t + run].translate(table[ranks[t]]) for t in range(0, block, run)])
+            else:
+                ranks = [table[s][o] for s, o in zip(ranks, moved)]
+            run = runs[i]
         else:
             seen.extend(ranks)
             if len(seen) >= BLOCK_ENTRIES:
@@ -628,9 +628,9 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
 def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     """The tuple (A_0, ..., A_n) of exact counts A_i = #{M in C : rank(M) = i}.
 
-    Each word of the echelon walk (`_Codewords`) is ranked by `_fold_ranks`,
-    a block's shared keys once, when `_fold_width` admits a table for the
-    shape, else by one elimination.  BudgetExceeded when the tuple would
+    Each word of the projective walk (`_Codewords`) is ranked by
+    `_fold_ranks` when `_fold_width` admits a table for the shape, else by
+    one elimination.  BudgetExceeded when the tuple would
     hold more than BASIS_LIMIT counts, and, before any word is walked, once
     each, when the words exceed the budget or the work RANK_WORK_LIMIT."""
     n, m, field = C.n, C.m, C.field

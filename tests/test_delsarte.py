@@ -115,28 +115,27 @@ def _all_words(C):
     return [(0,) * (C.n * C.m)] + [tuple(field.mul(c, x) for x in w) for w in points for c in range(1, field.q)]
 
 
-def _walk_rows(C):
+def _walk_rows(C, echelon=False):
     """The basis rows of C's projective walk, as row-major entry tuples, in
-    the order it takes them: its echelon basis in vector-major order, last
-    row first.  That basis is C's RREF rows, or, when the vectors are
-    columns (1 < n <= m) and the offsets, of the last ceil(depth / e) rows,
-    can skip a key column of one entry (k - ceil(depth / e) >= 1), C's RREF
-    rows in column-major order."""
-    field, n, m, k = C.field, C.n, C.m, C.k
-    rows = C.space.basis
-    depth = min(_block_depth(field.p, n * m), max(k - 1, 0) * field.e)
-    if 1 < n <= m and k - -(-depth // field.e) >= 1:
-        columns = Subspace.span([_vector_major(b, n, m) for b in rows], n * m, field).basis
-        rows = [_from_vector_major(v, n, m) for v in columns]
-    return rows[::-1]
+    the order it takes them, last row first.  That basis is C's RREF rows,
+    or, when a fold reads more than one key per word and blocks of p^depth
+    words follow (`echelon`), C's basis in reverse echelon form in
+    vector-major order: each row is 1 at its pivot, its last nonzero entry,
+    and 0 at the other rows' pivots, so the walk takes the rows smallest
+    pivot first."""
+    n, m = C.n, C.m
+    if not echelon:
+        return C.space.basis[::-1]
+    reverse = Subspace.span([_vector_major(b, n, m)[::-1] for b in C.space.basis], n * m, C.field).basis
+    return [_from_vector_major(v[::-1], n, m) for v in reverse[::-1]]
 
 
-def _steps(C):
+def _steps(C, echelon=False):
     """The F_p-steps alpha^l b of C's walk, l < e, b over `_walk_rows(C)`,
     as row-major entry tuples, alpha^l being the field element encoded
     p^l."""
     field = C.field
-    return [tuple(field.mul(field.p**l, x) for x in b) for b in _walk_rows(C) for l in range(field.e)]
+    return [tuple(field.mul(field.p**l, x) for x in b) for b in _walk_rows(C, echelon) for l in range(field.e)]
 
 
 def _combinations(word, steps, field):
@@ -151,13 +150,13 @@ def _combinations(word, steps, field):
     return out
 
 
-def _counting_walk(C):
+def _counting_walk(C, echelon=False):
     """The projective walk by its definition: for each row b of
     `_walk_rows(C)`, b plus every F_p-combination of the steps of the rows
-    before it in that order, after it in the echelon basis, in counting
+    before it in that order, after it in the walk's basis, in counting
     order."""
-    e, steps = C.field.e, _steps(C)
-    return [w for i, b in enumerate(_walk_rows(C)) for w in _combinations(b, steps[: i * e], C.field)]
+    e, steps = C.field.e, _steps(C, echelon)
+    return [w for i, b in enumerate(_walk_rows(C, echelon)) for w in _combinations(b, steps[: i * e], C.field)]
 
 
 def test_enumerate_codewords_counts(zero_2x2_f2, e11_2x2_f2, full_2x2_f2):
@@ -799,79 +798,72 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                     assert list(rank_distribution(C)) == everything, C
 
 
-def _pivot_code(n, m, field, pivots, rng, head=()):
-    """The code whose echelon basis in vector-major order has these pivots:
-    row t is 1 at pivots[t], 0 before it and at the other pivots, random
-    elsewhere, and row 0 begins with the entries `head`.  Its rows are
-    also the code's RREF rows when n > m or n = 1, and when n < m and every
-    pivot is in the matrix's first row, a multiple of n."""
+def _pivot_code(n, m, field, pivots, rng, tail=()):
+    """The code whose basis in reverse echelon form in vector-major order
+    has these ascending pivots: row t is 1 at pivots[t], 0 after it and at
+    the other pivots, random elsewhere, and the row of the last pivot ends
+    with the entries `tail`."""
     rows = []
     for p in pivots:
-        row = [0] * p + [1] + [0 if u in pivots else rng.randrange(field.q) for u in range(p + 1, n * m)]
-        rows.append(_from_vector_major(row, n, m))
-    rows[0] = _from_vector_major(tuple(head) + _vector_major(rows[0], n, m)[len(head) :], n, m)
-    return RankMetricCode(Subspace.span(rows, n * m, field), n, m)
+        rows.append([0 if u in pivots else rng.randrange(field.q) for u in range(p)] + [1] + [0] * (n * m - p - 1))
+    rows[-1][n * m - len(tail) :] = tail
+    return RankMetricCode(Subspace.span([_from_vector_major(row, n, m) for row in rows], n * m, field), n, m)
 
 
 def test_every_shared_key_depth_folds_to_the_oracle():
-    # codes of chosen vector-major pivots: a block's offsets span the steps
-    # of the walk's last d = ceil(depth / e) rows, so they are zero on the
-    # first pivot[k - d] // span key columns, and `_fold_ranks` reads the
-    # first min(chunks - 1, that) keys once per block.  Each shape takes
-    # every such depth; n < m puts its pivots in the first matrix row, so
-    # that its RREF rows are in echelon form in vector-major order too,
-    # except F_7, whose walk re-echelons its basis
+    # codes of chosen vector-major pivots, each with blocks of p^depth words:
+    # in the fold's walk a block's offsets span the steps of the d = ceil(depth
+    # / e) rows of smallest pivot, so they are zero on every key after the one
+    # of pivots[d - 1], and `_fold_ranks` folds those keys once per block,
+    # from its start.  Each shape takes every number of shared keys its d
+    # smallest pivots leave room for, (d - 1) // span keys at least holding
+    # them; F_7, k = 4 of 6 entries, cannot put pivots[1] in the last key
     rng = random.Random(29)
     F4, F7 = gf_new(2, 2), gf_new(7)
-    # a row 0 whose first two vectors are independent: with the offsets zero
-    # on them, a block of its walk starts at F_q^2 and reads no further
-    head = (1, 0, 0, 1)
-    # (n, m, field): [(pivots, head)]; the codes of k = 10 over F_2, 7 over
-    # F_3 and 6 over F_4 walk full blocks of p^depth words after their
-    # tail blocks, where fewer than d rows follow the leading row
+    # a last row whose last two vectors are independent: with the offsets
+    # zero on them, a block of its walk starts at F_q^2 and reads no further
+    tail = (1, 0, 0, 1)
+    # (n, m, field): [(pivots, tail)]; k = 10 over F_2, 7 over F_3, 6 over
+    # F_4 and 4 over F_7 walk blocks of p^depth words after their short blocks
     cases = {
-        (2, 9, F2): [([0, 2, 4, 6], ()), ([0, 6, 10, 14], ()), ([0, 12, 14, 16], ())],
-        (9, 2, F2): [([0, 1, 2, 3], ()), ([0, 6, 9, 13], head), ([0, 12, 14, 17], ()),
-                     ([0, 1, 6, 7, 8, 9, 10, 11, 12, 13], head)],  # fmt: skip
-        (1, 20, F2): [([0, 1, 2, 3, 4], ()), ([0, 7, 9, 12, 15], ()), ([0, 14, 15, 17, 19], ()),
-                      ([0, 1, 7, 8, 10, 11, 12, 14, 16, 18], ())],  # fmt: skip
-        (2, 6, F3): [([0, 2, 4], ()), ([0, 4, 6], ()), ([0, 8, 10], ())],
-        (6, 2, F3): [([0, 1, 2, 3], ()), ([0, 4, 5, 6], head), ([0, 8, 9, 10], ()),
-                     ([0, 1, 4, 5, 6, 7, 8], head)],  # fmt: skip
-        (1, 12, F3): [([0, 1, 2, 3], ()), ([0, 4, 6, 7], ()), ([0, 8, 9, 10], ()), ([0, 1, 4, 5, 6, 8, 10], ())],
-        (2, 6, F4): [([0, 2, 4], ()), ([0, 4, 6], ()), ([0, 8, 10], ())],
-        (6, 2, F4): [([0, 1, 2], ()), ([0, 4, 6], head), ([0, 8, 10], head), ([0, 1, 4, 5, 6, 7], head)],
-        (1, 9, F4): [([0, 1, 2], ()), ([0, 3, 5], ()), ([0, 6, 7], ()), ([0, 1, 3, 4, 5, 6], ())],
-        (2, 3, F7): [([0, 1, 2, 4], ()), ([0, 1, 4, 5], ())],
+        (2, 9, F2): [([0, 1, 2, 3, 4, 5, 6, 7, 8, 17], tail), ([0, 1, 2, 3, 4, 5, 6, 12, 13, 17], ())],
+        (9, 2, F2): [([0, 1, 2, 3, 4, 5, 6, 7, 8, 17], tail), ([0, 1, 2, 3, 4, 5, 6, 12, 13, 17], ())],
+        (1, 20, F2): [([0, 1, 2, 3, 4, 5, 6, 8, 10, 19], ()), ([0, 1, 2, 3, 4, 5, 6, 15, 16, 19], ())],
+        (2, 6, F3): [([0, 1, 2, 3, 4, 5, 11], tail), ([0, 1, 2, 3, 8, 9, 11], ())],
+        (6, 2, F3): [([0, 1, 2, 3, 4, 5, 11], tail), ([0, 1, 2, 3, 8, 9, 11], ())],
+        (1, 12, F3): [([0, 1, 2, 3, 4, 5, 11], ()), ([0, 1, 2, 3, 8, 9, 11], ())],
+        (2, 6, F4): [([0, 1, 2, 3, 4, 11], tail), ([0, 1, 2, 5, 6, 11], tail), ([0, 1, 2, 8, 9, 11], ())],
+        (6, 2, F4): [([0, 1, 2, 3, 4, 11], tail), ([0, 1, 2, 5, 6, 11], tail), ([0, 1, 2, 8, 9, 11], ())],
+        (1, 9, F4): [([0, 1, 2, 3, 5, 8], ()), ([0, 1, 2, 6, 7, 8], ())],
+        (2, 3, F7): [([0, 1, 2, 5], ()), ([0, 2, 3, 5], ())],
     }
     for (n, m, field), codes in cases.items():
         q, p, e, length = field.q, field.p, field.e, min(n, m)
         g = _fold_width(q, length, max(n, m))
         chunks, span = -(-max(n, m) // g), g * length
         depths = set()
-        for pivots, first in codes:
-            C = _pivot_code(n, m, field, pivots, rng, first)
+        d = -(-_block_depth(p, n * m) // e)
+        for pivots, last in codes:
+            C = _pivot_code(n, m, field, pivots, rng, last)
             k = C.k
-            assert k == len(pivots), (C, pivots)
-            depth = min(_block_depth(p, n * m), (k - 1) * e)
-            offsets = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2])[0]
+            assert k == len(pivots) and (k - 1) * e > _block_depth(p, n * m), (C, pivots)
+            offsets = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2], True)[0]
             if q == 2:
                 columns = [[o >> i * span & 2**span - 1 for o in offsets] for i in range(chunks)]
             else:
                 columns = list(zip(*offsets))
-            shared = next((i for i, column in enumerate(columns[:-1]) if any(column)), chunks - 1)
-            assert shared == min(chunks - 1, pivots[k + (-depth // e)] // span), (C, pivots)
+            shared = next(i for i, column in enumerate(columns[::-1] + [[1]]) if any(column))
+            assert shared == chunks - 1 - pivots[d - 1] // span, (C, pivots)
             depths.add(shared)
-            if first:
-                entries = _vector_major(C.space.basis[0], n, m)
-                vectors = [entries[i : i + length] for i in range(0, shared * span, length)]
+            if last:
+                entries = _vector_major(_walk_rows(C, True)[-1], n, m)
+                vectors = [entries[i : i + length] for i in range((chunks - shared) * span, n * m, length)]
                 assert oracle_rank_matrix(vectors, field) == length, (C, pivots)
             assert list(rank_distribution(C)) == oracle_rank_distribution(C.space.basis, n, m, field), (C, pivots)
-        assert depths == set(range(field is F7, chunks)), (n, m, field, depths)
+        assert depths == set(range(field is F7, chunks - (d - 1) // span)), (n, m, field, depths)
     # random codes from cold: Mat(4 x 4, F_3), 212 states, the largest table
     # whose states fit a byte, and Mat(5 x 5, F_2), 374 states, held in
-    # lists, where no block reaches F_q^L before its last key; Mat(4 x 10,
-    # F_2) at g = 2 and Mat(5 x 10, F_2) at g = 1, where some blocks do
+    # lists; Mat(4 x 10, F_2) at g = 2 and Mat(5 x 10, F_2) at g = 1
     for n, m, field, k, states, rows_as in [(4, 4, F3, 6, 212, bytes), (5, 5, F2, 10, 374, list),
                                             (4, 10, F2, 10, 67, bytes), (5, 10, F2, 10, 374, list)]:  # fmt: skip
         C = random_code(n, m, field, k, rng)
@@ -880,6 +872,152 @@ def test_every_shared_key_depth_folds_to_the_oracle():
         # the path follows the state count: byte rows up to 256 states, lists above
         steps = _fold_table(field, min(n, m), _fold_width(field.q, min(n, m), max(n, m)))[0]
         assert len(steps) == states and {type(row) for row in steps} == {rows_as}, C
+
+
+def _key_column(offsets, j, span, q):
+    """Key j of each offset of a fold's walk: its bits j span to (j + 1)
+    span over F_2, its key tuple's entry j otherwise."""
+    return [o >> j * span & 2**span - 1 for o in offsets] if q == 2 else [o[j] for o in offsets]
+
+
+def _keys_to_row_major(word, span, C):
+    """The row-major entries of a word of a fold's walk: an int over F_2,
+    else a tuple of keys of `span` base-q digits, entries low digit first."""
+    if C.field.q == 2:
+        return _row_major(word, C)
+    q = C.field.q
+    return _row_major(tuple(x // q**u % q for x in word for u in range(span))[: C.n * C.m], C)
+
+
+# every shape of the benchmark's enumeration and CLI workloads, n < m and
+# n > m, Mat(3 x 3, F_2) of its corpus, F_2^5's list rows and F_8, whose
+# depth 8 is no multiple of e = 3: each folds more than one key a word
+MULTI_KEY_SHAPES = [(4, 5, F2), (5, 4, F2), (3, 3, F2), (5, 3, F2), (5, 2, F2), (3, 4, F3), (4, 3, F3),
+                    (3, 3, gf_new(2, 2)), (2, 3, gf_new(2, 3)), (5, 5, F2)]  # fmt: skip
+
+
+def test_the_fold_walk_keeps_each_key_constant_on_aligned_runs():
+    # for a code with blocks of p^depth words (the fewest rows that give
+    # them) and a short one: the blocks list each projective point once, in
+    # the order of the walk's definition; key j of the offsets is constant
+    # on aligned runs of p^r_j, r_j the leading steps zero on keys j and
+    # later, and p^r_j is the run `_fold_ranks` reads off the offsets; in
+    # reverse echelon form the keys after the last offset step's pivot are
+    # zero in every offset
+    rng = random.Random(30)
+    for n, m, field in MULTI_KEY_SHAPES:
+        q, p, e, length = field.q, field.p, field.e, min(n, m)
+        g = _fold_width(q, length, max(n, m))
+        chunks, span, deepest = -(-max(n, m) // g), g * length, _block_depth(p, n * m)
+        assert g and chunks > 1, (n, m, field)
+        for k in sorted({min(deepest // e + 2, n * m), 3}):
+            C = random_code(n, m, field, k, rng)
+            echelon, depth = (k - 1) * e > deepest, min(deepest, (k - 1) * e)
+            offsets, blocks, add = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2], True)
+            words = [_keys_to_row_major(add(o, start), span, C) for start, size in blocks for o in offsets[:size]]
+            assert words == _counting_walk(C, echelon), C
+            assert len({_point(w, field) for w in words}) == len(words) == (q**k - 1) // (q - 1), C
+            # offsets[p^l] is step l of the walk's definition
+            steps = _steps(C, echelon)[:depth]
+            assert [_keys_to_row_major(offsets[p**l], span, C) for l in range(depth)] == steps, C
+            steps = [_vector_major(s, n, m) for s in steps]
+            for j in range(chunks):
+                column = _key_column(offsets, j, span, q)
+                later = [_key_column(offsets, i, span, q) for i in range(j, chunks)]
+                r = next((l for l, s in enumerate(steps) if any(s[j * span :])), depth)
+                assert next((t for t in range(len(offsets)) if any(c[t] for c in later)), len(offsets)) == p**r, (C, j)
+                assert all(column[t] == column[t - t % p**r] for t in range(len(offsets))), (C, j)
+            if echelon:
+                pivot = max(u for u, x in enumerate(steps[-1]) if x)
+                assert all(not any(_key_column(offsets, j, span, q)) for j in range(pivot // span + 1, chunks)), C
+
+
+def _fold_paths(C, monkeypatch):
+    """The paths `_fold_ranks` takes on C, read off a spy on its tables and
+    its walk's blocks: "shared" (a block folds keys from its start),
+    "full" (a block reaches F_q^L there and reads no further), "one" (one
+    translate from a block's state), "runs" (a translate per run of words
+    in one state), "words" (a comprehension over the words) and "lists"
+    (F_2^5's rows, held in lists); with the block sizes in walk order."""
+    log, fold_table, walk = [], qrank.delsarte._fold_table, qrank.delsarte._Codewords._walk
+
+    def spied(kind, mark):
+        # logs `mark` on each read: an entry of a table row, which
+        # `bytes.translate` does not read, or a row of key sums
+        class Spied(kind):
+            def __getitem__(self, x):
+                log.append(mark)
+                return kind.__getitem__(self, x)
+
+        return Spied
+
+    ByteRow, ListRow, Rows = spied(bytes, "i"), spied(list, "i"), spied(_KeyRows, "R")
+
+    class Table(list):
+        def __getitem__(self, s):
+            row = list.__getitem__(self, s)
+            log.append("l" if isinstance(row, list) else "b")
+            return row
+
+    def spy_table(field, length, g):
+        steps, lasts, _, full = fold_table(field, length, g)
+        tables = [Table(ByteRow(row) if type(row) is bytes else ListRow(row) for row in t) for t in (steps, lasts)]
+        return *tables, Rows(field, g * length), full
+
+    def spy_walk(self, span, rows, echelon=False):
+        offsets, blocks, add = walk(self, span, _KeyRows(rows.field, rows.digits), echelon)
+        return offsets, (log.append(size) or (start, size) for start, size in blocks), add
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qrank.delsarte, "_fold_table", spy_table)
+        patch.setattr(qrank.delsarte._Codewords, "_walk", spy_walk)
+        dist = rank_distribution(C)
+    paths, sizes = set(), [x for x in log if isinstance(x, int)]
+    events = "".join("|" if isinstance(x, int) else x for x in log)
+    for size, block in zip(sizes, events.split("|")[1:]):
+        scalar, *keys = block.split("R")
+        paths.update(["shared"] if size > 1 and scalar and keys else ["full"] if size > 1 and not keys else [])
+        for j, reads in enumerate(keys):
+            if size > 1:
+                paths.add("lists" if "l" in reads else "words" if "i" in reads else "runs" if j else "one")
+    return dist, paths, sizes
+
+
+def test_every_fold_path_matches_the_oracle(monkeypatch):
+    # each path of `_fold_ranks`, taken first with every rank table cold,
+    # then warm, and the walk's short blocks and those of F_8, whose depth
+    # is no multiple of e, against the span oracle
+    rng = random.Random(31)
+    F8 = gf_new(2, 3)
+    # offsets on keys 0 and 1 only, key 1 from step 4 on: key 2 is shared and
+    # key 0 folds per run of 16 words, both for n < m and n > m
+    runs = [0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19]
+    cases = [
+        (_pivot_code(4, 5, F2, runs, rng), {"shared", "one", "runs"}),
+        (_pivot_code(5, 4, F2, runs, rng), {"shared", "one", "runs"}),
+        # two keys vary word by word: the comprehension stays
+        (random_code(3, 4, F3, 7, rng), {"shared", "one", "runs", "words"}),
+        (random_code(4, 3, F3, 7, rng), {"shared", "one", "runs", "words"}),
+        (random_code(5, 5, F2, 10, rng), {"shared", "lists"}),
+        # the last row's last two vectors span F_2^2 in the shared key
+        (_pivot_code(9, 2, F2, [0, 1, 2, 3, 4, 5, 6, 7, 8, 17], rng, (1, 0, 0, 1)), {"full"}),
+        (random_code(3, 3, F2, 6, rng), {"one", "words"}),
+        (random_code(2, 3, F8, 4, rng), {"shared", "one", "runs"}),
+    ]
+    for C, taken in cases:
+        q, p, e, k = C.field.q, C.field.p, C.field.e, C.k
+        oracle = oracle_rank_distribution(C.space.basis, C.n, C.m, C.field)
+        _clear_rank_tables()
+        cold, paths, sizes = _fold_paths(C, monkeypatch)
+        warm, again, _ = _fold_paths(C, monkeypatch)
+        assert list(cold) == list(warm) == oracle and paths == again and taken <= paths, (C, paths)
+        # one block per walk while i e <= depth, then blocks of p^depth words
+        depth = min(_block_depth(p, C.n * C.m), (k - 1) * e)
+        short = [p ** (i * e) for i in range(min(k, depth // e + 1))]
+        assert sizes == short + [p**depth] * (((q**k - 1) // (q - 1) - sum(short)) // p**depth), C
+    # Mat(3 x 3, F_2) k = 6 walks short blocks alone, and F_8 ends on blocks of
+    # 2^8 words: its depth is no multiple of e = 3
+    assert cases[6][0].k - 1 <= _block_depth(2, 9) and _block_depth(2, 6) == 8
 
 
 def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
