@@ -21,7 +21,7 @@ from .delsarte import (
     restrict,
 )
 from .errors import MalformedCode, QrankError, check_limit
-from .gf import FieldContext
+from .gf import field_of_order
 from .identities import IDENTITY_CHECKS, CodeAnalysis, check_all
 from .qpolymatroid import from_code, rank_generating_function
 from .qseries import HomogeneousPoly, galois_number, gaussian_binomial
@@ -87,30 +87,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("code")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p = sub.add_parser("random-code", help="seeded random code file")
-    p.add_argument("--q", type=int, default=None, help="prime field size")
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
+    p.add_argument("--q", type=int, required=True, help="field order, a prime power up to 256")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", default=None)
     p = sub.add_parser("lattice", help="subspace lattice counts / listing")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--e", type=int, default=1)
+    p.add_argument("--q", type=int, required=True, help="field order, a prime power up to 256")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--count-only", action="store_true")
     return parser
-
-
-def _field_from_args(args) -> FieldContext:
-    if args.q is not None:
-        return FieldContext(args.q, 1)
-    if args.p is not None:
-        return FieldContext(args.p, args.e)
-    raise QrankError("specify --q (prime) or --p/--e")
 
 
 # the most subspace-key entries one `qrank lattice` listing writes; F_2^8
@@ -178,14 +166,14 @@ def _run(args) -> int:
         return 0 if all(r.passed for r in reports) else 1
 
     if args.command == "random-code":
-        field = _field_from_args(args)
+        field = field_of_order(args.q)
         rng = random.Random(args.seed)
         C = random_code(args.n, args.m, field, args.dim, rng)
         _emit(_code_text(C, {"seed": args.seed}), args.output)
         return 0
 
     if args.command == "lattice":
-        field = _field_from_args(args)
+        field = field_of_order(args.q)
         n, q, dim = args.n, field.q, args.dim
         e = subspace_count_exponent(n, dim)
         fields = {"q": q, "n": n, "of_dim": "" if dim is None else f" of dimension {dim}"}

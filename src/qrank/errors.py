@@ -33,7 +33,7 @@ class MalformedCode(QrankError):
     pass
 
 
-class InvalidValue(QrankError):
+class InvalidValue(QrankError, ValueError):
     """A parameter or entry outside its domain."""
 
 

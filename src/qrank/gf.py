@@ -129,23 +129,16 @@ class FieldContext(Value):
             raise InvalidValue(f"q = {p}^{e} is above the field limit of {FIELD_LIMIT}")
         if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
-        self.p = p
-        self.e = e
-        self.q = p**e
+        mod = None if modulus is None else tuple(int(c) % p for c in modulus)
+        if mod is not None and (len(mod) != e + 1 or mod[-1] != 1):
+            raise ReducibleModulus(f"modulus must be monic of degree {e} (constant term first)")
         if e == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                self.modulus = _default_modulus(p, e)
-            else:
-                mod = tuple(int(c) % p for c in modulus)
-                if len(mod) != e + 1 or mod[-1] != 1:
-                    raise ReducibleModulus(
-                        f"modulus must be monic of degree {e} (constant term first)"
-                    )
-                if not _is_irreducible(mod, p):
-                    raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
-                self.modulus = mod
+            mod = None  # every monic linear polynomial gives F_p
+        elif mod is None:
+            mod = _default_modulus(p, e)
+        elif not _is_irreducible(mod, p):
+            raise ReducibleModulus(f"modulus {list(mod)} is reducible over F_{p}")
+        self.p, self.e, self.q, self.modulus = p, e, p**e, mod
         self._build_tables()
 
     def _build_tables(self):
@@ -253,11 +246,11 @@ class FieldContext(Value):
 
     @classmethod
     def from_json(cls, obj) -> "FieldContext":
-        """The field of a code document: {"q": prime} or {"p": prime} with
-        optional "e" >= 1 and "modulus" (coefficients, constant term first);
-        MalformedCode for anything else."""
+        """The field of a code document: {"q": prime power} (`field_of_order`)
+        or {"p": prime} with optional "e" >= 1 and "modulus" (coefficients,
+        constant term first); MalformedCode for anything else."""
         if isinstance(obj, dict) and obj.keys() == {"q"} and _is_int(obj["q"]) and obj["q"] >= 2:
-            return cls(obj["q"])
+            return field_of_order(obj["q"])
         if (
             isinstance(obj, dict)
             and "p" in obj
@@ -270,9 +263,21 @@ class FieldContext(Value):
         ):
             return cls(obj["p"], obj.get("e", 1), obj.get("modulus"))
         raise MalformedCode(
-            'a field is {"q": prime} or {"p": prime, "e": integer >= 1, "modulus": [integers]}'
+            'a field is {"q": prime power} or {"p": prime, "e": integer >= 1, "modulus": [integers]}'
         )
+
+
+def field_of_order(q: int) -> FieldContext:
+    """F_q with its default modulus, for a prime power q <= FIELD_LIMIT: a
+    finite field is fixed up to isomorphism by its order."""
+    if not 2 <= q <= FIELD_LIMIT:
+        raise InvalidValue(f"the field order q = {q} is outside [2, {FIELD_LIMIT}]")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = next(e for e in range(1, q.bit_length() + 1) if p**e >= q)
+    if p**e != q:
+        raise NonPrimeCharacteristic(f"{q} is not a prime power")
+    return FieldContext(p, e)
+
 
 def gf_new(p: int, e: int = 1, modulus=None) -> FieldContext:
     return FieldContext(p, e, modulus)
-

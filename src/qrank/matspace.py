@@ -7,7 +7,7 @@ through the field's flat tables (`FieldContext.tables`).
 
 from __future__ import annotations
 
-from .errors import ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 from .gf import FieldContext, Value
 
 
@@ -71,7 +71,7 @@ class MatrixFq(Value):
         if len(entries) != rows * cols:
             raise ShapeMismatch(f"expected {rows * cols} entries, got {len(entries)}")
         if any(not 0 <= v < field.q for v in entries):
-            raise ValueError("entry out of field range")
+            raise InvalidValue("entry out of field range")
         self.field = field
         self.rows = rows
         self.cols = cols

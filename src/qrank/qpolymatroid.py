@@ -5,6 +5,7 @@ functions (plain and hatted), counted per (e1, e2, l)."""
 from __future__ import annotations
 
 from .delsarte import RankMetricCode, _column_images
+from .errors import InvalidValue
 from .gf import FieldContext, Value
 from .qseries import MultiPoly, g_poly
 from .subspaces import SubspaceLattice, lattice
@@ -19,7 +20,7 @@ class QPolymatroid(Value):
     def __init__(self, lat: SubspaceLattice, r: int, ranks):
         ranks = tuple(ranks)
         if len(ranks) != len(lat):
-            raise ValueError("rank table must cover the whole lattice")
+            raise InvalidValue("rank table must cover the whole lattice")
         self.lattice = lat
         self.r = r
         self.ranks = ranks

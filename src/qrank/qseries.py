@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NegativeExponent, NonIntegralResult
+from .errors import InvalidValue, NegativeExponent, NonIntegralResult
 from .gf import Value
 
 
@@ -49,7 +49,7 @@ def galois_number(n: int, q: int) -> int:
 def moebius_coefficient(k: int, q: int) -> int:
     """(-1)^k q^{k(k-1)/2}: the Moebius kernel on the subspace lattice."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidValue("k must be >= 0")
     return (-1) ** k * q ** (k * (k - 1) // 2)
 
 
@@ -90,7 +90,7 @@ class HomogeneousPoly(Value):
     def __init__(self, degree: int, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != degree + 1:
-            raise ValueError("coefficient list must have length degree+1")
+            raise InvalidValue("coefficient list must have length degree+1")
         self.degree = degree
         self.coeffs = coeffs
 
@@ -123,7 +123,7 @@ class HomogeneousMPoly:
     def at(self, m: int):
         coeffs = tuple(self._oracle(m))
         if len(coeffs) != self.degree + 1:
-            raise ValueError("oracle returned wrong coefficient count")
+            raise InvalidValue("oracle returned wrong coefficient count")
         return coeffs
 
 
@@ -200,7 +200,7 @@ def p_j_coeff(i: int, j: int, m: int, n: int, q: int) -> int:
     and to the dual-enumerator sum (`test_p_j_matches_dual_enumerator_kernel`).
     """
     if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError("require 0 <= i, j <= n")
+        raise InvalidValue("require 0 <= i, j <= n")
     total = Fraction(0)
     for l in range(j + 1):
         g = gaussian_binomial(i, l, q) * gaussian_binomial(n - i, j - l, q)

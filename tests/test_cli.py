@@ -363,12 +363,12 @@ def test_count_only_refuses_a_long_count_without_forming_it(monkeypatch, capsys)
         monkeypatch.setattr(qrank.cli, name, lambda *args: pytest.fail("the count was formed"))
     for dim in (["--dim", "169"], []):
         start = time.perf_counter()
-        err = _assert_error_exit_2(["lattice", "--p", "2", "--e", "8", "--n", "338", *dim, "--count-only"], capsys)
+        err = _assert_error_exit_2(["lattice", "--q", "256", "--n", "338", *dim, "--count-only"], capsys)
         assert time.perf_counter() - start < 1
         of_dim = " of dimension 169" if dim else ""
         assert err == f"qrank: error: the number of subspaces of F_256^338{of_dim} has more than 4300 digits\n"
     monkeypatch.undo()
-    assert main(["lattice", "--p", "2", "--e", "8", "--n", "4", "--count-only"]) == 0
+    assert main(["lattice", "--q", "256", "--n", "4", "--count-only"]) == 0
     assert capsys.readouterr().out == "4345561861\n"
 
 
@@ -404,12 +404,27 @@ def test_lattice_negative_dimension_exit_2(count_only, capsys):
     assert capsys.readouterr() == ("", "qrank: error: the ambient dimension n must be >= 0, got -1\n")
 
 
+SHAPE = ["--n", "2", "--m", "2", "--dim", "1"]
+# a field is named by its order alone: argparse refuses a missing --q and
+# the --p/--e of older releases, which no longer override or extend it
+FIELDLESS = [
+    (["random-code", *SHAPE], "the following arguments are required: --q"),
+    (["lattice", "--n", "2"], "the following arguments are required: --q"),
+    (["random-code", "--q", "2", "--e", "3", *SHAPE], "unrecognized arguments: --e 3"),
+    (["random-code", "--q", "3", "--p", "2", "--e", "2", *SHAPE], "unrecognized arguments: --p 2 --e 2"),
+    (["lattice", "--p", "2", "--e", "8", "--n", "2"], "the following arguments are required: --q"),
+]
+
+
 @pytest.mark.parametrize(
-    "command", [["random-code", "--n", "2", "--m", "2", "--dim", "1"], ["lattice", "--n", "2"]], ids=["random-code", "lattice"]
+    "command,message", FIELDLESS, ids=["random-code", "lattice", "q-and-e", "q-and-p-e", "lattice-p-e"]
 )
-def test_a_command_without_a_field_exit_2(command, capsys):
-    assert main(command) == 2
-    assert capsys.readouterr() == ("", "qrank: error: specify --q (prime) or --p/--e\n")
+def test_a_command_without_a_field_exit_2(command, message, capsys):
+    with pytest.raises(SystemExit) as refusal:
+        main(command)
+    assert refusal.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f": error: {message}\n")
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])
@@ -426,9 +441,11 @@ def test_restrict_bad_subspace_key_exit_2(key, full_2x2_file, capsys):
         ["--q", "2", "--n", "2", "--m", "3", "--dim", "-1"],
         # n m has 8600 digits, too many for str()
         ["--q", "2", "--n", "9" * 4300, "--m", "9" * 4300, "--dim", "-1"],
-        ["--p", "2", "--e", "0", "--n", "2", "--m", "2", "--dim", "1"],
+        ["--q", "1", "--n", "2", "--m", "2", "--dim", "1"],
+        ["--q", "6", "--n", "2", "--m", "2", "--dim", "1"],
+        ["--q", "257", "--n", "2", "--m", "2", "--dim", "1"],
     ],
-    ids=["n=0", "m=0", "dim-too-large", "dim-negative", "dim-negative-huge-shape", "e=0"],
+    ids=["n=0", "m=0", "dim-too-large", "dim-negative", "dim-negative-huge-shape", "q=1", "q=6", "q=257"],
 )
 def test_random_code_bad_shape_exit_2(shape, tmp_path, capsys):
     out = tmp_path / "c.json"
@@ -583,12 +600,9 @@ def _int_text(draw, label):
 
 
 def _field_args(draw):
-    if draw(st.booleans(), label="--q or --p/--e"):
-        return ["--q", draw(st.sampled_from(["2", "3", "4", "5", "7", "1", "0", "-2", "257", "x"]), label="--q")]
     # F_27 is left out: listing the subspaces of F_27^4 takes minutes
-    p, e = draw(st.sampled_from([("2", ""), ("2", "2"), ("2", "3"), ("3", "2"), ("3", "1"), ("4", ""), ("0", ""),
-                                 ("2", "0"), ("2", "-1"), ("2", "40")]), label="--p, --e")  # fmt: skip
-    return ["--p", p] + (["--e", e] if e else [])
+    q = draw(st.sampled_from(["2", "3", "4", "5", "7", "8", "9", "1", "0", "-2", "6", "257", "x", None]), label="--q")
+    return [] if q is None else ["--q", q]
 
 
 @st.composite

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 import qrank
-from qrank.errors import BudgetExceeded, check_limit, more_than
+from qrank import HomogeneousMPoly, HomogeneousPoly, MatrixFq, QPolymatroid, gf_new, lattice
+from qrank.errors import BudgetExceeded, InvalidValue, QrankError, ShapeMismatch, check_limit, more_than
+from qrank.qseries import moebius_coefficient, p_j_coeff
 
 TEMPLATE = "{what} is {size}, above {limit}"
 
@@ -62,3 +64,42 @@ def test_budget_exceeded_is_raised_only_by_check_limit():
             if isinstance(node, ast.Raise) and node.exc is not None and "BudgetExceeded" in ast.unparse(node.exc):
                 raisers.append((path.name, id(node) in inside))
     assert raisers == [("errors.py", True)]
+
+
+F2 = gf_new(2)
+
+# each refusal of a bad argument: (call, error, message); the InvalidValue
+# ones were bare ValueErrors once, so `except ValueError` still catches them
+REFUSALS = {
+    "matrix-entry-count": (lambda: MatrixFq(F2, 2, 2, [0, 1, 1]), ShapeMismatch, "expected 4 entries, got 3"),
+    "matrix-entry-range": (lambda: MatrixFq(F2, 1, 2, [0, 2]), InvalidValue, "entry out of field range"),
+    "matrix-ragged-rows": (lambda: MatrixFq.from_rows(F2, [[0, 1], [1]]), ShapeMismatch, "ragged rows"),
+    "rank-table-length": (lambda: QPolymatroid(lattice(2, F2), 2, [0, 1]), InvalidValue, "cover the whole lattice"),
+    "moebius-negative-k": (lambda: moebius_coefficient(-1, 2), InvalidValue, "k must be >= 0"),
+    "poly-coefficient-count": (lambda: HomogeneousPoly(2, (1, 0)), InvalidValue, r"length degree\+1"),
+    "mpoly-oracle-length": (lambda: HomogeneousMPoly(2, lambda m: (1, m)).at(3), InvalidValue, "wrong coefficient"),
+    "p-j-i-above-n": (lambda: p_j_coeff(3, 0, 2, 2, 2), InvalidValue, r"require 0 <= i, j <= n"),
+    "p-j-j-negative": (lambda: p_j_coeff(0, -1, 2, 2, 2), InvalidValue, r"require 0 <= i, j <= n"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_refusal_is_a_qrank_error(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message) as refusal:
+        call()
+    assert isinstance(refusal.value, QrankError)
+    assert isinstance(refusal.value, ValueError) == (error is InvalidValue)
+
+
+def test_the_library_raises_only_qrank_errors():
+    # AttributeError aside, which a frozen value raises on assignment as
+    # Python's own frozen types do
+    raised = set()
+    for path in sorted(Path(qrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    assert "AttributeError" in raised
+    others = raised - {"AttributeError"}
+    assert [name for name in sorted(others) if not issubclass(vars(qrank.errors).get(name, object), QrankError)] == []

@@ -12,7 +12,7 @@ from qrank.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
-from qrank.gf import FIELD_LIMIT, Value
+from qrank.gf import FIELD_LIMIT, Value, field_of_order
 
 
 def test_characteristic_two():
@@ -72,6 +72,37 @@ def test_errors():
 def test_a_modulus_of_the_wrong_degree_is_refused():
     with pytest.raises(ReducibleModulus, match="modulus must be monic of degree 2"):
         gf_new(2, 2, [1, 1])
+    # at e = 1 too: a constant, a cubic and a non-monic line name no field
+    for p, modulus in [(2, [5]), (2, [1, 2, 3, 4]), (3, [1, 2]), (2, [])]:
+        with pytest.raises(ReducibleModulus, match=r"^modulus must be monic of degree 1 \(constant term first\)$"):
+            gf_new(p, 1, modulus)
+
+
+def test_every_monic_line_gives_the_prime_field():
+    # x + c for every c, and its coefficients reduced mod p: F_p, stored without a modulus
+    for p in (2, 3, 5):
+        for modulus in ([c, 1] for c in range(-p, 2 * p)):
+            F = gf_new(p, 1, modulus)
+            assert F == gf_new(p) and F.modulus is None and F.to_json() == {"q": p}
+    assert gf_new(2, 1, [1, 3]) == gf_new(2)
+
+
+def test_a_field_is_named_by_its_order():
+    # (q, p, e) by trial division, independent of gf's factoring
+    primes = [p for p in range(2, FIELD_LIMIT + 1) if all(p % d for d in range(2, p))]
+    powers = sorted((p**e, p, e) for p in primes for e in range(1, 9) if p**e <= FIELD_LIMIT)
+    assert len(powers) == 70 and powers[-1] == (256, 2, 8)
+    for q, p, e in powers:
+        F = field_of_order(q)
+        assert F == gf_new(p, e) and (F.p, F.e, F.q) == (p, e, q)
+    orders = {q for q, _, _ in powers}
+    for q in range(2, FIELD_LIMIT + 1):  # 6 and 255 among them
+        if q not in orders:
+            with pytest.raises(NonPrimeCharacteristic, match=f"^{q} is not a prime power$"):
+                field_of_order(q)
+    for q in (-1, 0, 1, 257, 10**50):
+        with pytest.raises(InvalidValue, match=rf"q = {q} is outside \[2, {FIELD_LIMIT}\]$"):
+            field_of_order(q)
 
 
 def test_a_negative_power_is_a_power_of_the_inverse():
@@ -175,6 +206,14 @@ def test_json_roundtrip():
     for ctx in [gf_new(2), gf_new(3), gf_new(2, 2), gf_new(3, 2)]:
         assert FieldContext.from_json(ctx.to_json()) == ctx
     assert FieldContext.from_json({"q": 5}) == gf_new(5)
+    # any order: a file names a field as the CLI's --q does
+    assert FieldContext.from_json({"q": 4}) == gf_new(2, 2)
+    assert FieldContext.from_json({"q": 243}) == gf_new(3, 5)
+    assert FieldContext.from_json({"p": 3, "modulus": [2, 1]}) == gf_new(3)
+    for obj, error in [({"q": 6}, NonPrimeCharacteristic), ({"q": 257}, InvalidValue),
+                       ({"p": 2, "modulus": [5]}, ReducibleModulus)]:  # fmt: skip
+        with pytest.raises(error):
+            FieldContext.from_json(obj)
     assert FieldContext.from_json({"p": 2, "e": 2, "modulus": [1, 1, 1]}) == gf_new(2, 2)
     assert FieldContext.from_json({"p": 3}) == gf_new(3)
     assert FieldContext.from_json({"p": 2, "e": 2}) == gf_new(2, 2)

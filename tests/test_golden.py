@@ -23,11 +23,11 @@ CODES = [
     (["--q", "2"], 3, 2, 3, 1),
     (["--q", "2"], 2, 4, 3, 2),
     (["--q", "3"], 2, 3, 2, 3),
-    (["--p", "2", "--e", "2"], 3, 2, 2, 4),
+    (["--q", "4"], 3, 2, 2, 4),
     (["--q", "5"], 2, 3, 3, 5),
     (["--q", "7"], 3, 2, 2, 6),
-    (["--p", "2", "--e", "3"], 2, 3, 2, 7),
-    (["--p", "3", "--e", "2"], 3, 1, 1, 8),
+    (["--q", "8"], 2, 3, 2, 7),
+    (["--q", "9"], 3, 1, 1, 8),
 ]
 
 # name -> (arguments before the code file, arguments after it)

@@ -1,6 +1,7 @@
 import collections
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -51,7 +52,7 @@ from qrank.qpolymatroid import rgf_counts
 from qrank.qseries import HomogeneousPoly, MultiPoly, g_poly, gaussian_binomial
 
 from oracles import oracle_rgf_duality
-from test_delsarte import PROPERTY_FIELDS, SHAPES
+from test_delsarte import PROPERTY_FIELDS, SHAPES, _clear_rank_tables
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -649,3 +650,66 @@ def test_check_all_and_lattice_distribution_across_fields(n, m, field):
     for _ in range(4):
         check = example(random_code(n, m, field, rng.choice(dims), rng))(check)
     check()
+
+
+# the engines of each side of the identities: the brute side enumerates
+# and ranks codewords, the sweep side reads P_C and P_{C^perp} off the lattice
+BRUTE_ENGINES = ("_fold_ranks", "_rank_of_entries", "_rank_of_packed", "_transitions")
+SWEEP_ENGINES = ("lattice", "from_code", "_extend", "_extend_packed", "_column_images")
+# over F_2, F_3 and F_4, n < m and n > m
+ROUTE_CODES = [(2, 3, F2, 3), (3, 2, F2, 4), (2, 3, F3, 2), (3, 2, F3, 3), (2, 3, gf_new(2, 2), 2),
+               (3, 2, gf_new(2, 2), 3)]  # fmt: skip
+
+
+def _refuse_every_binding(monkeypatch, names, side):
+    """Patch every binding of each name, in every qrank module that has one, to fail the test."""
+    def refuse(*args, **kwargs):
+        pytest.fail(f"the other side called an engine of the {side} side")
+
+    for module in [mod for name, mod in sys.modules.items() if name == "qrank" or name.startswith("qrank.")]:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    return refuse
+
+
+def _route_analyses():
+    rng = random.Random(35)
+    return [CodeAnalysis(random_code(n, m, field, k, rng)) for n, m, field, k in ROUTE_CODES]
+
+
+def _sweep_side(a):
+    C = a.code
+    return (
+        greene_rhs(C.field.q, C.m, C.n, C.k, a.counts),
+        lattice_rank_distribution(a),
+        macwilliams_dual_enumerator(a),
+        a.counts,
+        rgf_counts(a.polymatroid_of_dual),
+    )
+
+
+def test_the_sweep_side_needs_no_engine_of_the_brute_side(monkeypatch):
+    # Greene's route, the Moebius distribution, the closed-form MacWilliams
+    # route and both count tables of RGF duality, from the lattice sweeps alone
+    expected = [_sweep_side(a) for a in _route_analyses()]
+    monkeypatch.setattr(qrank.delsarte._Codewords, "_walk", _refuse_every_binding(monkeypatch, BRUTE_ENGINES, "brute"))
+    analyses = _route_analyses()
+    assert [_sweep_side(a) for a in analyses] == expected
+    # the refusal bites: the brute side itself cannot rank a word
+    for a in analyses:
+        with pytest.raises(pytest.fail.Exception, match="the brute side"):
+            rank_distribution(a.code)
+
+
+def test_the_brute_side_needs_no_engine_of_the_sweep(monkeypatch):
+    # the brute dual distribution and the q-product MacWilliams route, from
+    # enumeration alone; the rank tables are cleared so none is read warm
+    expected = [(a.dual_distribution, macwilliams_transform(a)) for a in _route_analyses()]
+    _refuse_every_binding(monkeypatch, SWEEP_ENGINES, "sweep")
+    _clear_rank_tables()
+    analyses = _route_analyses()
+    assert [(a.dual_distribution, macwilliams_transform(a)) for a in analyses] == expected
+    for a in analyses:
+        with pytest.raises(pytest.fail.Exception, match="the sweep side"):
+            a.polymatroid

@@ -69,6 +69,13 @@ def test_trace_product_examples():
     assert trace_product(E11, E11) == 1
 
 
+def test_a_matrix_minus_itself_is_zero():
+    M = MatrixFq.from_rows(F3, [[1, 2, 0], [0, 1, 2]])
+    assert (-M).to_rows() == [[2, 1, 0], [0, 2, 1]]
+    assert -(-M) == M and M - M == MatrixFq.zeros(F3, 2, 3)
+    assert M - MatrixFq.zeros(F3, 2, 3) == M
+
+
 def test_trace_product_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         trace_product(MatrixFq.zeros(F2, 2, 2), MatrixFq.zeros(F2, 2, 3))
