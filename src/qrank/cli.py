@@ -54,8 +54,13 @@ def _code_text(C: RankMetricCode, extra: dict | None = None) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # here and in each sub-parser: main reports it as any malformed input
+        raise QrankError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qrank", description=__doc__)
+    parser = _Parser(prog="qrank", description=__doc__)
     parser.add_argument(
         "--budget",
         type=int,
@@ -200,10 +205,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(_build_parser().parse_args(argv))
     except (QrankError, OSError) as exc:
         print(f"qrank: error: {exc}", file=sys.stderr)
         return 2

@@ -21,15 +21,17 @@ weight enumerator is the `HomogeneousPoly` with those coefficients.  Rank
 is invariant under nonzero scalars, so `rank_distribution` ranks one word
 per projective point, (q^k - 1)/(q - 1) words, and counts each rank q - 1
 times; the zero word adds to A_0.  Before a word is walked, the budget
-is checked once, then RANK_WORK_LIMIT once (`check_rank_work`).  The
+is checked once, then RANK_WORK_LIMIT once (`check_rank_work`), each
+verdict priced once per shape and kept only when it admits.  The
 projective walk (`_Codewords`) streams those words in memory bounded by
 the basis.  A word is vector-major: its L-long vectors, L = min(n, m),
 are its columns when n <= m and its rows otherwise; its rank, the
 dimension of their span, is folded through the echelon-transition table
 of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.  A
-fold holds its states as bytes when the table has at most 256 (all but
-F_2^5's 374) and walks a basis in reverse echelon form, so most of its
-steps are one `bytes.translate` per run of words in one state.
+word of one key is spanned by `bytes.translate` (`_one_key_words`); a
+longer one holds its states as bytes when the table has at most 256 (all
+but F_2^5's 374) and walks a basis in reverse echelon form, so most of
+its steps are one `bytes.translate` per run of words in one state.
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table and its basis come from its own
@@ -83,15 +85,17 @@ RANK_WORK_LIMIT = 2**29
 
 
 class RankMetricCode(Value):
-    """Canonical rank-metric code: its subspace of F_q^{nm}.  Immutable:
-    equal and hashed by (space, n, m)."""
+    """Canonical rank-metric code: its subspace of F_q^{nm}.  Immutable: equal
+    and hashed by (space, n, m); its field and k = dim C are read off the space once."""
 
-    __slots__ = ("space", "n", "m")
+    __slots__ = ("space", "n", "m", "field", "k")
 
     def __init__(self, space: Subspace, n: int, m: int):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "field", space.field)
+        object.__setattr__(self, "k", len(space.basis))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable RankMetricCode")
@@ -104,14 +108,6 @@ class RankMetricCode(Value):
 
     def _key(self):
         return (self.space, self.n, self.m)
-
-    @property
-    def field(self) -> FieldContext:
-        return self.space.field
-
-    @property
-    def k(self) -> int:
-        return self.space.dim
 
     def size(self) -> int:
         return self.field.q**self.k
@@ -174,9 +170,7 @@ def code_from_generators(mats, field=None, n=None, m=None) -> RankMetricCode:
 def check_codeword_budget(C: RankMetricCode, budget: int | None = None, dual: bool = False) -> int:
     """The q^k words of C (of C^perp, of dimension nm - k, if `dual`) under
     the budget (`errors.check_limit`), checked before C^perp is solved."""
-    q, k = C.field.q, C.n * C.m - C.k if dual else C.k
-    budget, template = DEFAULT_BUDGET if budget is None else budget, "|C{perp}| = {q}^{k} exceeds budget {limit}"
-    return check_limit(lambda: q**k, budget, template, k, {"perp": "^perp" if dual else "", "q": q, "k": k})
+    return _codeword_budget(C.field.q, C.n * C.m - C.k if dual else C.k, budget, dual)
 
 
 def check_rank_work(C: RankMetricCode, dual: bool = False) -> int:
@@ -184,9 +178,19 @@ def check_rank_work(C: RankMetricCode, dual: bool = False) -> int:
     `rank_distribution` ranks C (C^perp, of dimension nm - k, if `dual`),
     once that ranking's work (`_rank_work`) is under RANK_WORK_LIMIT
     (`errors.check_limit`).  The codeword budget is its caller's check."""
-    n, m = C.n, C.m
-    k = n * m - C.k if dual else C.k
-    g, words, work = _rank_work(C.field.q, n, m, k)
+    return _rank_work_check(C.field.q, C.n, C.m, C.n * C.m - C.k if dual else C.k, dual)
+
+
+# each verdict depends on the shape alone, so it is priced once per shape; a refusal raises and is never kept
+@lru_cache(maxsize=1024)
+def _codeword_budget(q: int, k: int, budget: int | None, dual: bool) -> int:
+    budget, template = DEFAULT_BUDGET if budget is None else budget, "|C{perp}| = {q}^{k} exceeds budget {limit}"
+    return check_limit(lambda: q**k, budget, template, k, {"perp": "^perp" if dual else "", "q": q, "k": k})
+
+
+@lru_cache(maxsize=1024)
+def _rank_work_check(q: int, n: int, m: int, k: int, dual: bool) -> int:
+    g, words, work = _rank_work(q, n, m, k)
     template = (
         "ranking the {words} projective words of C{perp} takes {size} {steps}, "
         "above the rank work limit RANK_WORK_LIMIT = {limit}"
@@ -196,7 +200,6 @@ def check_rank_work(C: RankMetricCode, dual: bool = False) -> int:
     return g
 
 
-@lru_cache(maxsize=1024)
 def _rank_work(q: int, n: int, m: int, k: int) -> tuple:
     """(g, words, work) of a k-dimensional code in Mat(n x m, F_q): the
     `_fold_width`, the (q^k - 1)/(q - 1) projective words, and the words
@@ -569,6 +572,20 @@ def _fold_width(q: int, length: int, width: int) -> int:
     return g and -(-width // -(-width // g))
 
 
+def _one_key_words(C: RankMetricCode, rows) -> bytes:
+    """The projective words of C (`_Codewords.projective`) as key bytes, a word being one key: for
+    each basis row b_i, last first, b_i plus the span of the rows after it, which then grows by
+    each multiple c b_i, c != 0, as one `bytes.translate` by the `rows` of its key."""
+    n, m, q, times = C.n, C.m, C.field.q, C.field.tables[1]
+    powers, words, span = [q**u for u in range(n * m)], [], b"\0"
+    for v in map(_vector_major(n, m), reversed(C.space.basis)):
+        keys = [sum(map(mul, v, powers))] + [sum(map(mul, [times[c * q + b] for b in v], powers)) for c in range(2, q)]
+        moved = [span.translate(rows[x]) for x in keys]
+        words.append(moved[0])
+        span = b"".join([span, *moved])
+    return b"".join(words)
+
+
 def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from the
     zero state through `_fold_table` one key at a time, g vectors per key.
@@ -588,14 +605,12 @@ def _fold_ranks(words: _Codewords, g: int) -> list:
     q, length, width = field.q, min(n, m), max(n, m)
     steps, lasts, rows, full = _fold_table(field, length, g)
     chunks, span = -(-width // g), g * length
-    offsets, blocks, _ = words._walk(span, rows, chunks > 1)
-    mask, key = 2**span - 1, (lambda word, i: word >> i * span & mask) if q == 2 else getitem
-    packed = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if q == 2 and chunks > 1 else [offsets]
-    columns = packed if q == 2 else list(zip(*offsets))
-    if chunks == 1:  # a word is one key, so there are at most FOLD_KEYS words: one pass
-        first = lasts[0]
-        ranks = [first[row[o]] for x, size in blocks for row in [rows[key(x, 0)]] for o in columns[0][:size]]
+    if chunks == 1:  # a word is one key, so there are at most FOLD_KEYS words: no blocks
+        ranks = _one_key_words(C, rows).translate(lasts[0])
         return [*map(ranks.count, range(length + 1))] + [0] * (n - length)
+    offsets, blocks, _ = words._walk(span, rows, True)
+    mask, key = 2**span - 1, (lambda word, i: word >> i * span & mask) if q == 2 else getitem
+    columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if q == 2 else list(zip(*offsets))
     columns, tables, small = list(map(bytes, columns)), [lasts] + [steps] * (chunks - 1), len(steps) <= 256
     counts, seen = [0] * (n + 1), bytearray()
     runs = [0, *list(accumulate([len(c) - len(c.lstrip(b"\0")) for c in columns[:0:-1]], min))[::-1]]

@@ -72,6 +72,13 @@ class IdentityReport(Value):
         return line
 
 
+class _once(cached_property):
+    """`functools.cached_property` without the lock that Python 3.10 and 3.11 take on each first read."""
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.attrname, self.func(obj))
+
+
 class CodeAnalysis:
     """Every per-code table the identity checks read, each computed at most
     once, on first use.
@@ -86,46 +93,42 @@ class CodeAnalysis:
         self.code = C
         self.budget = budget
         self._params = {"q": C.field.q, "n": C.n, "m": C.m, "k": C.k}
-        self._admitted = set()
 
     def _admit(self, dual: bool = False):
-        """Refuse C, or C^perp by its shape if `dual`, for its words over the
-        budget, then for its rank work (`check_rank_work`); once per side."""
-        if dual not in self._admitted:
-            check_codeword_budget(self.code, self.budget, dual)
-            check_rank_work(self.code, dual)
-            self._admitted.add(dual)
+        """Refuse C, or C^perp by its shape if `dual`, for its words over the budget, then its rank work."""
+        check_codeword_budget(self.code, self.budget, dual)
+        check_rank_work(self.code, dual)
 
-    @cached_property
+    @_once
     def dual(self) -> RankMetricCode:
         return dual_code(self.code)
 
-    @cached_property
+    @_once
     def polymatroid(self):
         """P_C, from one lattice sweep of C."""
         return from_code(self.code)
 
-    @cached_property
+    @_once
     def counts(self) -> dict:
         """P_C's count table: Greene, RGF duality and the Moebius route read P_C off it."""
         return rgf_counts(self.polymatroid)
 
-    @cached_property
+    @_once
     def dual_polymatroid(self):
         """P_C^*, the dual of P_C."""
         return self.polymatroid.dual()
 
-    @cached_property
+    @_once
     def polymatroid_of_dual(self):
         """P_{C^perp}, from its own lattice sweep."""
         return from_code(self.dual)
 
-    @cached_property
+    @_once
     def distribution(self):
         """Rank distribution of C by brute-force enumeration."""
         return rank_distribution(self.code, self.budget)
 
-    @cached_property
+    @_once
     def dual_distribution(self):
         """Rank distribution of C^perp by brute-force enumeration, C^perp
         admitted (`_admit`) before it is solved."""
@@ -264,10 +267,14 @@ def lattice_rank_distribution(a: CodeAnalysis):
         if e < 0:
             raise NonIntegralResult(f"negative power q^{e} in binomial moment b_{n - l}")
         b[n - l] += count * q**e
-    return [
-        sum(b[t] * gaussian_binomial(n - t, d - t, q) * moebius_coefficient(d - t, q) for t in range(d + 1))
-        for d in range(n + 1)
-    ]
+    return [sum(map(mul, b, column)) for column in _moebius_columns(q, n)]
+
+
+@lru_cache(maxsize=1024)
+def _moebius_columns(q: int, n: int):
+    """columns[d][t] = [n-t, d-t]_q (-1)^{d-t} q^{C(d-t,2)}, t <= d: the weights of the b_t in a_d."""
+    mu = [moebius_coefficient(s, q) for s in range(n + 1)]
+    return tuple(tuple(gaussian_binomial(n - t, d - t, q) * mu[d - t] for t in range(d + 1)) for d in range(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -26,8 +26,10 @@ def rref_rows(rows, width: int, field: FieldContext):
     for col in range(width):
         if r == len(work):  # every row has a pivot, so no row is left to scan
             break
-        pivot_row = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, len(work)):
+            if work[pivot_row][col]:
+                break
+        else:
             continue
         work[r], work[pivot_row] = work[pivot_row], work[r]
         c = work[r][col]
@@ -47,18 +49,20 @@ def rref_rows(rows, width: int, field: FieldContext):
 
 def kernel_basis(rows, width: int, field: FieldContext):
     """Canonical (RREF) basis of {x : Mx = 0} for M given as row tuples."""
-    _, _, neg, _ = field.tables
-    red, pivots = rref_rows(rows, width, field)
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for f in free:
+    return rref_kernel(*rref_rows(rows, width, field), width, field)
+
+
+def rref_kernel(red, pivots, width: int, field: FieldContext):
+    """`kernel_basis` of rows already in RREF with these pivots: for each
+    non-pivot column f, e_f - sum_i red[i][f] e_{pivots[i]}, in RREF."""
+    neg, basis = field.tables[2], []
+    for f in sorted(set(range(width)).difference(pivots)):
         vec = [0] * width
         vec[f] = 1
-        for i, p in enumerate(pivots):
-            vec[p] = neg[red[i][f]]
-        basis.append(tuple(vec))
-    canon, _ = rref_rows(basis, width, field)
-    return canon
+        for row, p in zip(red, pivots):
+            vec[p] = neg[row[f]]
+        basis.append(vec)
+    return rref_rows(basis, width, field)[0]
 
 
 class MatrixFq(Value):

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from .errors import AmbientMismatch, InvalidValue, LengthMismatch, check_limit
 from .gf import FieldContext, Value
-from .matspace import kernel_basis, rref_rows
+from .matspace import kernel_basis, rref_kernel, rref_rows
 from .qseries import galois_number, gaussian_binomial
 
 
@@ -67,8 +67,9 @@ class Subspace(Value):
         return len(rref_rows(self.basis + other.basis, self.n, self.field)[0]) == self.dim
 
     def perp(self) -> "Subspace":
-        """Orthogonal complement under the standard inner product."""
-        return Subspace(self.field, self.n, kernel_basis(self.basis, self.n, self.field))
+        """Orthogonal complement under the standard inner product, from the RREF rows as they are."""
+        pivots = [row.index(1) for row in self.basis]
+        return Subspace(self.field, self.n, rref_kernel(self.basis, pivots, self.n, self.field))
 
     def canonical_key(self) -> str:
         return ";".join(",".join(str(v) for v in row) for row in self.basis)

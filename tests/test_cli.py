@@ -420,11 +420,26 @@ FIELDLESS = [
     "command,message", FIELDLESS, ids=["random-code", "lattice", "q-and-e", "q-and-p-e", "lattice-p-e"]
 )
 def test_a_command_without_a_field_exit_2(command, message, capsys):
-    with pytest.raises(SystemExit) as refusal:
-        main(command)
-    assert refusal.value.code == 2
+    assert main(command) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.endswith(f": error: {message}\n")
+    assert out == "" and err == f"qrank: error: {message}\n"
+
+
+def test_argparse_refusals_return_2_and_help_exits_0(capsys):
+    # a refusal of the parser or of a sub-parser comes back from main as
+    # any other malformed input does; --help alone still ends the process
+    for argv, message in [
+        (["lattice", "--q", "2", "--n", "two"], "argument --n: invalid int value: 'two'"),
+        (["--budget", "1e3", "lattice", "--q", "2", "--n", "2"], "argument --budget: invalid int value: '1e3'"),
+        (["wd"], "the following arguments are required: code"),
+        (["nope"], "argument command: invalid choice: 'nope'"),
+    ]:
+        assert message in _assert_error_exit_2(argv, capsys)
+    for argv in (["--help"], ["lattice", "--help"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qrank")
 
 
 @pytest.mark.parametrize("key", ["5,0", "-1,0", "1,a", "0.5,1"])
@@ -653,9 +668,6 @@ def test_every_argv_exits_0_1_or_2(tmp_path, data):
         fh.write(data.draw(code_bytes(), label="code file"))
     argv = data.draw(cli_argv(code_path, out_path), label="argv")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-        try:
-            status = main(argv)
-        except SystemExit as exc:  # argparse refuses the arguments
-            status = exc.code
+        status = main(argv)
     assert status in (0, 1, 2), (argv, status, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -514,9 +514,10 @@ LIMITS = {"exceeds budget": "budget", "RANK_WORK_LIMIT": "work", "BASIS_LIMIT": 
 
 
 def test_check_all_admits_each_side_once(monkeypatch):
-    # every errors.check_limit call, by the limit its template names: C and
-    # C^perp are admitted once each, then ranked on the public path, which
-    # checks its counts, its budget and its work once each
+    # every errors.check_limit call, by the limit its template names: the
+    # budget and work verdicts are priced once per shape, C and C^perp each
+    # admitted on the first check of the shape, and never again; the public
+    # ranking path checks its counts on every call
     C = list(all_codes(3, 2, F2))[1234]
     check_all(C)  # a warm lattice makes no lattice check
     calls = collections.Counter()
@@ -528,14 +529,96 @@ def test_check_all_admits_each_side_once(monkeypatch):
 
     for module in (qrank.delsarte, qrank.subspaces, qrank.cli):
         monkeypatch.setattr(module, "check_limit", counting_check_limit)
+    qrank.delsarte._codeword_budget.cache_clear()
+    qrank.delsarte._rank_work_check.cache_clear()
     reports = check_all(C)
     assert all(r.passed for r in reports)
-    assert calls == {"budget": 4, "work": 4, "basis": 3}
+    assert calls == {"budget": 2, "work": 2, "basis": 3}
     # no two reports share one mutable params dict
     assert len({id(r.params) for r in reports}) == len(reports) == 8
     calls.clear()
+    assert all(r.passed for r in check_all(list(all_codes(3, 2, F2))[1235]))
+    assert calls == {"basis": 3}
+    calls.clear()
     rank_distribution(C)
-    assert calls == {"budget": 1, "work": 1, "basis": 1}
+    assert calls == {"basis": 1}
+
+
+# the caches keyed by a shape: the admission verdicts of one side and the
+# Moebius weights of the lattice route
+SHAPE_CACHES = [qrank.delsarte._codeword_budget, qrank.delsarte._rank_work_check, qrank.identities._moebius_columns]
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROPERTY_FIELDS), st.integers(1, 8), st.integers(1, 8), st.data())
+def test_every_shape_cache_equals_its_uncached_formula(field, n, m, data):
+    q = field.q
+    for cache in SHAPE_CACHES:
+        cache.cache_clear()
+    # a_d = sum_t b_t [n-t, d-t]_q (-1)^{d-t} q^{C(d-t,2)}, term by term
+    columns = qrank.identities._moebius_columns(q, n)
+    assert columns == tuple(
+        tuple(gaussian_binomial(n - t, d - t, q) * (-1) ** (d - t) * q ** ((d - t) * (d - t - 1) // 2)
+              for t in range(d + 1))
+        for d in range(n + 1)
+    )
+    # each side's verdict, priced once or read back: the size it admits or the refusal it raises
+    k = data.draw(st.integers(0, n * m), label="k")
+    budget = data.draw(st.sampled_from([None, 1, q**k - 1, q**k, q ** (n * m - k) - 1]), label="budget")
+    C = random_code(n, m, field, k, random.Random(k)) if q ** (n * m) <= 2**12 else None
+    for dual in (False, True):
+        side = n * m - k if dual else k
+        limit = 2**24 if budget is None else budget
+        perp = "^perp" if dual else ""
+        expected = q**side if q**side <= limit else f"|C{perp}| = {q}^{side} exceeds budget {limit}"
+        g, words, work = qrank.delsarte._rank_work(q, n, m, side)
+        steps = "table reads" if g else "elimination steps"
+        expected_work = g if work <= qrank.delsarte.RANK_WORK_LIMIT else (
+            f"ranking the {words} projective words of C{perp} takes {work} {steps}, "
+            f"above the rank work limit RANK_WORK_LIMIT = {qrank.delsarte.RANK_WORK_LIMIT}"
+        )  # fmt: skip
+        for _ in range(2):  # priced, then read back
+            assert _verdict(qrank.delsarte._codeword_budget, q, side, budget, dual) == expected
+            assert _verdict(qrank.delsarte._rank_work_check, q, n, m, side, dual) == expected_work
+            if C is not None:
+                assert _verdict(qrank.delsarte.check_codeword_budget, C, budget, dual) == expected
+                assert _verdict(qrank.delsarte.check_rank_work, C, dual) == expected_work
+
+
+def test_no_cached_admission_outlives_a_budget_change():
+    # admitted under the default budget, then checked again in the same
+    # process under a budget below |C|: refused with the same text as a
+    # first check, C named before C^perp when both are over it
+    rng = random.Random(36)
+    for k, message in [(3, "|C| = 2^3 exceeds budget 7"), (2, "|C^perp| = 2^4 exceeds budget 7"),
+                       (4, "|C| = 2^4 exceeds budget 7")]:  # fmt: skip
+        C = random_code(2, 3, F2, k, rng)
+        assert all(r.passed for r in check_all(C))
+        with pytest.raises(BudgetExceeded) as refusal:
+            check_all(C, 7)
+        assert str(refusal.value) == message
+        assert all(r.passed for r in check_all(C, 2**6))
+
+
+def test_no_shape_cache_is_keyed_by_a_code():
+    # 300 distinct codes of one (q, n, m): each cache holds at most one
+    # entry per (q, n, m, k, side) shape it saw, not one per code
+    for cache in SHAPE_CACHES:
+        cache.cache_clear()
+    codes, shapes = random.Random(36).sample(list(all_codes(3, 2, F2)), 300), set()
+    for C in codes:
+        assert all(r.passed for r in check_all(C))
+        shapes |= {(2, 3, 2, C.k, False), (2, 3, 2, 6 - C.k, True)}
+    assert len(set(codes)) == 300 and len(shapes) <= 14
+    for cache in SHAPE_CACHES:
+        assert 0 < cache.cache_info().currsize <= len(shapes), cache
 
 
 def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):

@@ -1,8 +1,11 @@
+import random
 import re
 import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrank import (
     Subspace,
@@ -23,7 +26,9 @@ from qrank.subspaces import (
     subspace_count_exponent,
 )
 
-from test_delsarte import SHAPES
+from qrank.matspace import kernel_basis
+
+from test_delsarte import PROPERTY_FIELDS, SHAPES
 
 F2 = gf_new(2)
 F3 = gf_new(3)
@@ -139,6 +144,21 @@ def test_covers_are_the_subspaces_one_dimension_down(n, field):
         for i in covers:
             A = lat.subspaces[i]
             assert A.dim == T.dim - 1 and T.contains(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PROPERTY_FIELDS), st.integers(0, 8), st.data())
+def test_perp_from_its_rref_rows_is_the_kernel_of_its_basis(field, n, data):
+    # perp reads the pivots off the RREF rows and skips the first
+    # elimination of kernel_basis; both give the one RREF basis of S^perp
+    dim = data.draw(st.integers(0, n), label="dim")
+    rng = random.Random(data.draw(st.integers(0, 2**30), label="seed"))
+    spaces = [Subspace.span([[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)], n, field),
+              Subspace.zero(n, field), Subspace.full(n, field)]  # fmt: skip
+    for S in spaces:
+        expected = Subspace.span(kernel_basis(S.basis, n, field), n, field)
+        assert S.perp() == expected and S.perp().basis == expected.basis
+        assert S.perp().dim == n - S.dim and S.perp().perp() == S
 
 
 PLAN_LATTICES = [(4, F2), (3, F3), (3, gf_new(2, 2)), (0, F2), (1, F3)]
