@@ -38,7 +38,9 @@ the sweep's echelon extension: its table and its basis come from its own
 elimination, so it stays an independent check of the restriction sweep.
 
 `dual_code` solves for C^perp, a basis of nm - k vectors of F_q^{nm},
-and refuses one whose entries exceed `BASIS_LIMIT` before building it.
+and refuses one whose entries exceed `BASIS_LIMIT` before building it;
+`RankMetricCode.from_json` refuses a document whose generators do before
+it reads them.
 `restrict` needs no limit of its own: its system holds at most k nm
 entries, as many as the basis of C itself.
 """
@@ -57,11 +59,14 @@ from .qseries import HomogeneousPoly, galois_number
 from .subspaces import Subspace
 
 DEFAULT_BUDGET = 2**24
-# the most entries, rows times nm, of the C^perp basis `dual_code` builds
-# and of the basis `random_code` draws, and the most counts, n + 1, of a
+# the most entries, rows times nm, of the C^perp basis `dual_code` builds,
+# of the basis `random_code` draws and of the generators a code document
+# holds (`RankMetricCode.from_json`), and the most counts, n + 1, of a
 # rank distribution: `qrank dual` on the zero Mat(1 x 1024, F_2) code, at
 # the limit, takes 1.3 s at a peak RSS of 116 MiB; at 2^22 entries, 4.8 s
-# and 446 MiB
+# and 446 MiB.  Reducing G generators costs about rank G nm table steps:
+# 1024 random Mat(32 x 32, F_2) ones, at the limit, load in 44-54 s (2
+# cores, Python 3.11.7)
 BASIS_LIMIT = 2**20
 _HOLDS_ENTRIES = "{what} holds {size} entries, above the basis limit BASIS_LIMIT = {limit}"
 # the most keys, q^(g L), and the most entries, galois_number(L, q)
@@ -128,7 +133,8 @@ class RankMetricCode(Value):
     @classmethod
     def from_json(cls, obj) -> "RankMetricCode":
         """The canonical code of a JSON document; MalformedCode if the
-        document is not a code."""
+        document is not a code.  BudgetExceeded, before any entry is read,
+        when its generators hold more than BASIS_LIMIT entries."""
         if not isinstance(obj, dict):
             raise MalformedCode("a code is a JSON object with a \"field\" object")
         field = FieldContext.from_json(obj.get("field"))
@@ -136,6 +142,10 @@ class RankMetricCode(Value):
         if not (_is_int(n) and _is_int(m) and n >= 1 and m >= 1):
             raise MalformedCode(f"n and m must be integers >= 1, got n={n!r}, m={m!r}")
         gens = obj.get("generators", [])
+        # refused before an entry is scanned or a generator reduced
+        entries = len(gens) * n * m if isinstance(gens, list) else 0
+        template = "the generators of the code hold {size} entries, above the basis limit BASIS_LIMIT = {limit}"
+        check_limit(entries, BASIS_LIMIT, template, entries.bit_length() - 1, {})
         if not isinstance(gens, list) or not all(_is_matrix(g, n, m, field.q) for g in gens):
             raise MalformedCode(
                 f"generators must be a list of {n}x{m} matrices with integer entries in [0, {field.q})"

@@ -176,8 +176,9 @@ def verify_axioms(P: QPolymatroid) -> list:
     rho(B) - rho(A) <= r (dim B - dim A) for A subseteq B, on the lattice's
     covers and length-2 intervals only.  Returns one line
     "{axiom} violated at {where}: {detail}" per violation, the zero
-    subspace named 0; the list is empty when every axiom holds, and the
-    lattice's keys are then never built.
+    subspace named 0: the R1 lines, then the R2 and rank-difference lines,
+    then the R3 lines, each in lattice order.  The list is empty when every
+    axiom holds, and the lattice's keys are then never built.
 
     The subspace lattice is modular.  So R2 and the rank-difference bound
     hold for all A <= B iff they hold on cover pairs, by telescoping along
@@ -187,13 +188,18 @@ def verify_axioms(P: QPolymatroid) -> list:
     such an interval meet in X and join to Y, so R3 there reads
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
 
-    Those are regrouped per Y from the covers A < Y with rho(A) < rho(Y)
-    only.  Let A, B be the two smallest, rho(A) <= rho(B).  If rho(B) >=
-    rho(Y), R2 on X < A gives rho(A) + rho(B) >= rho(X) + rho(Y); so an X
-    with fewer than two rank-dropping covers below Y fails R3 only where
-    R2 fails under a cover of Y, and every cover is taken for such a Y.
-    The dropping covers come first in ascending rank, so the lines and
-    their order are those of the regroup over all covers.
+    One walk of the lattice, in lattice order, checks all of it.  At each
+    Y it checks R1, then each cover A < Y by one gap rho(Y) - rho(A), and
+    marks Y when a gap is negative (R2 fails); then it regroups the
+    intervals [X, Y] from the covers A < Y with rho(A) < rho(Y) only.  Let
+    A, B be the two smallest, rho(A) <= rho(B).  If rho(B) >= rho(Y), R2 on
+    X < A gives rho(A) + rho(B) >= rho(X) + rho(Y); so an X with fewer than
+    two rank-dropping covers below Y fails R3 only where R2 fails under a
+    cover of Y, and every cover is taken for a Y above a marked cover.  A
+    cover is one dimension down, so it is visited, and marked, before the
+    subspace above it is regrouped.  The dropping covers come first in
+    ascending rank, so the lines and their order are those of the regroup
+    over all covers.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
     covers = lat.covers
@@ -202,32 +208,23 @@ def verify_axioms(P: QPolymatroid) -> list:
         # the lattice's keys are built only once a line needs one
         return lat.keys[i] or "0"
 
-    report = []
-    for i in range(len(lat)):
-        if not 0 <= ranks[i] <= r * dims[i]:
-            report.append(f"R1 violated at {key(i)}: rho={ranks[i]} not in [0, {r * dims[i]}]")
-    above_r2 = set()  # the b of every cover a < b with rho(a) > rho(b)
-    for b, lower in enumerate(covers):
-        for a in lower:
-            if ranks[a] > ranks[b]:
-                above_r2.add(b)
-                report.append(
-                    f"R2 violated at {key(a)} <= {key(b)}: "
-                    f"rho({key(a)})={ranks[a]} > rho({key(b)})={ranks[b]}"
-                )
-            if ranks[b] - ranks[a] > r:
-                report.append(
-                    f"rank-difference violated at {key(a)} <= {key(b)}: "
-                    f"rho gap {ranks[b] - ranks[a]} exceeds r*dim gap {r}"
-                )
+    r1, r2, r3 = [], [], []
+    marked = bytearray(len(lat))  # marked[y]: rho(a) > rho(y) for a cover a < y
     for y, lower in enumerate(covers):
         rho_y = ranks[y]
-        if above_r2 and not above_r2.isdisjoint(lower):
-            meet = lower
-        else:
-            meet = [a for a in lower if ranks[a] < rho_y]
-            if len(meet) < 2:
-                continue
+        if not 0 <= rho_y <= r * dims[y]:
+            r1.append(f"R1 violated at {key(y)}: rho={rho_y} not in [0, {r * dims[y]}]")
+        for a in lower:
+            gap = rho_y - ranks[a]
+            if gap < 0:
+                marked[y] = 1
+                r2.append(f"R2 violated at {key(a)} <= {key(y)}: rho({key(a)})={ranks[a]} > rho({key(y)})={rho_y}")
+            if gap > r:
+                r2.append(f"rank-difference violated at {key(a)} <= {key(y)}: rho gap {gap} exceeds r*dim gap {r}")
+        # every cover of Y is one dimension down, so its mark is final
+        meet = lower if r2 and any(map(marked.__getitem__, lower)) else [a for a in lower if ranks[a] < rho_y]
+        if len(meet) < 2:
+            continue
         # the intermediates of each [X, Y], met in ascending rank, so the
         # first two are the two smallest
         inside = {}
@@ -235,15 +232,14 @@ def verify_axioms(P: QPolymatroid) -> list:
             for x in covers[a]:
                 inside.setdefault(x, []).append(a)
         for x, group in inside.items():
-            if len(group) < 2:
-                continue
-            a, b = group[0], group[1]
-            if ranks[x] + rho_y > ranks[a] + ranks[b]:
-                report.append(
-                    f"R3 violated at {key(x)} < {key(a)}, {key(b)} < {key(y)}: "
-                    f"rho(X)+rho(Y)={ranks[x] + rho_y} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
-                )
-    return report
+            if len(group) > 1:
+                a, b = group[0], group[1]
+                if ranks[x] + rho_y > ranks[a] + ranks[b]:
+                    r3.append(
+                        f"R3 violated at {key(x)} < {key(a)}, {key(b)} < {key(y)}: "
+                        f"rho(X)+rho(Y)={ranks[x] + rho_y} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
+                    )
+    return r1 + r2 + r3
 
 
 def rgf_counts(P: QPolymatroid) -> dict:

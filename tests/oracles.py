@@ -181,6 +181,47 @@ def oracle_axioms(P) -> list:
     return report
 
 
+def oracle_axiom_lines(P) -> list:
+    """The lines `qpolymatroid.verify_axioms` prints, with R3 regrouped over
+    every cover of every Y: R1 at each subspace, then R2 and the
+    rank-difference bound on each cover pair A < Y, then R3 on each
+    length-2 interval [X, Y] from its two smallest-ranked intermediates,
+    each in lattice order.  `verify_axioms` regroups only the rank-dropping
+    covers of a Y with no R2 failure below them; its lines equal these."""
+    lat, r, ranks = P.lattice, P.r, P.ranks
+    keys = [key or "0" for key in lat.keys]
+    r1 = [
+        f"R1 violated at {keys[i]}: rho={ranks[i]} not in [0, {r * d}]"
+        for i, d in enumerate(lat.dims)
+        if not 0 <= ranks[i] <= r * d
+    ]
+    r2, r3 = [], []
+    for y, lower in enumerate(lat.covers):
+        for a in lower:
+            if ranks[a] > ranks[y]:
+                r2.append(f"R2 violated at {keys[a]} <= {keys[y]}: rho({keys[a]})={ranks[a]} > rho({keys[y]})={ranks[y]}")
+            if ranks[y] - ranks[a] > r:
+                r2.append(
+                    f"rank-difference violated at {keys[a]} <= {keys[y]}: "
+                    f"rho gap {ranks[y] - ranks[a]} exceeds r*dim gap {r}"
+                )
+        # the covers in ascending rank, ties in lattice order
+        inside = {}
+        for a in sorted(lower, key=lambda a: ranks[a]):
+            for x in lat.covers[a]:
+                inside.setdefault(x, []).append(a)
+        for x, group in inside.items():
+            if len(group) < 2:
+                continue
+            a, b = group[:2]
+            if ranks[x] + ranks[y] > ranks[a] + ranks[b]:
+                r3.append(
+                    f"R3 violated at {keys[x]} < {keys[a]}, {keys[b]} < {keys[y]}: "
+                    f"rho(X)+rho(Y)={ranks[x] + ranks[y]} > rho(A)+rho(B)={ranks[a] + ranks[b]}"
+                )
+    return r1 + r2 + r3
+
+
 # -- plain dict-based polynomial helpers (independent of MultiPoly) -----
 
 

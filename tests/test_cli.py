@@ -387,6 +387,16 @@ def test_basis_above_the_limit_is_refused_before_it_is_built_exit_2(tmp_path, ca
         assert "the basis of C^perp holds 9000000 entries, above the basis limit BASIS_LIMIT = 1048576" in err, args
 
 
+def test_code_file_above_the_basis_limit_is_refused_before_it_is_reduced_exit_2(tmp_path, capsys):
+    # 1,100 Mat(1x1000, F_2) generators hold 1.1M entries
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 1, "m": 1000, "generators": [[[1] * 1000]] * 1100}))
+    start = time.perf_counter()
+    err = _assert_error_exit_2(["check", "all", str(path)], capsys)
+    assert time.perf_counter() - start < 2
+    assert "the generators of the code hold 1100000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
+
+
 @pytest.mark.parametrize("key", ["0", "1"], ids=["restrict-to-zero", "restrict"])
 def test_restrict_of_the_zero_code_needs_no_basis_limit_exit_0(key, tmp_path, capsys):
     # Mat(J) or Mat(J)^perp in Mat(1x3000, F_2) would have 3000 rows of 3000 entries

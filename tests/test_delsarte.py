@@ -46,7 +46,7 @@ from qrank.delsarte import (
     _transitions,
     enumerate_codeword_entries,
 )
-from qrank.errors import AmbientMismatch, BudgetExceeded, ShapeMismatch, ZeroCode
+from qrank.errors import AmbientMismatch, BudgetExceeded, MalformedCode, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
 from qrank.qseries import galois_number
 from qrank.subspaces import enumerate_subspaces
@@ -453,6 +453,29 @@ def test_json_roundtrip_canonical(full_2x2_f2, e11_2x2_f2):
     C = RankMetricCode.from_json(obj)
     assert C.k == 2
     assert C.to_json()["generators"] == [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+
+
+def _refuse_entry_reads(*args, **kwargs):
+    raise AssertionError("a generator was scanned or reduced")
+
+
+def test_a_code_file_above_the_basis_limit_is_refused_before_any_generator_is_read(monkeypatch):
+    # limit 24: five Mat(1 x 5) generators hold 25 entries, four Mat(2 x 3) ones 24
+    monkeypatch.setattr(qrank.delsarte, "BASIS_LIMIT", 24)
+    over = {"field": {"q": 2}, "n": 1, "m": 5, "generators": [[[1, 0, 0, 0, 0]]] * 5}
+    at = {"field": {"q": 3}, "n": 2, "m": 3, "generators": [[[1, 2, 0], [0, 0, 1]], [[0, 1, 0], [2, 0, 0]]] * 2}
+    with monkeypatch.context() as patched:
+        patched.setattr(qrank.delsarte, "_is_matrix", _refuse_entry_reads)
+        for module in vars(qrank).values():
+            if getattr(module, "rref_rows", None) is qrank.matspace.rref_rows:
+                patched.setattr(module, "rref_rows", _refuse_entry_reads)
+        with pytest.raises(BudgetExceeded) as refusal:
+            RankMetricCode.from_json(over)
+    assert str(refusal.value) == "the generators of the code hold 25 entries, above the basis limit BASIS_LIMIT = 24"
+    assert RankMetricCode.from_json(at).k == 2
+    # malformed entries under the limit are still named as such
+    with pytest.raises(MalformedCode, match="generators must be a list of 1x5 matrices"):
+        RankMetricCode.from_json(dict(over, generators=[[[2, 0, 0, 0, 0]]]))
 
 
 def test_all_codes_counts():

@@ -22,7 +22,7 @@ from qrank.qpolymatroid import restriction_dims, rgf_counts, rgf_poly
 from qrank.qseries import MultiPoly
 from qrank.subspaces import SubspaceLattice, lattice
 
-from oracles import oracle_axioms, oracle_code_rgf, oracle_restriction_dims, oracle_rgf, oracle_rho
+from oracles import oracle_axiom_lines, oracle_axioms, oracle_code_rgf, oracle_restriction_dims, oracle_rgf, oracle_rho
 from test_delsarte import PROPERTY_FIELDS, SHAPES, _codes
 
 F2 = gf_new(2)
@@ -233,6 +233,26 @@ def test_local_axioms_give_pinned_lines_on_perturbed_tables(field, above):
             assert any(line.startswith(f"R3 violated at {x} < ") and f" < {y}: " in line for line in report)
     digest = hashlib.sha256("\n\n".join(reports).encode()).hexdigest()
     assert digest == PERTURBED_LINES[field.q, n, m]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_codes([(2, 3), (3, 4), (3, 2), (3, 1)]), st.data())
+def test_local_axioms_print_the_lines_of_the_regroup_over_every_cover(C, data):
+    # P_C, P_C^*, either with 0-3 ranks moved by 1 or 2, and either with R3
+    # broken over at most one rank-dropping cover: the same lines, in order
+    P = from_code(C)
+    lat = P.lattice
+    X = P.dual() if data.draw(st.booleans(), label="dual") else P
+    moves = data.draw(st.lists(st.tuples(st.integers(0, len(lat) - 1), st.sampled_from([-2, -1, 1, 2])), max_size=3))
+    ranks = list(X.ranks)
+    for i, delta in moves:
+        ranks[i] += delta
+    tables = [P, P.dual(), QPolymatroid(lat, X.r, ranks)]
+    forced = _r3_over_one_dropping_cover(X)
+    if forced:
+        tables.append(QPolymatroid(lat, X.r, forced[0]))
+    for Y in tables:
+        assert verify_axioms(Y) == oracle_axiom_lines(Y), (C, Y.ranks)
 
 
 def test_all_codes_give_polymatroids(corpus_2x2_f2):
