@@ -13,6 +13,7 @@ import random
 import sys
 
 from .delsarte import (
+    BASIS_LIMIT,
     DEFAULT_BUDGET,
     RankMetricCode,
     dual_code,
@@ -29,13 +30,24 @@ from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subs
 
 
 def _load_code(path: str) -> RankMetricCode:
-    with open(path) as fh:
+    """The code of a JSON file, read only up to 32 characters for each entry
+    BASIS_LIMIT admits: a longer file is refused before it is parsed.  qrank
+    writes at most 29 characters an entry (Mat(n x 1) at indent 2, entries
+    of 3 digits), so every code file it writes at the limit loads."""
+    most = 32 * BASIS_LIMIT
+    with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise MalformedCode(f"{path} is nested too deeply to be a code file") from None
-        except ValueError as exc:  # not JSON, not UTF-8, or an integer of more than 4300 digits
+            text = fh.read(most + 1)
+        except ValueError as exc:  # not UTF-8
             raise MalformedCode(f"{path} is not a code file: {exc}") from None
+    template = "{path} holds more than {limit} characters, 32 for each of the BASIS_LIMIT = {basis} entries of a code"
+    check_limit(len(text), most, template, len(text).bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise MalformedCode(f"{path} is nested too deeply to be a code file") from None
+    except ValueError as exc:  # not JSON, or an integer of more than 4300 digits
+        raise MalformedCode(f"{path} is not a code file: {exc}") from None
     return RankMetricCode.from_json(doc)
 
 

@@ -31,7 +31,9 @@ of F_q^L when the shape admits one (`_fold_ranks`), else eliminated.  A
 word of one key is spanned by `bytes.translate` (`_one_key_words`); a
 longer one holds its states as bytes when the table has at most 256 (all
 but F_2^5's 374) and walks a basis in reverse echelon form, so most of
-its steps are one `bytes.translate` per run of words in one state.
+its steps are one `bytes.translate` per run of words in one state.  Over
+every field the walk's words are tuples of keys added by the key-sum rows
+`_KeyRows`, its offsets one `bytes` column per key (`_span_keys`).
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
 the sweep's echelon extension: its table and its basis come from its own
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import getitem, itemgetter, mul, xor
 
 from .errors import AmbientMismatch, InvalidValue, MalformedCode, ShapeMismatch, ZeroCode, check_limit
@@ -231,8 +233,7 @@ def enumerate_codeword_entries(C: RankMetricCode, budget: int | None = None):
 class _Codewords:
     """The codewords of C, re-walkable in memory bounded by the basis.  A
     walk spans the steps alpha^l b_i, l < e, an F_p-basis of F_q b_i
-    (F_q = F_p^e, alpha^l the element encoded p^l), p the characteristic.
-    Over F_2 a word is the int whose bit u is its vector-major entry u."""
+    (F_q = F_p^e, alpha^l the element encoded p^l), p the characteristic."""
 
     __slots__ = ("code",)
 
@@ -244,9 +245,10 @@ class _Codewords:
 
     def projective(self):
         """One nonzero word per projective point of C, (q^k - 1)/(q - 1) in
-        all, as ints over F_2 and as vector-major entry tuples otherwise:
-        for each row b_i of the walk's basis, b_i plus every F_p-combination
-        of the steps of b_{i+1}, ..., b_{k-1}, q^(k-1-i) words.
+        all, as the int whose bit u is vector-major entry u over F_2 and as
+        vector-major entry tuples otherwise: for each row b_i of the walk's
+        basis, b_i plus every F_p-combination of the steps of b_{i+1}, ...,
+        b_{k-1}, q^(k-1-i) words.
 
         These are the words u whose first nonzero coefficient is 1.  Each
         nonzero word w has a first nonzero coefficient c, at some b_i, and
@@ -254,55 +256,78 @@ class _Codewords:
         coefficients agree before i and at b_i, so c = c' and u = u'.  So
         {c u : c != 0} lists each nonzero codeword exactly once, and
         rank(c u) = rank(u) since c is invertible."""
-        offsets, blocks, add = self._walk(1, _KeyRows(self.code.field, 1))
-        for start, size in blocks:
-            yield from map(add, offsets[:size], repeat(start, size))
+        q = self.code.field.q
+        rows = _key_rows(self.code.field, 8 if q == 2 else 1)
+        offsets, blocks = self._walk(rows)
+        if q > 2:  # a key is an entry
+            return chain.from_iterable(_moved([c[:size] for c in offsets], start, rows) for start, size in blocks)
+        # a key of 8 entries is a byte of the word's int, low byte first
+        as_int = lambda keys: int.from_bytes(bytes(keys), "little")
+        ints = list(map(as_int, zip(*offsets)))
+        return chain.from_iterable(map(xor, ints[:size], repeat(as_int(start), size)) for start, size in blocks)
 
-    def _walk(self, span: int, rows, echelon: bool = False):
-        """(offsets, blocks, add) of the projective walk, words over q > 2
-        being tuples of keys of `span` entries, which add adds by `rows`.  Its
-        basis is C's RREF rows or, if `echelon` and blocks of p^depth words
-        follow, the fully reduced one whose pivots are the rows' last nonzero
-        entries in vector-major order, b_0 holding the largest.  Its steps run
-        from b_{k-1} back to b_0; offsets, the `_span` of the first `depth`,
-        has offsets[:p^l] span the first l.  Walk i is the blocks (start,
-        p^min(depth, i e)), start over the `_span` of b_{k-1-i} over steps
-        depth to i e; a block's words are start + offsets[t], t < its size."""
+    def _walk(self, rows, echelon: bool = False):
+        """(offsets, blocks) of the projective walk, its words tuples of keys
+        of `rows.digits` entries, added by the key-sum `rows`.  Its basis is
+        C's RREF rows or, if `echelon` and blocks of p^depth words follow, the
+        fully reduced one whose pivots are the rows' last nonzero entries in
+        vector-major order, b_0 holding the largest.  Its steps run from
+        b_{k-1} back to b_0; offsets, the `_span_keys` of the first `depth`,
+        has offsets[j][:p^l] key j of the span of the first l.  Walk i is the
+        blocks (start, p^min(depth, i e)), start over b_{k-1-i} plus the span
+        of steps depth to i e in the order of `_span`; key j of a block's
+        words is start[j] + offsets[j][t], t < its size."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
-        q, p, e = field.q, field.p, field.e
+        q, p, e, span = field.q, field.p, field.e, rows.digits
         depth = min(_block_depth(p, n * m), max(k - 1, 0) * e)
         # a walk with i e <= depth is one block from its row: no `_span` for it
         short = min(k, depth // e + 1)
-        steps = list(map(_pack if q == 2 else tuple, map(_vector_major(n, m), C.space.basis)))
+        steps = list(map(_vector_major(n, m), C.space.basis))
         if not echelon or short == k:  # the reverse echelon form pays off only with blocks of p^depth words
             steps.reverse()
-        elif q == 2:  # a row's pivot is its top bit, and v ^ b < v iff v holds the top bit of b
-            basis = []
-            for v in steps:
-                for b in basis:
-                    v = v ^ b if v ^ b < v else v
-                basis = [b ^ v if b ^ v < b else b for b in basis] + [v]
-            steps = sorted(basis)
         else:
-            steps = [v[::-1] for v in reduce(lambda rows, v: _join_entries(rows, v[::-1], field), steps, ())[::-1]]
-        if e > 1:
-            times = field.tables[1]
-            steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
-        if q == 2:
-            zero, add, plus, sums = 0, xor, xor, lambda moves: list(accumulate(moves, xor))
-        else:
-            weights = [q**u for u in range(span)]
-            steps, zero = [_keys(s, weights) for s in steps], (0,) * -(-n * m // span)
-            # `_span` adds a running sum again and again, so it gets its keys' rows
-            plus = lambda r, b: tuple(map(getitem, r, b))
-            add = lambda a, b: plus(map(rows.__getitem__, a), b)
-            sums = lambda moves: [tuple(map(rows.__getitem__, s)) for s in accumulate(moves, add)]
-        blocks = chain(
-            zip(steps[: short * e : e], [p ** (i * e) for i in range(short)]),
-            ((s, p**depth) for i in range(short, k) for s in _span(steps[i * e], sums(steps[depth : i * e]), plus, p)),
+            steps = [v[::-1] for v in reduce(lambda basis, v: _join_entries(basis, v[::-1], field), steps, ())[::-1]]
+        times = field.tables[1]
+        steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
+        if span > 1:  # key j is that of entries j span to (j + 1) span, the last key taking the entries left
+            steps = [tuple([rows.key[s[i : i + span]] for i in range(0, n * m, span)]) for s in steps]
+        # the starts of a longer walk come p^depth at a time, each word of the
+        # `_span` of b_{k-1-i} over steps 2 depth to i e plus the key columns of
+        # steps depth to 2 depth (`_moved`)
+        offsets, runs = (_span_keys(steps[t * depth : t * depth + depth], -(-n * m // span), rows, p) for t in (0, 1))
+        plus = lambda a, b: tuple(map(getitem, map(rows.__getitem__, a), b))
+        sums = list(accumulate(steps[2 * depth :], plus))
+        starts = (
+            (start, p**depth)
+            for i in range(short, k)
+            for word in _span(steps[i * e], sums[: max(i * e - 2 * depth, 0)], plus, p)
+            for start in _moved([c[: p ** min(i * e - depth, depth)] for c in runs], word, rows)
         )
-        return list(_span(zero, sums(steps[:depth]), plus, p)), blocks, add
+        return offsets, chain(zip(steps[: short * e : e], [p ** (i * e) for i in range(short)]), starts)
+
+
+def _moved(columns, keys, rows):
+    """The words `keys` + t, t over these key columns of a span: column j
+    translated by the key-sum row of keys[j], read across; `keys` alone when
+    the columns hold only the zero word, so a wide word is never split."""
+    return zip(*map(bytes.translate, columns, map(rows.__getitem__, keys))) if len(columns[0]) > 1 else [keys]
+
+
+def _span_keys(steps, keys: int, rows, p: int) -> list:
+    """Key j < `keys` of each word of the F_p-span of these key tuples, in
+    the order of `_span`, one `bytes` column per key: step l makes column j
+    the first p^l keys plus c times the step, c < p, each multiple one
+    `bytes.translate` of the last by the key-sum row of the step's key j."""
+    columns = [b"\0"] * keys
+    for step in steps:
+        for j, x in enumerate(step):
+            moved = column = columns[j]
+            for _ in range(1, p):
+                moved = moved.translate(rows[x])
+                column += moved
+            columns[j] = column
+    return columns
 
 
 def _span(word, sums, plus, p: int):
@@ -336,24 +361,6 @@ def _vector_major(n: int, m: int):
     """The map from the row-major entries of an n x m matrix to vector-major
     ones: its columns in turn when n <= m, else its rows (as for n = 1)."""
     return itemgetter(*(i * m + j for j in range(m) for i in range(n))) if 1 < n <= m else tuple
-
-
-def _keys(entries, weights) -> tuple:
-    """The keys of these vector-major entries, s = len(weights) to a key:
-    key j is sum_u entries[j s + u] weights[u], weights[u] = q^u, the last
-    key taking the entries left."""
-    span = len(weights)
-    if span == 1:
-        return tuple(entries)
-    return tuple(sum(map(mul, entries[i : i + span], weights)) for i in range(0, len(entries), span))
-
-
-def _pack(entries) -> int:
-    """The int whose bit u is entry u of these elements of F_2."""
-    return int(bytes(entries)[::-1].translate(_BITS), 2)
-
-
-_BITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _column_images(support, columns, q, add, mul):
@@ -481,12 +488,12 @@ def _join_entries(rows, v, field):
     if p is None:
         return rows
     f = inv[v[p]] * q
-    v = tuple(mul[f + x] for x in v)
+    v = tuple(v if v[p] == 1 else [mul[f + x] for x in v])
     out = [v]
     for row in rows:
         if row[p]:
             f = neg[row[p]] * q
-            row = tuple(add[a * q + mul[f + x]] for a, x in zip(row, v))
+            row = tuple([add[a * q + mul[f + x]] for a, x in zip(row, v)])
         out.append(row)
     return tuple(sorted(out, reverse=True))
 
@@ -524,12 +531,14 @@ class _KeyRows(dict):
     """The map x -> the key sums x + y over all keys y < q^digits <= 256,
     as `bytes` padded to 256 for `bytes.translate`: a key is the base-q
     number of `digits` entries of F_q, added entry by entry.  A row is
-    filled the first time it is read."""
+    filled the first time it is read.  `key` maps each tuple of at most
+    `digits` entries to its key."""
 
-    __slots__ = ("field", "digits")
+    __slots__ = ("field", "digits", "key")
 
     def __init__(self, field: FieldContext, digits: int):
-        self.field, self.digits = field, digits
+        self.field, self.digits, q = field, digits, field.q
+        self.key = {v[::-1]: x for d in range(1, digits + 1) for x, v in enumerate(product(range(q), repeat=d))}
 
     def __missing__(self, x):
         q, add = self.field.q, self.field.tables[0]
@@ -540,6 +549,10 @@ class _KeyRows(dict):
             row = [v + add[shift + d] * weight for d in range(q) for v in row]
         self[x] = row = bytes(row).ljust(256, b"\0")
         return row
+
+
+# one per (field, digits), its rows filled as they are read, shared by every fold and walk
+_key_rows = lru_cache(maxsize=None)(_KeyRows)
 
 
 @lru_cache(maxsize=None)
@@ -561,7 +574,7 @@ def _fold_table(field: FieldContext, length: int, g: int):
     pad, dims = lambda row: bytes(row).ljust(256, b"\0"), [len(rows) for rows in bases]
     steps = list(map(pad, reached)) if len(bases) <= 256 else reached
     lasts = [pad([dims[t] for t in row]) for row in reached]
-    return steps, lasts, _KeyRows(field, g * length), dims.index(length)
+    return steps, lasts, _key_rows(field, g * length), dims.index(length)
 
 
 def _fold_width(q: int, length: int, width: int) -> int:
@@ -599,41 +612,37 @@ def _one_key_words(C: RankMetricCode, rows) -> bytes:
 def _fold_ranks(words: _Codewords, g: int) -> list:
     """The number of projective words of each rank, each word folded from the
     zero state through `_fold_table` one key at a time, g vectors per key.
-    Key i of a word is its bits i span to (i + 1) span over F_2 and its entry
-    i otherwise; a block's words are its start plus the offsets, so their key
-    i is the offsets' key column translated by the start's row of `rows`.  A
-    span is the same in any order, so the keys fold last first, key 0 through
-    `lasts`.  Key i > 0 of the offsets changes only at multiples of runs[i],
-    the first offset where it or a later key is nonzero: keys whose run
-    covers a block are its start's, folded once, and a block that reaches
-    F_q^L, which maps to itself, stops there.  Each later key is one
-    `bytes.translate` per run of one state, or a comprehension over runs of
-    under 4 words and F_2^5's 374 states, held in lists.  The ranks, each at
-    most L <= 8, are counted as bytes, BLOCK_ENTRIES at a time at most."""
+    Key i of a block's words is the offsets' key column i translated by the
+    row of `rows` of the start's key i.  A span is the same in any order, so
+    the keys fold last first, key 0 through `lasts`.  Key i > 0 of the
+    offsets changes only at multiples of runs[i], the first offset where it
+    or a later key is nonzero: keys whose run covers a block are its
+    start's, folded once, and a block that reaches F_q^L, which maps to
+    itself, stops there.  Each later key is one `bytes.translate` per run of
+    one state, or a comprehension over runs of under 4 words and F_2^5's 374
+    states, held in lists.  The ranks, each at most L <= 8, are counted as
+    bytes, BLOCK_ENTRIES at a time at most."""
     C = words.code
-    field, n, m = C.field, C.n, C.m
-    q, length, width = field.q, min(n, m), max(n, m)
-    steps, lasts, rows, full = _fold_table(field, length, g)
-    chunks, span = -(-width // g), g * length
+    n, m, length, width = C.n, C.m, min(C.n, C.m), max(C.n, C.m)
+    steps, lasts, rows, full = _fold_table(C.field, length, g)
+    chunks = -(-width // g)
     if chunks == 1:  # a word is one key, so there are at most FOLD_KEYS words: no blocks
         ranks = _one_key_words(C, rows).translate(lasts[0])
         return [*map(ranks.count, range(length + 1))] + [0] * (n - length)
-    offsets, blocks, _ = words._walk(span, rows, True)
-    mask, key = 2**span - 1, (lambda word, i: word >> i * span & mask) if q == 2 else getitem
-    columns = [[o >> i * span & mask for o in offsets] for i in range(chunks)] if q == 2 else list(zip(*offsets))
-    columns, tables, small = list(map(bytes, columns)), [lasts] + [steps] * (chunks - 1), len(steps) <= 256
+    columns, blocks = words._walk(rows, True)
+    tables, small = [lasts] + [steps] * (chunks - 1), len(steps) <= 256
     counts, seen = [0] * (n + 1), bytearray()
     runs = [0, *list(accumulate([len(c) - len(c.lstrip(b"\0")) for c in columns[:0:-1]], min))[::-1]]
     for start, block in blocks:
         i, state = chunks - 1, 0
         while runs[i] >= block:
-            state, i = steps[state][key(start, i)], i - 1
+            state, i = steps[state][start[i]], i - 1
         ranks, run = (state,), block
         for i in range(i, -1, -1):
             if ranks[0] == full and ranks.count(full) == len(ranks):
                 counts[length] += block
                 break
-            moved, table = columns[i][:block].translate(rows[key(start, i)]), tables[i]
+            moved, table = columns[i][:block].translate(rows[start[i]]), tables[i]
             if run == block:
                 ranks = moved.translate(table[state]) if small or not i else list(map(table[state].__getitem__, moved))
             elif run > 3 and (small or not i):

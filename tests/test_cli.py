@@ -397,6 +397,24 @@ def test_code_file_above_the_basis_limit_is_refused_before_it_is_reduced_exit_2(
     assert "the generators of the code hold 1100000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
 
 
+def test_code_file_above_32_characters_an_entry_is_refused_before_it_is_parsed_exit_2(tmp_path, monkeypatch, capsys):
+    # a code file is read up to 32 characters for each entry BASIS_LIMIT
+    # admits, here 64: one character more is refused unparsed, so a file of
+    # gigabytes never reaches the JSON parser
+    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
+    doc = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]]})
+    at, over = tmp_path / "at.json", tmp_path / "over.json"
+    at.write_text(doc.ljust(32 * 64))
+    over.write_text(doc.ljust(32 * 64 + 1))
+    assert main(["wd", str(at)]) == 0
+    assert capsys.readouterr().out.startswith("rank distribution: [1, 1]\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("the file was parsed"))
+        err = _assert_error_exit_2(["wd", str(over)], capsys)
+    limit = "2048 characters, 32 for each of the BASIS_LIMIT = 64 entries of a code"
+    assert err == f"qrank: error: {over} holds more than {limit}\n"
+
+
 @pytest.mark.parametrize("key", ["0", "1"], ids=["restrict-to-zero", "restrict"])
 def test_restrict_of_the_zero_code_needs_no_basis_limit_exit_0(key, tmp_path, capsys):
     # Mat(J) or Mat(J)^perp in Mat(1x3000, F_2) would have 3000 rows of 3000 entries

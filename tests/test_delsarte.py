@@ -498,19 +498,45 @@ def test_codeword_stream_matches_span_oracle():
         for C in _random_codes(n, m, field, 4, rng):
             assert len(enumerate_codeword_entries(C)) == C.size()
             assert sorted(_all_words(C)) == _oracle_words(C), C
-            # the walk's invariant: offsets[:p^l] spans the first l F_p-steps
-            # in counting order, and each block's words are its start plus
-            # offsets[:size]
+            # the walk's invariant: offsets[j][:p^l] is key j of the span of
+            # the first l F_p-steps in counting order, and each block's words
+            # are its start plus the first `size` offsets
             view = enumerate_codeword_entries(C)
-            offsets, blocks, _ = view._walk(1, _KeyRows(field, 1))
-            offsets = [_row_major(o, C) for o in offsets]
+            offsets, blocks = view._walk(_KeyRows(field, 1))
+            offsets = [_keys_to_row_major(o, 1, C) for o in zip(*offsets)]
             steps, l = _steps(C), 0
             while field.p**l <= len(offsets):
                 assert offsets[: field.p**l] == _combinations(offsets[0], steps[:l], field), (C, l)
                 l += 1
             assert field.p ** (l - 1) == len(offsets) and not any(offsets[0]), C
-            words = [tuple(map(field.add, _row_major(start, C), o)) for start, size in blocks for o in offsets[:size]]
+            starts = [(_keys_to_row_major(start, 1, C), size) for start, size in blocks]
+            words = [tuple(map(field.add, start, o)) for start, size in starts for o in offsets[:size]]
             assert words == [_row_major(w, C) for w in view.projective()] == _counting_walk(C), C
+
+
+def test_the_starts_of_a_long_walk_span_its_later_steps_in_counting_order():
+    # walk i has p^(i e - depth) starts, b_{k-1-i} plus each F_p-combination of
+    # steps depth to i e in counting order: past 2 depth steps they are words
+    # of `_span` plus the key columns of steps depth to 2 depth, and at depth 0,
+    # a word of over BLOCK_ENTRIES / p entries, words of `_span` alone.  Over
+    # F_2 with the 8-entry keys of `projective()` and over F_4 and F_7 with
+    # one-entry keys, in both walk forms
+    rng = random.Random(32)
+    for n, m, field, k, depth in [(2, 3, gf_new(7), 6, 2), (1, 2000, F2, 9, 3), (1, 2000, gf_new(2, 2), 5, 3),
+                                  (1, 5000, F2, 4, 1), (1, 8200, F2, 3, 0)]:  # fmt: skip
+        p, e, span = field.p, field.e, 8 if field.q == 2 else 1
+        C = random_code(n, m, field, k, rng)
+        assert min(_block_depth(p, n * m), (k - 1) * e) == depth and (k - 1) * e > 2 * depth, C
+        short = depth // e + 1
+        for echelon in (False, True):
+            blocks = list(enumerate_codeword_entries(C)._walk(_KeyRows(field, span), echelon)[1])
+            rows, steps = _walk_rows(C, echelon), _steps(C, echelon)
+            starts = [_keys_to_row_major(start, span, C) for start, _ in blocks[short:]]
+            expected = [start for i in range(short, k)
+                        for start in _combinations(rows[i], steps[depth : i * e], field)]  # fmt: skip
+            assert starts == expected, (C, echelon)
+            sizes = [p ** (i * e) for i in range(short)] + [p**depth] * len(starts)
+            assert [size for _, size in blocks] == sizes, (C, echelon)
 
 
 def _random_matrix(n, m, rank, field, rng):
@@ -574,7 +600,9 @@ def test_packed_walk_unpacks_to_the_tuple_view():
     # over F_2 the walk's ints unpack to the entry tuples of the walk's
     # definition, in its order
     rng = random.Random(14)
-    for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5)]:
+    # nm = 8 fills one 8-entry key exactly, Mat(1 x 9) ends on a one-entry
+    # key and Mat(6 x 6) is eliminated per word
+    for n, m in [(1, 1), (3, 4), (4, 3), (2, 6), (6, 2), (5, 5), (2, 4), (1, 9), (6, 6)]:
         # k with at most 2^10 words
         top = min(n * m, 10)
         for k in sorted({0, 1, top, rng.randrange(top + 1)}):
@@ -613,9 +641,10 @@ def test_rank_distribution_matches_span_oracle_property(field, data):
 
 
 def _clear_rank_tables():
-    """Empty the transition and fold-table caches, so the next ranking fills them."""
+    """Empty the transition, fold-table and key-sum-row caches, so the next ranking fills them."""
     _transitions.cache_clear()
     _fold_table.cache_clear()
+    qrank.delsarte._key_rows.cache_clear()
 
 
 def _refuse(*args, **kwargs):
@@ -752,7 +781,8 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis():
     # at g = 2 and 1, and Mat(2 x 5000, F_17) k = 2 is refused one, 17^2
     # keys: offsets for blocks of 81, 25 and 17 words of 10^4 entries would
     # take about 6, 2 and 1.4 MiB as tuples, twice with their add-rows; the
-    # basis steps and their add-rows take under 1 MiB
+    # basis steps, their add-rows and the offsets' key columns take under
+    # 1 MiB
     rng = random.Random(21)
     for field, k in [(F3, 5), (gf_new(5), 3), (gf_new(17), 2)]:
         _clear_rank_tables()
@@ -766,11 +796,12 @@ def test_a_wide_code_walks_in_memory_bounded_by_its_basis():
             tracemalloc.stop()
         assert sum(dist) == C.size()
         assert peak < 2**21, (C, peak)
-    # a block is 256 words of 64 entries, or 128 of 65
+    # a block is 256 words of 64 entries, or 128 of 65: each key column
+    # holds one key of each offset
     assert BLOCK_ENTRIES == 2**14
     for n, m, size in [(8, 8, 256), (5, 13, 128)]:
-        offsets = enumerate_codeword_entries(random_code(n, m, F2, 9, rng))._walk(1, _KeyRows(F2, 1))[0]
-        assert len(offsets) == size, (n, m)
+        offsets = enumerate_codeword_entries(random_code(n, m, F2, 9, rng))._walk(_KeyRows(F2, 1))[0]
+        assert len(offsets) == n * m and {len(column) for column in offsets} == {size}, (n, m)
 
 
 def _fold_widths(q, length):
@@ -870,11 +901,8 @@ def test_every_shared_key_depth_folds_to_the_oracle():
             C = _pivot_code(n, m, field, pivots, rng, last)
             k = C.k
             assert k == len(pivots) and (k - 1) * e > _block_depth(p, n * m), (C, pivots)
-            offsets = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2], True)[0]
-            if q == 2:
-                columns = [[o >> i * span & 2**span - 1 for o in offsets] for i in range(chunks)]
-            else:
-                columns = list(zip(*offsets))
+            columns = enumerate_codeword_entries(C)._walk(_fold_table(field, length, g)[2], True)[0]
+            assert len(columns) == chunks, (C, pivots)
             shared = next(i for i, column in enumerate(columns[::-1] + [[1]]) if any(column))
             assert shared == chunks - 1 - pivots[d - 1] // span, (C, pivots)
             depths.add(shared)
@@ -897,26 +925,19 @@ def test_every_shared_key_depth_folds_to_the_oracle():
         assert len(steps) == states and {type(row) for row in steps} == {rows_as}, C
 
 
-def _key_column(offsets, j, span, q):
-    """Key j of each offset of a fold's walk: its bits j span to (j + 1)
-    span over F_2, its key tuple's entry j otherwise."""
-    return [o >> j * span & 2**span - 1 for o in offsets] if q == 2 else [o[j] for o in offsets]
-
-
 def _keys_to_row_major(word, span, C):
-    """The row-major entries of a word of a fold's walk: an int over F_2,
-    else a tuple of keys of `span` base-q digits, entries low digit first."""
-    if C.field.q == 2:
-        return _row_major(word, C)
-    q = C.field.q
-    return _row_major(tuple(x // q**u % q for x in word for u in range(span))[: C.n * C.m], C)
+    """The row-major entries of a word of the walk, a tuple of keys of
+    `span` base-q digits, vector-major entries low digit first."""
+    q, n, m = C.field.q, C.n, C.m
+    return _from_vector_major(tuple(x // q**u % q for x in word for u in range(span))[: n * m], n, m)
 
 
 # every shape of the benchmark's enumeration and CLI workloads, n < m and
-# n > m, Mat(3 x 3, F_2) of its corpus, F_2^5's list rows and F_8, whose
-# depth 8 is no multiple of e = 3: each folds more than one key a word
+# n > m, Mat(3 x 3, F_2) of its corpus, F_2^5's list rows, F_8, whose
+# depth 8 is no multiple of e = 3, and F_16, e = 4: each folds more than
+# one key a word
 MULTI_KEY_SHAPES = [(4, 5, F2), (5, 4, F2), (3, 3, F2), (5, 3, F2), (5, 2, F2), (3, 4, F3), (4, 3, F3),
-                    (3, 3, gf_new(2, 2)), (2, 3, gf_new(2, 3)), (5, 5, F2)]  # fmt: skip
+                    (3, 3, gf_new(2, 2)), (2, 3, gf_new(2, 3)), (5, 5, F2), (2, 4, gf_new(2, 4))]  # fmt: skip
 
 
 def test_the_fold_walk_keeps_each_key_constant_on_aligned_runs():
@@ -936,23 +957,24 @@ def test_the_fold_walk_keeps_each_key_constant_on_aligned_runs():
         for k in sorted({min(deepest // e + 2, n * m), 3}):
             C = random_code(n, m, field, k, rng)
             echelon, depth = (k - 1) * e > deepest, min(deepest, (k - 1) * e)
-            offsets, blocks, add = enumerate_codeword_entries(C)._walk(span, _fold_table(field, length, g)[2], True)
-            words = [_keys_to_row_major(add(o, start), span, C) for start, size in blocks for o in offsets[:size]]
+            columns, blocks = enumerate_codeword_entries(C)._walk(_fold_table(field, length, g)[2], True)
+            assert len(columns) == chunks and {type(c) for c in columns} == {bytes}, C
+            offsets = [_keys_to_row_major(o, span, C) for o in zip(*columns)]
+            words = [tuple(map(field.add, _keys_to_row_major(start, span, C), o))
+                     for start, size in blocks for o in offsets[:size]]  # fmt: skip
             assert words == _counting_walk(C, echelon), C
             assert len({_point(w, field) for w in words}) == len(words) == (q**k - 1) // (q - 1), C
-            # offsets[p^l] is step l of the walk's definition
+            # offset p^l is step l of the walk's definition
             steps = _steps(C, echelon)[:depth]
-            assert [_keys_to_row_major(offsets[p**l], span, C) for l in range(depth)] == steps, C
-            steps = [_vector_major(s, n, m) for s in steps]
-            for j in range(chunks):
-                column = _key_column(offsets, j, span, q)
-                later = [_key_column(offsets, i, span, q) for i in range(j, chunks)]
+            assert [offsets[p**l] for l in range(depth)] == steps, C
+            steps, size = [_vector_major(s, n, m) for s in steps], len(offsets)
+            for j, column in enumerate(columns):
                 r = next((l for l, s in enumerate(steps) if any(s[j * span :])), depth)
-                assert next((t for t in range(len(offsets)) if any(c[t] for c in later)), len(offsets)) == p**r, (C, j)
-                assert all(column[t] == column[t - t % p**r] for t in range(len(offsets))), (C, j)
+                assert next((t for t in range(size) if any(c[t] for c in columns[j:])), size) == p**r, (C, j)
+                assert all(column[t] == column[t - t % p**r] for t in range(size)), (C, j)
             if echelon:
                 pivot = max(u for u, x in enumerate(steps[-1]) if x)
-                assert all(not any(_key_column(offsets, j, span, q)) for j in range(pivot // span + 1, chunks)), C
+                assert not any(b"".join(columns[pivot // span + 1 :])), C
 
 
 def _fold_paths(C, monkeypatch):
@@ -987,9 +1009,10 @@ def _fold_paths(C, monkeypatch):
         tables = [Table(ByteRow(row) if type(row) is bytes else ListRow(row) for row in t) for t in (steps, lasts)]
         return *tables, Rows(field, g * length), full
 
-    def spy_walk(self, span, rows, echelon=False):
-        offsets, blocks, add = walk(self, span, _KeyRows(rows.field, rows.digits), echelon)
-        return offsets, (log.append(size) or (start, size) for start, size in blocks), add
+    def spy_walk(self, rows, echelon=False):
+        # the walk's own key sums, unlogged, on rows of its own
+        offsets, blocks = walk(self, _KeyRows(rows.field, rows.digits), echelon)
+        return offsets, (log.append(size) or (start, size) for start, size in blocks)
 
     with monkeypatch.context() as patch:
         patch.setattr(qrank.delsarte, "_fold_table", spy_table)

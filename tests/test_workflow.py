@@ -16,9 +16,10 @@ def test_the_workflow_parses_and_keeps_its_tier_1_steps():
     steps = {step.get("name", ""): step.get("run", "") for step in workflow["jobs"]["tier-1"]["steps"]}
     console = [run for name, run in steps.items() if name.startswith("Console script")]
     assert len(console) == 1 and "qrank check all" in console[0]
-    # twelve large codes, folded or eliminated, are checked against the lattice
+    # thirteen large codes, folded or eliminated, are checked against the lattice
     # route, which exits 1 on a wrong count; `qrank wd` exits 0 whatever it prints
-    codes = ("c18", "c20", "c54", "c43f3", "c12f3", "c33f4", "c44f3", "c220", "c8f5", "c66", "c44f3k2", "c33f8")
+    codes = ("c18", "c20", "c54", "c43f3", "c12f3", "c33f4", "c44f3", "c220", "c8f5", "c66", "c44f3k2", "c33f8",
+             "c24f16")  # fmt: skip
     for code in codes:
         assert re.search(rf"^ *timeout \d+ qrank check greene {code}\.json$", console[0], re.M), code
         assert not re.search(rf"^ *timeout \d+ qrank wd {code}\.json$", console[0], re.M), code
