@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -31,17 +32,21 @@ from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subs
 
 def _load_code(path: str) -> RankMetricCode:
     """The code of a JSON file, read only up to 32 characters for each entry
-    BASIS_LIMIT admits: a longer file is refused before it is parsed.  qrank
-    writes at most 29 characters an entry (Mat(n x 1) at indent 2, entries
-    of 3 digits), so every code file it writes at the limit loads."""
+    BASIS_LIMIT admits: a longer file is refused before it is parsed, and
+    one of more than 4 bytes for each of those characters (the most a
+    UTF-8 character takes) before it is read.  qrank writes at most 29
+    characters an entry (Mat(n x 1) at indent 2, entries of 3 digits), so
+    every code file it writes at the limit loads."""
     most = 32 * BASIS_LIMIT
     with open(path, encoding="utf-8") as fh:
+        # the fewest characters the file's bytes can hold
+        size = -(-os.fstat(fh.fileno()).st_size // 4)
         try:
-            text = fh.read(most + 1)
+            text = fh.read(most + 1 if size <= most else 0)
         except ValueError as exc:  # not UTF-8
             raise MalformedCode(f"{path} is not a code file: {exc}") from None
     template = "{path} holds more than {limit} characters, 32 for each of the BASIS_LIMIT = {basis} entries of a code"
-    check_limit(len(text), most, template, len(text).bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
+    check_limit(max(size, len(text)), most, template, size.bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
     try:
         doc = json.loads(text)
     except RecursionError:

@@ -1,9 +1,10 @@
 """End-to-end identity checks, each computed by at least two independent
 routes and compared as exact polynomial (or table) equalities: RGF
 duality, for one, reads R_{P*} off the sweep of C^perp (P_C^* =
-P_{C^perp}) and R-hat_P off the sweep of C.  A report whose sides are
-equal prints one text for both, and the axioms of P_C^* get a pass of
-their own only when P_C fails one (`_axiom_checks`).
+P_{C^perp}) and R-hat_P off the sweep of C.  A report keeps its sides as
+values and prints them only when they are read, one value for both sides
+of a pass, and the axioms of P_C^* get a pass of their own only when P_C
+fails one (`_axiom_checks`).
 
 The Greene-type substitution works in an auxiliary variable z with
 y = z^m, which keeps every intermediate value an exact Laurent
@@ -35,24 +36,36 @@ from .qseries import (
 
 
 class IdentityReport(Value):
-    """One identity's outcome on one code: its two sides as text, whether
-    they are equal and, if not, a witness.  Equal by value, unhashable;
-    each report holds its own copy of `params`."""
+    """One identity's outcome on one code: its two sides, whether they are
+    equal and, if not, a witness.  A side is given as text or as a value
+    whose str() is its text (a `HomogeneousPoly`, a `MultiPoly`, a
+    `QPolymatroid`); `lhs` and `rhs` are that text, formed on first read
+    and kept, a value given for both sides printed once.  Equal by value
+    (the text), unhashable; each report holds its own copy of `params`."""
 
-    __slots__ = ("name", "params", "lhs", "rhs", "passed", "witness")
+    __slots__ = ("name", "params", "_sides", "passed", "witness")
     __hash__ = None
 
-    def __init__(self, name: str, params: dict, lhs: str, rhs: str, passed: bool, witness: str | None = None):
-        self.name, self.params, self.lhs, self.rhs = name, dict(params), lhs, rhs
+    def __init__(self, name: str, params: dict, lhs, rhs, passed: bool, witness: str | None = None):
+        self.name, self.params, self._sides = name, dict(params), (lhs, rhs)
         self.passed, self.witness = passed, witness
 
+    def _texts(self):
+        # str() of a side already printed is that text itself
+        lhs, rhs = self._sides
+        text = str(lhs)
+        self._sides = text, text if rhs is lhs else str(rhs)
+        return self._sides
+
+    lhs = property(lambda self: self._texts()[0])
+    rhs = property(lambda self: self._texts()[1])
+
     def _key(self):
-        return self.name, self.params, self.lhs, self.rhs, self.passed, self.witness
+        return self.name, self.params, *self._texts(), self.passed, self.witness
 
     def __repr__(self):
-        return "IdentityReport({})".format(
-            ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key()))
-        )
+        names = "name", "params", "lhs", "rhs", "passed", "witness"
+        return "IdentityReport({})".format(", ".join(f"{name}={value!r}" for name, value in zip(names, self._key())))
 
     def as_dict(self) -> dict:
         return {
@@ -136,22 +149,20 @@ class CodeAnalysis:
         return rank_distribution(self.dual, self.budget)
 
 
-def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, route, text=None):
-    """The report of lhs = route(a), `text` being str(lhs) if given: equal
-    integer coefficients print equal text, so a pass prints it for both;
-    a non-integral route fails with rhs "-", its message the witness."""
-    text = str(lhs) if text is None else text
+def _poly_report(name, a: CodeAnalysis, lhs: HomogeneousPoly, route):
+    """The report of lhs = route(a): a pass gives lhs for both sides; a
+    non-integral route fails with rhs "-", its message the witness."""
     try:
         rhs = route(a)
     except NonIntegralResult as exc:
-        return IdentityReport(name, a._params, text, "-", False, str(exc))
+        return IdentityReport(name, a._params, lhs, "-", False, str(exc))
     passed = lhs == rhs
     witness = None if passed else next(
         f"coefficient of x^{lhs.degree - i}*y^{i}: lhs {x}, rhs {y}"
         for i, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs))
         if x != y
     )
-    return IdentityReport(name, a._params, text, text if passed else str(rhs), passed, witness)
+    return IdentityReport(name, a._params, lhs, lhs if passed else rhs, passed, witness)
 
 
 def greene_rhs(q: int, m: int, n: int, k: int, table: dict) -> HomogeneousPoly:
@@ -189,47 +200,32 @@ def greene_check(a: CodeAnalysis) -> IdentityReport:
     return _poly_report("greene", a, HomogeneousPoly(C.n, a.distribution), route)
 
 
-# perfbench's corpus pool prints 110 distinct R_{P*} tables of at most 8 triples
-_RGF_TEXT_CAP = 128
-
-
-@lru_cache(maxsize=_RGF_TEXT_CAP)
-def _rgf_text(q: int, items: frozenset) -> str:
-    """str(rgf_poly(q, table)) by q and the table's items, which the print
-    sorts.  `rgf_duality_check` prints a table of more than _RGF_TEXT_CAP
-    triples without it, and a triple of degree l <= n prints l + 1 terms,
-    so the cache holds at most _RGF_TEXT_CAP entries x _RGF_TEXT_CAP
-    triples x (n + 1) terms."""
-    return str(rgf_poly(q, dict(items)))
-
-
 def rgf_duality_check(a: CodeAnalysis) -> IdentityReport:
     """R_{P*}(X1,X2,X3,X4) = R-hat_P(X2,X1,X3,X4), exactly, with P* =
     P_{C^perp} from its own sweep: R_{P_{C^perp}}'s count table against
     R-hat_{P_C}'s (P_C's, l read as n - l) with e1 and e2 swapped, equal
-    iff the polynomials are (`rgf_poly`).  The polynomials and the
-    witness are built only when they differ."""
+    iff the polynomials are (`rgf_poly`).  A pass gives R_{P*} for both
+    sides; R-hat_P's polynomial and the witness are built only when the
+    tables differ."""
     q, n = a.code.field.q, a.code.n
     lhs = rgf_counts(a.polymatroid_of_dual)
     rhs = {(e2, e1, n - l): count for (e1, e2, l), count in a.counts.items()}
-    text = _rgf_text(q, frozenset(lhs.items())) if len(lhs) <= _RGF_TEXT_CAP else str(rgf_poly(q, lhs))
-    if lhs == rhs:
-        return IdentityReport("rgf-duality", a._params, text, text, True)
-    lhs, rhs = rgf_poly(q, lhs), rgf_poly(q, rhs)
-    witness = "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
-    return IdentityReport("rgf-duality", a._params, text, str(rhs), False, witness)
+    passed = lhs == rhs
+    lhs = rgf_poly(q, lhs)
+    rhs = lhs if passed else rgf_poly(q, rhs)
+    witness = None if passed else "exponents {}: coefficient differs by {}".format(*(lhs - rhs).sorted_terms()[0])
+    return IdentityReport("rgf-duality", a._params, lhs, rhs, passed, witness)
 
 
 def dual_polymatroid_check(a: CodeAnalysis) -> IdentityReport:
     """P_C^* = P_{C^perp}: rank tables compared pointwise."""
     lhs, rhs = a.dual_polymatroid, a.polymatroid_of_dual
     # one lattice, so equal ranks print equal tables
-    text, passed = "; ".join(lhs.rank_table_lines()), lhs.ranks == rhs.ranks
+    passed = lhs.ranks == rhs.ranks
     witness = None if passed else next(
         f'subspace "{key}": {x} vs {y}' for key, x, y in zip(lhs.lattice.keys, lhs.ranks, rhs.ranks) if x != y
     )
-    rhs_text = text if passed else "; ".join(rhs.rank_table_lines())
-    return IdentityReport("dual-polymatroid", a._params, text, rhs_text, passed, witness)
+    return IdentityReport("dual-polymatroid", a._params, lhs, lhs if passed else rhs, passed, witness)
 
 
 def exact_sequence_check(a: CodeAnalysis) -> IdentityReport:
@@ -320,10 +316,9 @@ def macwilliams_transform(a: CodeAnalysis) -> HomogeneousPoly:
 def macwilliams_checks(a: CodeAnalysis):
     """Both MacWilliams routes against brute-force dual enumeration."""
     brute = HomogeneousPoly(a.code.n, a.dual_distribution)
-    text = str(brute)
     return [
-        _poly_report("macwilliams-formula", a, brute, macwilliams_dual_enumerator, text),
-        _poly_report("macwilliams-transform", a, brute, macwilliams_transform, text),
+        _poly_report("macwilliams-formula", a, brute, macwilliams_dual_enumerator),
+        _poly_report("macwilliams-transform", a, brute, macwilliams_transform),
     ]
 
 

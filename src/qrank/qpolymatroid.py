@@ -45,6 +45,10 @@ class QPolymatroid(Value):
     def rank_table_lines(self):
         return [f'"{key}": {r}' for key, r in zip(self.lattice.keys, self.ranks)]
 
+    def __str__(self):
+        """The rank table on one line, as a dual-polymatroid report prints it."""
+        return "; ".join(self.rank_table_lines())
+
     def dual(self) -> "QPolymatroid":
         """rho*(J) = rho(J^perp) + r dim J - rho(E)."""
         lat, r = self.lattice, self.r

@@ -53,24 +53,16 @@ def moebius_coefficient(k: int, q: int) -> int:
     return (-1) ** k * q ** (k * (k - 1) // 2)
 
 
-@lru_cache(maxsize=4096)
-def _monomial(names, exps) -> str:
-    """`X1^2*X3`: the factors of nonzero exponents, an exponent shown only
-    above 1 or below 0; "" for the constant monomial.  Cached: codes of one
-    shape print polynomials over the same few hundred monomials, and the
-    bound keeps a process that prints many shapes from growing it."""
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
-
-
 def _poly_str(names, terms) -> str:
     """Signed text of (exponents, coefficient) terms in the variables
-    `names`: zero terms drop out, and a unit coefficient shows only on a
-    constant."""
+    `names`: zero terms drop out, a monomial shows the factors of nonzero
+    exponents (`X1^2*X3`), an exponent only above 1 or below 0, and a unit
+    coefficient shows only on a constant."""
     out = []
     for exps, c in terms:
         if c == 0:
             continue
-        body = _monomial(names, exps)
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
         if not body:
             body = str(abs(c))
         elif abs(c) != 1:

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qrank.cli
 import qrank.delsarte
 import qrank.identities
-from qrank import Subspace, enumerate_subspaces, gf_new
+from qrank import QPolymatroid, Subspace, enumerate_subspaces, gf_new
 from qrank.cli import main
 from qrank.qseries import galois_number
 
@@ -413,6 +415,43 @@ def test_code_file_above_32_characters_an_entry_is_refused_before_it_is_parsed_e
         err = _assert_error_exit_2(["wd", str(over)], capsys)
     limit = "2048 characters, 32 for each of the BASIS_LIMIT = 64 entries of a code"
     assert err == f"qrank: error: {over} holds more than {limit}\n"
+
+
+def test_code_file_of_more_than_4_bytes_a_character_is_refused_unread_exit_2(tmp_path, monkeypatch, capsys):
+    # a sparse 1 GiB file holds more than the 32 BASIS_LIMIT characters
+    # admitted, at most 4 bytes each in UTF-8: refused by its size, unread
+    huge = tmp_path / "huge.json"
+    huge.touch()
+    os.truncate(huge, 2**30)
+    tracemalloc.start()
+    try:
+        err = _assert_error_exit_2(["check", "all", str(huge)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = "33554432 characters, 32 for each of the BASIS_LIMIT = 1048576 entries of a code"
+    assert err == f"qrank: error: {huge} holds more than {limit}\n" and peak < 2**20
+    # 4 bytes a character at most: 8192 bytes may hold 2048 characters, and are read
+    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
+    at, over = tmp_path / "at.json", tmp_path / "over.json"
+    at.write_text("\U0001F600" * 2048, encoding="utf-8")
+    over.write_bytes(at.read_bytes() + b" ")
+    assert "is not a code file" in _assert_error_exit_2(["wd", str(at)], capsys)
+    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(over)], capsys)
+
+
+def test_check_all_text_prints_no_rank_table_and_json_prints_the_recorded_bytes(tmp_path, monkeypatch, capsys):
+    # a passing report's sides are printed only when read: text mode reads
+    # none, and --format json prints the bytes tests/golden_digests.json pins
+    path = str(tmp_path / "c.json")
+    assert main(["random-code", "--q", "2", "--n", "3", "--m", "2", "--dim", "3", "--seed", "1", "-o", path]) == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(QPolymatroid, "rank_table_lines", lambda P: pytest.fail("a rank table line was formed"))
+        assert main(["check", "all", path]) == 0
+    capsys.readouterr()
+    assert main(["check", "all", path, "--format", "json"]) == 0
+    golden = json.loads((Path(__file__).with_name("golden_digests.json")).read_text())
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == golden["q-2-n3-m2-k3-s1 check-all-json"]
 
 
 @pytest.mark.parametrize("key", ["0", "1"], ids=["restrict-to-zero", "restrict"])

@@ -37,12 +37,10 @@ from qrank.errors import BudgetExceeded, NonIntegralResult
 from qrank.identities import (
     IDENTITY_CHECKS,
     IdentityReport,
-    _RGF_TEXT_CAP,
     _axiom_report,
     _formula_kernel,
     _macwilliams,
     _poly_report,
-    _rgf_text,
     _transform_kernel,
     greene_rhs,
     lattice_rank_distribution,
@@ -364,36 +362,58 @@ def test_rgf_duality_reports_as_the_polynomial_comparison_on_perturbed_tables(n,
     assert verdicts == {True, False}
 
 
-def test_a_cached_rgf_text_equals_a_fresh_print(corpus_2x2_f3):
-    def texts():
-        return [rgf_duality_check(CodeAnalysis(C)).lhs for C in corpus_2x2_f3]
-
-    _rgf_text.cache_clear()
-    printed = texts()
-    info = _rgf_text.cache_info()
-    assert info.misses == info.currsize < len(corpus_2x2_f3)  # fewer prints than codes
-    assert texts() == printed
-    assert _rgf_text.cache_info() == info._replace(hits=info.hits + len(corpus_2x2_f3))  # every text a hit
-    _rgf_text.cache_clear()
-    assert texts() == printed == [str(rank_generating_function(from_code(C).dual())) for C in corpus_2x2_f3]
+def test_the_rgf_duality_lhs_prints_r_of_p_star(corpus_2x2_f3):
+    reports = [rgf_duality_check(CodeAnalysis(C)) for C in corpus_2x2_f3]
+    assert [r.lhs for r in reports] == [str(rank_generating_function(from_code(C).dual())) for C in corpus_2x2_f3]
 
 
-def test_a_table_above_the_triple_cap_is_printed_and_not_cached():
+def test_a_table_of_many_triples_prints_its_polynomial():
     # P_{C^perp} replaced by random ranks on the 374 subspaces of F_2^5: a
-    # table of more triples than the cap, printed past the cache
+    # table of hundreds of triples, each printed
     rng = random.Random(24)
     a = CodeAnalysis(random_code(5, 2, F2, 4, rng))
     lat = a.polymatroid.lattice
     P = QPolymatroid(lat, 2, [rng.randrange(1000) for _ in lat.dims])
     a.polymatroid_of_dual = P
-    # one cap on the entries and on the triples of each, above the 110
-    # distinct tables of perfbench's corpus pool
-    assert _rgf_text.cache_info().maxsize == _RGF_TEXT_CAP == 128
-    assert len(rgf_counts(P)) > _RGF_TEXT_CAP
-    info = _rgf_text.cache_info()
+    assert len(rgf_counts(P)) > 128
     report = rgf_duality_check(a)
     assert report.lhs == str(rank_generating_function(P)) and not report.passed
-    assert _rgf_text.cache_info() == info  # neither read nor kept: currsize unchanged
+
+
+def _property_field_codes():
+    """One seeded code of Mat(2x3) and one of Mat(3x2) over each field of
+    PROPERTY_FIELDS, C and C^perp of at most 2^12 words each."""
+    rng = random.Random("text on read")
+    codes = []
+    for field in PROPERTY_FIELDS:
+        for n, m in ((2, 3), (3, 2)):
+            k = rng.choice([k for k in range(n * m + 1) if field.q ** max(k, n * m - k) <= 2**12])
+            codes.append(random_code(n, m, field, k, rng))
+    return codes
+
+
+def test_check_all_prints_no_side_until_it_is_read(monkeypatch):
+    codes = _property_field_codes()
+    with monkeypatch.context() as patch:
+        refuse = lambda *args: pytest.fail("a report side was printed before it was read")
+        patch.setattr(qrank.qseries, "_poly_str", refuse)
+        patch.setattr(QPolymatroid, "rank_table_lines", refuse)
+        lazy = [check_all(C) for C in codes]
+        for reports in lazy:
+            assert all(r.passed and str(r) == f"[PASS] {r.name} {r.params}" for r in reports)
+
+    class Eager(IdentityReport):
+        """A report whose sides are printed when it is built."""
+
+        __slots__ = ()
+
+        def __init__(self, name, params, lhs, rhs, passed, witness=None):
+            super().__init__(name, params, str(lhs), str(rhs), passed, witness)
+
+    monkeypatch.setattr(qrank.identities, "IdentityReport", Eager)
+    eager = [check_all(C) for C in codes]
+    assert all(r.__class__ is Eager for reports in eager for r in reports)
+    assert [[r.as_dict() for r in reports] for reports in lazy] == [[r.as_dict() for r in reports] for reports in eager]
 
 
 def _axioms_by_two_passes(a):
@@ -621,19 +641,21 @@ def test_no_shape_cache_is_keyed_by_a_code():
         assert 0 < cache.cache_info().currsize <= len(shapes), cache
 
 
-def test_failing_report_carries_witness(full_2x2_f2, e11_2x2_f2):
+def test_failing_report_carries_witness(monkeypatch, full_2x2_f2, e11_2x2_f2):
     lhs = rank_weight_enumerator(full_2x2_f2)
     rhs = rank_weight_enumerator(e11_2x2_f2)
     rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: rhs)
     assert not rep.passed
     assert rep.witness is not None and "coefficient" in rep.witness
     assert (rep.lhs, rep.rhs) == (str(lhs), str(rhs)) and rep.lhs != rep.rhs
-    # a given lhs text stands for both sides of a pass, never for a failing rhs
-    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: rhs, "LHS")
-    assert (rep.passed, rep.lhs, rep.rhs) == (False, "LHS", str(rhs))
+    # a pass gives its lhs value for both sides, printed once, on first read, and kept
     same = rank_weight_enumerator(full_2x2_f2)
-    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: same, "LHS")
-    assert (rep.passed, rep.lhs, rep.rhs, rep.witness) == (True, "LHS", "LHS", None)
+    printed = []
+    monkeypatch.setattr(qrank.qseries, "_poly_str", lambda names, terms: printed.append(names) or "LHS")
+    rep = _poly_report("synthetic", CodeAnalysis(full_2x2_f2), lhs, lambda a: same)
+    assert printed == []
+    assert (rep.passed, rep.lhs, rep.rhs, rep.witness) == (True, "LHS", "LHS", None) and len(printed) == 1
+    assert rep == IdentityReport("synthetic", rep.params, "LHS", "LHS", True) and len(printed) == 1
 
 
 def test_failing_reports_print_their_own_rhs(full_2x2_f2):
