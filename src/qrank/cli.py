@@ -31,22 +31,32 @@ from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subs
 
 
 def _load_code(path: str) -> RankMetricCode:
-    """The code of a JSON file, read only up to 32 characters for each entry
-    BASIS_LIMIT admits: a longer file is refused before it is parsed, and
-    one of more than 4 bytes for each of those characters (the most a
-    UTF-8 character takes) before it is read.  qrank writes at most 29
+    """The code of a JSON file of at most 32 characters for each entry
+    BASIS_LIMIT admits; a longer file is refused before it is parsed, and is
+    never held whole.  A file of more than 4 bytes for each of those
+    characters (the most a UTF-8 character takes) is refused unread; one of
+    more bytes than those characters, but not that many, has its characters
+    counted 2^16 at a time, is refused once the count passes the limit, and
+    is read again from its start if it fits.  qrank writes at most 29
     characters an entry (Mat(n x 1) at indent 2, entries of 3 digits), so
     every code file it writes at the limit loads."""
     most = 32 * BASIS_LIMIT
     with open(path, encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
         # the fewest characters the file's bytes can hold
-        size = -(-os.fstat(fh.fileno()).st_size // 4)
+        count = -(-size // 4)
         try:
-            text = fh.read(most + 1 if size <= most else 0)
+            if size > most >= count:  # too few bytes to refuse unread, too many to read whole
+                count = 0
+                while count <= most and (chunk := fh.read(2**16)):
+                    count += len(chunk)
+                fh.seek(0)
+            text = fh.read(most + 1 if count <= most else 0)
         except ValueError as exc:  # not UTF-8
             raise MalformedCode(f"{path} is not a code file: {exc}") from None
     template = "{path} holds more than {limit} characters, 32 for each of the BASIS_LIMIT = {basis} entries of a code"
-    check_limit(max(size, len(text)), most, template, size.bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
+    count = max(count, len(text))
+    check_limit(count, most, template, count.bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
     try:
         doc = json.loads(text)
     except RecursionError:

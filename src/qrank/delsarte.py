@@ -36,8 +36,9 @@ every field the walk's words are tuples of keys added by the key-sum rows
 `_KeyRows`, its offsets one `bytes` column per key (`_span_keys`).
 `ambient_counts` reads its count off the rank distribution of C(R).
 This brute side never calls `rref_rows`, `kernel_basis`, the lattice or
-the sweep's echelon extension: its table and its basis come from its own
-elimination, so it stays an independent check of the restriction sweep.
+the sweep's echelon extension: its table's states are the key sets of the
+subspaces of F_q^L, grown by the key-sum rows, and its basis comes from its
+own elimination, so it stays an independent check of the restriction sweep.
 
 `dual_code` solves for C^perp, a basis of nm - k vectors of F_q^{nm},
 and refuses one whose entries exceed `BASIS_LIMIT` before building it;
@@ -50,7 +51,7 @@ entries, as many as the basis of C itself.
 from __future__ import annotations
 
 import random
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, product, repeat
 from operator import getitem, itemgetter, mul, xor
 
@@ -76,7 +77,7 @@ _HOLDS_ENTRIES = "{what} holds {size} entries, above the basis limit BASIS_LIMIT
 # vectors of F_q^L per key (see `_fold_width`).  Mat(4 x 4, F_3), at 17172
 # entries, and Mat(4 x 5, F_2) at g = 2, at 17152, fit; Mat(6 x 6, F_2),
 # at 180800, and Mat(3 x 3, F_8), at 512 keys, do not.  Filled from cold,
-# the table of Mat(4 x 4, F_3) costs about 0.07 s and under 1 MiB (2
+# the table of Mat(4 x 4, F_3) costs about 5 ms and under 1 MiB (2
 # cores, Python 3.11.7), its byte rows about 150 KiB with every key read;
 # F_2^4's at g = 2, composed from the transitions by list reads, 125 KiB
 FOLD_KEYS = 2**8
@@ -270,13 +271,14 @@ class _Codewords:
         """(offsets, blocks) of the projective walk, its words tuples of keys
         of `rows.digits` entries, added by the key-sum `rows`.  Its basis is
         C's RREF rows or, if `echelon` and blocks of p^depth words follow, the
-        fully reduced one whose pivots are the rows' last nonzero entries in
-        vector-major order, b_0 holding the largest.  Its steps run from
-        b_{k-1} back to b_0; offsets, the `_span_keys` of the first `depth`,
-        has offsets[j][:p^l] key j of the span of the first l.  Walk i is the
-        blocks (start, p^min(depth, i e)), start over b_{k-1-i} plus the span
-        of steps depth to i e in the order of `_span`; key j of a block's
-        words is start[j] + offsets[j][t], t < its size."""
+        echelon rows `_rank_of_entries` finds in C's reversed vector-major
+        rows: each is 1 at its last nonzero entry, those entries distinct,
+        b_0 holding the latest.  Its steps run from b_{k-1} back to b_0;
+        offsets, the `_span_keys` of the first `depth`, has offsets[j][:p^l]
+        key j of the span of the first l.  Walk i is the blocks (start,
+        p^min(depth, i e)), start over b_{k-1-i} plus the span of steps depth
+        to i e in the order of `_span`; key j of a block's words is start[j]
+        + offsets[j][t], t < its size."""
         C = self.code
         field, n, m, k = C.field, C.n, C.m, C.k
         q, p, e, span = field.q, field.p, field.e, rows.digits
@@ -286,8 +288,9 @@ class _Codewords:
         steps = list(map(_vector_major(n, m), C.space.basis))
         if not echelon or short == k:  # the reverse echelon form pays off only with blocks of p^depth words
             steps.reverse()
-        else:
-            steps = [v[::-1] for v in reduce(lambda basis, v: _join_entries(basis, v[::-1], field), steps, ())[::-1]]
+        else:  # sorted ascending, the rows of the reversed vectors, read back, end at ever later entries
+            reduced = _rank_of_entries([x for v in steps for x in v[::-1]], n * m, field)
+            steps = [tuple(v[::-1]) for v in sorted(reduced)]
         times = field.tables[1]
         steps = [tuple(times[p**l * q + b] for b in row) if l else row for row in steps for l in range(e)]
         if span > 1:  # key j is that of entries j span to (j + 1) span, the last key taking the entries left
@@ -295,7 +298,8 @@ class _Codewords:
         # the starts of a longer walk come p^depth at a time, each word of the
         # `_span` of b_{k-1-i} over steps 2 depth to i e plus the key columns of
         # steps depth to 2 depth (`_moved`)
-        offsets, runs = (_span_keys(steps[t * depth : t * depth + depth], -(-n * m // span), rows, p) for t in (0, 1))
+        zero = [b"\0"] * -(-n * m // span)
+        offsets, runs = (_span_keys(steps[t * depth : t * depth + depth], zero, rows, p) for t in (0, 1))
         plus = lambda a, b: tuple(map(getitem, map(rows.__getitem__, a), b))
         sums = list(accumulate(steps[2 * depth :], plus))
         starts = (
@@ -314,12 +318,13 @@ def _moved(columns, keys, rows):
     return zip(*map(bytes.translate, columns, map(rows.__getitem__, keys))) if len(columns[0]) > 1 else [keys]
 
 
-def _span_keys(steps, keys: int, rows, p: int) -> list:
-    """Key j < `keys` of each word of the F_p-span of these key tuples, in
-    the order of `_span`, one `bytes` column per key: step l makes column j
-    the first p^l keys plus c times the step, c < p, each multiple one
+def _span_keys(steps, columns, rows, p: int) -> list:
+    """Key j of each word of the F_p-span of these key tuples added to the
+    words of the given key `columns` ([b"\0"] per key for the span alone), in
+    the order of `_span`, one new `bytes` column per key: step l makes column j
+    its first p^l keys plus c times the step, c < p, each multiple one
     `bytes.translate` of the last by the key-sum row of the step's key j."""
-    columns = [b"\0"] * keys
+    columns = list(columns)
     for step in steps:
         for j, x in enumerate(step):
             moved = column = columns[j]
@@ -420,19 +425,21 @@ def dual_code(C: RankMetricCode) -> RankMetricCode:
     return RankMetricCode(C.space.perp(), C.n, C.m)
 
 
-def _rank_of_entries(entries, length: int, field) -> int:
-    """Rank of the matrix whose `length`-long vectors, its columns or its
-    rows, follow each other in these vector-major entries (see
-    `_Codewords`), by elimination through the field's flat tables.  Each
-    nonzero reduced vector joins the echelon basis with leading entry 1;
-    reducing by the basis in insertion order clears every pivot.  Stops
-    once the rank reaches `length`."""
+def _rank_of_entries(entries, length: int, field) -> list:
+    """The echelon rows, whose number is the rank, of the matrix whose
+    `length`-long vectors, its columns or its rows, follow each other in
+    these vector-major entries (see `_Codewords`), by elimination through
+    the field's flat tables.  Each nonzero reduced vector joins the rows
+    with leading entry 1, its pivot; reducing by the rows in insertion order
+    clears every pivot, so the pivots are distinct, but a row is not cleared
+    at the pivots of the rows after it.  Stops once the rank reaches
+    `length`."""
     q = field.q
     add, mul, neg, inv = field.tables
-    basis = []
+    pivots, rows = [], []
     for s in range(0, len(entries), length):
         v = entries[s : s + length]
-        for p, b in basis:
+        for p, b in zip(pivots, rows):
             c = v[p]
             if c:
                 f = neg[c] * q
@@ -442,11 +449,12 @@ def _rank_of_entries(entries, length: int, field) -> int:
                 if c != 1:
                     f = inv[c] * q
                     v = [mul[f + x] for x in v]
-                basis.append((p, v))
-                if len(basis) == length:
-                    return length
+                pivots.append(p)
+                rows.append(v)
+                if len(rows) == length:
+                    return rows
                 break
-    return len(basis)
+    return rows
 
 
 def _rank_of_packed(word: int, length: int) -> int:
@@ -472,59 +480,38 @@ def _rank_of_packed(word: int, length: int) -> int:
     return len(basis)
 
 
-def _join_entries(rows, v, field):
-    """The fully reduced echelon basis of <rows> + <v>, vectors as entry
-    tuples: each row is 1 at its pivot, its first nonzero entry, and 0 at
-    the other rows' pivots.  Sorted descending, the rows run in pivot
-    order.  The elimination of `_rank_of_entries`, plus back-reduction."""
-    q = field.q
-    add, mul, neg, inv = field.tables
-    for row in rows:
-        c = v[row.index(1)]
-        if c:
-            f = neg[c] * q
-            v = [add[a * q + mul[f + x]] for a, x in zip(v, row)]
-    p = next((p for p, c in enumerate(v) if c), None)
-    if p is None:
-        return rows
-    f = inv[v[p]] * q
-    v = tuple(v if v[p] == 1 else [mul[f + x] for x in v])
-    out = [v]
-    for row in rows:
-        if row[p]:
-            f = neg[row[p]] * q
-            row = tuple([add[a * q + mul[f + x]] for a, x in zip(row, v)])
-        out.append(row)
-    return tuple(sorted(out, reverse=True))
-
-
 @lru_cache(maxsize=None)
 def _transitions(field: FieldContext, length: int):
-    """(targets, bases) of the echelon-transition table of F_q^length,
-    cached per field and length.  A breadth-first walk from the zero
-    subspace numbers each subspace S the first time it is reached and names
-    it by its fully reduced echelon basis, bases[s], so dim S =
-    len(bases[s]); targets[s][x] is the number of S + <v>, v the vector of
-    key x = sum_j v_j q^j.  Every transition is one `_join_entries`, whose
-    state is also that of the q - 1 nonzero multiples of v."""
-    q, mul = field.q, field.tables[1]
-    size = q**length
-    vectors = [tuple(x // q**j % q for j in range(length)) for x in range(size)]
-    weights = [q**j for j in range(length)]
-    multiples = [{sum(mul[c + a] * w for a, w in zip(v, weights)) for c in range(q, q * q, q)} for v in vectors]
-    numbers, bases, targets = {(): 0}, [()], []
-    for rows in bases:  # grows as new subspaces are reached
-        row = [None] * size
-        for x, v in enumerate(vectors):
+    """(targets, dims) of the echelon-transition table of F_q^length, cached
+    per field and length.  A breadth-first walk from the zero subspace
+    numbers each subspace S the first time it is reached, named by the
+    sorted keys x = sum_j v_j q^j of its vectors v, and dims[s] = dim S;
+    targets[s][x] is the number of S + <v>, v the vector of key x.  S + <v>
+    is S's keys spanned by the steps alpha^l v, l < e, through the key-sum
+    rows (`_span_keys`), and is the state of each of its keys outside S: one
+    span per subspace covering S."""
+    q, p, e, times = field.q, field.p, field.e, field.tables[1]
+    rows, size = _key_rows(field, length), q**length
+    # steps[l][x] is the key of alpha^l v, v the vector of key x, digit by digit
+    steps = [
+        [sum(times[p**l * q + x // q**j % q] * q**j for j in range(length)) for x in range(size)] for l in range(e)
+    ]
+    numbers, states, dims, targets = {b"\0": 0}, [b"\0"], [0], []
+    for s, keys in enumerate(states):  # grows as new subspaces are reached
+        row = [s if x in keys else None for x in range(size)]
+        for x in range(size):
             if row[x] is None:
-                joined = _join_entries(rows, v, field)
-                t = numbers.setdefault(joined, len(bases))
-                if t == len(bases):
-                    bases.append(joined)
-                for y in multiples[x]:
+                # S + <v>: S's keys, then those outside S
+                (span,) = _span_keys([(step[x],) for step in steps], [keys], rows, p)
+                name = bytes(sorted(span))
+                t = numbers.setdefault(name, len(states))
+                if t == len(states):
+                    states.append(name)
+                    dims.append(dims[s] + 1)
+                for y in span[len(keys) :]:
                     row[y] = t
         targets.append(row)
-    return targets, bases
+    return targets, dims
 
 
 class _KeyRows(dict):
@@ -566,13 +553,13 @@ def _fold_table(field: FieldContext, length: int, g: int):
     reads the same rows.  Rows of `lasts`, and of `steps` with at most 256
     states, are `bytes` padded to 256, tables of `bytes.translate`; `rows`
     holds the `_KeyRows` of these keys."""
-    targets, bases = _transitions(field, length)
+    targets, dims = _transitions(field, length)
     reached = targets
     for _ in range(g - 1):
         # one more vector, as the top digits of the key
         reached = [[targets[t][v] for v in range(len(targets[0])) for t in row] for row in reached]
-    pad, dims = lambda row: bytes(row).ljust(256, b"\0"), [len(rows) for rows in bases]
-    steps = list(map(pad, reached)) if len(bases) <= 256 else reached
+    pad = lambda row: bytes(row).ljust(256, b"\0")
+    steps = list(map(pad, reached)) if len(dims) <= 256 else reached
     lasts = [pad([dims[t] for t in row]) for row in reached]
     return steps, lasts, _key_rows(field, g * length), dims.index(length)
 
@@ -681,7 +668,7 @@ def rank_distribution(C: RankMetricCode, budget: int | None = None) -> tuple:
     else:
         counts = [0] * (n + 1)
         for word in words.projective():
-            counts[_rank_of_packed(word, length) if q == 2 else _rank_of_entries(word, length, field)] += 1
+            counts[_rank_of_packed(word, length) if q == 2 else len(_rank_of_entries(word, length, field))] += 1
     # each point stands for its q - 1 nonzero multiples, all of its rank
     counts = [(q - 1) * a for a in counts]
     counts[0] += 1

@@ -440,6 +440,38 @@ def test_code_file_of_more_than_4_bytes_a_character_is_refused_unread_exit_2(tmp
     assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(over)], capsys)
 
 
+def test_code_file_of_too_many_characters_is_counted_in_chunks_exit_2(tmp_path, monkeypatch, capsys):
+    # a 40 MiB ASCII file may hold no more than the 32 BASIS_LIMIT characters
+    # admitted, by its size, but holds more: refused once its count passes
+    # the limit, without holding it
+    big = tmp_path / "big.json"
+    with open(big, "w") as fh:
+        fh.write(json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": []}))
+        for _ in range(40):
+            fh.write(" " * 2**20)
+    tracemalloc.start()
+    try:
+        err = _assert_error_exit_2(["wd", str(big)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    limit = "33554432 characters, 32 for each of the BASIS_LIMIT = 1048576 entries of a code"
+    assert err == f"qrank: error: {big} holds more than {limit}\n" and peak < 8 * 2**20, peak
+    # with 2048 characters admitted: 2049 bytes of 1 byte each are counted and
+    # refused, and a code of 2048 characters in 2054 bytes is counted, then
+    # read from its start
+    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
+    over, fits = tmp_path / "over.json", tmp_path / "fits.json"
+    over.write_text(" " * 2049)
+    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(over)], capsys)
+    code = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]], "note": "é" * 6}, ensure_ascii=False)
+    fits.write_text(code.ljust(2048), encoding="utf-8")
+    assert fits.stat().st_size == 2054
+    assert main(["wd", str(fits)]) == 0 and capsys.readouterr().out
+    fits.write_text(code.ljust(2049), encoding="utf-8")
+    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(fits)], capsys)
+
+
 def test_check_all_text_prints_no_rank_table_and_json_prints_the_recorded_bytes(tmp_path, monkeypatch, capsys):
     # a passing report's sides are printed only when read: text mode reads
     # none, and --format json prints the bytes tests/golden_digests.json pins

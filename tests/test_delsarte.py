@@ -48,7 +48,7 @@ from qrank.delsarte import (
 )
 from qrank.errors import AmbientMismatch, BudgetExceeded, MalformedCode, ShapeMismatch, ZeroCode
 from qrank.qpolymatroid import restriction_dims
-from qrank.qseries import galois_number
+from qrank.qseries import galois_number, gaussian_binomial
 from qrank.subspaces import enumerate_subspaces
 
 from oracles import (
@@ -120,14 +120,22 @@ def _walk_rows(C, echelon=False):
     the order it takes them, last row first.  That basis is C's RREF rows,
     or, when a fold reads more than one key per word and blocks of p^depth
     words follow (`echelon`), C's basis in reverse echelon form in
-    vector-major order: each row is 1 at its pivot, its last nonzero entry,
-    and 0 at the other rows' pivots, so the walk takes the rows smallest
-    pivot first."""
-    n, m = C.n, C.m
+    vector-major order: each RREF row in turn, its vector-major entries
+    reversed, made 0 at the pivots of the rows before it and 1 at its first
+    nonzero entry, its pivot, and not cleared at later pivots.  So each row
+    is 1 at its last nonzero entry, those entries are distinct, and the walk
+    takes the rows smallest pivot first."""
+    n, m, field = C.n, C.m, C.field
     if not echelon:
         return C.space.basis[::-1]
-    reverse = Subspace.span([_vector_major(b, n, m)[::-1] for b in C.space.basis], n * m, C.field).basis
-    return [_from_vector_major(v[::-1], n, m) for v in reverse[::-1]]
+    reverse = {}  # pivot -> row, in insertion order
+    for b in C.space.basis:
+        v = _vector_major(b, n, m)[::-1]
+        for p, row in reverse.items():
+            v = tuple(field.sub(a, field.mul(v[p], x)) for a, x in zip(v, row))
+        p = next(u for u, x in enumerate(v) if x)
+        reverse[p] = tuple(field.mul(field.inv(v[p]), x) for x in v)
+    return [_from_vector_major(reverse[p][::-1], n, m) for p in sorted(reverse, reverse=True)]
 
 
 def _steps(C, echelon=False):
@@ -563,8 +571,16 @@ def test_rank_of_entries_matches_span_oracle():
         for r in range(min(n, m)):
             matrices += [_random_matrix(n, m, r, field, rng) for _ in range(5)]
         for rows in matrices:
+            length = min(n, m)
             entries = _vector_major([v for row in rows for v in row], n, m)
-            assert _rank_of_entries(entries, min(n, m), field) == oracle_rank_matrix(rows, field), (rows, field)
+            echelon = _rank_of_entries(entries, length, field)
+            assert len(echelon) == oracle_rank_matrix(rows, field), (rows, field)
+            # independent rows, each 1 at its first nonzero entry, those entries distinct, spanning the vectors
+            pivots = [next(u for u, x in enumerate(row) if x) for row in echelon]
+            assert all(row[u] == 1 for u, row in zip(pivots, echelon)) and len(set(pivots)) == len(pivots)
+            span = span_set(echelon, field) if echelon else {(0,) * length}
+            vectors = {tuple(entries[s : s + length]) for s in range(0, n * m, length)}
+            assert vectors <= span and len(span) == field.q ** len(echelon), (rows, field)
 
 
 def test_rank_distribution_memory_does_not_grow_with_the_code():
@@ -585,7 +601,7 @@ def test_rank_distribution_memory_does_not_grow_with_the_code():
 def _table_kernel_counts(C):
     counts = [0] * (C.n + 1)
     for entries in _all_words(C):
-        counts[_rank_of_entries(_vector_major(entries, C.n, C.m), min(C.n, C.m), C.field)] += 1
+        counts[len(_rank_of_entries(_vector_major(entries, C.n, C.m), min(C.n, C.m), C.field))] += 1
     return counts
 
 
@@ -716,30 +732,88 @@ def test_fold_width_depends_on_the_shape_alone():
     assert [_transitions.cache_info().misses, _fold_table.cache_info().misses] == [info.misses for info in filled]
 
 
+def _state_keys(targets):
+    """The keys of each state S of a transition table: S + <v> = S iff v
+    lies in S, so those x with targets[s][x] = s."""
+    return [frozenset(x for x, t in enumerate(row) if t == s) for s, row in enumerate(targets)]
+
+
+def _oracle_basis(vectors, field):
+    """A basis of the span of these vectors, drawn from them in order, and
+    that span (`span_set`)."""
+    basis, span = [], {(0,) * len(vectors[0])}
+    for v in vectors:
+        if v not in span:
+            basis.append(v)
+            span = span_set(basis, field)
+    return basis, span
+
+
 def test_rank_table_states_are_exactly_the_subspaces():
     # every transition of F_2^4, F_3^3, F_4^3 and F_5^3, filled from cold:
-    # one state per subspace, named by entry tuples, and each state's
+    # one state per subspace, named by its keys, and each state's
     # dimension is its rank
     _clear_rank_tables()
     rng = random.Random(22)
     for field, length in [(F2, 4), (F3, 3), (gf_new(2, 2), 3), (gf_new(5), 3)]:
         q = field.q
-        targets, bases = _transitions(field, length)
+        targets, dims = _transitions(field, length)
         seen, todo = {0}, [0]
         while todo:
             for target in targets[todo.pop()]:
                 if target not in seen:
                     seen.add(target)
                     todo.append(target)
-        assert len(bases) == len(set(bases)) == len(seen) == galois_number(length, q), (field, length)
+        states = _state_keys(targets)
+        assert len(dims) == len(set(states)) == len(seen) == galois_number(length, q), (field, length)
         assert sum(map(len, targets)) == galois_number(length, q) * q**length
-        assert max(map(len, bases)) == length
+        assert max(dims) == length
         vectors = [tuple(x // q**j % q for j in range(length)) for x in range(q**length)]
-        for rows, row in zip(bases, targets):
-            assert None not in row and len(rows) == oracle_dim(rows, field), (field, rows)
+        for keys, row, dim in zip(states, targets, dims):
+            rows = tuple(_oracle_basis([vectors[x] for x in sorted(keys)], field)[0])
+            assert None not in row and len(keys) == q**dim == q ** oracle_dim(rows, field), (field, rows)
             # S + <v> has the dimension of the span of S's rows and v
             for x in rng.sample(range(q**length), 8):
-                assert len(bases[row[x]]) == oracle_dim(rows + (vectors[x],), field), (field, rows, x)
+                assert dims[row[x]] == oracle_dim(rows + (vectors[x],), field), (field, rows, x)
+
+
+def test_every_state_is_the_span_of_an_oracle_basis_and_steps_to_its_sum():
+    # over PROPERTY_FIELDS, at every length a fold admits: a state's keys are
+    # those of the span of an oracle basis of dims[s] vectors drawn from
+    # them, and targets[s][x] is the state whose keys are those of S + <v>
+    for field in PROPERTY_FIELDS:
+        q = field.q
+        for length in [L for L in range(1, 9) if _fold_width(q, L, L)]:
+            targets, dims = _transitions(field, length)
+            vectors = [tuple(x // q**j % q for j in range(length)) for x in range(q**length)]
+            key = {v: x for x, v in enumerate(vectors)}
+            states = _state_keys(targets)
+            number = {keys: s for s, keys in enumerate(states)}
+            assert len(number) == len(dims) == galois_number(length, q), (field, length)
+            for s, keys in enumerate(states):
+                basis, span = _oracle_basis([vectors[x] for x in sorted(keys)], field)
+                assert {key[v] for v in span} == keys and len(basis) == dims[s], (field, length, s)
+                # each cover T = S + <v> of S once: every key of T outside S steps to T
+                todo = set(range(q**length)) - keys
+                while todo:
+                    joined = frozenset(key[v] for v in span_set(basis + [vectors[min(todo)]], field))
+                    assert {targets[s][x] for x in joined - keys} == {number[joined]}, (field, length, s)
+                    todo -= joined
+
+
+def test_a_cold_fill_makes_one_span_per_cover_pair(monkeypatch):
+    # S + <v> is one `_span_keys` call for each subspace T covering S, shared
+    # by the keys of T outside S: sum_d [L, d]_q [L - d, 1]_q calls, not one
+    # per state and key
+    spans, span_keys = [], qrank.delsarte._span_keys
+    monkeypatch.setattr(qrank.delsarte, "_span_keys", lambda *args: spans.append(1) or span_keys(*args))
+    for field, length, covers in [(F2, 5, 2077), (F3, 4, 1120)]:
+        q = field.q
+        assert covers == sum(gaussian_binomial(length, d, q) * gaussian_binomial(length - d, 1, q) for d in range(length))
+        _clear_rank_tables()
+        spans.clear()
+        _transitions(field, length)
+        assert len(spans) == covers, (field, length)
 
 
 def test_a_long_side_is_refused_a_rank_table_before_its_subspaces_are_counted():
@@ -769,8 +843,8 @@ def test_rank_table_memory_at_the_largest_admitted_table():
         assert sum(dist) == C.size()
         # the measured call filled the table: the cache was empty before it
         assert _transitions.cache_info().misses == 1, C
-        targets, bases = _transitions(C.field, min(n, m))
-        assert len(targets) == len(bases) == states
+        targets, dims = _transitions(C.field, min(n, m))
+        assert len(targets) == len(dims) == states
         # the call read its byte rows: the key-sum rows of its blocks are filled
         assert len(_fold_table(C.field, min(n, m), 1)[2]) > 0, C
         assert peak < 2**20, (C, peak)
@@ -836,7 +910,7 @@ def test_every_fold_width_and_walk_form_matches_the_oracles(monkeypatch):
                 words = enumerate_codeword_entries(C)
                 per_word = [0] * (n + 1)
                 for w in words.projective():
-                    per_word[_rank_of_entries(_vector_major(_row_major(w, C), n, m), length, field)] += 1
+                    per_word[len(_rank_of_entries(_vector_major(_row_major(w, C), n, m), length, field))] += 1
                 everything = [(q - 1) * a for a in per_word]
                 everything[0] += 1
                 assert everything == oracle_rank_distribution(C.space.basis, n, m, field), C
@@ -1071,8 +1145,7 @@ def test_fold_tables_fix_the_full_space_and_add_keys_entrywise():
     for field in PROPERTY_FIELDS:
         q = field.q
         for length in (1, 2):
-            targets, bases = _transitions(field, length)
-            dims = list(map(len, bases))
+            targets, dims = _transitions(field, length)
             full = dims.index(length)
             assert targets[full] == [full] * q**length and dims.count(length) == 1
             for g in _fold_widths(q, length):
