@@ -31,37 +31,38 @@ from .subspaces import Subspace, check_subspace_count, enumerate_subspaces, subs
 
 
 def _load_code(path: str) -> RankMetricCode:
-    """The code of a JSON file of at most 32 characters for each entry
-    BASIS_LIMIT admits; a longer file is refused before it is parsed, and is
-    never held whole.  A file of more than 4 bytes for each of those
-    characters (the most a UTF-8 character takes) is refused unread; one of
-    more bytes than those characters, but not that many, has its characters
-    counted 2^16 at a time, is refused once the count passes the limit, and
-    is read again from its start if it fits.  qrank writes at most 29
-    characters an entry (Mat(n x 1) at indent 2, entries of 3 digits), so
-    every code file it writes at the limit loads."""
-    most = 32 * BASIS_LIMIT
-    with open(path, encoding="utf-8") as fh:
+    """The code of a JSON file of at most 32 bytes for each entry
+    BASIS_LIMIT admits, read once and never past that limit: a larger file
+    is refused unread, and a stream, whose size reads 0, once its read
+    reaches one byte more.  qrank writes ASCII, at most 29 bytes an entry
+    (Mat(n x 1) at indent 2, entries of 3 digits), so every code file it
+    writes at the limit loads.
+
+    Bytes do not bound what `json.loads` builds: each value but the first
+    follows a `,` or opens with a `[` or a `{`, so the file is refused,
+    before it is decoded, when it holds more of those than a code can.  G
+    generators of n x m entries hold G n(m - 1) + G(n - 1) + G - 1 commas
+    and G n + G + 1 brackets, G nm + G n + G in all, at most 3 BASIS_LIMIT
+    as G nm is at most BASIS_LIMIT.  The rest of a code file holds at most
+    17: its two `{`, the 4 commas between its keys (field, n, m,
+    generators and a seed), the 2 between the field's, and a modulus of at
+    most 9 coefficients (q <= 256); 3 BASIS_LIMIT + 32 leaves room for a
+    few more keys."""
+    most, fields = 32 * BASIS_LIMIT, {"path": path, "basis": BASIS_LIMIT}
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        # the fewest characters the file's bytes can hold
-        count = -(-size // 4)
-        try:
-            if size > most >= count:  # too few bytes to refuse unread, too many to read whole
-                count = 0
-                while count <= most and (chunk := fh.read(2**16)):
-                    count += len(chunk)
-                fh.seek(0)
-            text = fh.read(most + 1 if count <= most else 0)
-        except ValueError as exc:  # not UTF-8
-            raise MalformedCode(f"{path} is not a code file: {exc}") from None
-    template = "{path} holds more than {limit} characters, 32 for each of the BASIS_LIMIT = {basis} entries of a code"
-    count = max(count, len(text))
-    check_limit(count, most, template, count.bit_length() - 1, {"path": path, "basis": BASIS_LIMIT})
+        data = fh.read(most + 1 if size <= most else 0)
+    size = max(size, len(data))
+    template = "{path} holds more than {limit} bytes, 32 for each of the BASIS_LIMIT = {basis} entries of a code"
+    check_limit(size, most, template, size.bit_length() - 1, fields)
+    count = sum(map(data.count, (b"[", b"{", b",")))
+    template = "{path} holds {size} brackets and commas, above the {limit} of a code of BASIS_LIMIT = {basis} entries"
+    check_limit(count, 3 * BASIS_LIMIT + 32, template, count.bit_length() - 1, fields)
     try:
-        doc = json.loads(text)
+        doc = json.loads(data.decode("utf-8"))
     except RecursionError:
         raise MalformedCode(f"{path} is nested too deeply to be a code file") from None
-    except ValueError as exc:  # not JSON, or an integer of more than 4300 digits
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer of more than 4300 digits
         raise MalformedCode(f"{path} is not a code file: {exc}") from None
     return RankMetricCode.from_json(doc)
 

@@ -412,8 +412,8 @@ def restrict(C: RankMetricCode, J: Subspace) -> RankMetricCode:
             if c:
                 f = c * q
                 word = [add[a * q + mul[f + b]] for a, b in zip(word, B)]
-        words.append(word)
-    return RankMetricCode(Subspace(field, n * m, words), n, m)
+        words.append(tuple(word))
+    return RankMetricCode(Subspace(field, n * m, tuple(words)), n, m)
 
 
 def dual_code(C: RankMetricCode) -> RankMetricCode:

@@ -193,17 +193,14 @@ def verify_axioms(P: QPolymatroid) -> list:
     rho(X) + rho(Y) <= the sum of their two smallest ranks.
 
     One walk of the lattice, in lattice order, checks all of it.  At each
-    Y it checks R1, then each cover A < Y by one gap rho(Y) - rho(A), and
-    marks Y when a gap is negative (R2 fails); then it regroups the
-    intervals [X, Y] from the covers A < Y with rho(A) < rho(Y) only.  Let
-    A, B be the two smallest, rho(A) <= rho(B).  If rho(B) >= rho(Y), R2 on
-    X < A gives rho(A) + rho(B) >= rho(X) + rho(Y); so an X with fewer than
-    two rank-dropping covers below Y fails R3 only where R2 fails under a
-    cover of Y, and every cover is taken for a Y above a marked cover.  A
-    cover is one dimension down, so it is visited, and marked, before the
-    subspace above it is regrouped.  The dropping covers come first in
-    ascending rank, so the lines and their order are those of the regroup
-    over all covers.
+    Y it checks R1, then each cover A < Y by one gap rho(Y) - rho(A), then
+    regroups the intervals [X, Y] from the covers of Y in ascending rank:
+    all of them once any R2 line exists, else the first ones, those with
+    rho(A) < rho(Y).  The pruned regroup loses no line.  Let A, B be the
+    two smallest, rho(A) <= rho(B).  If rho(B) >= rho(Y), R2 on X < A gives
+    rho(A) + rho(B) >= rho(X) + rho(Y); so R3 fails at such an X only where
+    R2 fails at X < A, a line written when A, one dimension down, was
+    visited.
     """
     lat, r, ranks, dims = P.lattice, P.r, P.ranks, P.lattice.dims
     covers = lat.covers
@@ -213,7 +210,6 @@ def verify_axioms(P: QPolymatroid) -> list:
         return lat.keys[i] or "0"
 
     r1, r2, r3 = [], [], []
-    marked = bytearray(len(lat))  # marked[y]: rho(a) > rho(y) for a cover a < y
     for y, lower in enumerate(covers):
         rho_y = ranks[y]
         if not 0 <= rho_y <= r * dims[y]:
@@ -221,12 +217,10 @@ def verify_axioms(P: QPolymatroid) -> list:
         for a in lower:
             gap = rho_y - ranks[a]
             if gap < 0:
-                marked[y] = 1
                 r2.append(f"R2 violated at {key(a)} <= {key(y)}: rho({key(a)})={ranks[a]} > rho({key(y)})={rho_y}")
             if gap > r:
                 r2.append(f"rank-difference violated at {key(a)} <= {key(y)}: rho gap {gap} exceeds r*dim gap {r}")
-        # every cover of Y is one dimension down, so its mark is final
-        meet = lower if r2 and any(map(marked.__getitem__, lower)) else [a for a in lower if ranks[a] < rho_y]
+        meet = lower if r2 else [a for a in lower if ranks[a] < rho_y]
         if len(meet) < 2:
             continue
         # the intermediates of each [X, Y], met in ascending rank, so the

@@ -22,10 +22,10 @@ class Subspace(Value):
     __slots__ = ("field", "n", "basis")
 
     def __init__(self, field: FieldContext, n: int, basis):
-        # trusted constructor: basis must already be canonical RREF rows
+        # trusted constructor: basis must already be canonical RREF rows, a tuple of row tuples
         self.field = field
         self.n = n
-        self.basis = tuple(tuple(r) for r in basis)
+        self.basis = basis
 
     @classmethod
     def span(cls, vectors, n: int, field: FieldContext) -> "Subspace":
@@ -34,7 +34,7 @@ class Subspace(Value):
             if len(v) != n:
                 raise LengthMismatch(f"vector of length {len(v)}, ambient dimension {n}")
         rows, _ = rref_rows(vecs, n, field)
-        return cls(field, n, rows)
+        return cls(field, n, tuple(rows))
 
     @classmethod
     def zero(cls, n: int, field: FieldContext) -> "Subspace":
@@ -69,7 +69,7 @@ class Subspace(Value):
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard inner product, from the RREF rows as they are."""
         pivots = [row.index(1) for row in self.basis]
-        return Subspace(self.field, self.n, rref_kernel(self.basis, pivots, self.n, self.field))
+        return Subspace(self.field, self.n, tuple(rref_kernel(self.basis, pivots, self.n, self.field)))
 
     def canonical_key(self) -> str:
         return ";".join(",".join(str(v) for v in row) for row in self.basis)

@@ -151,7 +151,7 @@ def mat_basis(J, m):
 def oracle_restrict(C, J):
     """C(J) = C cap Mat(J), intersected in F_q^{nm} through
     `Subspace.intersect`, (C^perp + Mat(J)^perp)^perp."""
-    mat_J = Subspace(C.field, C.n * C.m, mat_basis(J, C.m))
+    mat_J = Subspace(C.field, C.n * C.m, tuple(mat_basis(J, C.m)))
     return RankMetricCode(C.space.intersect(mat_J), C.n, C.m)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -399,10 +400,10 @@ def test_code_file_above_the_basis_limit_is_refused_before_it_is_reduced_exit_2(
     assert "the generators of the code hold 1100000 entries, above the basis limit BASIS_LIMIT = 1048576" in err
 
 
-def test_code_file_above_32_characters_an_entry_is_refused_before_it_is_parsed_exit_2(tmp_path, monkeypatch, capsys):
-    # a code file is read up to 32 characters for each entry BASIS_LIMIT
-    # admits, here 64: one character more is refused unparsed, so a file of
-    # gigabytes never reaches the JSON parser
+def test_code_file_above_32_bytes_an_entry_is_refused_before_it_is_parsed_exit_2(tmp_path, monkeypatch, capsys):
+    # a code file is read up to 32 bytes for each entry BASIS_LIMIT admits,
+    # here 64: one byte more is refused unparsed, so a file of gigabytes
+    # never reaches the JSON parser
     monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
     doc = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]]})
     at, over = tmp_path / "at.json", tmp_path / "over.json"
@@ -413,63 +414,138 @@ def test_code_file_above_32_characters_an_entry_is_refused_before_it_is_parsed_e
     with monkeypatch.context() as patch:
         patch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("the file was parsed"))
         err = _assert_error_exit_2(["wd", str(over)], capsys)
-    limit = "2048 characters, 32 for each of the BASIS_LIMIT = 64 entries of a code"
+    limit = "2048 bytes, 32 for each of the BASIS_LIMIT = 64 entries of a code"
     assert err == f"qrank: error: {over} holds more than {limit}\n"
+    over.write_text(" " * 2049)
+    assert "holds more than 2048 bytes" in _assert_error_exit_2(["wd", str(over)], capsys)
+    # bytes, not characters: a code of 2048 characters in 2054 bytes of
+    # UTF-8 is refused, and the same code in 2048 bytes is decoded and loads
+    code = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]], "note": "é" * 6}, ensure_ascii=False)
+    over.write_text(code.ljust(2048), encoding="utf-8")
+    assert over.stat().st_size == 2054
+    assert "holds more than 2048 bytes" in _assert_error_exit_2(["wd", str(over)], capsys)
+    at.write_text(code.ljust(2042), encoding="utf-8")
+    assert at.stat().st_size == 2048
+    assert main(["wd", str(at)]) == 0 and capsys.readouterr().out
 
 
-def test_code_file_of_more_than_4_bytes_a_character_is_refused_unread_exit_2(tmp_path, monkeypatch, capsys):
-    # a sparse 1 GiB file holds more than the 32 BASIS_LIMIT characters
-    # admitted, at most 4 bytes each in UTF-8: refused by its size, unread
-    huge = tmp_path / "huge.json"
+def test_code_file_of_more_bytes_than_the_limit_is_refused_unread_exit_2(tmp_path, monkeypatch, capsys):
+    # a sparse 1 GiB file and a 40 MiB padded one hold more than the 32
+    # BASIS_LIMIT bytes admitted: each is refused by its size, unread
+    huge, big = tmp_path / "huge.json", tmp_path / "big.json"
     huge.touch()
     os.truncate(huge, 2**30)
-    tracemalloc.start()
-    try:
-        err = _assert_error_exit_2(["check", "all", str(huge)], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    limit = "33554432 characters, 32 for each of the BASIS_LIMIT = 1048576 entries of a code"
-    assert err == f"qrank: error: {huge} holds more than {limit}\n" and peak < 2**20
-    # 4 bytes a character at most: 8192 bytes may hold 2048 characters, and are read
-    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
-    at, over = tmp_path / "at.json", tmp_path / "over.json"
-    at.write_text("\U0001F600" * 2048, encoding="utf-8")
-    over.write_bytes(at.read_bytes() + b" ")
-    assert "is not a code file" in _assert_error_exit_2(["wd", str(at)], capsys)
-    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(over)], capsys)
-
-
-def test_code_file_of_too_many_characters_is_counted_in_chunks_exit_2(tmp_path, monkeypatch, capsys):
-    # a 40 MiB ASCII file may hold no more than the 32 BASIS_LIMIT characters
-    # admitted, by its size, but holds more: refused once its count passes
-    # the limit, without holding it
-    big = tmp_path / "big.json"
     with open(big, "w") as fh:
         fh.write(json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": []}))
         for _ in range(40):
             fh.write(" " * 2**20)
-    tracemalloc.start()
-    try:
-        err = _assert_error_exit_2(["wd", str(big)], capsys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    limit = "33554432 characters, 32 for each of the BASIS_LIMIT = 1048576 entries of a code"
-    assert err == f"qrank: error: {big} holds more than {limit}\n" and peak < 8 * 2**20, peak
-    # with 2048 characters admitted: 2049 bytes of 1 byte each are counted and
-    # refused, and a code of 2048 characters in 2054 bytes is counted, then
-    # read from its start
+    limit = "33554432 bytes, 32 for each of the BASIS_LIMIT = 1048576 entries of a code"
+    for path in (huge, big):
+        tracemalloc.start()
+        try:
+            err = _assert_error_exit_2(["check", "all", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err == f"qrank: error: {path} holds more than {limit}\n" and peak < 2**20, (path, peak)
+    # 2048 bytes of UTF-8 are read and decoded, 8192 are not
     monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
-    over, fits = tmp_path / "over.json", tmp_path / "fits.json"
-    over.write_text(" " * 2049)
-    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(over)], capsys)
-    code = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]], "note": "é" * 6}, ensure_ascii=False)
-    fits.write_text(code.ljust(2048), encoding="utf-8")
-    assert fits.stat().st_size == 2054
-    assert main(["wd", str(fits)]) == 0 and capsys.readouterr().out
-    fits.write_text(code.ljust(2049), encoding="utf-8")
-    assert "holds more than 2048 characters" in _assert_error_exit_2(["wd", str(fits)], capsys)
+    at, over = tmp_path / "at.json", tmp_path / "over.json"
+    at.write_text("\U0001F600" * 512, encoding="utf-8")
+    over.write_text("\U0001F600" * 2048, encoding="utf-8")
+    assert "is not a code file" in _assert_error_exit_2(["wd", str(at)], capsys)
+    assert "holds more than 2048 bytes" in _assert_error_exit_2(["wd", str(over)], capsys)
+
+
+# two documents within the 32 MiB byte limit that name millions of values:
+# 11,184,790 empty generators, and one generator of 16,777,166 zeros
+VALUE_FLOODS = {
+    "empty-lists": lambda: '{"field": {"q": 2}, "n": 1, "m": 1, "generators": [' + "[]," * 11184789 + "[]]}",
+    "one-dense-generator": lambda: '{"field": {"q": 2}, "n": 1, "m": 16777166, "generators": [[['
+    + "0," * 16777165
+    + "0]]]}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FLOODS))
+def test_code_file_of_too_many_values_is_refused_by_its_brackets_and_commas_exit_2(name, tmp_path, monkeypatch, capsys):
+    # within 32 MiB, a file may hold millions of values, each of which
+    # json.loads would build: more `[`, `{` and `,` than a code of
+    # BASIS_LIMIT entries holds are refused before the file is decoded
+    path = tmp_path / f"{name}.json"
+    path.write_text(VALUE_FLOODS[name]().ljust(2**25))
+    count = sum(map(path.read_bytes().count, (b"[", b"{", b",")))
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("the file was parsed"))
+        tracemalloc.start()
+        try:
+            err = _assert_error_exit_2(["check", "all", str(path)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    limit = "3145760 of a code of BASIS_LIMIT = 1048576 entries"
+    assert err == f"qrank: error: {path} holds {count} brackets and commas, above the {limit}\n"
+    # the capped read, 32 MiB and one byte, and nothing built from it
+    assert peak < 2**25 + 2**20, peak
+
+
+def test_code_stream_whose_size_reads_0_is_refused_after_the_capped_read_exit_2(tmp_path, monkeypatch, capsys):
+    # a pipe's size reads 0, so it is read up to one byte past the limit:
+    # an endless stream is refused there, and its writer sees the pipe close
+    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
+    fifo = tmp_path / "code.fifo"
+    os.mkfifo(fifo)
+    written = []
+
+    def write(data, endless):
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            while True:
+                written.append(os.write(fd, data))
+                if not endless:
+                    break
+        except BrokenPipeError:
+            pass
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=write, args=(b" " * 2**12, True), daemon=True)
+    writer.start()
+    err = _assert_error_exit_2(["wd", str(fifo)], capsys)
+    writer.join(5)
+    assert not writer.is_alive()
+    limit = "2048 bytes, 32 for each of the BASIS_LIMIT = 64 entries of a code"
+    assert err == f"qrank: error: {fifo} holds more than {limit}\n"
+    # a code that fits is read from the pipe whole
+    doc = json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]]}).ljust(2048).encode()
+    writer = threading.Thread(target=write, args=(doc, False), daemon=True)
+    writer.start()
+    assert main(["wd", str(fifo)]) == 0
+    writer.join(5)
+    assert not writer.is_alive()
+    assert capsys.readouterr().out.startswith("rank distribution: [1, 1]\n") and written[-1] == 2048
+
+
+def test_code_files_qrank_writes_load_at_the_byte_limit(tmp_path, monkeypatch, capsys):
+    # with BASIS_LIMIT = 64: qrank's indent-2 files of 64 entries, one
+    # Mat(64 x 1, F_251) generator of 3-digit entries (the most bytes an
+    # entry) and the 8 generators of Mat(8 x 1, F_2) (the most brackets and
+    # commas an entry), padded to 2048 bytes, load; a byte more is refused
+    monkeypatch.setattr(qrank.cli, "BASIS_LIMIT", 64)
+    full_8x1 = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    for field, n, basis in ((gf_new(251), 64, [(1, *[250] * 63)]), (gf_new(2), 8, full_8x1)):
+        C = qrank.delsarte.RankMetricCode(Subspace.span(basis, n, field), n, 1)
+        text = qrank.cli._code_text(C, {"seed": 0})
+        assert len(text) <= 2048 and text.isascii()
+        path = tmp_path / f"c{n}.json"
+        path.write_text(text.ljust(2048))
+        assert main(["wd", str(path)]) == 0 and capsys.readouterr().out
+        path.write_text(text.ljust(2049))
+        assert "holds more than 2048 bytes" in _assert_error_exit_2(["wd", str(path)], capsys)
+    # 64 Mat(1 x 1) generators hold 3 * 64 brackets and commas, the most 64
+    # entries can, and 5 more in the rest of the document: counted and parsed
+    path.write_text(json.dumps({"field": {"q": 2}, "n": 1, "m": 1, "generators": [[[1]]] * 64}, separators=(",", ":")))
+    assert main(["wd", str(path)]) == 0 and capsys.readouterr().out.startswith("rank distribution: [1, 1]\n")
 
 
 def test_check_all_text_prints_no_rank_table_and_json_prints_the_recorded_bytes(tmp_path, monkeypatch, capsys):

@@ -16,6 +16,7 @@ from qrank import (
     lattice,
     orthogonal_complement,
 )
+from qrank.delsarte import RankMetricCode, dual_code, random_code, restrict
 from qrank.errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMismatch
 from qrank.subspaces import (
     LATTICE_LIMIT,
@@ -38,6 +39,21 @@ def test_span_examples():
     assert Subspace.span([], 2, F2).dim == 0
     assert Subspace.span([(1, 0), (1, 0)], 2, F2).dim == 1
     assert Subspace.span([(1, 1), (0, 1)], 2, F2) == Subspace.full(2, F2)
+
+
+def test_every_constructor_path_stores_a_tuple_of_row_tuples():
+    # the trusted constructor keeps the basis it is given, so every path
+    # that builds a subspace or a code hands it a tuple of row tuples
+    for field in PROPERTY_FIELDS:
+        X = Subspace.span([[1, 0, 1], [0, 1, 1]], 3, field)
+        Y = Subspace.from_key("0,0,1", 3, field)
+        spaces = [X, Y, X.perp(), X.sum(Y), X.intersect(Y), Subspace.zero(3, field), Subspace.full(3, field)]
+        spaces += [*enumerate_subspaces(3, field, 1), *lattice(2, field).subspaces]
+        C = random_code(2, 2, field, 2, random.Random(1))
+        J = Subspace.span([[1, 1]], 2, field)
+        codes = [C, dual_code(C), restrict(C, J), RankMetricCode.from_json(C.to_json())]
+        for S in spaces + [D.space for D in codes]:
+            assert type(S.basis) is tuple and all(type(row) is tuple for row in S.basis), (field, S)
 
 
 def test_span_length_mismatch():
