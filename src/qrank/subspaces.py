@@ -2,19 +2,18 @@
 
 A subspace is represented by the RREF basis of its row space (zero rows
 removed), so equality of values is equality of subspaces.  Enumeration
-generates RREF matrices directly from pivot-column choices, per
-dimension, in a deterministic total order.
+generates RREF bases directly, first row then the rest, per dimension,
+in lexicographic order.
 """
 
 from __future__ import annotations
 
-import heapq
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 from .errors import AmbientMismatch, InvalidValue, LengthMismatch, check_limit
 from .gf import FieldContext, Value
-from .matspace import kernel_basis, rref_kernel, rref_rows
+from .matspace import rref_kernel, rref_rows
 from .qseries import galois_number, gaussian_binomial
 
 
@@ -29,11 +28,13 @@ class Subspace(Value):
 
     @classmethod
     def span(cls, vectors, n: int, field: FieldContext) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
+        # rref_rows copies each vector into its work rows, so the vectors
+        # go to it as they are; a generator is listed once, to be read twice
+        vectors = list(vectors)
+        for v in vectors:
             if len(v) != n:
                 raise LengthMismatch(f"vector of length {len(v)}, ambient dimension {n}")
-        rows, _ = rref_rows(vecs, n, field)
+        rows, _ = rref_rows(vectors, n, field)
         return cls(field, n, tuple(rows))
 
     @classmethod
@@ -97,40 +98,39 @@ def orthogonal_complement(A: Subspace) -> Subspace:
     return A.perp()
 
 
-def _rref_bases_with_pivots(n: int, pivots, field: FieldContext):
-    # every RREF matrix with these pivot columns, in increasing order: the
-    # free entries run through product() in row-major order, the order in
-    # which tuples of rows compare
-    pivot_set = set(pivots)
-    free = [
-        (i, j)
-        for i in range(len(pivots))
-        for j in range(n)
-        if j > pivots[i] and j not in pivot_set
-    ]
-    for assignment in product(field.elements(), repeat=len(free)):
-        rows = [[0] * n for _ in pivots]
-        for i, j in enumerate(pivots):
-            rows[i][j] = 1
-        for (i, j), v in zip(free, assignment):
-            rows[i][j] = v
-        yield tuple(tuple(r) for r in rows)
+def _rref_bases(n: int, d: int, pivots, q: int):
+    # every RREF basis of d rows of F_q^n with its pivots among `pivots`
+    # (ascending), in increasing order.  A basis is its first row r_0, with
+    # pivot p, then an RREF basis of the rest, whose pivots lie among the
+    # later columns where r_0 is 0.  Tuples of rows compare row by row and
+    # a later p makes a smaller r_0, so p runs last to first and the
+    # entries after it run through product() order.  With no later column
+    # to spare, the rest takes them all as pivots, so r_0 is 0 there.
+    if not d:
+        yield ()
+        return
+    for i in reversed(range(len(pivots) - d + 1)):
+        p, later = pivots[i], pivots[i + 1 :]
+        spare = len(later) >= d
+        pools = [range(q) if spare or j not in later else (0,) for j in range(p + 1, n)]
+        for tail in product(*pools):
+            row = (0,) * p + (1,) + tail
+            for rest in _rref_bases(n, d - 1, [j for j in later if not row[j]], q):
+                yield (row,) + rest
 
 
 def enumerate_subspaces(n: int, field: FieldContext, dim_filter: int | None = None):
     """All subspaces of F_q^n, by dimension then lexicographic basis order.
 
-    Streams: each dimension merges the sorted streams of its pivot choices,
-    so memory stays at one generator per pivot choice."""
+    Streams: `_rref_bases` generates each dimension's bases in that order,
+    one row at a time, so memory stays at one generator per row."""
     dims = range(n + 1) if dim_filter is None else [dim_filter]
     for d in dims:
-        if not 0 <= d <= n:
-            continue
-        # combinations() holds range(n) as a tuple, even to choose no pivot
-        choices = combinations(range(n), d) if d else [()]
-        streams = [_rref_bases_with_pivots(n, pivots, field) for pivots in choices]
-        for basis in heapq.merge(*streams):
-            yield Subspace(field, n, basis)
+        if 0 <= d < n:
+            for basis in _rref_bases(n, d, range(n), field.q):
+                yield Subspace(field, n, basis)
+        elif d == n >= 0:  # F_q^n alone, without nesting n generators
+            yield Subspace.full(n, field)
 
 
 class SubspaceLattice:
@@ -142,9 +142,10 @@ class SubspaceLattice:
     subspace at lattice index 1 + j (a projective point) lies in it.  A
     subspace is the span of its points, so the mask determines it and
     meet is the AND of two masks.  The lower covers of T are the meets of
-    T with the hyperplanes that do not contain it, and perp[i], the index
-    of S_i^perp, is the meet of the hyperplanes h^perp over the RREF rows
-    h of S_i: one kernel per point, not one per subspace.  The lattice is
+    T with the hyperplanes that do not contain it.  perp[i] is the index
+    of S_i^perp: a point's is its own `Subspace.perp`, one kernel per
+    point, and past the points S = <r_0> + <R> along the plan, so S^perp
+    is the meet of <r_0>^perp and <R>^perp, one AND.  The lattice is
     modular, so the polymatroid axioms need only covers and intervals of
     length 2 (see `qpolymatroid.verify_axioms`).
 
@@ -167,8 +168,8 @@ class SubspaceLattice:
         self.subspaces = list(enumerate_subspaces(n, field))
         self.index = {S.basis: i for i, S in enumerate(self.subspaces)}
         self.dims = [S.dim for S in self.subspaces]
-        self.perp = self._perps()
         self.full_index = len(self) - 1  # enumeration ends with F_q^n
+        self.perp = self._perps()
 
     def __len__(self):
         return len(self.subspaces)
@@ -220,34 +221,25 @@ class SubspaceLattice:
         """mask_index[mask]: the index of the subspace with this point mask."""
         return {mask: i for i, mask in enumerate(self.point_masks)}
 
-    @cached_property
-    def _hyperplane_masks(self):
-        # the point mask of h^perp for every point h (its RREF row): one
-        # kernel per point, and every hyperplane is one of these
-        masks, index, n = self.point_masks, self.index, self.n
-        points = [S.basis[0] for S in self.subspaces if S.dim == 1]
-        return {h: masks[index[tuple(kernel_basis((h,), n, self.field))]] for h in points}
-
     def _perps(self):
-        # S^perp is the meet of the hyperplanes h^perp over the RREF rows h
-        # of S, and each row h is the basis of a point
-        hyperplane, by_mask = self._hyperplane_masks, self.mask_index
-        full = (1 << len(hyperplane)) - 1
-        perp = []
-        for S in self.subspaces:
-            mask = full
-            for h in S.basis:
-                mask &= hyperplane[h]
-            perp.append(by_mask[mask])
+        # a point's complement is its own Subspace.perp(), one kernel per
+        # point; past the points, S_t = <r_0> + <R> along the plan, so S_t^perp
+        # is the meet of two complements already found, the AND of their masks
+        masks, by_mask, (parents, points) = self.point_masks, self.mask_index, self.plan
+        ends = 1 + gaussian_binomial(self.n, 1, self.field.q)
+        perp = [self.full_index] + [self.index[S.perp().basis] for S in self.subspaces[1:ends]]
+        for t in range(ends, len(self)):
+            perp.append(by_mask[masks[perp[parents[t]]] & masks[perp[points[t]]]])
         return perp
 
     @cached_property
     def covers(self):
         """covers[i]: the indices of the subspaces of dimension dim S_i - 1
         inside S_i, ascending."""
-        by_mask, hyperplanes = self.mask_index, self._hyperplane_masks.values()
+        masks, by_mask = self.point_masks, self.mask_index
+        hyperplanes = [mask for mask, dim in zip(masks, self.dims) if dim == self.n - 1]
         covers = []
-        for t in self.point_masks:
+        for t in masks:
             meets = {t & w for w in hyperplanes}
             meets.discard(t)
             covers.append(tuple(sorted(by_mask[a] for a in meets)))

@@ -8,7 +8,7 @@ exhaustively axiom-tested) FieldContext tables.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from qrank.delsarte import RankMetricCode
 from qrank.identities import IdentityReport
@@ -87,6 +87,23 @@ def oracle_perp_set(basis, n, field):
         if ok:
             out.add(vec)
     return out
+
+
+def oracle_rref_bases(n, d, field):
+    """Every RREF basis of d rows of F_q^n, sorted: for each choice of d
+    pivot columns, the entries right of each pivot and off the pivot
+    columns run through product().  No basis for d outside [0, n]."""
+    if not 0 <= d <= n:
+        return []
+    bases = []
+    for pivots in combinations(range(n), d):
+        free = [(i, j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots]
+        for entries in product(field.elements(), repeat=len(free)):
+            rows = [[int(j == p) for j in range(n)] for p in pivots]
+            for (i, j), v in zip(free, entries):
+                rows[i][j] = v
+            bases.append(tuple(tuple(row) for row in rows))
+    return sorted(bases)
 
 
 def oracle_rho(code, J):

@@ -1,7 +1,9 @@
 import random
 import re
+import sys
 import time
-from itertools import combinations
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,6 @@ from qrank.errors import AmbientMismatch, BudgetExceeded, InvalidValue, LengthMi
 from qrank.subspaces import (
     LATTICE_LIMIT,
     TABLE_LIMIT,
-    _rref_bases_with_pivots,
     check_lattice_work,
     check_subspace_count,
     subspace_count_exponent,
@@ -29,6 +30,7 @@ from qrank.subspaces import (
 
 from qrank.matspace import kernel_basis
 
+from oracles import oracle_rref_bases
 from test_delsarte import PROPERTY_FIELDS, SHAPES
 
 F2 = gf_new(2)
@@ -54,6 +56,22 @@ def test_every_constructor_path_stores_a_tuple_of_row_tuples():
         codes = [C, dual_code(C), restrict(C, J), RankMetricCode.from_json(C.to_json())]
         for S in spaces + [D.space for D in codes]:
             assert type(S.basis) is tuple and all(type(row) is tuple for row in S.basis), (field, S)
+
+
+def test_span_hands_its_vectors_to_one_elimination_uncopied():
+    # rref_rows copies each vector into its work rows; span makes no copy
+    # of its own, so its peak stays near one copy of the vectors, not two
+    vectors = [[1] + [0] * 63 for _ in range(4096)]
+    size = sum(sys.getsizeof(v) for v in vectors)
+    tracemalloc.start()
+    try:
+        S = Subspace.span(vectors, 64, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.basis == (tuple(vectors[0]),)
+    assert peak < 1.5 * size, (peak, size)
+    assert Subspace.span((v for v in vectors[:2]), 64, F2) == S  # a generator spans too
 
 
 def test_span_length_mismatch():
@@ -209,13 +227,13 @@ def test_lattice_build_takes_one_kernel_per_point(n, field, monkeypatch):
     import qrank.subspaces
 
     calls = []
-    original = qrank.subspaces.kernel_basis
+    original = qrank.subspaces.rref_kernel
 
-    def counted(rows, width, field):
-        calls.append(tuple(rows))
-        return original(rows, width, field)
+    def counted(red, pivots, width, field):
+        calls.append(tuple(red))
+        return original(red, pivots, width, field)
 
-    monkeypatch.setattr(qrank.subspaces, "kernel_basis", counted)
+    monkeypatch.setattr(qrank.subspaces, "rref_kernel", counted)
     lat = qrank.subspaces.SubspaceLattice(n, field)
     points = [S.basis for S in lat.subspaces if S.dim == 1]
     assert sorted(calls) == sorted(points) and len(points) == gaussian_binomial(n, 1, field.q)
@@ -261,18 +279,66 @@ def test_lattice_tables_refused_above_the_table_limit():
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize("p,e,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 1, 7)])
+REFERENCE_SHAPES = [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3), (2, 1, 7), (7, 1, 3), (2, 3, 3), (3, 2, 3)]
+REFERENCE_SHAPES += [(2, 1, 0), (2, 1, 1), (3, 2, 0), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("p,e,n", REFERENCE_SHAPES)
 def test_enumerate_subspaces_matches_sorted_reference(p, e, n):
-    # the merged per-pivot streams give the order of sorting each dimension whole
+    # the recursion on the first row gives the order of sorting each
+    # dimension whole, over every dimension filter, in range or not
     field = gf_new(p, e)
-    reference = [
-        basis
-        for d in range(n + 1)
-        for basis in sorted(
-            b for pivots in combinations(range(n), d) for b in _rref_bases_with_pivots(n, pivots, field)
-        )
-    ]
-    assert [S.basis for S in enumerate_subspaces(n, field)] == reference
+    reference = {d: oracle_rref_bases(n, d, field) for d in range(-1, n + 2)}
+    assert [S.basis for S in enumerate_subspaces(n, field)] == [b for d in range(n + 1) for b in reference[d]]
+    for d in range(-1, n + 2):
+        assert [S.basis for S in enumerate_subspaces(n, field, d)] == reference[d], d
+
+
+def test_first_subspace_of_a_dimension_streams_in_little_memory():
+    # F_2^14 holds [14, 7]_2 ~ 2^49 subspaces of dimension 7; the first
+    # is built one row at a time
+    tracemalloc.start()
+    try:
+        S = next(enumerate_subspaces(14, F2, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert S.basis == tuple(tuple(int(j == p) for j in range(14)) for p in range(7, 14))
+    assert peak < 2**20, peak
+
+
+def test_the_whole_space_is_listed_at_any_dimension():
+    # F_q^n comes whole, not from a recursion n rows deep
+    assert list(enumerate_subspaces(3000, F2, 3000)) == [Subspace.full(3000, F2)]
+
+
+@pytest.mark.parametrize("n,field", [(10, F2), (6, F3)])
+def test_enumeration_tries_few_first_rows_that_lead_nowhere(n, field, monkeypatch):
+    # the rows of a hyperplane's basis have at most one later column to
+    # spare; a row with none is 0 at every later column, which the rest
+    # takes as pivots, so few first rows are tried that yield no basis
+    import qrank.subspaces
+
+    tried = [0]
+
+    def counted(*pools):
+        for tail in product(*pools):
+            tried[0] += 1
+            yield tail
+
+    monkeypatch.setattr(qrank.subspaces, "product", counted)
+    count = sum(1 for _ in enumerate_subspaces(n, field, n - 1))
+    assert count == gaussian_binomial(n, n - 1, field.q) and tried[0] < 4 * count, tried
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_points_over_f2_spell_their_lattice_index_in_binary(n):
+    # qpolymatroid.from_code reads the images of the point at index t off
+    # t's binary digits, entry 0 the most significant
+    subspaces = lattice(n, F2).subspaces
+    for t in range(1, 2**n):
+        assert subspaces[t].basis == (tuple(t >> (n - 1 - j) & 1 for j in range(n)),), t
+    assert [S.dim for S in subspaces[: 2**n]] == [0] + [1] * (2**n - 1)
 
 
 def test_check_subspace_count():
